@@ -21,6 +21,7 @@ from .decomposition import (
 )
 from .errors import (
     EllipticityError,
+    EnvironmentSettingError,
     GridAdequacyError,
     RepresentationError,
     SeparationError,
@@ -53,8 +54,6 @@ from .harness import (
     verify_sharpness,
 )
 from .norms import (
-    ExponentQuery,
-    NormSpec,
     admissibility_threshold,
     airy_exponent,
     besov_norm,

@@ -18,6 +18,15 @@ class SizingError(ValueError):
         self.required_half_width = required_half_width
 
 
+class EnvironmentSettingError(ValueError):
+    """An environment variable holds a value the package cannot use."""
+
+    def __init__(self, name, value, expected):
+        super().__init__(f"environment variable {name} must be {expected}, got {value!r}")
+        self.name = name
+        self.value = value
+
+
 class EllipticityError(ValueError):
     """The sampled Hessian of a phase fails to be positive definite."""
 

@@ -360,18 +360,6 @@ def packet_taylor_remainder(alpha: float):
     return rho
 
 
-def packet_frame_symbol(lam: float, alpha: float, t: float):
-    """Multiplier taking the packet to its co-moving frame at time t (exact)."""
-    rho = packet_taylor_remainder(alpha)
-    shift = lam ** (-alpha / 2.0)
-    s = t * lam**alpha
-
-    def symbol(xi):
-        return np.exp(1j * s * rho(shift * np.asarray(xi)[0]))
-
-    return symbol
-
-
 def ridge_trace(lam: float, alpha: float, t_grid, epsilon: float = 0.05) -> np.ndarray:
     """Packet-center values G(0, t) along the ridge t(x) = x/(alpha lam^{alpha-1}).
 

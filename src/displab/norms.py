@@ -9,32 +9,12 @@ the declared interval, so a single sample represents the whole interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cutoffs import make_cutoffs
 from .grid import FREQUENCY, Field
 from .propagator import Trajectory
 from .spectral import apply_symbol
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Which norm to compute: lp, mixed_spacetime, maximal, sobolev, or besov."""
-
-    kind: str
-    p: float
-    beta: float = 0.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in ("lp", "mixed_spacetime", "maximal", "sobolev", "besov"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if not self.p >= 1:
-            raise ValueError("p must be >= 1")
-        if not self.q >= 1:
-            raise ValueError("q must be >= 1")
 
 
 def lp_norm(field: Field, p: float) -> float:
@@ -118,13 +98,6 @@ def besov_norm(field: Field, p: float, beta: float, q: float, max_band: int | No
 
 
 # -- exponent formulas ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExponentQuery:
-    alpha: float
-    dim: int
-    p: float
 
 
 def smoothing_exponent(alpha: float, dim: int, p: float) -> float:

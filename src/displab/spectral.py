@@ -49,9 +49,18 @@ def dft_forward(field: Field) -> Field:
 def dft_inverse(field: Field) -> Field:
     """Inverse quadrature with (2pi)^{-d} and lattice measure (pi/L)^d."""
     field.require(FREQUENCY)
-    grid = field.grid
-    samples = np.fft.ifftn(field.samples * _parity(grid)) / grid.cell_volume
-    return Field(grid, PHYSICAL, samples)
+    return Field(field.grid, PHYSICAL, dft_inverse_samples(field.grid, field.samples))
+
+
+def dft_inverse_samples(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
+    """Physical samples of stacked spectra, shape (..., *grid.shape).
+
+    The same inverse quadrature as ``dft_inverse``, applied over the trailing
+    grid axes, so a block of frames goes through one batched transform.
+    """
+    samples = np.fft.ifftn(spectra * _parity(grid), axes=tuple(range(-grid.dim, 0)))
+    samples /= grid.cell_volume
+    return samples
 
 
 def to_physical(field: Field) -> Field:
@@ -69,16 +78,20 @@ def apply_symbol(field: Field, symbol) -> Field:
     and must return an array of shape (N, ..., N).  The output representation
     matches the input.
     """
-    grid = field.grid
-    values = np.asarray(symbol(grid.frequency_mesh()))
+    values = np.asarray(symbol(field.grid.frequency_mesh()))
+    require_finite_symbol(field.grid, values)
+    spectrum = to_frequency(field)
+    out = spectrum.with_samples(spectrum.samples * values)
+    return out if field.is_frequency else dft_inverse(out)
+
+
+def require_finite_symbol(grid: GridSpec, values: np.ndarray) -> None:
+    """Raise ValueError naming the first lattice frequency where ``values`` is not finite."""
     finite = np.isfinite(values)
     if not finite.all():
         bad = tuple(np.argwhere(~finite)[0])
         xi = tuple(float(grid.frequency_mesh()[(a, *bad)]) for a in range(grid.dim))
         raise ValueError(f"symbol evaluated to a non-finite value at xi = {xi}")
-    spectrum = to_frequency(field)
-    out = spectrum.with_samples(spectrum.samples * values)
-    return out if field.is_frequency else dft_inverse(out)
 
 
 def radial(fn):

@@ -96,6 +96,14 @@ def test_sweep_missing_flag_is_config_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name", ["DISPLAB_MAX_WORKERS", "DISPLAB_MAX_GRID_POINTS"])
+def test_sweep_bad_environment_is_config_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, _, err = run(capsys, "sweep", "--family", "smoothing", "--lambdas", "16,32")
+    assert code == 2
+    assert name in err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 2.0, "d": 1, "p": 6.0, "lambdas": "16,32,64,128"}))

@@ -239,6 +239,43 @@ def test_memory_cap_names_smallest_failing_scale(monkeypatch):
         run_sweep(cfg)
 
 
+@pytest.mark.slow
+def test_profile_curve_is_shared_across_scales_and_sweeps(monkeypatch):
+    """All five alpha = 3 scales share one 189-sample s-grid; a second beta reuses it."""
+    import displab.harness as harness
+
+    evaluated = []
+    real = harness.evolved_lp_norms
+
+    def counting(field, t, params, p):
+        evaluated.append(len(t))
+        return real(field, t, params, p)
+
+    monkeypatch.setattr(harness, "evolved_lp_norms", counting)
+    harness._profile_curve.cache_clear()
+    lams = (16.0, 32.0, 64.0, 128.0, 256.0)
+    beta = smoothing_exponent(3, 1, 6)
+    first = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta, lams))
+    assert sum(evaluated) == 189
+    assert [r.t_count for r in first] == [189] * 5
+    second = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta - 0.2, lams))
+    assert sum(evaluated) == 189
+    for a, b in zip(first, second):
+        assert b.numerator == a.numerator and b.coverage == a.coverage
+
+
+@pytest.mark.parametrize("name", ["DISPLAB_MAX_WORKERS", "DISPLAB_MAX_GRID_POINTS"])
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-5"])
+def test_bad_environment_values_raise(monkeypatch, name, value):
+    from displab.errors import EnvironmentSettingError
+
+    monkeypatch.setenv(name, value)
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, (16.0,))
+    with pytest.raises(EnvironmentSettingError, match=name) as info:
+        run_sweep(cfg)
+    assert info.value.name == name
+
+
 def test_worker_pool_is_deterministic(monkeypatch):
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, (16.0, 32.0, 64.0))
     serial = run_sweep(cfg)

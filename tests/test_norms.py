@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import (
-    NormSpec,
     admissibility_threshold,
     airy_exponent,
     besov_norm,
@@ -151,14 +150,6 @@ def test_besov_monotone_in_beta(rng):
     f = Field(g, PHYSICAL, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     vals = [besov_norm(f, 2.0, b, 2.0) for b in (0.0, 0.5, 1.0)]
     assert vals[0] <= vals[1] <= vals[2]
-
-
-def test_normspec_validation():
-    NormSpec("besov", 2.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        NormSpec("unknown", 2.0)
-    with pytest.raises(ValueError):
-        NormSpec("lp", 0.5)
 
 
 # -- exponent formulas --------------------------------------------------------------

@@ -15,6 +15,7 @@ from displab.propagator import (
     elliptic_values,
     evolve,
     evolve_trajectory,
+    evolved_lp_norms,
     kernel_tail_mass,
     make_elliptic_phase,
     power_phase,
@@ -140,6 +141,52 @@ def test_evolve_two_dimensional(rng):
     assert np.abs(back.samples - f.samples).max() < 1e-11 * np.abs(f.samples).max()
     with pytest.raises(ValueError):
         evolve(f, 0.1, DispersionParams(2.0, 1))  # dim mismatch
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
+    from displab.extremizers import unit_annulus_field, unit_profile_grid
+    from displab.propagator import _BLOCK_SAMPLES
+
+    grid = unit_profile_grid()
+    profile = unit_annulus_field(grid, one_sided=one_sided)
+    params = DispersionParams(alpha, 1)
+    block = _BLOCK_SAMPLES // grid.size
+    s = np.linspace(-400.0, 0.0, 2 * block + 5)  # two full blocks and a partial one
+    got = evolved_lp_norms(profile, s, params, 6.0)
+    oracle = [lp_norm(to_physical(evolve(profile, float(v), params, headroom=0.0)), 6.0) ** 6.0
+              for v in s]
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_evolved_lp_norms_physical_input_and_validation(rng):
+    g = GridSpec(1, 512, 12.0)
+    f = band_limited_field(g, rng)
+    params = DispersionParams(1.5, 1)
+    ts = [0.0, 0.3, 1.0]
+    got = evolved_lp_norms(f, ts, params, 3.0)
+    oracle = [lp_norm(to_physical(evolve(f, t, params, headroom=0.0)), 3.0) ** 3.0 for t in ts]
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        evolved_lp_norms(f, [0.1, np.nan], params, 2.0)
+    with pytest.raises(ValueError, match="p must"):
+        evolved_lp_norms(f, ts, params, np.inf)
+    with pytest.raises(ValueError, match="dim"):
+        evolved_lp_norms(f, ts, DispersionParams(2.0, 2), 2.0)
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        # |xi|^1000 overflows on this lattice
+        evolved_lp_norms(Field.zeros(GridSpec(1, 64, 0.01)), ts, DispersionParams(1000.0, 1), 2.0)
+
+    g2 = GridSpec(2, 64, 6.0)
+    mesh = g2.frequency_mesh()
+    coef = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    coef[np.sqrt((mesh**2).sum(axis=0)) > 0.2 * g2.nyquist] = 0.0
+    f2 = Field(g2, FREQUENCY, coef)
+    params2 = DispersionParams(2.0, 2)
+    got = evolved_lp_norms(f2, ts, params2, 4.0)
+    oracle = [lp_norm(to_physical(evolve(f2, t, params2, headroom=0.0)), 4.0) ** 4.0 for t in ts]
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_trajectory_basics(rng):
