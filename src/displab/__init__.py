@@ -22,6 +22,7 @@ from .decomposition import (
 from .errors import (
     EllipticityError,
     EnvironmentSettingError,
+    FieldDumpError,
     GridAdequacyError,
     RepresentationError,
     SeparationError,

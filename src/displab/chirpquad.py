@@ -5,7 +5,7 @@ Evaluates, in one dimension,
     I(y) = (2 pi)^-1  sum_intervals  int a(xi) e^{i (y xi + S |xi|^alpha)} dxi
 
 at large collections of y points, for |S| up to ~1e8 where a literal dense
-lattice would need 1e8..1e9 nodes.  Two routes share one czt back end:
+lattice would need 1e8..1e9 nodes.  Two routes share one chirp-z back end:
 
 dense   one trapezoid lattice per interval, fine enough that the implied
         periodization images stay clear of every target; evaluated in
@@ -25,18 +25,26 @@ The trapezoid lattice sum equals the exact periodization of I, so the only
 quadrature error is wrap-around of the profile's rapidly decaying tails;
 lattice spacings are chosen so the images stay `pad` away from every
 target.
+
+Back end.  Every block of every segment, down to one node or one target,
+goes through a numpy Bluestein chirp-z transform (`CZT`; Rabiner, Schafer
+& Rader 1969, Bluestein 1970): one forward and one inverse FFT of a
+5-smooth length.  A segment's start is folded into the block weights, so
+a plan depends only on (nodes, targets, step angle) and the last few are
+kept in a small LRU cache.  There is no direct O(nodes x targets) sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
-from scipy.signal import CZT
 
 from .cutoffs import make_cutoffs
 
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
-_MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the czt, keeps roundoff ~<1e-7
+_MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the chirp-z plan, keeps roundoff ~<1e-7
 _DEFAULT_CHUNK = 2**21
 
 
@@ -80,6 +88,57 @@ def _group_position(xi: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     return -scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+class CZT:
+    """Chirp-z plan: ``X_k = sum_j x_j w^{jk}`` for k < m, |w| = 1, from n inputs.
+
+    Bluestein's identity jk = (j^2 + k^2 - (k - j)^2) / 2 turns the sum into
+    a convolution with the chirp e^{-i theta t^2 / 2}, theta = angle(w); the
+    FFT of that kernel is stored, so a call is one forward and one inverse
+    FFT.  Inputs shorter than n are zero-padded.
+    """
+
+    def __init__(self, n: int, m: int, w: complex):
+        if n < 1 or m < 1:
+            raise ValueError("a chirp-z plan needs n >= 1 and m >= 1")
+        self.n, self.m = n, m
+        self.nfft = _smooth_length(n + m - 1)
+        t = np.arange(max(n, m), dtype=float)
+        # reduce theta t^2 / 2 mod 2 pi before the exp: t^2 is exact in float64
+        chirp = np.exp(1j * np.mod(0.5 * np.angle(w) * t * t, 2.0 * np.pi))
+        kernel = np.zeros(self.nfft, dtype=complex)
+        kernel[:m] = chirp[:m].conj()
+        kernel[self.nfft - n + 1 :] = chirp[1:n][::-1].conj()
+        self._pre, self._post = chirp[:n], chirp[:m]
+        self._kernel_fft = np.fft.fft(kernel)
+        for arr in (self._pre, self._post, self._kernel_fft):
+            arr.setflags(write=False)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.size > self.n:
+            raise ValueError(f"plan takes at most {self.n} inputs, got {x.size}")
+        spectrum = np.fft.fft(x * self._pre[: x.size], self.nfft)
+        spectrum *= self._kernel_fft
+        return np.fft.ifft(spectrum)[: self.m] * self._post
+
+
+@lru_cache(maxsize=4)
+def _plan(n: int, m: int, theta: float) -> CZT:
+    return CZT(n=n, m=m, w=np.exp(1j * theta))
+
+
 def _czt_eval(
     nodes: np.ndarray,
     weights: np.ndarray,
@@ -87,28 +146,26 @@ def _czt_eval(
     out: list[np.ndarray],
     chunk_cap: int = _DEFAULT_CHUNK,
 ) -> None:
-    """Accumulate sum_n weights[n] e^{i y nodes[n]} onto each segment's output."""
+    """Accumulate sum_n weights[n] e^{i y nodes[n]} onto each segment's output.
+
+    With y_k = start + k step and a block's nodes x_0 + j dxi, the block sum
+    is e^{i y_k x_0} sum_j (weights_j e^{i start dxi j}) e^{i step dxi jk}.
+    """
     n_total = nodes.size
     if n_total == 0:
         return
     dxi = nodes[1] - nodes[0] if n_total > 1 else 1.0
     for seg, acc in zip(segments, out):
         points = seg.points()
-        if seg.count == 1 or n_total < 4096:
-            for start in range(0, n_total, 2**16):
-                block = slice(start, min(start + 2**16, n_total))
-                acc += np.exp(1j * np.outer(points, nodes[block])) @ weights[block]
-            continue
         theta = seg.step * dxi
-        # cap the chunk so the czt chirp angle n^2*theta/2 stays reducible in float64
+        # cap the chunk so the chirp angle n^2*theta/2 stays reducible in float64
         chunk = int(min(chunk_cap, max(4096, np.sqrt(2.0 * _MAX_CHIRP_ANGLE / max(theta, 1e-300)))))
         chunk = min(chunk, n_total)
-        transform = CZT(n=chunk, m=seg.count, w=np.exp(1j * theta), a=np.exp(-1j * seg.start * dxi))
+        transform = _plan(chunk, seg.count, theta)
+        shift = np.exp(1j * (seg.start * dxi) * np.arange(chunk))
         for start in range(0, n_total, chunk):
             block = weights[start : start + chunk]
-            if block.size < chunk:
-                block = np.concatenate([block, np.zeros(chunk - block.size, dtype=complex)])
-            acc += np.exp(1j * points * nodes[start]) * transform(block)
+            acc += np.exp(1j * points * nodes[start]) * transform(block * shift[: block.size])
 
 
 def _interval_lattice(lo: float, hi: float, spacing: float):

@@ -11,9 +11,9 @@ values, which override defaults; the resolved configuration is echoed in
 every output header.  Exit codes: 0 success / verdict pass, 1 verdict
 fail, 2 invalid configuration, 3 numerical failure.
 
-Environment: DISPLAB_MAX_WORKERS caps sweep parallelism;
-DISPLAB_MAX_GRID_POINTS caps automatic grid sizing.  Both must be positive
-integers when set; any other value is a configuration error (exit 2).
+Environment: DISPLAB_MAX_GRID_POINTS caps automatic grid sizing.  It must
+be a positive integer when set; any other value is a configuration error
+(exit 2).
 """
 
 from __future__ import annotations

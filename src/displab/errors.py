@@ -27,6 +27,14 @@ class EnvironmentSettingError(ValueError):
         self.value = value
 
 
+class FieldDumpError(ValueError):
+    """A field dump file is malformed: bad magic, header or payload length."""
+
+    def __init__(self, path, problem):
+        super().__init__(f"{path}: {problem}")
+        self.path = path
+
+
 class EllipticityError(ValueError):
     """The sampled Hessian of a phase fails to be positive definite."""
 

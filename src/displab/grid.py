@@ -16,12 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RepresentationError
+from .errors import FieldDumpError, RepresentationError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 
 _MAGIC = b"PSLF1\n"
+_HEADER_KEYS = {"dim", "points", "half_width", "representation"}
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,26 @@ def save_field(field: Field, path) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a `save_field` dump; a malformed file raises `FieldDumpError` naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError(f"not a field dump: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode("ascii"))
+            raise FieldDumpError(path, f"not a field dump: bad magic {magic!r}")
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+        except ValueError as exc:
+            raise FieldDumpError(path, f"unreadable header: {exc}") from None
+        keys = set(header) if isinstance(header, dict) else set()
+        if keys != _HEADER_KEYS:
+            raise FieldDumpError(
+                path, f"header keys {sorted(keys)} are not {sorted(_HEADER_KEYS)}"
+            )
         grid = GridSpec(header["dim"], header["points"], header["half_width"])
-        raw = np.frombuffer(fh.read(grid.size * 16), dtype="<f8").reshape(-1, 2)
-        samples = (raw[:, 0] + 1j * raw[:, 1]).reshape(grid.shape)
+        payload = fh.read()
+    if len(payload) != grid.size * 16:
+        raise FieldDumpError(
+            path, f"payload holds {len(payload)} bytes, expected {grid.size * 16}"
+        )
+    raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
+    samples = (raw[:, 0] + 1j * raw[:, 1]).reshape(grid.shape)
     return Field(grid, header["representation"], samples)

@@ -24,15 +24,14 @@ Profile-norm curve.  Every scale reads the same unit profile, so the curve
 s -> ||W(., s)||_p^p is shared by all scales and sweeps with the same
 (alpha, p, one_sided, GridPolicy, datum scale); each distinct s is evolved
 once per process.  `run_sweep` fills the curve over the union of its
-scales' s-grids before it fans the scales out to DISPLAB_MAX_WORKERS
-threads, which then only read it.  A record is its rectangle-rule weights
-dotted with the looked-up values, plus its datum norm.
+scales' s-grids, then builds the records one scale after another.  A record
+is its rectangle-rule weights dotted with the looked-up values, plus its
+datum norm.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -43,6 +42,7 @@ from .extremizers import (
     ExtremizerSpec,
     SMOOTHING,
     datum_lp_norm,
+    datum_quadrature_nodes,
     faithful_horizon,
     make_smoothing_extremizer,
     maximal_datum_norm,
@@ -81,10 +81,6 @@ def _env_int(name: str, default: int) -> int:
     if value is None or value < 1:
         raise EnvironmentSettingError(name, raw, "a positive integer")
     return value
-
-
-def max_workers() -> int:
-    return _env_int("DISPLAB_MAX_WORKERS", 1)
 
 
 def max_grid_points() -> int:
@@ -148,8 +144,8 @@ class SweepConfig:
             raise ValueError("the airy family runs the cubic flow; set alpha = 3")
         if (self.family == "maximal") != (self.norm_kind == "maximal"):
             raise ValueError("the maximal family pairs with norm_kind='maximal'")
-        if not self.p >= 1:
-            raise ValueError("p must be >= 1")
+        if not (np.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         object.__setattr__(self, "lambdas", lams)
 
 
@@ -218,8 +214,7 @@ class _ProfileCurve:
     """The profile-norm curve s -> ||W(., s)||_p^p of one unit profile.
 
     Every distinct s is evaluated once per process, in batched blocks, and
-    shared by all scales and sweeps with the same profile.  ``run_sweep``
-    fills it before its worker threads read it, so lookups need no lock.
+    shared by all scales and sweeps with the same profile.
     """
 
     def __init__(self, alpha: float, p: float, one_sided: bool, gridpol: GridPolicy, scale: float):
@@ -229,6 +224,7 @@ class _ProfileCurve:
         self.p = p
         self.horizon = faithful_horizon(self.grid, alpha)
         self._values: dict[float, float] = {}
+        self._inside: set[float] = set()
 
     def fill(self, s) -> None:
         new = sorted(set(np.asarray(s, dtype=float).tolist()) - self._values.keys())
@@ -241,11 +237,17 @@ class _ProfileCurve:
         return np.array([self._values[v] for v in np.asarray(s, dtype=float).tolist()])
 
     def check_inside_box(self, s: float) -> None:
-        """No-wrap honesty check: the frame at s stays clear of both box edges."""
+        """No-wrap honesty check: the frame at s stays clear of both box edges.
+
+        Each s that passed is remembered, so records sharing a horizon evolve it once.
+        """
+        if s in self._inside:
+            return
         body = np.abs(to_physical(evolve(self.profile, s, self.params, headroom=0.0)).samples)
         edge = self.grid.points // 64
         if max(body[:edge].max(), body[-edge:].max()) > 1e-6 * body.max():
             raise SizingError("evolved profile reached the box edge; enlarge the unit grid")
+        self._inside.add(s)
 
 
 # one curve per (alpha, p, one_sided, GridPolicy, datum scale)
@@ -334,42 +336,28 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     would exceed the configured memory cap (DISPLAB_MAX_GRID_POINTS x 64,
     since quadrature nodes are streamed in bounded chunks).  The smoothing
     and airy families fill the shared profile-norm curve over the union of
-    their scales' s-grids before the scales fan out to worker threads.
+    their scales' s-grids in one call.
     """
-    workers = max_workers()
     if cfg.family == "maximal":
-        def make(lam):
-            return _maximal_record(cfg, lam)
-    else:
-        from .extremizers import datum_quadrature_nodes
-
-        budget = 64 * max_grid_points()
-        for lam in cfg.lambdas:
-            nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.family == "airy")
-            if nodes > budget:
-                raise SizingError(
-                    f"sweep sizing exceeds the memory cap at lam = {lam:g} "
-                    f"(the smallest failing scale needs ~{nodes:.2e} quadrature nodes, "
-                    f"cap {budget:.2e}); raise DISPLAB_MAX_GRID_POINTS or drop large scales"
-                )
-        curve = _profile_curve(
-            cfg.alpha, cfg.p, cfg.family == "airy", cfg.grid_policy, cfg.datum_scale
-        )
-        s_grids = {
-            lam: focusing_s_grid(lam, cfg.alpha, curve.horizon, cfg.t_policy)
-            for lam in cfg.lambdas
-        }
-        # filled here, not by the workers: two threads missing the same s
-        # would both evaluate it
-        curve.fill(np.concatenate(list(s_grids.values())))
-
-        def make(lam):
-            return _smoothing_record(cfg, lam, curve, s_grids[lam])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(make, cfg.lambdas))
-    return [make(lam) for lam in cfg.lambdas]
+        return [_maximal_record(cfg, lam) for lam in cfg.lambdas]
+    budget = 64 * max_grid_points()
+    for lam in cfg.lambdas:
+        nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.family == "airy")
+        if nodes > budget:
+            raise SizingError(
+                f"sweep sizing exceeds the memory cap at lam = {lam:g} "
+                f"(the smallest failing scale needs ~{nodes:.2e} quadrature nodes, "
+                f"cap {budget:.2e}); raise DISPLAB_MAX_GRID_POINTS or drop large scales"
+            )
+    curve = _profile_curve(
+        cfg.alpha, cfg.p, cfg.family == "airy", cfg.grid_policy, cfg.datum_scale
+    )
+    s_grids = {
+        lam: focusing_s_grid(lam, cfg.alpha, curve.horizon, cfg.t_policy)
+        for lam in cfg.lambdas
+    }
+    curve.fill(np.concatenate(list(s_grids.values())))
+    return [_smoothing_record(cfg, lam, curve, s_grids[lam]) for lam in cfg.lambdas]
 
 
 # -- direct (lam-scale) route for cross-validation -----------------------------------

@@ -1,8 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import displab
 from displab.chirpquad import (
+    _MAX_CHIRP_ANGLE,
+    CZT,
     UniformSegment,
+    _czt_eval,
+    _smooth_length,
     as_segments,
     chirp_profile,
     dense_node_estimate,
@@ -101,3 +112,69 @@ def test_nonstationary_bound_rejects_swept_targets():
     cut = make_cutoffs()
     with pytest.raises(ValueError):
         nonstationary_bound(cut.annulus, INTERVALS, 2.0, -100.0, np.array([200.0]))
+
+
+def brute_sum(weights, start, theta, m):
+    """sum_j weights_j e^{i (start + theta k) j} for k < m, over unit-spaced nodes j."""
+    j = np.arange(weights.size)
+    out = np.empty(m, dtype=complex)
+    for k0 in range(0, m, 256):
+        k = np.arange(k0, min(k0 + 256, m))
+        out[k] = np.exp(1j * (start * j + theta * np.outer(k, j).astype(float))) @ weights
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    m=st.one_of(st.just(1), st.integers(1, 3000)),
+    angle=st.one_of(st.floats(1e-6, np.pi), st.just(np.pi), st.just("limit")),
+    start=st.floats(-1e4, 1e4),
+    chunk_cap=st.sampled_from([2**21, 1000, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chirp_z_matches_brute_force_sum(n, m, angle, start, chunk_cap, seed):
+    """The Bluestein plan with the start folded into the weights is the direct sum."""
+    # "limit": the largest step angle the chunk cap admits for these sizes
+    theta = 2.0 * _MAX_CHIRP_ANGLE / max(n, m) ** 2 if angle == "limit" else angle
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = [np.zeros(m, dtype=complex)]
+    _czt_eval(np.arange(n, dtype=float), weights, [UniformSegment(start, theta, m)], out,
+              chunk_cap=chunk_cap)
+    ref = brute_sum(weights, start, theta, m)
+    # float64 roundoff of the largest phases either side forms
+    phase = theta * max(n, m) ** 2 + abs(start) * n
+    assert np.abs(out[0] - ref).max() <= 1e-15 * (1.0 + phase) * np.abs(weights).sum()
+
+
+def test_czt_plan_is_read_only_and_checks_length():
+    plan = CZT(n=5, m=3, w=np.exp(0.25j))
+    x = np.arange(1.0, 4.0) + 0j  # shorter inputs are zero-padded
+    np.testing.assert_allclose(plan(x), brute_sum(x, 0.0, 0.25, 3), rtol=1e-14)
+    with pytest.raises(ValueError):
+        plan(np.ones(6, dtype=complex))
+    with pytest.raises(ValueError):
+        plan._kernel_fft[0] = 0.0
+    with pytest.raises(ValueError):
+        CZT(n=0, m=3, w=1.0)
+
+
+def test_smooth_length_is_the_next_5_smooth_number():
+    def smooth(k):
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        return k == 1
+
+    smooth_numbers = [k for k in range(1, 5000) if smooth(k)]
+    for n in range(1, 4000):
+        assert _smooth_length(n) == next(k for k in smooth_numbers if k >= n)
+
+
+def test_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(displab.__file__))
+    code = "import sys, displab; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

@@ -96,7 +96,14 @@ def test_sweep_missing_flag_is_config_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("name", ["DISPLAB_MAX_WORKERS", "DISPLAB_MAX_GRID_POINTS"])
+def test_sweep_infinite_p_is_config_error(capsys):
+    code, _, err = run(capsys, "sweep", "--family", "maximal", "--alpha", "3", "--p", "inf",
+                       "--lambdas", "16,32")
+    assert code == 2
+    assert "p must be finite" in err
+
+
+@pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])
 def test_sweep_bad_environment_is_config_error(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "abc")
     code, _, err = run(capsys, "sweep", "--family", "smoothing", "--lambdas", "16,32")

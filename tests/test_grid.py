@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from displab.errors import RepresentationError
+from displab.errors import FieldDumpError, RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
 
 
@@ -61,6 +63,30 @@ def test_serialization_rejects_garbage(tmp_path):
     path.write_bytes(b"not a field dump")
     with pytest.raises(ValueError):
         load_field(path)
+
+
+def test_load_rejects_bad_header_keys(tmp_path, rng):
+    g = GridSpec(1, 16, 3.0)
+    path = tmp_path / "dump.fld"
+    save_field(Field(g, PHYSICAL, rng.standard_normal(16) + 0j), path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    for edit in ({"units": "m"}, {"representation": None}):
+        fields = {**json.loads(header), **edit}
+        fields = {k: v for k, v in fields.items() if v is not None}
+        path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + payload)
+        with pytest.raises(FieldDumpError, match="header keys") as info:
+            load_field(path)
+        assert str(path) in str(info.value)
+
+
+def test_load_rejects_truncated_payload(tmp_path, rng):
+    g = GridSpec(1, 16, 3.0)
+    path = tmp_path / "dump.fld"
+    save_field(Field(g, PHYSICAL, rng.standard_normal(16) + 0j), path)
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(FieldDumpError, match="payload holds 246 bytes, expected 256") as info:
+        load_field(path)
+    assert str(path) in str(info.value)
 
 
 def test_fields_are_immutable(rng):

@@ -70,6 +70,16 @@ def test_sweep_config_validation():
         SweepRecord(16.0, 8, 1.0, 1, numerator=np.inf, denominator=1.0, ratio=1.0)
 
 
+@pytest.mark.parametrize("family,alpha,kind", [
+    ("smoothing", 2.0, "mixed_spacetime"), ("airy", 3.0, "mixed_spacetime"),
+    ("maximal", 3.0, "maximal"),
+])
+def test_sweep_config_rejects_nonfinite_p(family, alpha, kind):
+    for p in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="p must be finite"):
+            SweepConfig(family, alpha, 1, p, 0.0, (16.0,), norm_kind=kind)
+
+
 def test_single_scale_smoke():
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,))
     (rec,) = run_sweep(cfg)
@@ -264,7 +274,26 @@ def test_profile_curve_is_shared_across_scales_and_sweeps(monkeypatch):
         assert b.numerator == a.numerator and b.coverage == a.coverage
 
 
-@pytest.mark.parametrize("name", ["DISPLAB_MAX_WORKERS", "DISPLAB_MAX_GRID_POINTS"])
+@pytest.mark.slow
+def test_edge_check_evolves_each_horizon_once(monkeypatch):
+    """All five alpha = 3 scales stop at the same horizon, so one frame is checked."""
+    import displab.harness as harness
+
+    horizons = []
+    real = harness.evolve
+
+    def counting(field, t, params, **kwargs):
+        horizons.append(t)
+        return real(field, t, params, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", counting)
+    harness._profile_curve.cache_clear()
+    lams = (16.0, 32.0, 64.0, 128.0, 256.0)
+    run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, smoothing_exponent(3, 1, 6), lams))
+    assert len(horizons) == 1
+
+
+@pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-5"])
 def test_bad_environment_values_raise(monkeypatch, name, value):
     from displab.errors import EnvironmentSettingError
@@ -274,11 +303,3 @@ def test_bad_environment_values_raise(monkeypatch, name, value):
     with pytest.raises(EnvironmentSettingError, match=name) as info:
         run_sweep(cfg)
     assert info.value.name == name
-
-
-def test_worker_pool_is_deterministic(monkeypatch):
-    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, (16.0, 32.0, 64.0))
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("DISPLAB_MAX_WORKERS", "3")
-    parallel = run_sweep(cfg)
-    assert serial == parallel
