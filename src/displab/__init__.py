@@ -48,6 +48,8 @@ from .harness import (
     SweepRecord,
     TPolicy,
     Verdict,
+    critical_exponent,
+    expected_slope,
     fit_loglog,
     run_sweep,
     verify_airy,

@@ -292,8 +292,11 @@ def nonstationary_bound(
 
     Valid (and enforced) only where |y + S phi'(xi)| is bounded below on every
     interval; returns, per target, the smallest of the iterated bounds
-    (2 pi)^-1 int |g_n| dxi.  Used to certify tail masses in regions the
-    banded route does not evaluate.
+    (2 pi)^-1 int |g_n| dxi, where g_0 = a and g_{n+1} = (g_n / (i s))' with
+    s the real phase slope.  The recursion runs in the amplitude's own
+    dtype as h_{n+1} = (h_n / s)': then g_n = (-i)^n h_n, so |g_n| = |h_n|,
+    and a real amplitude never forms a complex array.  Used to certify tail
+    masses in regions the banded route does not evaluate.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     total = np.zeros(y.size)
@@ -303,11 +306,11 @@ def nonstationary_bound(
         min_slope = np.abs(phase_slope).min(axis=1)
         if np.any(min_slope <= 0.05 * np.abs(y)):
             raise ValueError("targets are too close to the stationary region for the bound")
-        g = np.broadcast_to(np.asarray(amplitude(xi), dtype=complex), (y.size, xi.size)).copy()
+        h = np.asarray(amplitude(xi))
         best = np.full(y.size, np.inf)
         for _ in range(iters):
-            g = np.gradient(g / (1j * phase_slope), d, axis=1)
-            bound = np.abs(g).sum(axis=1) * d / (2.0 * np.pi)
+            h = np.gradient(h / phase_slope, d, axis=1)
+            bound = np.abs(h).sum(axis=1) * d / (2.0 * np.pi)
             best = np.minimum(best, bound)
         total += best
     return total

@@ -2,7 +2,8 @@
 
 Commands
     evolve       run the flow on a built-in datum, write per-frame norms
-    sweep        run a scaling sweep and render a slope verdict
+    sweep        run a scaling sweep and render a slope verdict; the expected
+                 slope defaults to critical - beta (`harness.expected_slope`)
     diagnostics  one-shot checks (kernel tails, bilinear residuals, ...)
     exponents    print the critical-exponent table for (alpha, d, p)
 
@@ -195,8 +196,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness import SweepConfig, fit_loglog, run_sweep
-    from .norms import airy_exponent, smoothing_exponent, maximal_necessary_exponent
+    from .harness import SweepConfig, critical_exponent, expected_slope, fit_loglog, run_sweep
 
     defaults = {
         "family": "smoothing", "alpha": 2.0, "d": 1, "p": 6.0, "beta": None,
@@ -208,11 +208,7 @@ def cmd_sweep(args) -> int:
         resolved = _resolve(args, defaults)
         family = resolved["family"]
         alpha, dim, p = float(resolved["alpha"]), int(resolved["d"]), float(resolved["p"])
-        critical = {
-            "smoothing": lambda: smoothing_exponent(alpha, dim, p),
-            "airy": lambda: airy_exponent(p),
-            "maximal": lambda: maximal_necessary_exponent(alpha, p),
-        }[family]()
+        critical = critical_exponent(family, alpha, dim, p)
         beta = critical if resolved["beta"] is None else float(resolved["beta"])
         lambdas = tuple(float(v) for v in str(resolved["lambdas"]).split(","))
         norm_kind = resolved["norm_kind"] or ("maximal" if family == "maximal" else "mixed_spacetime")
@@ -221,11 +217,12 @@ def cmd_sweep(args) -> int:
             norm_kind=norm_kind, use_sobolev_denominator=bool(resolved["sobolev_denominator"]),
         )
         resolved["beta"] = beta
+        # default: the slope the family's sharp exponent predicts, critical - beta
+        expected = (
+            expected_slope(cfg) if resolved["expect"] is None else _parse_expect(resolved["expect"])
+        )
         records = run_sweep(cfg)
         fit = fit_loglog(records) if len(records) >= 2 else None
-    except KeyError:
-        print(f"error: unknown family {resolved.get('family')!r}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -238,8 +235,6 @@ def cmd_sweep(args) -> int:
     verdict = None
     status = EXIT_OK
     if fit is not None:
-        # default expectation: a flat ratio, i.e. sharpness at the given beta
-        expected = 0.0 if resolved["expect"] is None else _parse_expect(resolved["expect"])
         tolerance = float(resolved["tolerance"])
         passed = abs(fit.slope - expected) <= tolerance
         verdict = {
@@ -434,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--lambdas", help="comma-separated increasing scales")
     sw.add_argument("--norm-kind", dest="norm_kind", choices=("mixed_spacetime", "maximal"))
     sw.add_argument("--tolerance", type=float)
-    sw.add_argument("--expect", help="override the expected slope, e.g. slope=0.2")
+    sw.add_argument("--expect", help="override the expected slope (default: critical - beta), "
+                                      "e.g. slope=0.2")
     sw.add_argument("--sobolev-denominator", dest="sobolev_denominator",
                     action="store_const", const=True)
     sw.add_argument("--plot-script", dest="plot_script")

@@ -6,7 +6,10 @@ u > 0 (and 0 otherwise), the step
     step(u) = A(u) / (A(u) + A(1 - u))
 
 is exactly 0 for u <= 0, exactly 1 for u >= 1, and smooth; ``a`` is the
-sharpness knob.  Because every partition identity below is a telescoping
+sharpness knob.  The two exponentials are evaluated only inside (0, 1);
+everywhere else the step is written as exact 0.0 or 1.0 (NaN stays NaN),
+bit for bit the values the full formula gives there.  Because every
+partition identity below is a telescoping
 sum of identical step evaluations, those identities hold to roundoff, not
 just analytically.
 """
@@ -28,13 +31,14 @@ def smooth_step(sharpness: float = 1.0):
 
     def step(u):
         u = np.asarray(u, dtype=np.float64)
-        u = np.clip(u, 0.0, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            rising = np.where(u > 0.0, np.exp(-sharpness / np.where(u > 0.0, u, 1.0)), 0.0)
-            falling = np.where(
-                u < 1.0, np.exp(-sharpness / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0
-            )
-        return rising / (rising + falling)
+        out = np.heaviside(u - 1.0, 1.0, out=np.empty_like(u))  # 0 below 1, else 1; NaN stays
+        inside = (u > 0.0) & (u < 1.0)
+        v = u[inside]
+        with np.errstate(over="ignore"):  # a subnormal v overflows a / v to inf
+            rising = np.exp(-sharpness / v)
+            falling = np.exp(-sharpness / (1.0 - v))
+        out[inside] = rising / (rising + falling)
+        return out[()]  # a numpy scalar for 0-d input
 
     return step
 

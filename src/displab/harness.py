@@ -414,6 +414,30 @@ class Verdict:
     records: tuple
 
 
+def critical_exponent(family: str, alpha: float, dim: int, p: float) -> float:
+    """The beta at which a family's ratio slope vanishes.
+
+    smoothing: the sharp smoothing exponent; airy: the one-sided cubic
+    exponent; maximal: the necessary exponent alpha / (2p), which the
+    traveling bump, an exact modulated dilation, meets with slope 0.
+    """
+    if family == "smoothing":
+        return smoothing_exponent(alpha, dim, p)
+    if family == "airy":
+        return airy_exponent(p)
+    if family == "maximal":
+        return maximal_necessary_exponent(alpha, p)
+    raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+
+
+def expected_slope(cfg: SweepConfig) -> float:
+    """The ratio slope the sharp exponent predicts at ``cfg.beta``: critical - beta.
+
+    The lam^beta weight of the denominator shifts the slope by -beta.
+    """
+    return critical_exponent(cfg.family, cfg.alpha, cfg.dim, cfg.p) - cfg.beta
+
+
 def _require_sweepable(cfg: SweepConfig) -> None:
     if len(cfg.lambdas) < 4:
         raise ValueError("verdicts need at least 4 scales in the sweep")
@@ -426,12 +450,9 @@ def verify_sharpness(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
         raise ValueError("sharpness sweeps need the mixed norm with focusing refinement")
     if cfg.family == "smoothing" and not cfg.p > admissibility_threshold(cfg.dim):
         raise ValueError(f"p must exceed {admissibility_threshold(cfg.dim):.4g}")
-    critical = (
-        airy_exponent(cfg.p) if cfg.family == "airy" else smoothing_exponent(cfg.alpha, cfg.dim, cfg.p)
-    )
     records = run_sweep(cfg)
     fit = fit_loglog(records)
-    expected = critical - cfg.beta
+    expected = expected_slope(cfg)
     return Verdict(
         slope=fit.slope, expected_slope=expected, tolerance=tolerance,
         passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),
@@ -448,7 +469,7 @@ def verify_maximal_necessary(cfg: SweepConfig, tolerance: float = 0.1) -> Verdic
     _require_sweepable(cfg)
     if cfg.family != "maximal" or cfg.norm_kind != "maximal":
         raise ValueError("the necessary-condition sweep runs the maximal family")
-    boundary = maximal_necessary_exponent(cfg.alpha, cfg.p)
+    boundary = critical_exponent(cfg.family, cfg.alpha, cfg.dim, cfg.p)
     boundary_records = run_sweep(replace(cfg, beta=boundary))
     at_boundary = fit_loglog(boundary_records)
     below = fit_loglog(run_sweep(replace(cfg, beta=boundary - 0.2)))
@@ -466,7 +487,7 @@ def verify_airy(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
     _require_sweepable(cfg)
     records = run_sweep(cfg)
     fit = fit_loglog(records)
-    expected = airy_exponent(cfg.p) - cfg.beta
+    expected = expected_slope(cfg)
     return Verdict(
         slope=fit.slope, expected_slope=expected, tolerance=tolerance,
         passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),

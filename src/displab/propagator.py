@@ -16,7 +16,7 @@ import numpy as np
 
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import EllipticityError, GridAdequacyError, SizingError
-from .grid import PHYSICAL, Field, GridSpec
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from .spectral import (
     apply_symbol,
     dft_inverse,
@@ -361,13 +361,23 @@ def band_kernel(
         raise GridAdequacyError(
             f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)"
         )
-    cut = make_cutoffs(dim=params.dim)
+    return dft_inverse(Field(grid, FREQUENCY, _band_spectrum(grid, scale, alpha)))
 
-    def spectrum(xi):
-        r = np.sqrt((np.asarray(xi) ** 2).sum(axis=0))
-        return cut.bandpass(r) * np.exp(1j * scale * r**alpha)
 
-    return dft_inverse(Field.from_spectrum(grid, spectrum))
+def _band_spectrum(grid: GridSpec, scale: float, alpha: float) -> np.ndarray:
+    """bandpass(|xi|) e^{i scale |xi|^alpha} on the lattice, read-only.
+
+    The band 1/2 < |xi| < 2 is a small part of a lattice reaching Nyquist
+    >= 8, so the phase is formed only there.  The radii and the amplitude
+    are freed on return, before the inverse transform allocates.
+    """
+    r = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
+    amplitude = make_cutoffs(dim=grid.dim).bandpass(r)
+    band = amplitude != 0.0
+    spectrum = np.zeros(grid.shape, dtype=np.complex128)
+    spectrum[band] = amplitude[band] * np.exp(1j * scale * r[band] ** alpha)
+    spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
+    return spectrum
 
 
 def _pow2_at_least(x: float) -> int:

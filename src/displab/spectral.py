@@ -43,13 +43,16 @@ def dft_forward(field: Field) -> Field:
     field.require(PHYSICAL)
     grid = field.grid
     spectrum = grid.cell_volume * _parity(grid) * np.fft.fftn(field.samples)
+    spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
     return Field(grid, FREQUENCY, spectrum)
 
 
 def dft_inverse(field: Field) -> Field:
     """Inverse quadrature with (2pi)^{-d} and lattice measure (pi/L)^d."""
     field.require(FREQUENCY)
-    return Field(field.grid, PHYSICAL, dft_inverse_samples(field.grid, field.samples))
+    samples = dft_inverse_samples(field.grid, field.samples)
+    samples.setflags(write=False)  # fresh array: the Field takes it without a copy
+    return Field(field.grid, PHYSICAL, samples)
 
 
 def dft_inverse_samples(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
@@ -80,8 +83,9 @@ def apply_symbol(field: Field, symbol) -> Field:
     """
     values = np.asarray(symbol(field.grid.frequency_mesh()))
     require_finite_symbol(field.grid, values)
-    spectrum = to_frequency(field)
-    out = spectrum.with_samples(spectrum.samples * values)
+    product = to_frequency(field).samples * values
+    product.setflags(write=False)  # fresh array: the Field takes it without a copy
+    out = Field(field.grid, FREQUENCY, product)
     return out if field.is_frequency else dft_inverse(out)
 
 

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, so a property failure reproduces as is;
+# tests keep their own @settings on top of this profile
+settings.register_profile("displab", derandomize=True, deadline=None)
+settings.load_profile("displab")
 
 
 @pytest.fixture

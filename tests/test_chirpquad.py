@@ -88,6 +88,29 @@ def test_banded_matches_dense(alpha, scale):
     assert abs(m_d - m_b) / m_d < 1e-5
 
 
+@settings(max_examples=30)
+@given(
+    alpha=st.floats(1.5, 3.5),
+    scale=st.floats(30.0, 1e4),
+    sign=st.sampled_from([-1.0, 1.0]),
+    intervals=st.sampled_from([INTERVALS, INTERVALS[:1]]),
+    amplitude=st.sampled_from(["annulus", "bandpass"]),
+    offset=st.floats(-0.25, 0.25),
+    reach=st.floats(0.2, 1.25),
+    count=st.integers(2, 800),
+)
+def test_banded_matches_dense_at_small_scales(alpha, scale, sign, intervals, amplitude,
+                                              offset, reach, count):
+    """The two routes evaluate the same profile: they agree within the route accuracy."""
+    amp = getattr(make_cutoffs(), amplitude)
+    swept = alpha * 2.0 ** (alpha - 1.0) * scale  # largest group position
+    seg = UniformSegment(offset * swept, reach * swept / count, count)
+    scale *= sign
+    dense = chirp_profile(amp, intervals, alpha, scale, [seg], method="dense")[0]
+    banded = chirp_profile(amp, intervals, alpha, scale, [seg], method="banded")[0]
+    assert np.abs(dense - banded).max() < 5e-8 + 1e-5 * np.abs(dense).max()
+
+
 def test_auto_switches_to_banded():
     cut = make_cutoffs()
     alpha, scale = 3.0, -(200.0**3)
@@ -106,6 +129,43 @@ def test_nonstationary_bound_dominates_truth():
         truth = np.abs(brute_profile(cut.annulus, INTERVALS, 2.0, scale, y, nodes=2_000_000))
         assert (bound >= truth - 1e-14).all()
         assert bound.max() < 1e-8  # and it is genuinely small out there
+
+
+def complex_bound(amplitude, intervals, alpha, scale, y, iters=5, grid_points=16384):
+    """The bound's recursion as first written, g_{n+1} = (g_n / (i s))' in complex arithmetic."""
+    total = np.zeros(y.size)
+    for lo, hi in intervals:
+        n = grid_points
+        d = (hi - lo) / n
+        xi = lo + (np.arange(n) + 0.5) * d
+        slope = y[:, None] + scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
+        g = np.broadcast_to(np.asarray(amplitude(xi), dtype=complex), slope.shape).copy()
+        best = np.full(y.size, np.inf)
+        for _ in range(iters):
+            g = np.gradient(g / (1j * slope), d, axis=1)
+            best = np.minimum(best, np.abs(g).sum(axis=1) * d / (2.0 * np.pi))
+        total += best
+    return total
+
+
+@pytest.mark.parametrize("alpha,scale,swept", [
+    (2.0, -64.0, 256.0),
+    (2.0, -256.0, 1024.0),
+    # the localization workload's largest kernel: alpha = 3, k = 8, t = 1, y past its ball
+    (3.0, 2.0**24, 4.0 * 12.0 * 2.0**24),
+])
+def test_nonstationary_bound_matches_complex_recursion(alpha, scale, swept):
+    """|g_n| = |h_n| for the real recursion h_{n+1} = (h_n / s)'; only roundoff differs."""
+    cut = make_cutoffs()
+    y = np.linspace(1.5 * swept, 8.0 * swept, 7)
+    bound = nonstationary_bound(cut.annulus, INTERVALS, alpha, scale, y)
+    assert bound.dtype == np.float64
+    np.testing.assert_allclose(bound, complex_bound(cut.annulus, INTERVALS, alpha, scale, y),
+                               rtol=1e-2, atol=0.0)
+    # a complex amplitude keeps its modulus through the recursion
+    rotated = nonstationary_bound(lambda xi: np.exp(0.7j) * cut.annulus(xi), INTERVALS, alpha,
+                                  scale, y)
+    np.testing.assert_allclose(rotated, bound, rtol=1e-2, atol=0.0)
 
 
 def test_nonstationary_bound_rejects_swept_targets():

@@ -5,6 +5,7 @@ import pytest
 
 from displab.cli import main
 from displab.grid import load_field
+from displab.norms import airy_exponent, maximal_necessary_exponent, smoothing_exponent
 
 
 def run(capsys, *argv):
@@ -68,16 +69,38 @@ def test_sweep_critical_pass_and_csv_columns(tmp_path, capsys):
 
 
 def test_sweep_expect_flag(capsys):
-    # beta lowered by 0.2: slope ~ +0.2; without --expect the verdict fails,
-    # with --expect slope=0.2 it passes
+    # beta lowered by 0.2: slope ~ +0.2; --expect overrides the default
+    # expectation, so slope=0 fails and slope=0.2 passes
     beta = 1.0 / 3.0 - 0.2
     args = ["sweep", "--family", "smoothing", "--alpha", "2", "--p", "6",
             "--beta", str(beta), "--lambdas", "16,32,64,128"]
-    code, _, _ = run(capsys, *args)
+    code, _, _ = run(capsys, *args, "--expect", "slope=0")
     assert code == 1
     code, out, _ = run(capsys, *args, "--expect", "slope=0.2")
     assert code == 0
     assert "# passed = true" in out
+
+
+@pytest.mark.parametrize("family,alpha,critical", [
+    ("smoothing", 2.0, smoothing_exponent(2.0, 1, 6.0)),
+    ("airy", 3.0, airy_exponent(6.0)),
+    ("maximal", 3.0, maximal_necessary_exponent(3.0, 6.0)),
+])
+def test_sweep_default_expectation_is_critical_minus_beta(capsys, family, alpha, critical):
+    code, out, _ = run(capsys, "sweep", "--family", family, "--alpha", str(alpha), "--p", "6",
+                       "--beta", str(critical + 0.2), "--lambdas", "16,32,64,128",
+                       "--format", "json")
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["expected_slope"] == pytest.approx(-0.2, abs=1e-12)
+    assert verdict["passed"] is True
+
+
+def test_sweep_bad_expectation_is_config_error(capsys):
+    code, _, err = run(capsys, "sweep", "--family", "smoothing", "--lambdas", "16,32",
+                       "--expect", "intercept=0")
+    assert code == 2
+    assert "unknown expectation" in err
 
 
 def test_sweep_json_format(capsys):

@@ -16,6 +16,37 @@ def test_step_endpoints():
     assert np.abs(step(u) + step(1 - u) - 1).max() < 1e-15
 
 
+def clip_where_step(sharpness=1.0):
+    """The step evaluated everywhere through clip and where: the oracle for ``smooth_step``."""
+
+    def step(u):
+        u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rising = np.where(u > 0.0, np.exp(-sharpness / np.where(u > 0.0, u, 1.0)), 0.0)
+            falling = np.where(
+                u < 1.0, np.exp(-sharpness / np.where(u < 1.0, 1.0 - u, 1.0)), 0.0
+            )
+            return rising / (rising + falling)
+
+    return step
+
+
+EDGES = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0 - 1e-16, 1.0 + 2e-16]
+
+
+@pytest.mark.parametrize("sharpness", [1.0, 0.3, 2.5])
+def test_step_is_bitwise_the_full_formula(rng, sharpness):
+    u = np.concatenate([rng.uniform(-0.5, 1.5, 10**5), EDGES])
+    step, oracle = smooth_step(sharpness), clip_where_step(sharpness)
+    assert np.array_equal(step(u), oracle(u), equal_nan=True)
+    grid = np.concatenate([u[:20], EDGES]).reshape(2, 3, 5)
+    assert np.array_equal(step(grid), oracle(grid), equal_nan=True)
+    for x in EDGES + [0.25, 0.75]:
+        value = step(x)
+        assert np.ndim(value) == 0
+        assert np.array_equal(value, oracle(x), equal_nan=True)
+
+
 def test_annulus_plateau_and_support():
     cut = make_cutoffs()
     assert cut.annulus(0.9) > 0.0

@@ -5,6 +5,8 @@ import pytest
 
 from displab.errors import FieldDumpError, RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
+from displab.propagator import DispersionParams, evolve
+from displab.spectral import dft_forward, dft_inverse
 
 
 def test_gridspec_invariants():
@@ -97,3 +99,22 @@ def test_fields_are_immutable(rng):
         f.samples[0] = 1.0
     source[0] = 123.0  # mutating the source array must not reach the field
     assert f.samples[0] != 123.0
+
+
+def test_caller_arrays_are_copied_library_results_are_read_only(rng):
+    g = GridSpec(1, 16, 1.0)
+    kept = rng.standard_normal(16) + 0j
+    fields = [
+        Field.from_function(g, lambda x: kept),
+        Field.from_spectrum(g, lambda xi: kept),
+        Field(g, PHYSICAL, np.zeros(16, dtype=complex)).with_samples(kept),
+    ]
+    kept[:] = 123.0  # the symbol's or caller's array, mutated after construction
+    for f in fields:
+        assert not f.samples.flags.writeable
+        assert f.samples[0] != 123.0
+    f = fields[0]
+    for out in (dft_forward(f), dft_inverse(dft_forward(f)), evolve(f, 0.5, DispersionParams(2.0))):
+        assert not out.samples.flags.writeable
+        with pytest.raises(ValueError):
+            out.samples[0] = 1.0

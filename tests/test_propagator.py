@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs
 from displab.errors import EllipticityError, GridAdequacyError
-from displab.grid import FREQUENCY, Field, GridSpec
+from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
     DispersionParams,
@@ -117,6 +119,31 @@ def test_group_law_and_translation_covariance(rng):
     lhs = evolve(rolled, t, params).samples
     rhs = np.roll(evolve(f, t, params).samples, shift)
     assert np.abs(lhs - rhs).max() <= 1e-11 * scale
+
+
+@settings(max_examples=40)
+@given(
+    dim=st.sampled_from([2, 3]),
+    points=st.sampled_from([8, 16, 32]),
+    half_width=st.floats(1.0, 16.0),
+    alpha=st.floats(0.5, 3.5).filter(lambda a: abs(a - 1.0) > 1e-3),
+    s=st.floats(-3.0, 3.0),
+    t=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unitarity_and_group_law_in_higher_dimensions(dim, points, half_width, alpha, s, t, seed):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(dim, points, half_width)
+    f = Field(g, PHYSICAL, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    params = DispersionParams(alpha, dim)
+    assert abs(lp_norm(evolve(f, t, params), 2.0) / lp_norm(f, 2.0) - 1.0) <= 1e-13
+    once = evolve(evolve(f, s, params), t, params)
+    direct = evolve(f, s + t, params)
+    # float64 rounding of the phases t |xi|^alpha, largest at the lattice corner
+    corner = (g.nyquist * np.sqrt(dim)) ** alpha
+    tolerance = 1e-15 * (8.0 + (abs(s) + abs(t)) * corner)
+    err = np.linalg.norm(once.samples - direct.samples) / np.linalg.norm(f.samples)
+    assert err <= tolerance
 
 
 def test_evolve_headroom_error():
