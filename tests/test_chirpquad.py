@@ -132,7 +132,7 @@ def test_nonstationary_bound_dominates_truth():
 
 
 def complex_bound(amplitude, intervals, alpha, scale, y, iters=5, grid_points=16384):
-    """The bound's recursion as first written, g_{n+1} = (g_n / (i s))' in complex arithmetic."""
+    """Oracle for ``nonstationary_bound``: the recursion g_{n+1} = (g_n / (i s))' in complex."""
     total = np.zeros(y.size)
     for lo, hi in intervals:
         n = grid_points

@@ -9,6 +9,7 @@ from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
     DispersionParams,
+    _band_spectrum,
     Trajectory,
     airy_evolve,
     ball_constant,
@@ -354,6 +355,17 @@ def test_band_kernel_l1_mass_stable_under_refinement():
         kappa = band_kernel(4, 0.7, params, grid=grid)
         masses.append(np.abs(kappa.samples).sum() * grid.spacing)
     assert abs(masses[1] - masses[0]) / masses[0] < 0.05
+
+
+def test_band_spectrum_is_the_full_lattice_formula():
+    """The phase formed only on the band gives the lattice-wide bandpass(r) e^{i S r^alpha}."""
+    for grid, scale, alpha in ((GridSpec(1, 2**12, 300.0), 0.7 * 2.0**6, 2.0),
+                               (GridSpec(2, 64, 12.0), 5.0, 3.0)):
+        spectrum = _band_spectrum(grid, scale, alpha)
+        r = grid.frequency_radii()
+        full = make_cutoffs(dim=grid.dim).bandpass(r) * np.exp(1j * scale * r**alpha)
+        assert np.array_equal(spectrum, full)
+        assert not spectrum.flags.writeable
 
 
 def test_kernel_tail_mass_basics():
