@@ -43,10 +43,8 @@ from .extremizers import (
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
 from .harness import (
     FitResult,
-    GridPolicy,
     SweepConfig,
     SweepRecord,
-    TPolicy,
     Verdict,
     critical_exponent,
     expected_slope,

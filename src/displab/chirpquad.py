@@ -46,6 +46,11 @@ from .cutoffs import make_cutoffs
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
 _MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the chirp-z plan, keeps roundoff ~<1e-7
 _DEFAULT_CHUNK = 2**21
+_OVERSAMPLE = 1.15  # lattice period over the span it must hold clear of images
+BAND_COUNT = 48  # bands per interval on the banded route
+DENSE_CAP = 2**23  # most dense-lattice nodes before the banded route (or a bound) takes over
+_BOUND_STEPS = 5  # integrations by parts tried by nonstationary_bound
+_BOUND_NODES = 16384  # lattice nodes per interval in nonstationary_bound
 
 
 @dataclass(frozen=True)
@@ -174,12 +179,13 @@ def _interval_lattice(lo: float, hi: float, spacing: float):
     return lo + (np.arange(n) + 0.5) * d, d
 
 
-def dense_node_estimate(intervals, alpha, scale, segments, oversample=1.15) -> int:
+def dense_node_estimate(intervals, alpha, scale, segments) -> int:
+    """Node count of the dense route's lattices for these targets."""
     y_max = max(max(abs(s.start), abs(s.stop)) for s in segments)
     total = 0
     for lo, hi in intervals:
         reach = abs(scale) * alpha * max(abs(lo), abs(hi)) ** (alpha - 1.0)
-        period = oversample * (y_max + reach + _TAIL_CLEARANCE)
+        period = _OVERSAMPLE * (y_max + reach + _TAIL_CLEARANCE)
         total += int(np.ceil((hi - lo) * period / (2.0 * np.pi)))
     return total
 
@@ -191,9 +197,7 @@ def chirp_profile(
     scale: float,
     segments,
     *,
-    oversample: float = 1.15,
-    dense_cap: int = 2**23,
-    band_count: int | None = None,
+    dense_cap: int = DENSE_CAP,
     method: str = "auto",
 ) -> list[np.ndarray]:
     """Evaluate the chirped profile on each segment; returns one array per segment.
@@ -210,7 +214,7 @@ def chirp_profile(
             raise ValueError("intervals must not straddle 0; split them")
     out = [np.zeros(seg.count, dtype=complex) for seg in segments]
 
-    n_dense = dense_node_estimate(intervals, alpha, scale, segments, oversample)
+    n_dense = dense_node_estimate(intervals, alpha, scale, segments)
     use_banded = method == "banded" or (method == "auto" and n_dense > dense_cap)
     if method not in ("auto", "dense", "banded"):
         raise ValueError(f"unknown method {method!r}")
@@ -219,7 +223,7 @@ def chirp_profile(
         y_max = max(max(abs(s.start), abs(s.stop)) for s in segments)
         for lo, hi in intervals:
             reach = abs(scale) * alpha * max(abs(lo), abs(hi)) ** (alpha - 1.0)
-            period = oversample * (y_max + reach + _TAIL_CLEARANCE)
+            period = _OVERSAMPLE * (y_max + reach + _TAIL_CLEARANCE)
             nodes, d = _interval_lattice(lo, hi, 2.0 * np.pi / period)
             weights = (
                 np.asarray(amplitude(nodes), dtype=complex)
@@ -229,16 +233,14 @@ def chirp_profile(
             _czt_eval(nodes, weights, segments, out)
         return out
 
-    _banded_profile(amplitude, intervals, alpha, scale, segments, out, oversample, band_count)
+    _banded_profile(amplitude, intervals, alpha, scale, segments, out)
     return out
 
 
-def _banded_profile(amplitude, intervals, alpha, scale, segments, out, oversample, band_count):
+def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
     cells = make_cutoffs(dim=1)
     for lo, hi in intervals:
-        length = hi - lo
-        bands = band_count or 48
-        h = length / bands
+        h = (hi - lo) / BAND_COUNT
         curvature = alpha * abs(alpha - 1.0) * max(abs(lo) ** (alpha - 2.0), abs(hi) ** (alpha - 2.0))
         pad = 1500.0 / h + 8.0 * np.sqrt(abs(scale) * curvature + 1.0)
         # cell centers p*h covering [lo, hi] with one cell of slack each side
@@ -271,7 +273,7 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out, oversampl
             if not sliced:
                 continue
             span = (win_hi - win_lo) + pad + _TAIL_CLEARANCE
-            nodes, d = _interval_lattice(blo, bhi, 2.0 * np.pi / (oversample * span))
+            nodes, d = _interval_lattice(blo, bhi, 2.0 * np.pi / (_OVERSAMPLE * span))
             weights = (
                 np.asarray(amplitude(nodes), dtype=complex)
                 * cells.cell_1d(nodes / h - p)
@@ -284,10 +286,7 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out, oversampl
                 acc[q0 : q0 + sub.count] += view
 
 
-def nonstationary_bound(
-    amplitude, intervals, alpha: float, scale: float, y: np.ndarray, iters: int = 5,
-    grid_points: int = 16384,
-) -> np.ndarray:
+def nonstationary_bound(amplitude, intervals, alpha: float, scale: float, y: np.ndarray) -> np.ndarray:
     """Integration-by-parts upper bound for |I(y)| away from all group positions.
 
     Valid (and enforced) only where |y + S phi'(xi)| is bounded below on every
@@ -301,14 +300,14 @@ def nonstationary_bound(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     total = np.zeros(y.size)
     for lo, hi in intervals:
-        xi, d = _interval_lattice(lo, hi, (hi - lo) / grid_points)
+        xi, d = _interval_lattice(lo, hi, (hi - lo) / _BOUND_NODES)
         phase_slope = y[:, None] + scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
         min_slope = np.abs(phase_slope).min(axis=1)
         if np.any(min_slope <= 0.05 * np.abs(y)):
             raise ValueError("targets are too close to the stationary region for the bound")
         h = np.asarray(amplitude(xi))
         best = np.full(y.size, np.inf)
-        for _ in range(iters):
+        for _ in range(_BOUND_STEPS):
             h = np.gradient(h / phase_slope, d, axis=1)
             bound = np.abs(h).sum(axis=1) * d / (2.0 * np.pi)
             best = np.minimum(best, bound)

@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
 
     defaults = {
         "family": "smoothing", "alpha": 2.0, "d": 1, "p": 6.0, "beta": None,
-        "lambdas": "16,32,64,128", "norm_kind": None, "tolerance": 0.1,
+        "lambdas": "16,32,64,128", "tolerance": 0.1,
         "expect": None, "sobolev_denominator": False,
         "output": None, "format": "csv", "plot_script": None,
     }
@@ -211,10 +211,9 @@ def cmd_sweep(args) -> int:
         critical = critical_exponent(family, alpha, dim, p)
         beta = critical if resolved["beta"] is None else float(resolved["beta"])
         lambdas = tuple(float(v) for v in str(resolved["lambdas"]).split(","))
-        norm_kind = resolved["norm_kind"] or ("maximal" if family == "maximal" else "mixed_spacetime")
         cfg = SweepConfig(
             family=family, alpha=alpha, dim=dim, p=p, beta=beta, lambdas=lambdas,
-            norm_kind=norm_kind, use_sobolev_denominator=bool(resolved["sobolev_denominator"]),
+            use_sobolev_denominator=bool(resolved["sobolev_denominator"]),
         )
         resolved["beta"] = beta
         # default: the slope the family's sharp exponent predicts, critical - beta
@@ -427,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p", type=float)
     sw.add_argument("--beta", type=float)
     sw.add_argument("--lambdas", help="comma-separated increasing scales")
-    sw.add_argument("--norm-kind", dest="norm_kind", choices=("mixed_spacetime", "maximal"))
     sw.add_argument("--tolerance", type=float)
     sw.add_argument("--expect", help="override the expected slope (default: critical - beta), "
                                       "e.g. slope=0.2")

@@ -24,7 +24,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
+from .chirpquad import (
+    BAND_COUNT,
+    DENSE_CAP,
+    UniformSegment,
+    chirp_profile,
+    dense_node_estimate,
+    nonstationary_bound,
+)
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import Field, GridSpec
@@ -34,6 +41,18 @@ from .spectral import apply_symbol, dft_inverse, to_physical
 
 SMOOTHING = "smoothing"
 MAXIMAL = "maximal"
+
+# nodes of the dispersed-profile quadrature over 0 <= u <= 1.25 C(alpha), and the
+# most dense-lattice nodes it spends before switching to the banded route
+_DATUM_NODES, _DATUM_DENSE_CAP = 8192, 2**21
+# the evolved unit profile must stay _HORIZON_WIDTH inside the box shrunk by _HORIZON_MARGIN
+_HORIZON_MARGIN, _HORIZON_WIDTH = 1.1, 60.0
+# envelope_check samples: the group annulus, and |x| in [8, 12] C(alpha) lam^{alpha-1}
+_PEAK_SAMPLES, _TAIL_SAMPLES = 512, 48
+# focusing_check frames over |t - 1| <= 1/(10 lam^alpha); odd, so the middle one is t = 1
+_FOCUS_FRAMES = 9
+# ridge_check samples along the ridge
+_RIDGE_CHECK_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -49,8 +68,8 @@ class ExtremizerSpec:
     def __post_init__(self):
         if self.family not in (SMOOTHING, MAXIMAL):
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.lam >= 8:
-            raise ValueError(f"lam must be >= 8, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 8):
+            raise ValueError(f"lam must be finite and >= 8, got {self.lam}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
 
@@ -93,7 +112,7 @@ def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False)
     return to_physical(Field.from_spectrum(grid, spectrum))
 
 
-def make_maximal_extremizer(spec: ExtremizerSpec, epsilon: float | None = None) -> Field:
+def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
     """The traveling-bump datum as a physical field on spec.grid (dim = 1)."""
     if spec.family != MAXIMAL:
         raise ValueError("spec.family must be 'maximal'")
@@ -102,7 +121,7 @@ def make_maximal_extremizer(spec: ExtremizerSpec, epsilon: float | None = None) 
         raise ValueError("spec.grid is required to build a sampled datum")
     if grid.dim != 1:
         raise ValueError("the traveling-bump datum is built in dimension 1")
-    eps = spec.epsilon if epsilon is None else epsilon
+    eps = spec.epsilon
     lam, alpha = spec.lam, spec.params.alpha
     width = eps * lam ** ((2.0 - alpha) / 2.0)
     if grid.nyquist < 1.05 * (lam + width):
@@ -143,9 +162,9 @@ def unit_annulus_field(
     return Field.from_spectrum(grid, spectrum)
 
 
-def faithful_horizon(grid: GridSpec, alpha: float, margin: float = 1.1, width: float = 60.0) -> float:
+def faithful_horizon(grid: GridSpec, alpha: float) -> float:
     """Largest |s| for which the evolved unit profile stays inside the box."""
-    return max((grid.half_width / margin - width) / ball_constant(alpha), 0.0)
+    return max((grid.half_width / _HORIZON_MARGIN - _HORIZON_WIDTH) / ball_constant(alpha), 0.0)
 
 
 def _annulus_intervals(one_sided: bool) -> tuple:
@@ -159,7 +178,6 @@ def datum_lp_norm(
     p: float,
     one_sided: bool = False,
     bessel_beta: float | None = None,
-    u_points: int = 8192,
     amplitude_scale: float = 1.0,
 ) -> float:
     """||f_lam||_p (or the Bessel-weighted norm) via the dispersed-profile quadrature.
@@ -180,16 +198,16 @@ def datum_lp_norm(
         )
 
     u_hi = 1.25 * ball_constant(alpha)
-    du = u_hi / (u_points - 1)
-    segments = [UniformSegment(0.0, du * S, u_points)]
+    du = u_hi / (_DATUM_NODES - 1)
+    segments = [UniformSegment(0.0, du * S, _DATUM_NODES)]
     if one_sided:
         # the non-stationary side u < 0 carries only rapidly vanishing mass;
         # cover it coarsely, ending strictly below 0 to avoid double counting
-        neg_count = max(u_points // 32, 16)
+        neg_count = max(_DATUM_NODES // 32, 16)
         neg_step = 8.0 * du * S
         segments.insert(0, UniformSegment(-neg_count * neg_step, neg_step, neg_count))
     values = chirp_profile(
-        amplitude, _annulus_intervals(one_sided), alpha, -S, segments, dense_cap=2**21
+        amplitude, _annulus_intervals(one_sided), alpha, -S, segments, dense_cap=_DATUM_DENSE_CAP
     )
     total = 0.0
     for seg, vals in zip(segments, values):
@@ -199,16 +217,13 @@ def datum_lp_norm(
     return float(lam ** (1.0 + (alpha - 1.0) / p) * total ** (1.0 / p))
 
 
-def datum_quadrature_nodes(lam: float, alpha: float, one_sided: bool = False,
-                           band_count: int = 48) -> int:
+def datum_quadrature_nodes(lam: float, alpha: float, one_sided: bool = False) -> int:
     """Rough node count of the dispersed-norm quadrature (banded route)."""
-    from .chirpquad import UniformSegment, dense_node_estimate
-
     S = lam**alpha
     u_hi = 1.25 * ball_constant(alpha)
-    seg = UniformSegment(0.0, u_hi * S / 8191, 8192)
+    seg = UniformSegment(0.0, u_hi * S / (_DATUM_NODES - 1), _DATUM_NODES)
     dense = dense_node_estimate(_annulus_intervals(one_sided), alpha, -S, [seg])
-    return max(dense // band_count, min(dense, 2**21))
+    return max(dense // BAND_COUNT, min(dense, _DATUM_DENSE_CAP))
 
 
 @dataclass(frozen=True)
@@ -218,14 +233,14 @@ class EnvelopeReport:
     tail_is_bound: bool
 
 
-def envelope_check(spec: ExtremizerSpec, peak_points: int = 512, tail_points: int = 48) -> EnvelopeReport:
+def envelope_check(spec: ExtremizerSpec) -> EnvelopeReport:
     """Stationary-envelope diagnostics for the smoothing datum.
 
     peak_ratio: max |f_lam| / lam^{d - d alpha / 2}, probed on the group
     annulus |x| ~ alpha lam^{alpha-1}.  tail_ratio: the same normalization
     applied to |f_lam| beyond |x| >= 8 C(alpha) lam^{alpha-1}; where direct
-    quadrature is too large, an integration-by-parts upper bound is
-    reported instead (tail_is_bound).
+    quadrature would need more than `chirpquad.DENSE_CAP` nodes, an
+    integration-by-parts upper bound is reported instead (tail_is_bound).
     """
     if spec.family != SMOOTHING:
         raise ValueError("envelope_check applies to the smoothing family")
@@ -236,15 +251,14 @@ def envelope_check(spec: ExtremizerSpec, peak_points: int = 512, tail_points: in
     inner = alpha * 2.0 ** (1.0 - alpha)
 
     u_lo, u_hi = 0.7 * inner, 1.1 * cball
-    du = (u_hi - u_lo) / (peak_points - 1)
-    peak_seg = UniformSegment(u_lo * S, du * S, peak_points)
+    du = (u_hi - u_lo) / (_PEAK_SAMPLES - 1)
+    peak_seg = UniformSegment(u_lo * S, du * S, _PEAK_SAMPLES)
     vals = chirp_profile(cut.annulus, _annulus_intervals(False), alpha, -S, [peak_seg])[0]
     peak_ratio = float(lam ** (alpha / 2.0) * np.abs(vals).max())
 
-    tail_u = np.linspace(8.0 * cball, 12.0 * cball, tail_points)
-    dense_est_nodes = S * 13.0 * cball / np.pi
-    if dense_est_nodes <= 2**23:
-        seg = UniformSegment(tail_u[0] * S, (tail_u[1] - tail_u[0]) * S, tail_points)
+    tail_u = np.linspace(8.0 * cball, 12.0 * cball, _TAIL_SAMPLES)
+    seg = UniformSegment(tail_u[0] * S, (tail_u[1] - tail_u[0]) * S, _TAIL_SAMPLES)
+    if dense_node_estimate(_annulus_intervals(False), alpha, -S, [seg]) <= DENSE_CAP:
         tvals = chirp_profile(cut.annulus, _annulus_intervals(False), alpha, -S, [seg], method="dense")[0]
         tail = float(np.abs(tvals).max())
         bound = False
@@ -275,7 +289,7 @@ def annulus_integral(dim: int = 1) -> float:
     return 2.0 * val
 
 
-def focusing_check(spec: ExtremizerSpec, t_points: int = 9, x_points: int = 9) -> FocusingReport:
+def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     """Refocusing lower-bound check on |x| <= 1/(10 lam), |t - 1| <= 1/(10 lam^alpha).
 
     Built on a small box with a mesh fine enough to resolve the 1/lam focal
@@ -297,17 +311,13 @@ def focusing_check(spec: ExtremizerSpec, t_points: int = 9, x_points: int = 9) -
     )
     x = grid.axis_points()
     window = np.abs(x) <= 1.0 / (10.0 * lam)
-    t_vals = 1.0 + np.linspace(-1.0, 1.0, t_points) / (10.0 * lam**alpha)
+    t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**alpha)
     min_mod = np.inf
-    focus_value = None
     for t in t_vals:
         frame = to_physical(evolve(datum, float(t), params, headroom=0.0))
         min_mod = min(min_mod, float(np.abs(frame.samples[window]).min()))
-        if abs(t - 1.0) < 1e-15:
+        if t == 1.0:
             focus_value = complex(frame.samples[grid.points // 2])
-    if focus_value is None:
-        frame = to_physical(evolve(datum, 1.0, params, headroom=0.0))
-        focus_value = complex(frame.samples[grid.points // 2])
     predicted = lam * annulus_integral() / (2.0 * np.pi)
     return FocusingReport(
         min_modulus_ratio=min_mod / lam,
@@ -412,7 +422,7 @@ class RidgeReport:
     rectangle_length: float
 
 
-def ridge_check(spec: ExtremizerSpec, epsilon: float | None = None, t_points: int = 33) -> RidgeReport:
+def ridge_check(spec: ExtremizerSpec) -> RidgeReport:
     """Lower-bound check along the ridge over the rectangle 0 <= x <= c lam^{alpha-1}.
 
     The rectangle constant defaults to c = alpha/100; the reported ratio is
@@ -420,12 +430,11 @@ def ridge_check(spec: ExtremizerSpec, epsilon: float | None = None, t_points: in
     """
     if spec.family != MAXIMAL:
         raise ValueError("ridge_check applies to the maximal family")
-    eps = spec.epsilon if epsilon is None else epsilon
     lam, alpha = spec.lam, spec.params.alpha
     c = alpha / 100.0
     t_max = c / alpha  # t(x) at the far end of the rectangle
-    t_grid = np.linspace(0.0, t_max, t_points)
-    vals = np.abs(ridge_trace(lam, alpha, t_grid, eps))
+    t_grid = np.linspace(0.0, t_max, _RIDGE_CHECK_SAMPLES)
+    vals = np.abs(ridge_trace(lam, alpha, t_grid, spec.epsilon))
     return RidgeReport(
         min_ridge_ratio=float(vals.min()),
         rectangle_length=c * lam ** (alpha - 1.0),

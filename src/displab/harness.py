@@ -7,7 +7,7 @@ The fitted log-log slope of the ratio against lam detects the critical
 regularity: at the critical beta the slope is ~0, and shifting beta by
 delta shifts the slope by -delta.
 
-Grid policy.  All sweep quantities are evaluated through the exact
+Unit-scale reductions.  All sweep quantities are evaluated through the exact
 unit-scale reductions of the extremizer families (see `extremizers`): the
 solution norms come from the unit annulus profile W with
 ||U_t f_lam||_p = lam^{d(1-1/p)} ||W(., lam^alpha (t-1))||_p, and datum
@@ -22,7 +22,7 @@ estimated captured fraction.  A direct lam-scale route
 
 Profile-norm curve.  Every scale reads the same unit profile, so the curve
 s -> ||W(., s)||_p^p is shared by all scales and sweeps with the same
-(alpha, p, one_sided, GridPolicy, datum scale); each distinct s is evolved
+(alpha, p, one_sided, datum scale); each distinct s is evolved
 once per process.  `run_sweep` fills the curve over the union of its
 scales' s-grids, then builds the records one scale after another.  A record
 is its rectangle-rule weights dotted with the looked-up values, plus its
@@ -32,7 +32,7 @@ datum norm.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +68,12 @@ from .spectral import to_physical
 
 FAMILIES = ("smoothing", "maximal", "airy")
 
+# samples in each piece of the focusing s-grid: the uniform window, the refined
+# window |s| <= 4 and the logarithmic bridge between them
+FOCUSING_SAMPLES = 64
+# time samples of the maximal family's ridge trace over [0, 1]
+RIDGE_SAMPLES = 256
+
 
 def _env_int(name: str, default: int) -> int:
     """A positive integer from the environment; ``default`` when the variable is unset."""
@@ -88,42 +94,22 @@ def max_grid_points() -> int:
 
 
 @dataclass(frozen=True)
-class TPolicy:
-    """Time sampling: uniform coarse grid plus a refined focusing window.
+class SweepConfig:
+    """One sweep: a family, its flow and norm exponent, the weight beta and the scales.
 
-    The refined window covers |t - 1| <= 4 lam^{-alpha}; when the coarse
-    window is much longer, logarithmically spaced bridge samples connect
-    the two scales so the rectangle rule resolves the focusing shoulder.
+    ``norm_kind`` follows from the family ("maximal" for the maximal family,
+    "mixed_spacetime" otherwise); left as None it is filled in, and an
+    explicit value that disagrees with the family raises.
     """
 
-    uniform_count: int = 64
-    focusing_refinement: bool = True
-    refined_count: int = 64
-    bridge_count: int = 64
-
-
-@dataclass(frozen=True)
-class GridPolicy:
-    """Unit-profile grid sizing for sweeps."""
-
-    points: int = 2**15
-    nyquist: float = 8.0
-    quad_points: int = 8192
-
-
-@dataclass(frozen=True)
-class SweepConfig:
     family: str
     alpha: float
     dim: int
     p: float
     beta: float
     lambdas: tuple
-    norm_kind: str = "mixed_spacetime"
-    t_policy: TPolicy = field(default_factory=TPolicy)
-    grid_policy: GridPolicy = field(default_factory=GridPolicy)
+    norm_kind: str | None = None
     use_sobolev_denominator: bool = False
-    epsilon: float = 0.05
     datum_scale: float = 1.0
 
     def __post_init__(self):
@@ -131,21 +117,28 @@ class SweepConfig:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.dim != 1:
             raise ValueError("sweeps are implemented for dim = 1")
-        if self.norm_kind not in ("mixed_spacetime", "maximal"):
+        kind = "maximal" if self.family == "maximal" else "mixed_spacetime"
+        if self.norm_kind is None:
+            object.__setattr__(self, "norm_kind", kind)
+        elif self.norm_kind not in ("mixed_spacetime", "maximal"):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
         lams = tuple(float(v) for v in self.lambdas)
         if len(lams) < 1:
             raise ValueError("lambdas must be non-empty")
+        if not all(np.isfinite(lams)):
+            raise ValueError(f"lambdas must be finite, got {lams}")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambdas must be strictly increasing")
         if any(v < 8 for v in lams):
             raise ValueError("lambdas must be >= 8")
         if self.family == "airy" and self.alpha != 3.0:
             raise ValueError("the airy family runs the cubic flow; set alpha = 3")
-        if (self.family == "maximal") != (self.norm_kind == "maximal"):
+        if self.norm_kind != kind:
             raise ValueError("the maximal family pairs with norm_kind='maximal'")
         if not (np.isfinite(self.p) and self.p >= 1):
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         object.__setattr__(self, "lambdas", lams)
 
 
@@ -194,14 +187,20 @@ def fit_loglog(records) -> FitResult:
 # -- time grids --------------------------------------------------------------------
 
 
-def focusing_s_grid(lam: float, alpha: float, horizon: float, policy: TPolicy) -> np.ndarray:
-    """Rescaled time samples s = lam^alpha (t - 1), increasing, in [-s_hor, 0]."""
+def focusing_s_grid(lam: float, alpha: float, horizon: float) -> np.ndarray:
+    """Rescaled time samples s = lam^alpha (t - 1), increasing, in [-s_hor, 0].
+
+    A uniform coarse grid plus a refined window |s| <= 4; when the coarse
+    window is much longer, logarithmically spaced bridge samples connect the
+    two scales so the rectangle rule resolves the focusing shoulder.
+    """
     s_hor = min(lam**alpha, horizon)
-    pieces = [np.linspace(-s_hor, 0.0, policy.uniform_count)]
-    if policy.focusing_refinement:
-        pieces.append(np.linspace(-min(4.0, s_hor), 0.0, policy.refined_count))
-        if s_hor > 8.0:
-            pieces.append(-np.logspace(np.log10(4.0), np.log10(s_hor), policy.bridge_count))
+    pieces = [
+        np.linspace(-s_hor, 0.0, FOCUSING_SAMPLES),
+        np.linspace(-min(4.0, s_hor), 0.0, FOCUSING_SAMPLES),
+    ]
+    if s_hor > 8.0:
+        pieces.append(-np.logspace(np.log10(4.0), np.log10(s_hor), FOCUSING_SAMPLES))
     s = np.concatenate(pieces)
     s = np.unique(np.round(s, 10))
     return s[s >= -s_hor * (1 + 1e-12)]
@@ -217,8 +216,8 @@ class _ProfileCurve:
     shared by all scales and sweeps with the same profile.
     """
 
-    def __init__(self, alpha: float, p: float, one_sided: bool, gridpol: GridPolicy, scale: float):
-        self.grid = unit_profile_grid(gridpol.points, gridpol.nyquist)
+    def __init__(self, alpha: float, p: float, one_sided: bool, scale: float):
+        self.grid = unit_profile_grid()
         self.profile = unit_annulus_field(self.grid, one_sided=one_sided, scale=scale)
         self.params = DispersionParams(alpha, 1)
         self.p = p
@@ -250,7 +249,7 @@ class _ProfileCurve:
         self._inside.add(s)
 
 
-# one curve per (alpha, p, one_sided, GridPolicy, datum scale)
+# one curve per (alpha, p, one_sided, datum scale)
 _profile_curve = lru_cache(maxsize=32)(_ProfileCurve)
 
 
@@ -289,14 +288,11 @@ def _smoothing_record(
     if cfg.use_sobolev_denominator:
         datum = datum_lp_norm(
             lam, cfg.alpha, cfg.p, one_sided, bessel_beta=cfg.beta,
-            u_points=cfg.grid_policy.quad_points, amplitude_scale=cfg.datum_scale,
+            amplitude_scale=cfg.datum_scale,
         )
         denominator = datum
     else:
-        datum = datum_lp_norm(
-            lam, cfg.alpha, cfg.p, one_sided,
-            u_points=cfg.grid_policy.quad_points, amplitude_scale=cfg.datum_scale,
-        )
+        datum = datum_lp_norm(lam, cfg.alpha, cfg.p, one_sided, amplitude_scale=cfg.datum_scale)
         denominator = lam**cfg.beta * datum
     return SweepRecord(
         lam=lam, points=curve.grid.points, half_width=curve.grid.half_width,
@@ -307,21 +303,17 @@ def _smoothing_record(
 
 def _maximal_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     alpha, p = cfg.alpha, cfg.p
-    t_grid = np.linspace(0.0, 1.0, 4 * cfg.t_policy.uniform_count)
-    trace = np.abs(ridge_trace(lam, alpha, t_grid, cfg.epsilon)) * cfg.datum_scale
+    t_grid = np.linspace(0.0, 1.0, RIDGE_SAMPLES)
+    trace = np.abs(ridge_trace(lam, alpha, t_grid)) * cfg.datum_scale
     w = _time_weights(t_grid, (0.0, 1.0))
     ridge_speed = alpha * lam ** (alpha - 1.0)
     numerator = (
         lam ** ((2.0 - alpha) / 2.0) * (ridge_speed * float((trace**p) @ w)) ** (1.0 / p)
     )
     if cfg.use_sobolev_denominator:
-        denominator = cfg.datum_scale * maximal_datum_norm(
-            lam, alpha, p, cfg.epsilon, bessel_beta=cfg.beta
-        )
+        denominator = cfg.datum_scale * maximal_datum_norm(lam, alpha, p, bessel_beta=cfg.beta)
     else:
-        denominator = (
-            lam**cfg.beta * cfg.datum_scale * maximal_datum_norm(lam, alpha, p, cfg.epsilon)
-        )
+        denominator = lam**cfg.beta * cfg.datum_scale * maximal_datum_norm(lam, alpha, p)
     g = packet_grid()
     return SweepRecord(
         lam=lam, points=g.points, half_width=g.half_width, t_count=t_grid.size,
@@ -349,13 +341,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                 f"(the smallest failing scale needs ~{nodes:.2e} quadrature nodes, "
                 f"cap {budget:.2e}); raise DISPLAB_MAX_GRID_POINTS or drop large scales"
             )
-    curve = _profile_curve(
-        cfg.alpha, cfg.p, cfg.family == "airy", cfg.grid_policy, cfg.datum_scale
-    )
-    s_grids = {
-        lam: focusing_s_grid(lam, cfg.alpha, curve.horizon, cfg.t_policy)
-        for lam in cfg.lambdas
-    }
+    curve = _profile_curve(cfg.alpha, cfg.p, cfg.family == "airy", cfg.datum_scale)
+    s_grids = {lam: focusing_s_grid(lam, cfg.alpha, curve.horizon) for lam in cfg.lambdas}
     curve.fill(np.concatenate(list(s_grids.values())))
     return [_smoothing_record(cfg, lam, curve, s_grids[lam]) for lam in cfg.lambdas]
 
@@ -363,14 +350,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 # -- direct (lam-scale) route for cross-validation -----------------------------------
 
 
-def direct_smoothing_record(cfg: SweepConfig, lam: float, points_cap: int | None = None) -> SweepRecord:
+def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     """Same record as the unit-scale engine, from an honest lam-scale grid.
 
     Sizing follows the datum requirements (nyquist >= 4 lam, half width >=
     8 C(alpha) lam^{alpha-1}); feasible only for small lam, which is the
     point: it cross-validates the rescaled engine.
     """
-    cap = points_cap or max_grid_points()
+    cap = max_grid_points()
     need_nyq, need_hw = smoothing_grid_requirements(lam, cfg.alpha)
     half_width = 1.1 * need_hw
     points = int(2 ** np.ceil(np.log2(2.0 * half_width * need_nyq * 1.05 / np.pi)))
@@ -385,7 +372,7 @@ def direct_smoothing_record(cfg: SweepConfig, lam: float, points_cap: int | None
     datum = make_smoothing_extremizer(spec)
     if cfg.datum_scale != 1.0:
         datum = datum.with_samples(datum.samples * cfg.datum_scale)
-    s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha, cfg.t_policy)
+    s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha)
     t_grid = 1.0 + s_grid / lam**cfg.alpha
     w = _time_weights(t_grid, (0.0, 1.0))
     vals = evolved_lp_norms(datum, t_grid, params, cfg.p)
@@ -446,8 +433,8 @@ def _require_sweepable(cfg: SweepConfig) -> None:
 def verify_sharpness(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
     """Sharpness of the space-time estimate: ratio slope ~ critical beta - beta."""
     _require_sweepable(cfg)
-    if cfg.norm_kind != "mixed_spacetime" or not cfg.t_policy.focusing_refinement:
-        raise ValueError("sharpness sweeps need the mixed norm with focusing refinement")
+    if cfg.norm_kind != "mixed_spacetime":
+        raise ValueError("sharpness sweeps need the mixed space-time norm")
     if cfg.family == "smoothing" and not cfg.p > admissibility_threshold(cfg.dim):
         raise ValueError(f"p must exceed {admissibility_threshold(cfg.dim):.4g}")
     records = run_sweep(cfg)
@@ -467,7 +454,7 @@ def verify_maximal_necessary(cfg: SweepConfig, tolerance: float = 0.1) -> Verdic
     slope is > tolerance (the ratio grows when the weight is too weak).
     """
     _require_sweepable(cfg)
-    if cfg.family != "maximal" or cfg.norm_kind != "maximal":
+    if cfg.family != "maximal":
         raise ValueError("the necessary-condition sweep runs the maximal family")
     boundary = critical_exponent(cfg.family, cfg.alpha, cfg.dim, cfg.p)
     boundary_records = run_sweep(replace(cfg, beta=boundary))
@@ -484,14 +471,7 @@ def verify_airy(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
     """Sharpness of the cubic-flow estimate with one-sided spectrum data."""
     if cfg.family != "airy":
         raise ValueError("verify_airy needs family='airy'")
-    _require_sweepable(cfg)
-    records = run_sweep(cfg)
-    fit = fit_loglog(records)
-    expected = expected_slope(cfg)
-    return Verdict(
-        slope=fit.slope, expected_slope=expected, tolerance=tolerance,
-        passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),
-    )
+    return verify_sharpness(cfg, tolerance)
 
 
 def random_band_upper_bound_check(

@@ -126,6 +126,22 @@ def test_sweep_infinite_p_is_config_error(capsys):
     assert "p must be finite" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("sweep", "--lambdas", "16,inf"), "lambdas must be finite"),
+    (("sweep", "--lambdas", "16,nan"), "lambdas must be finite"),
+    (("sweep", "--lambdas", "16,32", "--beta", "inf"), "beta must be finite"),
+    (("diagnostics", "envelope", "--lam", "inf"), "lam must be finite"),
+    (("diagnostics", "focusing", "--lam", "inf"), "lam must be finite"),
+    (("diagnostics", "ridge", "--lam", "inf"), "lam must be finite"),
+    (("diagnostics", "ridge", "--lam", "nan"), "lam must be finite"),
+])
+def test_nonfinite_scale_is_config_error(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])
 def test_sweep_bad_environment_is_config_error(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "abc")

@@ -43,6 +43,13 @@ def test_spec_validation():
         ExtremizerSpec(SMOOTHING, 4.0, params)
 
 
+@pytest.mark.parametrize("family", [SMOOTHING, MAXIMAL])
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+def test_spec_rejects_nonfinite_scale(family, lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        ExtremizerSpec(family, lam, DispersionParams(2.0, 1))
+
+
 def test_smoothing_datum_spectrum(rng):
     lam, alpha = 16.0, 2.0
     grid = smoothing_grid(lam, alpha)

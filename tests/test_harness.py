@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from displab.harness import (
+    FOCUSING_SAMPLES,
     SweepConfig,
     SweepRecord,
-    TPolicy,
     direct_smoothing_record,
     fit_loglog,
     focusing_s_grid,
@@ -65,7 +65,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig("airy", 2.0, 1, 6.0, 0.0, (16.0,))  # airy needs alpha = 3
     with pytest.raises(ValueError):
-        SweepConfig("maximal", 2.0, 1, 6.0, 0.0, (16.0,))  # needs maximal norm kind
+        SweepConfig("maximal", 2.0, 1, 6.0, 0.0, (16.0,), norm_kind="mixed_spacetime")
     with pytest.raises(ValueError):
         SweepRecord(16.0, 8, 1.0, 1, numerator=np.inf, denominator=1.0, ratio=1.0)
 
@@ -80,6 +80,34 @@ def test_sweep_config_rejects_nonfinite_p(family, alpha, kind):
             SweepConfig(family, alpha, 1, p, 0.0, (16.0,), norm_kind=kind)
 
 
+def test_norm_kind_follows_the_family():
+    assert SweepConfig("maximal", 3.0, 1, 6.0, 0.25, (16.0,)).norm_kind == "maximal"
+    assert SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,)).norm_kind == "mixed_spacetime"
+    assert SweepConfig("airy", 3.0, 1, 6.0, 0.0, (16.0,)).norm_kind == "mixed_spacetime"
+    explicit = SweepConfig("maximal", 3.0, 1, 6.0, 0.25, (16.0,), norm_kind="maximal")
+    assert explicit == SweepConfig("maximal", 3.0, 1, 6.0, 0.25, (16.0,))
+    with pytest.raises(ValueError, match="pairs with"):
+        SweepConfig("maximal", 3.0, 1, 6.0, 0.25, (16.0,), norm_kind="mixed_spacetime")
+    with pytest.raises(ValueError, match="pairs with"):
+        SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,), norm_kind="maximal")
+    with pytest.raises(ValueError, match="unknown norm kind"):
+        SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,), norm_kind="sup")
+
+
+@pytest.mark.parametrize("family,alpha", [("smoothing", 2.0), ("airy", 3.0), ("maximal", 3.0)])
+@pytest.mark.parametrize("lambdas,beta,match", [
+    ((16.0, np.inf), 0.0, "lambdas must be finite"),
+    ((16.0, np.nan), 0.0, "lambdas must be finite"),
+    ((np.inf,), 0.0, "lambdas must be finite"),
+    ((16.0, 32.0), np.inf, "beta must be finite"),
+    ((16.0, 32.0), -np.inf, "beta must be finite"),
+    ((16.0, 32.0), np.nan, "beta must be finite"),
+])
+def test_sweep_config_rejects_nonfinite_scales_and_beta(family, alpha, lambdas, beta, match):
+    with pytest.raises(ValueError, match=match):
+        SweepConfig(family, alpha, 1, 6.0, beta, lambdas)
+
+
 def test_single_scale_smoke():
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,))
     (rec,) = run_sweep(cfg)
@@ -88,13 +116,12 @@ def test_single_scale_smoke():
 
 
 def test_focusing_s_grid_profile():
-    pol = TPolicy()
-    s = focusing_s_grid(16.0, 2.0, horizon=1e9, policy=pol)
+    s = focusing_s_grid(16.0, 2.0, horizon=1e9)
     assert s[0] == pytest.approx(-256.0)
     assert s[-1] == 0.0
     assert np.all(np.diff(s) > 0)
     fine = s[s >= -4.0]
-    assert fine.size >= pol.refined_count - 1
+    assert fine.size >= FOCUSING_SAMPLES - 1
 
 
 def test_denominator_scaling_slope():
@@ -115,10 +142,6 @@ def test_verdicts_require_enough_scales():
 
 
 def test_verify_sharpness_requirements():
-    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0, 32.0, 64.0, 128.0),
-                      t_policy=TPolicy(focusing_refinement=False))
-    with pytest.raises(ValueError, match="focusing"):
-        verify_sharpness(cfg)
     cfg = SweepConfig("smoothing", 2.0, 1, 3.0, 0.0, (16.0, 32.0, 64.0, 128.0))
     with pytest.raises(ValueError, match="exceed"):
         verify_sharpness(cfg)

@@ -388,8 +388,3 @@ def test_kernel_tail_mass_grid_vs_quadrature():
     # both are ~1e-12-level; they agree that the mass is far below threshold
     assert via_grid < 1e-6 and via_quad < 1e-6
 
-
-def test_kernel_tail_mass_refinement_stability():
-    params = DispersionParams(2.0, 1)
-    vals = [kernel_tail_mass(4, 1.0, params, points_cap=cap) for cap in (2**18, 2**20, 2**22)]
-    assert max(vals) < 0.01
