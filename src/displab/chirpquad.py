@@ -179,15 +179,22 @@ def _interval_lattice(lo: float, hi: float, spacing: float):
     return lo + (np.arange(n) + 0.5) * d, d
 
 
-def dense_node_estimate(intervals, alpha, scale, segments) -> int:
-    """Node count of the dense route's lattices for these targets."""
+def _dense_periods(intervals, alpha, scale, segments) -> list[float]:
+    """Each interval's dense-lattice period in y: images stay clear of every target."""
     y_max = max(max(abs(s.start), abs(s.stop)) for s in segments)
-    total = 0
+    periods = []
     for lo, hi in intervals:
         reach = abs(scale) * alpha * max(abs(lo), abs(hi)) ** (alpha - 1.0)
-        period = _OVERSAMPLE * (y_max + reach + _TAIL_CLEARANCE)
-        total += int(np.ceil((hi - lo) * period / (2.0 * np.pi)))
-    return total
+        periods.append(_OVERSAMPLE * (y_max + reach + _TAIL_CLEARANCE))
+    return periods
+
+
+def dense_node_estimate(intervals, alpha, scale, segments) -> int:
+    """Node count of the dense route's lattices for these targets."""
+    periods = _dense_periods(intervals, alpha, scale, segments)
+    return sum(
+        int(np.ceil((hi - lo) * t / (2.0 * np.pi))) for (lo, hi), t in zip(intervals, periods)
+    )
 
 
 def chirp_profile(
@@ -220,10 +227,7 @@ def chirp_profile(
         raise ValueError(f"unknown method {method!r}")
 
     if not use_banded:
-        y_max = max(max(abs(s.start), abs(s.stop)) for s in segments)
-        for lo, hi in intervals:
-            reach = abs(scale) * alpha * max(abs(lo), abs(hi)) ** (alpha - 1.0)
-            period = _OVERSAMPLE * (y_max + reach + _TAIL_CLEARANCE)
+        for (lo, hi), period in zip(intervals, _dense_periods(intervals, alpha, scale, segments)):
             nodes, d = _interval_lattice(lo, hi, 2.0 * np.pi / period)
             weights = (
                 np.asarray(amplitude(nodes), dtype=complex)

@@ -6,12 +6,14 @@ u > 0 (and 0 otherwise), the step
     step(u) = A(u) / (A(u) + A(1 - u))
 
 is exactly 0 for u <= 0, exactly 1 for u >= 1, and smooth; ``a`` is the
-sharpness knob.  The two exponentials are evaluated only inside (0, 1);
-everywhere else the step is written as exact 0.0 or 1.0 (NaN stays NaN),
-bit for bit the values the full formula gives there.  Because every
-partition identity below is a telescoping
-sum of identical step evaluations, those identities hold to roundoff, not
-just analytically.
+sharpness knob.  For every u and every a, step(u) + step(1 - u) = 1, so
+the step integrates to 1/2 over [0, 1] and a rise or fall of width w to
+w / 2: the cutoff integrals the extremizers need have closed forms.  The
+two exponentials are evaluated only inside (0, 1); everywhere else the
+step is written as exact 0.0 or 1.0 (NaN stays NaN), bit for bit the
+values the full formula gives there.  Because every partition identity
+below is a telescoping sum of identical step evaluations, those
+identities hold to roundoff, not just analytically.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chirpquad import (
     BAND_COUNT,
@@ -281,12 +280,13 @@ class FocusingReport:
     predicted_focus_value: float
 
 
-@lru_cache(maxsize=8)
-def annulus_integral(dim: int = 1) -> float:
-    """int theta(|xi|) dxi over the line, by adaptive quadrature on the bump."""
-    cut = make_cutoffs(dim=dim)
-    val, _ = quad(lambda r: cut.annulus(r), 0.4, 2.1, limit=400, epsabs=1e-13, epsrel=1e-13)
-    return 2.0 * val
+# int theta(|xi|) dxi over the line, exactly.  step(u) + step(1 - u) = 1 makes
+# a rise or fall of width w integrate to w / 2; theta rises on [1/2, 2^-1/2],
+# equals 1 up to 2^1/2 and falls to 0 at 2, so each half-line carries
+# (2^-1/2 - 1/2)/2 + (2^1/2 - 2^-1/2) + (2 - 2^1/2)/2 = 3/4 + 2^1/2/4.
+ANNULUS_INTEGRAL = (3.0 + 2.0**0.5) / 2.0
+# int_0^1 of the bump profile 1 - step((s - 0.4)/0.5): 0.4 + 0.5/2, by the same identity
+_BUMP_PROFILE_MASS = 0.65
 
 
 def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
@@ -318,7 +318,7 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
         min_mod = min(min_mod, float(np.abs(frame.samples[window]).min()))
         if t == 1.0:
             focus_value = complex(frame.samples[grid.points // 2])
-    predicted = lam * annulus_integral() / (2.0 * np.pi)
+    predicted = lam * ANNULUS_INTEGRAL / (2.0 * np.pi)
     return FocusingReport(
         min_modulus_ratio=min_mod / lam,
         focus_value=focus_value,
@@ -329,36 +329,27 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
 # -- traveling-bump packet machinery ----------------------------------------------
 
 
-@lru_cache(maxsize=16)
+# the frequency lattice (spacing pi/L ~ 1.1e-3) must resolve the radius-~0.05
+# bump well, and the box must hold the packet's ~1/0.01 scale tails
+PACKET_GRID = GridSpec(1, 2**12, 2800.0)
+
+
 def _normalized_bump(epsilon: float):
     """Radial bump supported in r < 0.9 eps, with (2pi)^-1 int chi(|w|) dw = 1."""
     step = smooth_step()
-
-    def profile(s):
-        return 1.0 - step((np.asarray(s, dtype=float) - 0.4) / 0.5)
-
-    mass, _ = quad(lambda s: profile(s), 0.0, 1.0, limit=200)
-    c = 2.0 * np.pi / (2.0 * epsilon * mass)
+    c = 2.0 * np.pi / (2.0 * epsilon * _BUMP_PROFILE_MASS)
 
     def bump(r):
-        return c * profile(np.abs(r) / epsilon)
+        return c * (1.0 - step((np.abs(r) / epsilon - 0.4) / 0.5))
 
     return bump
 
 
-@lru_cache(maxsize=8)
-def packet_grid(points: int = 2**12, half_width: float = 2800.0) -> GridSpec:
-    # the frequency lattice (spacing pi/L ~ 1.1e-3) must resolve the radius-
-    # ~0.05 bump well, and the box must hold the packet's ~1/0.01 scale tails
-    return GridSpec(1, points, half_width)
-
-
 @lru_cache(maxsize=32)
-def packet_field(epsilon: float, grid: GridSpec | None = None) -> Field:
+def packet_field(epsilon: float) -> Field:
     """Frequency field of the normalized bump on the packet grid."""
-    grid = grid or packet_grid()
     bump = _normalized_bump(epsilon)
-    return Field.from_spectrum(grid, lambda xi: bump(np.asarray(xi)[0]))
+    return Field.from_spectrum(PACKET_GRID, lambda xi: bump(np.asarray(xi)[0]))
 
 
 def packet_taylor_remainder(alpha: float):
@@ -409,10 +400,7 @@ def packet_lp_norm(p: float, epsilon: float = 0.05, lam: float | None = None,
 def maximal_datum_norm(lam: float, alpha: float, p: float, epsilon: float = 0.05,
                        bessel_beta: float | None = None) -> float:
     """||g_lam||_p via the exact modulated-dilation reduction to the packet."""
-    if bessel_beta is None:
-        base = packet_lp_norm(p, epsilon)
-    else:
-        base = packet_lp_norm(p, epsilon, lam=lam, alpha=alpha, bessel_beta=bessel_beta)
+    base = packet_lp_norm(p, epsilon, lam=lam, alpha=alpha, bessel_beta=bessel_beta)
     return float(lam ** ((2.0 - alpha) / 2.0 * (1.0 - 1.0 / p)) * base)
 
 

@@ -40,26 +40,25 @@ import numpy as np
 from .errors import EnvironmentSettingError, SizingError
 from .extremizers import (
     ExtremizerSpec,
+    PACKET_GRID,
     SMOOTHING,
     datum_lp_norm,
     datum_quadrature_nodes,
     faithful_horizon,
     make_smoothing_extremizer,
     maximal_datum_norm,
-    packet_grid,
     ridge_trace,
     smoothing_grid_requirements,
     unit_annulus_field,
     unit_profile_grid,
 )
-from .grid import GridSpec
+from .grid import Field, GridSpec
 from .norms import (
     _time_weights,
     admissibility_threshold,
     airy_exponent,
     lp_norm,
     maximal_necessary_exponent,
-    mixed_spacetime_norm,
     smoothing_exponent,
     sobolev_norm,
 )
@@ -314,10 +313,10 @@ def _maximal_record(cfg: SweepConfig, lam: float) -> SweepRecord:
         denominator = cfg.datum_scale * maximal_datum_norm(lam, alpha, p, bessel_beta=cfg.beta)
     else:
         denominator = lam**cfg.beta * cfg.datum_scale * maximal_datum_norm(lam, alpha, p)
-    g = packet_grid()
     return SweepRecord(
-        lam=lam, points=g.points, half_width=g.half_width, t_count=t_grid.size,
-        numerator=numerator, denominator=denominator, ratio=numerator / denominator,
+        lam=lam, points=PACKET_GRID.points, half_width=PACKET_GRID.half_width,
+        t_count=t_grid.size, numerator=numerator, denominator=denominator,
+        ratio=numerator / denominator,
     )
 
 
@@ -485,7 +484,6 @@ def random_band_upper_bound_check(
     not a certification.
     """
     from .decomposition import band_project
-    from .propagator import Trajectory
 
     rng = np.random.default_rng(seed)
     beta_p = smoothing_exponent(alpha, 1, p)
@@ -493,15 +491,11 @@ def random_band_upper_bound_check(
     worst = 0.0
     for k in bands:
         grid = GridSpec(1, points, np.pi * points / (2 * 2.0 ** (k + 3)))
-        from .grid import Field
-
         coef = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
         raw = Field(grid, "frequency", coef)
         f = to_physical(band_project(raw, k))
         ts = np.linspace(0.0, 1.0, 65)
-        frames = tuple(to_physical(evolve(f, float(t), params, headroom=0.0)) for t in ts)
-        traj = Trajectory(grid, tuple(ts), frames)
-        num = mixed_spacetime_norm(traj, p, (0.0, 1.0))
+        num = (evolved_lp_norms(f, ts, params, p) @ _time_weights(ts, (0.0, 1.0))) ** (1.0 / p)
         den = 2.0 ** (k * beta_p) * lp_norm(f, p)
         worst = max(worst, float(num / den))
     return worst

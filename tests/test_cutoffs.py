@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs, smooth_step
 
@@ -14,6 +16,13 @@ def test_step_endpoints():
     # complementary symmetry keeps half-line splits exact
     u = np.linspace(0, 1, 101)
     assert np.abs(step(u) + step(1 - u) - 1).max() < 1e-15
+
+
+@pytest.mark.parametrize("sharpness", [0.5, 1.0, 2.5])
+@given(u=st.floats(-1.0, 2.0))
+def test_step_and_its_reflection_sum_to_one(sharpness, u):
+    step = smooth_step(sharpness)
+    assert abs(step(u) + step(1.0 - u) - 1.0) <= 1e-15
 
 
 def clip_where_step(sharpness=1.0):

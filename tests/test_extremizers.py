@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from displab.cutoffs import make_cutoffs
+from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import SizingError
 from displab.extremizers import (
+    ANNULUS_INTEGRAL,
     MAXIMAL,
     SMOOTHING,
     ExtremizerSpec,
-    annulus_integral,
     datum_lp_norm,
     envelope_check,
     focusing_check,
@@ -177,7 +177,19 @@ def test_focusing_lower_bound_and_exact_value():
 
 def test_focus_value_is_lam_times_annulus_integral():
     rep = focusing_check(ExtremizerSpec(SMOOTHING, 32.0, DispersionParams(2.0, 1)))
-    assert rep.predicted_focus_value == pytest.approx(32.0 * annulus_integral() / (2 * np.pi))
+    assert rep.predicted_focus_value == pytest.approx(32.0 * ANNULUS_INTEGRAL / (2 * np.pi))
+
+
+def test_closed_form_cutoff_integrals_match_quad():
+    from displab.extremizers import _BUMP_PROFILE_MASS
+
+    cut = make_cutoffs()
+    tight = dict(limit=400, epsabs=1e-13, epsrel=1e-13)
+    line = 2.0 * quad(cut.annulus, 0.4, 2.1, **tight)[0]
+    assert ANNULUS_INTEGRAL == pytest.approx(line, rel=1e-13, abs=0.0)
+    step = smooth_step()
+    mass = quad(lambda s: 1.0 - step((s - 0.4) / 0.5), 0.0, 1.0, **tight)[0]
+    assert _BUMP_PROFILE_MASS == pytest.approx(mass, rel=1e-13, abs=0.0)
 
 
 # -- traveling bump -------------------------------------------------------------------
