@@ -33,7 +33,7 @@ from .chirpquad import (
 )
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
-from .grid import Field, GridSpec
+from .grid import FREQUENCY, Field, GridSpec
 from .norms import lp_norm
 from .propagator import DispersionParams, ball_constant, evolve
 from .spectral import apply_symbol, dft_inverse, to_physical
@@ -78,6 +78,17 @@ def smoothing_grid_requirements(lam: float, alpha: float) -> tuple[float, float]
     return 4.0 * lam, 8.0 * ball_constant(alpha) * lam ** (alpha - 1.0)
 
 
+def _owned_spectrum(grid: GridSpec, fn) -> Field:
+    """Frequency field of ``fn`` on the lattice, for an ``fn`` of this module.
+
+    Each of them returns a fresh array, so it is frozen and handed to the
+    Field as it is, where `Field.from_spectrum` would copy it.
+    """
+    samples = np.asarray(fn(grid.frequency_mesh()), dtype=np.complex128)
+    samples.setflags(write=False)
+    return Field(grid, FREQUENCY, samples)
+
+
 def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
     """The chirped annulus datum as a physical field on spec.grid.
 
@@ -108,7 +119,7 @@ def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False)
         r = np.sqrt((np.asarray(xi) ** 2).sum(axis=0))
         return cut.annulus(inv * r) * np.exp(-1j * r**alpha)
 
-    return to_physical(Field.from_spectrum(grid, spectrum))
+    return to_physical(_owned_spectrum(grid, spectrum))
 
 
 def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
@@ -134,7 +145,7 @@ def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
     def spectrum(xi):
         return bump(shift * np.abs(np.asarray(xi)[0] + lam))
 
-    return to_physical(Field.from_spectrum(grid, spectrum))
+    return to_physical(_owned_spectrum(grid, spectrum))
 
 
 # -- unit-scale reductions -------------------------------------------------------
@@ -158,7 +169,7 @@ def unit_annulus_field(
             vals = vals * (np.asarray(xi)[0] > 0)
         return vals
 
-    return Field.from_spectrum(grid, spectrum)
+    return _owned_spectrum(grid, spectrum)
 
 
 def faithful_horizon(grid: GridSpec, alpha: float) -> float:
@@ -349,7 +360,7 @@ def _normalized_bump(epsilon: float):
 def packet_field(epsilon: float) -> Field:
     """Frequency field of the normalized bump on the packet grid."""
     bump = _normalized_bump(epsilon)
-    return Field.from_spectrum(PACKET_GRID, lambda xi: bump(np.asarray(xi)[0]))
+    return _owned_spectrum(PACKET_GRID, lambda xi: bump(np.asarray(xi)[0]))
 
 
 def packet_taylor_remainder(alpha: float):

@@ -367,14 +367,30 @@ def _band_spectrum(grid: GridSpec, scale: float, alpha: float) -> np.ndarray:
     """bandpass(|xi|) e^{i scale |xi|^alpha} on the lattice, read-only.
 
     The band 1/2 < |xi| < 2 is a small part of a lattice reaching Nyquist
-    >= 8, so the phase is formed only there.  The radii and the amplitude
-    are freed on return, before the inverse transform allocates.
+    >= 8.  The radii and the amplitude are formed only on the index box
+    |m_i| <= ceil(2 / h) + 1 per axis, which holds every nonzero entry, and
+    the phase only where the amplitude is nonzero; the rest of the lattice
+    is the zero it is allocated as.  Each frequency is computed as
+    `GridSpec.axis_frequencies` computes it and the radii as
+    `GridSpec.frequency_radii` sums them, so every entry is bit for bit the
+    lattice-wide formula.  The box arrays are freed on return, before the
+    inverse transform allocates.
     """
-    r = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
+    n = grid.points
+    reach = min(int(np.ceil(2.0 / grid.frequency_spacing)) + 1, n // 2)
+    m = np.arange(-reach, min(reach, n // 2 - 1) + 1)
+    xi = 2.0 * np.pi * (m * (1.0 / (n * grid.spacing)))
+    square = xi**2
+    r2 = square
+    for _ in range(1, grid.dim):
+        r2 = np.add.outer(r2, square)  # ((x_1^2 + x_2^2) + x_3^2), the mesh's sum order
+    r = np.sqrt(r2)
     amplitude = make_cutoffs(dim=grid.dim).bandpass(r)
     band = amplitude != 0.0
+    box = np.zeros(r.shape, dtype=np.complex128)
+    box[band] = amplitude[band] * np.exp(1j * scale * r[band] ** alpha)
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
-    spectrum[band] = amplitude[band] * np.exp(1j * scale * r[band] ** alpha)
+    spectrum[np.ix_(*[m] * grid.dim)] = box  # negative m wrap to the top of each axis
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
     return spectrum
 
@@ -398,6 +414,11 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     t in {0, 1/2, 1} where both boxes fit, it reads above the first route
     at 27 and 0.12 to 0.34 times it at 12 (alpha 1.5, k 8, t 1/2: 2.9e-14
     against 2.4e-13); every reading is far below 0.01.
+
+    On the grid routes the kernel's spectrum is formed only on the band's
+    index box (`_band_spectrum`); the inverse transform and the two masses
+    run over the whole lattice, since the kernel fills it.  The quadrature
+    route forms nothing on a lattice.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -461,9 +482,10 @@ def _tail_mass_quadrature(alpha: float, scale: float, ball: float) -> float:
                 outside += mass
         return float(outside / total)
 
-    # banded inner measurement + certified outer bound
+    # banded inner measurement + certified outer bound; at scale 0 the kernel
+    # is not spread, so the span reaches the t = 0 width of the spread-sized grid
     inner_segments = _graded_segments(
-        [(0.7 * inner_edge, 1.15 * spread, 6144)]
+        [(0.7 * inner_edge, max(1.15 * spread, 120.0), 6144)]
     )
     values = chirp_profile(cut.bandpass, intervals, alpha, scale, inner_segments, method="banded")
     total = sum(

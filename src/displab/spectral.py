@@ -28,9 +28,12 @@ SymbolFn = Callable[[np.ndarray], np.ndarray]
 
 @lru_cache(maxsize=32)
 def _parity(grid: GridSpec) -> np.ndarray:
-    """(-1)^(m_1 + ... + m_d) on the wrapped lattice (exact +-1 values)."""
-    m = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(np.int64)
-    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    """(-1)^(m_1 + ... + m_d) on the wrapped lattice (exact +-1 values).
+
+    Built from the storage index j of each axis: the wrapped index is j or
+    j - N, and N is even, so both have the parity of j.
+    """
+    sign = np.tile([1.0, -1.0], grid.points // 2)
     out = sign
     for _ in range(grid.dim - 1):
         out = np.multiply.outer(out, sign)

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 import displab
 from displab.chirpquad import (
+    _BOUND_BLOCK,
+    _BOUND_NODES,
+    _BOUND_STEPS,
     _MAX_CHIRP_ANGLE,
     CZT,
     UniformSegment,
     _czt_eval,
+    _interval_lattice,
     _smooth_length,
     as_segments,
     chirp_profile,
@@ -172,6 +176,40 @@ def test_nonstationary_bound_rejects_swept_targets():
     cut = make_cutoffs()
     with pytest.raises(ValueError):
         nonstationary_bound(cut.annulus, INTERVALS, 2.0, -100.0, np.array([200.0]))
+
+
+def unblocked_bound(amplitude, intervals, alpha, scale, y):
+    """Oracle for ``nonstationary_bound``: the real recursion over all targets in one batch."""
+    total = np.zeros(y.size)
+    for lo, hi in intervals:
+        xi, d = _interval_lattice(lo, hi, (hi - lo) / _BOUND_NODES)
+        phase_slope = y[:, None] + scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
+        h = np.asarray(amplitude(xi))
+        best = np.full(y.size, np.inf)
+        for _ in range(_BOUND_STEPS):
+            h = np.gradient(h / phase_slope, d, axis=1)
+            best = np.minimum(best, np.abs(h).sum(axis=1) * d / (2.0 * np.pi))
+        total += best
+    return total
+
+
+@pytest.mark.parametrize("targets", [1, 3, 96, 97])
+@pytest.mark.parametrize("alpha,scale", [(2.0, -256.0), (3.0, 2.0**24)])
+def test_nonstationary_bound_blocks_are_bitwise_one_batch(targets, alpha, scale):
+    cut = make_cutoffs()
+    ball = 4.0 * alpha * 2.0 ** (alpha - 1.0) * abs(scale)  # four times the swept reach
+    y = np.linspace(ball, 3.0 * ball, targets)
+    bound = nonstationary_bound(cut.bandpass, INTERVALS, alpha, scale, y)
+    assert np.array_equal(bound, unblocked_bound(cut.bandpass, INTERVALS, alpha, scale, y))
+
+
+def test_nonstationary_bound_checks_the_last_partial_block():
+    cut = make_cutoffs()
+    y = np.linspace(2000.0, 6000.0, 97)
+    y[-1] = 200.0  # the one target inside the swept region |y| <= 400
+    assert y.size % _BOUND_BLOCK != 0  # so that target sits alone in a partial block
+    with pytest.raises(ValueError):
+        nonstationary_bound(cut.annulus, INTERVALS, 2.0, -100.0, y)
 
 
 def brute_sum(weights, start, theta, m):

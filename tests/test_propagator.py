@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs
@@ -10,6 +10,7 @@ from displab.norms import lp_norm
 from displab.propagator import (
     DispersionParams,
     _band_spectrum,
+    _tail_mass_quadrature,
     Trajectory,
     airy_evolve,
     ball_constant,
@@ -357,15 +358,39 @@ def test_band_kernel_l1_mass_stable_under_refinement():
     assert abs(masses[1] - masses[0]) / masses[0] < 0.05
 
 
-def test_band_spectrum_is_the_full_lattice_formula():
-    """The phase formed only on the band gives the lattice-wide bandpass(r) e^{i S r^alpha}."""
-    for grid, scale, alpha in ((GridSpec(1, 2**12, 300.0), 0.7 * 2.0**6, 2.0),
-                               (GridSpec(2, 64, 12.0), 5.0, 3.0)):
-        spectrum = _band_spectrum(grid, scale, alpha)
-        r = grid.frequency_radii()
-        full = make_cutoffs(dim=grid.dim).bandpass(r) * np.exp(1j * scale * r**alpha)
-        assert np.array_equal(spectrum, full)
-        assert not spectrum.flags.writeable
+# largest log2(N) per dimension in the band-spectrum property: at most 2^18 points
+_BAND_LOG2_POINTS = {1: 13, 2: 8, 3: 6}
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2, 3]),
+    log2_points=st.integers(3, 13),
+    # pi j / 4 puts |xi| = 2 (j even) and |xi| = 1/2 (j divisible by 8) on the lattice
+    half_width=st.one_of(st.floats(0.5, 600.0), st.integers(1, 400).map(lambda j: np.pi * j / 4)),
+    scale=st.floats(-2.0**20, 2.0**20),
+    alpha=st.floats(0.25, 4.0),
+)
+@example(dim=1, log2_points=12, half_width=300.0, scale=0.7 * 2.0**6, alpha=2.0)
+@example(dim=2, log2_points=6, half_width=12.0, scale=5.0, alpha=3.0)
+@example(dim=3, log2_points=5, half_width=2.0 * np.pi, scale=-3.0, alpha=1.5)
+def test_band_spectrum_is_the_full_lattice_formula(dim, log2_points, half_width, scale, alpha):
+    """The box-and-band construction is bit for bit the lattice-wide bandpass(r) e^{i S r^alpha}."""
+    grid = GridSpec(dim, 2 ** min(log2_points, _BAND_LOG2_POINTS[dim]), half_width)
+    spectrum = _band_spectrum(grid, scale, alpha)
+    r = grid.frequency_radii()
+    full = make_cutoffs(dim=grid.dim).bandpass(r) * np.exp(1j * scale * r**alpha)
+    assert np.array_equal(spectrum, full)
+    assert not spectrum.flags.writeable
+
+
+def test_tail_mass_quadrature_at_scale_zero():
+    """At t = 0 the banded inner span reaches the unspread kernel's width, so it is not empty."""
+    alpha = 3.0
+    for k in (6, 7, 8):
+        ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
+        mass = _tail_mass_quadrature(alpha, 0.0, ball)
+        assert np.isfinite(mass) and mass < 0.01
 
 
 def test_kernel_tail_mass_basics():
@@ -377,8 +402,6 @@ def test_kernel_tail_mass_basics():
 
 
 def test_kernel_tail_mass_grid_vs_quadrature():
-    from displab.propagator import _tail_mass_quadrature
-
     alpha, k, t = 2.0, 5, 1.0
     params = DispersionParams(alpha, 1)
     via_grid = kernel_tail_mass(k, t, params)

@@ -5,6 +5,7 @@ from displab.errors import GridAdequacyError, RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.spectral import (
+    _parity,
     apply_symbol,
     dft_forward,
     dft_inverse,
@@ -21,6 +22,29 @@ def slow_dft(field: Field) -> np.ndarray:
     xi = g.frequency_mesh().reshape(g.dim, -1)
     phases = np.exp(-1j * (xi.T @ x))
     return (phases @ field.samples.reshape(-1)) * g.cell_volume
+
+
+def fftfreq_parity(grid: GridSpec) -> np.ndarray:
+    """Oracle for ``_parity``: the signed wrapped indices from ``fftfreq``, then their parity."""
+    m = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(np.int64)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    out = sign
+    for _ in range(grid.dim - 1):
+        out = np.multiply.outer(out, sign)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_parity_is_the_fftfreq_construction(dim):
+    for log2_points in range(3, 13):
+        if dim * log2_points > 22:  # keep each lattice within 2^22 entries
+            break
+        grid = GridSpec(dim, 2**log2_points, 1.0)
+        sign = _parity.__wrapped__(grid)  # uncached: the test's lattices stay out of the cache
+        want = fftfreq_parity(grid)
+        assert sign.dtype == want.dtype and sign.shape == want.shape
+        assert np.array_equal(sign, want)
+        assert not sign.flags.writeable
 
 
 def test_delta_transform():
