@@ -42,13 +42,15 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import make_cutoffs
+from .errors import SizingError
+from .grid import quadrature_node_budget
 
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
 _MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the chirp-z plan, keeps roundoff ~<1e-7
 _DEFAULT_CHUNK = 2**21
 _OVERSAMPLE = 1.15  # lattice period over the span it must hold clear of images
 BAND_COUNT = 48  # bands per interval on the banded route
-DENSE_CAP = 2**23  # most dense-lattice nodes before the banded route (or a bound) takes over
+DENSE_CAP = 2**23  # most dense-lattice nodes before the automatic route turns banded
 _BOUND_STEPS = 5  # integrations by parts tried by nonstationary_bound
 _BOUND_NODES = 16384  # lattice nodes per interval in nonstationary_bound
 # targets per block of nonstationary_bound: one block's (targets x nodes) float64
@@ -213,7 +215,9 @@ def chirp_profile(
     """Evaluate the chirped profile on each segment; returns one array per segment.
 
     ``amplitude`` maps xi arrays to (complex) values and must be supported
-    inside ``intervals`` (finite unions of single-signed intervals).
+    inside ``intervals`` (finite unions of single-signed intervals).  Raises
+    SizingError, before any lattice is allocated, when the route's node
+    count exceeds `grid.quadrature_node_budget`.
     """
     segments = as_segments(segments)
     intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
@@ -228,6 +232,14 @@ def chirp_profile(
     use_banded = method == "banded" or (method == "auto" and n_dense > dense_cap)
     if method not in ("auto", "dense", "banded"):
         raise ValueError(f"unknown method {method!r}")
+    # the banded route spends about one band's share of the dense nodes
+    nodes, budget = n_dense // BAND_COUNT if use_banded else n_dense, quadrature_node_budget()
+    if nodes > budget:
+        raise SizingError(
+            f"chirp-z quadrature at scale {scale:.3g} needs ~{nodes:.2e} nodes, "
+            f"over the budget of {budget:.2e}; "
+            "raise DISPLAB_MAX_GRID_POINTS or use a smaller scale"
+        )
 
     if not use_banded:
         for (lo, hi), period in zip(intervals, _dense_periods(intervals, alpha, scale, segments)):
@@ -301,8 +313,9 @@ def nonstationary_bound(amplitude, intervals, alpha: float, scale: float, y: np.
     (2 pi)^-1 int |g_n| dxi, where g_0 = a and g_{n+1} = (g_n / (i s))' with
     s the real phase slope.  The recursion runs in the amplitude's own
     dtype as h_{n+1} = (h_n / s)': then g_n = (-i)^n h_n, so |g_n| = |h_n|,
-    and a real amplitude never forms a complex array.  Used to certify tail
-    masses in regions the banded route does not evaluate.
+    and a real amplitude never forms a complex array.  Every tail the lab
+    reports comes from this bound (`propagator.kernel_tail_mass`,
+    `extremizers.envelope_check`): a quadrature there reads round-off.
 
     Each interval's lattice, group slope and amplitude are formed once; the
     (targets x nodes) recursion runs over blocks of `_BOUND_BLOCK` targets,

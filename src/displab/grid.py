@@ -11,18 +11,47 @@ pi*N/(2L).  Frequency-space samples are stored in FFT (wrapped) order;
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldDumpError, RepresentationError
+from .errors import EnvironmentSettingError, FieldDumpError, RepresentationError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 
 _MAGIC = b"PSLF1\n"
 _HEADER_KEYS = {"dim", "points", "half_width", "representation"}
+
+
+def _env_int(name: str, default: int) -> int:
+    """A positive integer from the environment; ``default`` when the variable is unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise EnvironmentSettingError(name, raw, "a positive integer")
+    return value
+
+
+def max_grid_points() -> int:
+    """The memory cap of automatic grid sizing: DISPLAB_MAX_GRID_POINTS, default 2^22."""
+    return _env_int("DISPLAB_MAX_GRID_POINTS", 2**22)
+
+
+def quadrature_node_budget() -> int:
+    """Most nodes a chirp-z quadrature may allocate: 64 x `max_grid_points`.
+
+    Quadrature nodes stream through the chirp-z transform in bounded
+    chunks, so they may outnumber the points of a grid held whole.
+    """
+    return 64 * max_grid_points()
 
 
 @dataclass(frozen=True)

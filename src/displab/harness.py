@@ -31,13 +31,12 @@ datum norm.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnvironmentSettingError, SizingError
+from .errors import SizingError
 from .extremizers import (
     ExtremizerSpec,
     PACKET_GRID,
@@ -52,7 +51,7 @@ from .extremizers import (
     unit_annulus_field,
     unit_profile_grid,
 )
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, max_grid_points, quadrature_node_budget
 from .norms import (
     _time_weights,
     admissibility_threshold,
@@ -72,24 +71,6 @@ FAMILIES = ("smoothing", "maximal", "airy")
 FOCUSING_SAMPLES = 64
 # time samples of the maximal family's ridge trace over [0, 1]
 RIDGE_SAMPLES = 256
-
-
-def _env_int(name: str, default: int) -> int:
-    """A positive integer from the environment; ``default`` when the variable is unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise EnvironmentSettingError(name, raw, "a positive integer")
-    return value
-
-
-def max_grid_points() -> int:
-    return _env_int("DISPLAB_MAX_GRID_POINTS", 2**22)
 
 
 @dataclass(frozen=True)
@@ -331,7 +312,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """
     if cfg.family == "maximal":
         return [_maximal_record(cfg, lam) for lam in cfg.lambdas]
-    budget = 64 * max_grid_points()
+    budget = quadrature_node_budget()
     for lam in cfg.lambdas:
         nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.family == "airy")
         if nodes > budget:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
@@ -324,6 +325,10 @@ def airy_evolve(field: Field, t: float) -> Field:
 
 
 _KERNEL_GRID_CAP = 2**22
+# the band kernel's frequency support 1/2 < |xi| < 2, as single-signed intervals
+_BAND_INTERVALS = ((0.5, 2.0), (-2.0, -0.5))
+# targets of the out-of-ball bound, geometric over [ball, 3 ball]
+_TAIL_TARGETS = 16
 
 
 def band_kernel(
@@ -351,7 +356,7 @@ def band_kernel(
         if n > _KERNEL_GRID_CAP:
             raise SizingError(
                 f"band kernel grid needs {n} points (cap {_KERNEL_GRID_CAP}); "
-                "use kernel_tail_mass, which switches to quadrature at this scale",
+                "kernel_tail_mass measures such kernels by chirp-z quadrature instead",
                 required_points=n,
                 required_half_width=half_width,
             )
@@ -400,25 +405,24 @@ def _pow2_at_least(x: float) -> int:
 
 
 def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
-    """Fraction of the band-k kernel's discrete L1 mass outside its locality ball.
+    """Certified upper bound on the share of the band-k kernel's L1 mass outside its ball.
 
-    The ball is |x| <= 4 C(alpha) 2^(k(alpha-1)), i.e. |y| <= 4 C(alpha) 2^(alpha k)
+    The ball is |x| <= 4 C(alpha) 2^(k(alpha-1)), i.e. |y| <= b = 4 C(alpha) 2^(alpha k)
     in the rescaled kernel variable.  Requires t in [0, 1] and dim = 1.
 
-    Three routes in decreasing order of directness: a grid reaching past the
-    ball; a grid holding the kernel spread, where the mass beyond 0.9 L
-    stands in for the out-of-ball mass; and the chirped quadrature of
-    `_tail_mass_quadrature` for kernels too spread out for any affordable
-    grid.  On the periodic grid the second route is an estimate, not a
-    bound.  At the 39 points of alpha in {1.5, 2, 3}, k = 3..8 and
-    t in {0, 1/2, 1} where both boxes fit, it reads above the first route
-    at 27 and 0.12 to 0.34 times it at 12 (alpha 1.5, k 8, t 1/2: 2.9e-14
-    against 2.4e-13); every reading is far below 0.01.
-
-    On the grid routes the kernel's spectrum is formed only on the band's
-    index box (`_band_spectrum`); the inverse transform and the two masses
-    run over the whole lattice, since the kernel fills it.  The quadrature
-    route forms nothing on a lattice.
+    Numerator: `_outside_mass_bound` integrates the integration-by-parts
+    bound `chirpquad.nonstationary_bound` over 16 geometric targets on
+    [b, 3b] by the trapezoid rule, which over-estimates because the bound
+    is decreasing and convex there, and adds b B(3b) for |y| > 3b, which
+    over-estimates because the bound decays like y^-5 past 3b.  No tail is
+    measured, so the value does not read round-off.
+    Denominator, chosen by input size: the kernel's L1 mass on the grid of
+    half width 1.2 (spread + 120), which holds the spread C(alpha) 2^(alpha k) t;
+    where that grid would exceed `_KERNEL_GRID_CAP` points,
+    `_inner_mass_quadrature`, which counts only the group annulus and so
+    under-states the mass.  The share is therefore an upper bound, and a
+    loose one where the kernel is barely spread: alpha 1.5, k = 1, t = 0
+    reads 5.3e-2 where a grid reaching past the ball measures 4.4e-3.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -427,83 +431,45 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     alpha = params.alpha
     ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
     scale = 2.0 ** (alpha * k) * t
-    spread = ball_constant(alpha) * scale
-
-    for half_width, radius in (
-        (1.25 * ball, ball),  # honest: the box reaches past the ball
-        (1.2 * (spread + 120.0), None),  # spread-sized: measure beyond 0.9 L < ball
-    ):
-        n = _pow2_at_least(16.0 * half_width / np.pi)
-        if n > _KERNEL_GRID_CAP:
-            continue
+    half_width = 1.2 * (ball_constant(alpha) * scale + 120.0)
+    n = _pow2_at_least(16.0 * half_width / np.pi)
+    if n <= _KERNEL_GRID_CAP:
         grid = GridSpec(1, n, half_width)
-        kappa = band_kernel(k, t, params, grid=grid)
-        y = grid.axis_points()
-        mag = np.abs(kappa.samples)
-        cut_radius = radius if radius is not None else 0.9 * half_width
-        return float(mag[np.abs(y) > cut_radius].sum() / mag.sum())
-
-    return _tail_mass_quadrature(alpha, scale, ball)
+        mass = np.abs(band_kernel(k, t, params, grid=grid).samples).sum() * grid.spacing
+    else:
+        mass = 2.0 * _inner_mass_quadrature(alpha, scale)  # the kernel is even
+    outside = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3.0 * ball, _TAIL_TARGETS))
+    return float(outside / mass)
 
 
-def _tail_mass_quadrature(alpha: float, scale: float, ball: float) -> float:
-    """Chirped-quadrature route for kernels too spread out to hold on a grid.
+def _outside_mass_bound(alpha: float, scale: float, y: np.ndarray) -> float:
+    """Upper bound on int_{|y'| > y[0]} |kappa(y')| dy', for targets y running from b to 3b.
 
-    Evenness of the kernel in y halves the work; the mass ratio is
-    unaffected.  When even the one-sided quadrature is too large, the inner
-    mass is measured on the group annulus via the banded route and the
-    outer mass is replaced by its integration-by-parts upper bound, making
-    the reported tail fraction conservative.
+    The kernel is even, so this is twice the integral over y' > b of
+    `chirpquad.nonstationary_bound`, which bounds |kappa| pointwise there.
+    Over [b, 3b] the bound is integrated by the trapezoid rule on the
+    targets; on every probed kernel the bound is decreasing and convex
+    there, so the chords lie above it and the rule over-estimates.  Past
+    3b the fifth integration by parts is the smallest bound, so it decays
+    like y^-5 and its integral from 3b on is at most (3/4) b B(3b); b B(3b)
+    is added.
     """
-    from .chirpquad import DENSE_CAP, chirp_profile, dense_node_estimate, nonstationary_bound
+    bound = nonstationary_bound(make_cutoffs(dim=1).bandpass, _BAND_INTERVALS, alpha, scale, y)
+    return 2.0 * float(np.trapezoid(bound, y) + bound[-1] * y[0])
 
-    cut = make_cutoffs(dim=1)
-    intervals = ((0.5, 2.0), (-2.0, -0.5))
+
+def _inner_mass_quadrature(alpha: float, scale: float) -> float:
+    """int |kappa(y)| dy over the group annulus y in (0.7 inner, 1.15 spread), one side.
+
+    inner and spread are the smallest and largest group speeds over the band
+    times ``scale``.  The banded chirp-z route evaluates the kernel only
+    where its band pieces sweep, which is all of this span; mass outside it
+    is left out, so the value is a lower bound on the mass of a half-line.
+    """
     slopes = sorted((alpha * 0.5 ** (alpha - 1.0), alpha * 2.0 ** (alpha - 1.0)))
-    inner_edge, spread = slopes[0] * scale, slopes[1] * scale
-    outer = 2.0 * ball
-    segments = _graded_segments(
-        [
-            (0.0, 0.8 * inner_edge, 512),
-            (0.8 * inner_edge, 1.15 * spread, 6144),
-            (1.15 * spread, ball, 1024),
-            (ball, outer, 1024),
-        ]
-    )
-    if dense_node_estimate(intervals, alpha, scale, segments) <= DENSE_CAP:
-        values = chirp_profile(cut.bandpass, intervals, alpha, scale, segments, method="dense")
-        total = 0.0
-        outside = 0.0
-        for seg, vals in zip(segments, values):
-            y = seg.points()
-            mass = np.trapezoid(np.abs(vals), y)
-            total += mass
-            if y[0] >= ball:
-                outside += mass
-        return float(outside / total)
-
-    # banded inner measurement + certified outer bound; at scale 0 the kernel
-    # is not spread, so the span reaches the t = 0 width of the spread-sized grid
-    inner_segments = _graded_segments(
-        [(0.7 * inner_edge, max(1.15 * spread, 120.0), 6144)]
-    )
-    values = chirp_profile(cut.bandpass, intervals, alpha, scale, inner_segments, method="banded")
-    total = sum(
-        np.trapezoid(np.abs(v), seg.points()) for seg, v in zip(inner_segments, values)
-    )
-    y_out = np.linspace(ball, 3.0 * ball, 96)
-    bound = nonstationary_bound(cut.bandpass, intervals, alpha, scale, y_out)
-    outside = np.trapezoid(bound, y_out) + bound[-1] * ball  # crude extension past 3*ball
-    return float(outside / total)
-
-
-def _graded_segments(spans):
-    from .chirpquad import UniformSegment
-
-    segs = []
-    for lo, hi, count in spans:
-        if hi <= lo:
-            continue
-        step = (hi - lo) / count
-        segs.append(UniformSegment(start=lo, step=step, count=count + 1))
-    return tuple(segs)
+    lo, hi = 0.7 * slopes[0] * scale, 1.15 * slopes[1] * scale
+    segment = UniformSegment(start=lo, step=(hi - lo) / 6144, count=6145)
+    values = chirp_profile(
+        make_cutoffs(dim=1).bandpass, _BAND_INTERVALS, alpha, scale, [segment], method="banded"
+    )[0]
+    return float(np.trapezoid(np.abs(values), segment.points()))

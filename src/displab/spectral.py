@@ -13,7 +13,6 @@ with each side weighted by its own cell measure.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -26,26 +25,26 @@ from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 SymbolFn = Callable[[np.ndarray], np.ndarray]
 
 
-@lru_cache(maxsize=32)
-def _parity(grid: GridSpec) -> np.ndarray:
-    """(-1)^(m_1 + ... + m_d) on the wrapped lattice (exact +-1 values).
+def _negate_odd_indices(array: np.ndarray, dim: int) -> np.ndarray:
+    """Multiply ``array`` in place by (-1)^(m_1 + ... + m_d) over its trailing dim axes.
 
-    Built from the storage index j of each axis: the wrapped index is j or
-    j - N, and N is even, so both have the parity of j.
+    The wrapped index m of a storage index j is j or j - N, and N is even,
+    so both have the parity of j: the sign is an exact negation of the odd
+    storage indices of each axis, and no sign lattice is formed.
     """
-    sign = np.tile([1.0, -1.0], grid.points // 2)
-    out = sign
-    for _ in range(grid.dim - 1):
-        out = np.multiply.outer(out, sign)
-    out.setflags(write=False)
-    return out
+    for axis in range(array.ndim - dim, array.ndim):
+        odd = array[(slice(None),) * axis + (slice(1, None, 2),)]
+        np.negative(odd, out=odd)
+    return array
 
 
 def dft_forward(field: Field) -> Field:
     """Quadrature of the continuum transform; physical -> frequency."""
     field.require(PHYSICAL)
     grid = field.grid
-    spectrum = grid.cell_volume * _parity(grid) * np.fft.fftn(field.samples)
+    spectrum = np.fft.fftn(field.samples)
+    spectrum *= grid.cell_volume
+    _negate_odd_indices(spectrum, grid.dim)
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
     return Field(grid, FREQUENCY, spectrum)
 
@@ -64,7 +63,8 @@ def dft_inverse_samples(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
     The same inverse quadrature as ``dft_inverse``, applied over the trailing
     grid axes, so a block of frames goes through one batched transform.
     """
-    samples = np.fft.ifftn(spectra * _parity(grid), axes=tuple(range(-grid.dim, 0)))
+    signed = _negate_odd_indices(np.array(spectra), grid.dim)
+    samples = np.fft.ifftn(signed, axes=tuple(range(-grid.dim, 0)))
     samples /= grid.cell_volume
     return samples
 

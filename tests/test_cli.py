@@ -172,6 +172,13 @@ def test_kernel_diagnostic(capsys):
     assert row.endswith("true")
 
 
+def test_envelope_diagnostic_over_the_node_budget_is_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 quadrature nodes
+    code, _, err = run(capsys, "diagnostics", "envelope", "--alpha", "2", "--lam", "256")
+    assert code == 2
+    assert "budget" in err and "Traceback" not in err
+
+
 def test_focusing_diagnostic(capsys):
     code, out, _ = run(capsys, "diagnostics", "focusing", "--alpha", "2", "--lam", "16")
     assert code == 0

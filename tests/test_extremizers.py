@@ -163,6 +163,14 @@ def test_envelope_tail():
     assert rep3.tail_ratio <= 1e-4
 
 
+def test_envelope_quadrature_respects_the_node_budget(monkeypatch):
+    """The peak quadrature checks its node count before it allocates a lattice."""
+    spec = ExtremizerSpec(SMOOTHING, 256.0, DispersionParams(2.0, 1))
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
+    with pytest.raises(SizingError, match="budget"):
+        envelope_check(spec)
+
+
 def test_focusing_lower_bound_and_exact_value():
     params = DispersionParams(2.0, 1)
     ratios = []

@@ -3,15 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from displab.chirpquad import nonstationary_bound
 from displab.cutoffs import make_cutoffs
-from displab.errors import EllipticityError, GridAdequacyError
+from displab.errors import EllipticityError, GridAdequacyError, SizingError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
+    _BAND_INTERVALS,
+    _TAIL_TARGETS,
     DispersionParams,
-    _band_spectrum,
-    _tail_mass_quadrature,
     Trajectory,
+    _band_spectrum,
+    _outside_mass_bound,
     airy_evolve,
     ball_constant,
     band_kernel,
@@ -384,15 +387,6 @@ def test_band_spectrum_is_the_full_lattice_formula(dim, log2_points, half_width,
     assert not spectrum.flags.writeable
 
 
-def test_tail_mass_quadrature_at_scale_zero():
-    """At t = 0 the banded inner span reaches the unspread kernel's width, so it is not empty."""
-    alpha = 3.0
-    for k in (6, 7, 8):
-        ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
-        mass = _tail_mass_quadrature(alpha, 0.0, ball)
-        assert np.isfinite(mass) and mass < 0.01
-
-
 def test_kernel_tail_mass_basics():
     params = DispersionParams(2.0, 1)
     assert kernel_tail_mass(6, 1.0, params) < 0.01
@@ -401,13 +395,58 @@ def test_kernel_tail_mass_basics():
         kernel_tail_mass(6, 1.5, params)
 
 
-def test_kernel_tail_mass_grid_vs_quadrature():
-    alpha, k, t = 2.0, 5, 1.0
+def _ball_and_scale(alpha, k, t):
+    return 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k), 2.0 ** (alpha * k) * t
+
+
+def honest_tail_mass(k, t, params):
+    """Oracle: the kernel's share of discrete L1 mass beyond the ball, on a box of 1.25 ball."""
+    ball, _ = _ball_and_scale(params.alpha, k, t)
+    half_width = 1.25 * ball
+    grid = GridSpec(1, 2 ** max(3, int(np.ceil(np.log2(16.0 * half_width / np.pi)))), half_width)
+    mag = np.abs(band_kernel(k, t, params, grid=grid).samples)
+    return mag[np.abs(grid.axis_points()) > ball].sum() / mag.sum()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_kernel_tail_mass_bounds_the_honest_grid(alpha):
+    """Wherever the honest grid reads above round-off, the certified value is at least as large."""
     params = DispersionParams(alpha, 1)
-    via_grid = kernel_tail_mass(k, t, params)
-    scale = 2.0 ** (alpha * k) * t
-    ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
-    via_quad = _tail_mass_quadrature(alpha, scale, ball)
-    # both are ~1e-12-level; they agree that the mass is far below threshold
-    assert via_grid < 1e-6 and via_quad < 1e-6
+    checked = 0
+    for k in (1, 2, 3):
+        for t in (0.0, 0.5, 1.0):
+            honest = honest_tail_mass(k, t, params)
+            if honest > 1e-10:
+                assert kernel_tail_mass(k, t, params) >= honest
+                checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize(
+    "alpha, k, t", [(1.5, 1, 1.0), (1.5, 3, 0.0), (2.0, 5, 1.0), (3.0, 6, 0.5), (3.0, 8, 1.0)]
+)
+def test_geometric_tail_targets_hold_a_fine_linear_grid(alpha, k, t):
+    """The trapezoid on the geometric targets over-estimates, and by under 5%, a 384-target one."""
+    ball, scale = _ball_and_scale(alpha, k, t)
+    geometric = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3 * ball, _TAIL_TARGETS))
+    linear = _outside_mass_bound(alpha, scale, np.linspace(ball, 3 * ball, 384))
+    assert linear <= geometric <= 1.05 * linear
+
+
+@pytest.mark.parametrize("alpha, k, t", [(1.5, 1, 1.0), (2.0, 2, 0.5), (3.0, 8, 0.0)])
+def test_tail_extension_holds_the_far_bound(alpha, k, t):
+    """ball x B(3 ball) is at least the trapezoid of the bound from 3 ball to 81 ball."""
+    ball, scale = _ball_and_scale(alpha, k, t)
+    bandpass = make_cutoffs(dim=1).bandpass
+    y = np.geomspace(3 * ball, 81 * ball, 257)
+    far = np.trapezoid(nonstationary_bound(bandpass, _BAND_INTERVALS, alpha, scale, y), y)
+    extension = ball * nonstationary_bound(bandpass, _BAND_INTERVALS, alpha, scale, [3 * ball])[0]
+    assert extension >= far
+
+
+def test_banded_kernel_mass_respects_the_node_budget(monkeypatch):
+    """alpha 3, k 6, t 1 is past the kernel grid cap; a small budget stops its quadrature early."""
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
+    with pytest.raises(SizingError, match="budget"):
+        kernel_tail_mass(6, 1.0, DispersionParams(3.0, 1))
 

@@ -5,10 +5,10 @@ from displab.errors import GridAdequacyError, RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.spectral import (
-    _parity,
     apply_symbol,
     dft_forward,
     dft_inverse,
+    dft_inverse_samples,
     ensure_headroom,
     radial,
     spectral_radius,
@@ -25,7 +25,7 @@ def slow_dft(field: Field) -> np.ndarray:
 
 
 def fftfreq_parity(grid: GridSpec) -> np.ndarray:
-    """Oracle for ``_parity``: the signed wrapped indices from ``fftfreq``, then their parity."""
+    """Oracle for the transforms' sign: the signed wrapped indices from ``fftfreq``, then their parity."""
     m = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(np.int64)
     sign = np.where(m % 2 == 0, 1.0, -1.0)
     out = sign
@@ -35,16 +35,23 @@ def fftfreq_parity(grid: GridSpec) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_parity_is_the_fftfreq_construction(dim):
+def test_transform_parity_is_the_fftfreq_construction(dim):
+    """Both transforms apply (-1)^(m_1 + ... + m_d) exactly as a sign-lattice product would."""
+    rng = np.random.default_rng(dim)
     for log2_points in range(3, 13):
-        if dim * log2_points > 22:  # keep each lattice within 2^22 entries
+        if dim * log2_points > 20:  # keep each transformed lattice within 2^20 entries
             break
         grid = GridSpec(dim, 2**log2_points, 1.0)
-        sign = _parity.__wrapped__(grid)  # uncached: the test's lattices stay out of the cache
-        want = fftfreq_parity(grid)
-        assert sign.dtype == want.dtype and sign.shape == want.shape
-        assert np.array_equal(sign, want)
-        assert not sign.flags.writeable
+        sign = fftfreq_parity(grid)
+        samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        forward = dft_forward(Field(grid, PHYSICAL, samples)).samples
+        assert np.array_equal(forward, grid.cell_volume * sign * np.fft.fftn(samples))
+        inverse = dft_inverse(Field(grid, FREQUENCY, samples)).samples
+        assert np.array_equal(inverse, np.fft.ifftn(samples * sign) / grid.cell_volume)
+        stacked = np.stack([samples, samples[::-1]])
+        want = np.fft.ifftn(stacked * sign, axes=tuple(range(-dim, 0))) / grid.cell_volume
+        assert np.array_equal(dft_inverse_samples(grid, stacked), want)
+        assert np.array_equal(stacked[0], samples)  # the caller's spectra are left as they were
 
 
 def test_delta_transform():
