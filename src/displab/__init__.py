@@ -1,22 +1,17 @@
 """displab: a pseudospectral laboratory for fractional dispersive flows.
 
-Propagators e^{i t |xi|^alpha} on periodic grids, dyadic and cube frequency
-decompositions, bilinear near-diagonal splits, extremizer families, and a
-sweep harness that verifies the critical smoothing/maximal exponents by
+Propagators e^{i t |xi|^alpha} on periodic grids, band-limited kernels and
+their localization, bilinear near-diagonal splits, extremizer families, and
+a sweep harness that verifies the critical smoothing/maximal exponents by
 log-log regression.
 """
 
 from .cutoffs import CutoffSpec, make_cutoffs
 from .decomposition import (
-    BandIndex,
     BilinearPiece,
-    CubeIndex,
-    band_project,
     bilinear_piece,
     bilinear_reconstruction_residual,
     bilinear_restriction_ratio,
-    cube_project,
-    evolve_band,
     separation_weight,
 )
 from .errors import (
@@ -50,6 +45,7 @@ from .harness import (
     expected_slope,
     fit_loglog,
     run_sweep,
+    slope_verdict,
     verify_airy,
     verify_maximal_necessary,
     verify_sharpness,
@@ -57,11 +53,9 @@ from .harness import (
 from .norms import (
     admissibility_threshold,
     airy_exponent,
-    besov_norm,
     lp_norm,
     maximal_exponent,
     maximal_necessary_exponent,
-    maximal_norm,
     mixed_spacetime_norm,
     smoothing_exponent,
     sobolev_norm,
@@ -70,7 +64,6 @@ from .propagator import (
     DispersionParams,
     EllipticPhase,
     Trajectory,
-    airy_evolve,
     band_kernel,
     elliptic_evolve,
     evolve,

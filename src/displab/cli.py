@@ -42,14 +42,28 @@ class ConfigError(ValueError):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags."""
+    """Merge defaults <- config file <- explicit flags.
+
+    The config file must hold a JSON object whose keys are the command's
+    settings; anything else raises `ConfigError`.
+    """
     merged = dict(defaults)
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         try:
-            merged.update(json.loads(Path(cfg_path).read_text()))
+            loaded = json.loads(Path(cfg_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {cfg_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(
+                f"config file {cfg_path} must hold a JSON object, not {type(loaded).__name__}"
+            )
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise ConfigError(
+                f"config file {cfg_path} has unknown keys {unknown}; known keys: {sorted(defaults)}"
+            )
+        merged.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -196,7 +210,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .harness import SweepConfig, critical_exponent, expected_slope, fit_loglog, run_sweep
+    from .harness import SweepConfig, critical_exponent, expected_slope, run_sweep, slope_verdict
 
     defaults = {
         "family": "smoothing", "alpha": 2.0, "d": 1, "p": 6.0, "beta": None,
@@ -220,8 +234,9 @@ def cmd_sweep(args) -> int:
         expected = (
             expected_slope(cfg) if resolved["expect"] is None else _parse_expect(resolved["expect"])
         )
+        tolerance = float(resolved["tolerance"])
         records = run_sweep(cfg)
-        fit = fit_loglog(records) if len(records) >= 2 else None
+        decision = slope_verdict(records, expected, tolerance) if len(records) >= 2 else None
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -233,15 +248,13 @@ def cmd_sweep(args) -> int:
     ]
     verdict = None
     status = EXIT_OK
-    if fit is not None:
-        tolerance = float(resolved["tolerance"])
-        passed = abs(fit.slope - expected) <= tolerance
+    if decision is not None:
         verdict = {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "max_residual": fit.max_residual, "expected_slope": expected,
-            "tolerance": tolerance, "passed": passed,
+            "slope": decision.slope, "intercept": decision.fit.intercept,
+            "max_residual": decision.fit.max_residual, "expected_slope": decision.expected_slope,
+            "tolerance": decision.tolerance, "passed": decision.passed,
         }
-        status = EXIT_OK if passed else EXIT_VERDICT_FAIL
+        status = EXIT_OK if decision.passed else EXIT_VERDICT_FAIL
     header = _header_lines("sweep", resolved)
     _write_table(resolved["output"], header, SWEEP_COLUMNS, rows, resolved["format"], verdict)
     if resolved["plot_script"] and resolved["output"]:

@@ -108,15 +108,6 @@ class CutoffSpec:
 
     # -- derived symbols -----------------------------------------------------
 
-    def band_symbol(self, k: int):
-        """Dyadic band multiplier: lowpass(|xi|) for k=0, bandpass(2^-k |xi|) else."""
-        if k < 0:
-            raise ValueError("band index must be >= 0")
-        if k == 0:
-            return lambda xi: self.lowpass(np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))
-        scale = 2.0**-k
-        return lambda xi: self.bandpass(scale * np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))
-
     def lowpass_sum(self, r, bands: int):
         """lowpass(r) + sum_{k=1..bands} bandpass(2^-k r); telescopes to 1."""
         total = self.lowpass(r)

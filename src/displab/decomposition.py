@@ -1,5 +1,5 @@
-"""Frequency decompositions: dyadic bands, cube projections, and the
-near-diagonal bilinear split of products of elliptic-phase evolutions.
+"""The near-diagonal bilinear split of products of elliptic-phase evolutions,
+and the bilinear adjoint-restriction diagnostic.
 
 The bilinear pieces group frequency pairs (xi, eta) by their dyadic
 separation 2^j lam^{-1/2}; summing the pieces reconstructs the product
@@ -13,97 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoffs import CutoffSpec, make_cutoffs
-from .errors import GridAdequacyError, SeparationError, TractabilityError
+from .errors import SeparationError, TractabilityError
 from .grid import FREQUENCY, Field
 from .norms import admissibility_threshold, lp_norm, mixed_spacetime_norm
-from .propagator import DispersionParams, EllipticPhase, Trajectory, elliptic_evolve, evolve
+from .propagator import EllipticPhase, Trajectory, elliptic_evolve
 from .spectral import apply_symbol, dft_inverse, to_frequency, to_physical
-
-
-@dataclass(frozen=True)
-class BandIndex:
-    """Dyadic band 2^k; k = 0 is the low band."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("band index must be >= 0")
-
-
-@dataclass(frozen=True)
-class CubeIndex:
-    """Cube of side ~ 2^j lam^(-1/2) centered at 2^j lam^(-1/2) * n."""
-
-    j: int
-    n: tuple
-    lam: float
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("cube scale index must be >= 0")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-
-    @property
-    def side(self) -> float:
-        return 2.0**self.j / np.sqrt(self.lam)
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.side * np.asarray(self.n, dtype=float)
-
-
-def band_project(field: Field, k: int | BandIndex, cutoffs: CutoffSpec | None = None) -> Field:
-    """Smooth dyadic band projection; bands sum to the identity on band-limited data."""
-    k = k.k if isinstance(k, BandIndex) else int(k)
-    cut = cutoffs or make_cutoffs(dim=field.grid.dim)
-    if k >= 1 and 2.0 ** (k + 1) > field.grid.nyquist:
-        raise GridAdequacyError(
-            f"band {k} has support up to 2^{k + 1}, beyond nyquist {field.grid.nyquist:.4g}"
-        )
-    return apply_symbol(field, cut.band_symbol(k))
-
-
-def evolve_band(field: Field, k: int | BandIndex, t: float, params: DispersionParams) -> Field:
-    """The band-restricted propagator: evolve after the band projection."""
-    return evolve(band_project(field, k), t, params, headroom=0.0)
-
-
-def cube_project(field: Field, cube: CubeIndex, cutoffs: CutoffSpec | None = None) -> Field:
-    """Projection onto the cube partition member indexed by ``cube``."""
-    cut = cutoffs or make_cutoffs(dim=field.grid.dim)
-    grid = field.grid
-    if np.any(np.abs(cube.center) - 0.6 * cube.side > grid.nyquist):
-        raise GridAdequacyError("cube lies outside the representable frequency range")
-    inv_side = 1.0 / cube.side
-    n = np.asarray(cube.n, dtype=float).reshape(grid.dim, *([1] * grid.dim))
-
-    def symbol(xi):
-        return cut.cell(np.asarray(xi) * inv_side - n)
-
-    return apply_symbol(field, symbol)
-
-
-def active_cubes(field: Field, j: int, lam: float, rel_tol: float = 1e-13) -> list[CubeIndex]:
-    """Cube indices whose member can overlap the field's active spectrum."""
-    spec = to_frequency(field)
-    mag = np.abs(spec.samples)
-    active = mag > rel_tol * max(mag.max(), 1e-300)
-    if not active.any():
-        return []
-    mesh = field.grid.frequency_mesh()
-    side = 2.0**j / np.sqrt(lam)
-    grids = [mesh[a][active] / side for a in range(field.grid.dim)]
-    lo = [int(np.floor(g.min() - 0.6)) for g in grids]
-    hi = [int(np.ceil(g.max() + 0.6)) for g in grids]
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    out = []
-    idx = np.stack([g for g in np.meshgrid(*ranges, indexing="ij")]).reshape(field.grid.dim, -1)
-    for col in idx.T:
-        out.append(CubeIndex(j=j, n=tuple(col), lam=lam))
-    return out
 
 
 def separation_weight(j: int, lam: float, xi, eta, cutoffs: CutoffSpec | None = None):
@@ -328,16 +242,3 @@ def _joint_support_diameter(h1: Field, h2: Field, rel_tol: float = 1e-12) -> flo
         pts.append(np.stack([mesh[a][active] for a in range(h.grid.dim)], axis=1))
     allpts = np.concatenate(pts, axis=0)
     return float(np.sqrt(((allpts.max(axis=0) - allpts.min(axis=0)) ** 2).sum()))
-
-
-def elliptic_operator_ratio(f: Field, p: float, lam: float, ep: EllipticPhase, t_count: int = 0) -> float:
-    """|| Sf ||_{L^p(box x [0, lam])} / ( lam^{d(1/2-1/p)} ||f||_p ): boundedness diagnostic."""
-    dim = f.grid.dim
-    denom = lam ** (dim * (0.5 - 1.0 / p)) * lp_norm(to_physical(f), p)
-    if denom == 0.0:
-        return 0.0
-    t_count = t_count or max(64, int(4 * lam))
-    ts = np.linspace(0.0, lam, t_count)
-    frames = tuple(to_physical(elliptic_evolve(f, float(t), ep)) for t in ts)
-    traj = Trajectory(f.grid, tuple(ts), frames)
-    return float(mixed_spacetime_norm(traj, p) / denom)

@@ -114,10 +114,6 @@ class GridSpec:
         """Stacked frequency coordinates in wrapped order, shape (dim, N, ..., N)."""
         return _frequency_mesh(self)
 
-    def frequency_radii(self) -> np.ndarray:
-        """|xi| on the wrapped lattice, shape (N, ..., N)."""
-        return _frequency_radii(self)
-
 
 @lru_cache(maxsize=32)
 def _point_mesh(grid: GridSpec) -> np.ndarray:
@@ -133,12 +129,6 @@ def _frequency_mesh(grid: GridSpec) -> np.ndarray:
     axes = [grid.axis_frequencies()] * grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     out = np.stack(mesh)
-    out.setflags(write=False)
-    return out
-
-@lru_cache(maxsize=32)
-def _frequency_radii(grid: GridSpec) -> np.ndarray:
-    out = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
     out.setflags(write=False)
     return out
 

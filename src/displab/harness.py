@@ -51,7 +51,7 @@ from .extremizers import (
     unit_annulus_field,
     unit_profile_grid,
 )
-from .grid import Field, GridSpec, max_grid_points, quadrature_node_budget
+from .grid import GridSpec, max_grid_points, quadrature_node_budget
 from .norms import (
     _time_weights,
     admissibility_threshold,
@@ -405,6 +405,19 @@ def expected_slope(cfg: SweepConfig) -> float:
     return critical_exponent(cfg.family, cfg.alpha, cfg.dim, cfg.p) - cfg.beta
 
 
+def slope_verdict(records, expected: float, tolerance: float) -> Verdict:
+    """Fit the records' log-log slope; it passes within ``tolerance`` of ``expected``.
+
+    The one place a slope verdict is decided, for `verify_sharpness` and
+    the CLI's sweep command alike.
+    """
+    fit = fit_loglog(records)
+    return Verdict(
+        slope=fit.slope, expected_slope=expected, tolerance=tolerance,
+        passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),
+    )
+
+
 def _require_sweepable(cfg: SweepConfig) -> None:
     if len(cfg.lambdas) < 4:
         raise ValueError("verdicts need at least 4 scales in the sweep")
@@ -417,13 +430,7 @@ def verify_sharpness(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
         raise ValueError("sharpness sweeps need the mixed space-time norm")
     if cfg.family == "smoothing" and not cfg.p > admissibility_threshold(cfg.dim):
         raise ValueError(f"p must exceed {admissibility_threshold(cfg.dim):.4g}")
-    records = run_sweep(cfg)
-    fit = fit_loglog(records)
-    expected = expected_slope(cfg)
-    return Verdict(
-        slope=fit.slope, expected_slope=expected, tolerance=tolerance,
-        passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),
-    )
+    return slope_verdict(run_sweep(cfg), expected_slope(cfg), tolerance)
 
 
 def verify_maximal_necessary(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
@@ -452,31 +459,3 @@ def verify_airy(cfg: SweepConfig, tolerance: float = 0.1) -> Verdict:
     if cfg.family != "airy":
         raise ValueError("verify_airy needs family='airy'")
     return verify_sharpness(cfg, tolerance)
-
-
-def random_band_upper_bound_check(
-    alpha: float, p: float, bands=(3, 4, 5, 6), seed: int = 0, points: int = 2**12
-) -> float:
-    """Spot check of the per-band space-time bound on random band-limited data.
-
-    Returns the largest measured constant
-    ||T_k f||_{L^p(dx dt)} / (2^{k beta(p)} ||f||_p) over the requested
-    bands; the bound predicts this stays O(1) in the band.  A diagnostic,
-    not a certification.
-    """
-    from .decomposition import band_project
-
-    rng = np.random.default_rng(seed)
-    beta_p = smoothing_exponent(alpha, 1, p)
-    params = DispersionParams(alpha, 1)
-    worst = 0.0
-    for k in bands:
-        grid = GridSpec(1, points, np.pi * points / (2 * 2.0 ** (k + 3)))
-        coef = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
-        raw = Field(grid, "frequency", coef)
-        f = to_physical(band_project(raw, k))
-        ts = np.linspace(0.0, 1.0, 65)
-        num = (evolved_lp_norms(f, ts, params, p) @ _time_weights(ts, (0.0, 1.0))) ** (1.0 / p)
-        den = 2.0 ** (k * beta_p) * lp_norm(f, p)
-        worst = max(worst, float(num / den))
-    return worst

@@ -1,4 +1,5 @@
-"""Discrete norms and the critical-exponent formulas.
+"""Discrete L^p, mixed space-time and Bessel-weighted norms, and the
+critical-exponent formulas.
 
 Physical-side norms use the cell measure (2L/N)^d; frequency-side norms use
 the lattice measure (pi/L)^d, so the two L^2 norms satisfy the discrete
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cutoffs import make_cutoffs
 from .grid import FREQUENCY, Field
 from .propagator import Trajectory
 from .spectral import apply_symbol
@@ -58,14 +58,6 @@ def mixed_spacetime_norm(traj: Trajectory, p: float, interval: tuple[float, floa
     return float((vals @ w) ** (1.0 / p))
 
 
-def maximal_norm(traj: Trajectory, p: float) -> float:
-    """L^p norm of the pointwise sup over the sampled times."""
-    sup = np.abs(traj.frames[0].samples).copy()
-    for fr in traj.frames[1:]:
-        np.maximum(sup, np.abs(fr.samples), out=sup)
-    return lp_norm(traj.frames[0].with_samples(sup), p)
-
-
 def bessel_symbol(beta: float):
     def symbol(xi):
         return (1.0 + (np.asarray(xi) ** 2).sum(axis=0)) ** (beta / 2.0)
@@ -78,23 +70,6 @@ def sobolev_norm(field: Field, p: float, beta: float) -> float:
     if beta == 0.0:
         return lp_norm(field, p)
     return lp_norm(apply_symbol(field, bessel_symbol(beta)), p)
-
-
-def besov_norm(field: Field, p: float, beta: float, q: float, max_band: int | None = None) -> float:
-    """(sum_k 2^(k beta q) ||band_k f||_p^q)^(1/q) over the grid's dyadic bands."""
-    cut = make_cutoffs(dim=field.grid.dim)
-    if max_band is None:
-        max_band = int(np.floor(np.log2(field.grid.nyquist))) - 1
-    if max_band < 0:
-        raise ValueError("grid too small to carry any dyadic band")
-    terms = []
-    for k in range(max_band + 1):
-        piece = apply_symbol(field, cut.band_symbol(k))
-        terms.append((2.0 ** (k * beta)) * lp_norm(piece, p))
-    terms = np.array(terms)
-    if np.isinf(q):
-        return float(terms.max())
-    return float((terms**q).sum() ** (1.0 / q))
 
 
 # -- exponent formulas ---------------------------------------------------------

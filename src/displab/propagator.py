@@ -1,10 +1,12 @@
-"""Dispersive evolution operators and band-limited kernels.
+"""Dispersive evolution, the elliptic-phase operator and band-limited kernels.
 
-The flow is the Fourier multiplier e^{i t |xi|^alpha}; alpha = 2 is the
-classical free-particle flow and alpha = 3 on half-line spectra gives the
-one-sided cubic (Airy) flow.  The time orientation follows the multiplier
-as written: closed-form comparisons against the usual e^{i|x-y|^2/4t}
-kernel must flip the sign of t.
+The flow is the Fourier multiplier e^{i t |xi|^alpha}, whose symbol
+|xi|^alpha is formed once per grid (`_symbol_power`) for both `evolve`
+and `evolved_lp_norms`.  alpha = 2 is the classical free-particle flow;
+alpha = 3 on half-line spectra is the one-sided cubic (Airy) flow, so
+the cubic flow needs no operator of its own.  The time orientation
+follows the multiplier as written: closed-form comparisons against the
+usual e^{i|x-y|^2/4t} kernel must flip the sign of t.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
-from .cutoffs import make_cutoffs, smooth_step
+from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from .spectral import (
@@ -61,16 +63,6 @@ def ball_constant(alpha: float) -> float:
     return 1.0 if alpha < 1.0 else alpha * 2.0 ** (alpha - 1.0)
 
 
-def dispersion_symbol(t: float, params: DispersionParams):
-    alpha = params.alpha
-
-    def symbol(xi: np.ndarray) -> np.ndarray:
-        r2 = (np.asarray(xi) ** 2).sum(axis=0)
-        return np.exp(1j * t * r2 ** (alpha / 2.0))
-
-    return symbol
-
-
 def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1.0) -> Field:
     """Apply e^{i t |xi|^alpha}; representation matches the input.
 
@@ -82,12 +74,13 @@ def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1
         raise ValueError(f"grid dim {field.grid.dim} != params dim {params.dim}")
     if headroom:
         ensure_headroom(field, factor=headroom)
-    return apply_symbol(field, dispersion_symbol(t, params))
+    power = _symbol_power(field.grid, params.alpha)
+    return apply_symbol(field, lambda xi: np.exp(1j * t * power))
 
 
 @lru_cache(maxsize=16)
 def _symbol_power(grid: GridSpec, alpha: float) -> np.ndarray:
-    """|xi|^alpha on the wrapped lattice, formed as ``dispersion_symbol`` forms it."""
+    """|xi|^alpha on the wrapped lattice, the one form of the dispersion symbol."""
     out = (grid.frequency_mesh() ** 2).sum(axis=0) ** (alpha / 2.0)
     require_finite_symbol(grid, out)
     out.setflags(write=False)
@@ -244,20 +237,6 @@ def quadratic_phase(dim: int = 1, amplitude=None, support_box=None) -> EllipticP
     return make_elliptic_phase(phase, amplitude, support_box, dim=dim)
 
 
-def power_phase(alpha: float, dim: int = 1) -> EllipticPhase:
-    """|xi|^alpha with the annular bump amplitude (elliptic away from 0 for alpha > 1)."""
-    cut = make_cutoffs(dim=dim)
-
-    def phase(xi):
-        return ((np.asarray(xi) ** 2).sum(axis=0)) ** (alpha / 2.0)
-
-    def amplitude(xi):
-        return cut.annulus(np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))
-
-    box = [(-2.0, 2.0)] * dim
-    return make_elliptic_phase(phase, amplitude, box, dim=dim)
-
-
 def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
     """Apply amplitude * e^{i t phase}; the elliptic-phase operator at one time."""
     if not ep.hessian_probe > 0:
@@ -267,56 +246,6 @@ def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
 
     def symbol(xi):
         return np.asarray(ep.amplitude(xi)) * np.exp(1j * t * np.asarray(ep.phase(xi)))
-
-    return apply_symbol(field, symbol)
-
-
-def elliptic_values(field: Field, points: np.ndarray, t: float, ep: EllipticPhase) -> np.ndarray:
-    """Evaluate the elliptic-phase operator at arbitrary points by direct lattice sum.
-
-    ``points`` has shape (dim, n).  Exact (to roundoff) evaluation of the
-    same discrete object `elliptic_evolve` produces on the grid; used for
-    off-grid probes such as the parabolic rescaling check.
-    """
-    if not ep.hessian_probe > 0:
-        raise EllipticityError("phase fails the sampled ellipticity probe")
-    spec = to_frequency(field)
-    grid = field.grid
-    mesh = grid.frequency_mesh().reshape(grid.dim, -1)
-    weights = (
-        spec.samples.reshape(-1)
-        * np.asarray(ep.amplitude(mesh))
-        * np.exp(1j * t * np.asarray(ep.phase(mesh)))
-    )
-    active = np.abs(weights) > 1e-16 * max(np.abs(weights).max(), 1e-300)
-    mesh = mesh[:, active]
-    weights = weights[active]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    phases = pts.T @ mesh
-    scale = grid.frequency_cell_volume / (2.0 * np.pi) ** grid.dim
-    return scale * (np.exp(1j * phases) @ weights)
-
-
-# -- one-sided cubic flow ------------------------------------------------------
-
-
-def airy_evolve(field: Field, t: float) -> Field:
-    """Solve u_t + u_xxx = 0 via half-line spectral projections (d = 1 only).
-
-    The projections use a smooth transition of width one frequency cell
-    around 0, which is exact for mean-zero or annulus-supported data.
-    """
-    if field.grid.dim != 1:
-        raise ValueError("the cubic one-dimensional flow requires dim = 1")
-    step = smooth_step()
-    h = field.grid.frequency_spacing
-
-    def symbol(xi):
-        x = np.asarray(xi)[0]
-        plus = step(x / h + 0.5)
-        return plus * np.exp(1j * t * np.abs(x) ** 3) + (1.0 - plus) * np.exp(
-            -1j * t * np.abs(x) ** 3
-        )
 
     return apply_symbol(field, symbol)
 
@@ -376,9 +305,9 @@ def _band_spectrum(grid: GridSpec, scale: float, alpha: float) -> np.ndarray:
     |m_i| <= ceil(2 / h) + 1 per axis, which holds every nonzero entry, and
     the phase only where the amplitude is nonzero; the rest of the lattice
     is the zero it is allocated as.  Each frequency is computed as
-    `GridSpec.axis_frequencies` computes it and the radii as
-    `GridSpec.frequency_radii` sums them, so every entry is bit for bit the
-    lattice-wide formula.  The box arrays are freed on return, before the
+    `GridSpec.axis_frequencies` computes it and the radii as the square
+    root of the summed squares of `GridSpec.frequency_mesh`, so every entry
+    is bit for bit the lattice-wide formula.  The box arrays are freed on return, before the
     inverse transform allocates.
     """
     n = grid.points

@@ -101,15 +101,6 @@ def require_finite_symbol(grid: GridSpec, values: np.ndarray) -> None:
         raise ValueError(f"symbol evaluated to a non-finite value at xi = {xi}")
 
 
-def radial(fn):
-    """Lift a function of |xi| to a symbol over the stacked mesh."""
-
-    def symbol(xi: np.ndarray) -> np.ndarray:
-        return fn(np.sqrt((xi**2).sum(axis=0)))
-
-    return symbol
-
-
 def spectral_radius(field: Field, rel_tol: float = 1e-9) -> float:
     """Largest |xi_i| (per-axis) carrying relative spectral mass above rel_tol."""
     spectrum = to_frequency(field)

@@ -5,6 +5,7 @@ import pytest
 
 from displab.cli import main
 from displab.grid import load_field
+from displab.harness import SweepConfig, verify_sharpness
 from displab.norms import airy_exponent, maximal_necessary_exponent, smoothing_exponent
 
 
@@ -157,6 +158,36 @@ def test_config_file_precedence(tmp_path, capsys):
                        "--lambdas", "16,32")
     assert code == 0
     assert '"lambdas": "16,32"' in out.splitlines()[1]  # flag overrode the file
+
+
+def test_config_file_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg), "--lambdas", "16,32")
+    assert code == 2
+    assert err.startswith("error:") and "JSON object" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_config_file_unknown_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamdbas": "16,32", "alpha": 2.0}))
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "unknown keys ['lamdbas']" in err
+    assert out == ""  # nothing ran
+
+
+def test_sweep_verdict_is_the_library_verdict(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "smoothing", "--alpha", "2", "--p", "6",
+                       "--lambdas", "16,32,64,128", "--format", "json")
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, smoothing_exponent(2.0, 1, 6.0),
+                      (16.0, 32.0, 64.0, 128.0))
+    library = verify_sharpness(cfg, 0.1)
+    assert (verdict["slope"], verdict["expected_slope"], verdict["passed"]) == (
+        library.slope, library.expected_slope, library.passed)
 
 
 def test_unknown_diagnostic(capsys):

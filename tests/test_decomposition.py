@@ -3,127 +3,17 @@ import pytest
 
 from displab.cutoffs import make_cutoffs
 from displab.decomposition import (
-    BandIndex,
-    CubeIndex,
-    active_cubes,
-    band_project,
     bilinear_piece,
     bilinear_reconstruction_residual,
     bilinear_restriction_ratio,
-    cube_project,
-    elliptic_operator_ratio,
-    evolve_band,
     relevant_piece_indices,
     separation_weight,
     support_separation,
 )
-from displab.errors import GridAdequacyError, SeparationError, TractabilityError
+from displab.errors import SeparationError, TractabilityError
 from displab.grid import FREQUENCY, Field, GridSpec
-from displab.norms import lp_norm
-from displab.propagator import DispersionParams, evolve, quadratic_phase
+from displab.propagator import quadratic_phase
 from displab.spectral import to_physical
-
-
-def annulus_field(grid, rng, lo=0.9, hi=1.1):
-    mesh = grid.frequency_mesh()[0]
-    coef = np.where((np.abs(mesh) > lo) & (np.abs(mesh) < hi),
-                    rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points), 0.0)
-    return to_physical(Field(grid, FREQUENCY, coef))
-
-
-def test_band_indices_validation():
-    BandIndex(0)
-    with pytest.raises(ValueError):
-        BandIndex(-1)
-    with pytest.raises(ValueError):
-        CubeIndex(-1, (0,), 16.0)
-
-
-def test_thin_annulus_splits_between_bands(rng):
-    g = GridSpec(1, 512, 40.0)
-    f = annulus_field(g, rng)
-    b0 = band_project(f, 0)
-    b1 = band_project(f, 1)
-    rest = band_project(f, 2)
-    scale = np.abs(f.samples).max()
-    assert np.abs(b0.samples + b1.samples - f.samples).max() <= 1e-12 * scale
-    assert np.abs(rest.samples).max() <= 1e-12 * scale
-
-
-def test_band_telescoping(rng):
-    g = GridSpec(1, 1024, 32.0)
-    mesh = g.frequency_mesh()[0]
-    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    coef[np.abs(mesh) > 8.0] = 0.0  # spectrum below 2^(K-1) with K = 4
-    f = to_physical(Field(g, FREQUENCY, coef))
-    total = np.zeros(1024, dtype=complex)
-    for k in range(0, 5):
-        total += band_project(f, k).samples
-    assert np.abs(total - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
-
-
-def test_band_energy_overlap_window(rng):
-    g = GridSpec(1, 1024, 32.0)
-    mesh = g.frequency_mesh()[0]
-    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    coef[np.abs(mesh) > 8.0] = 0.0
-    f = to_physical(Field(g, FREQUENCY, coef))
-    energy = sum(lp_norm(band_project(f, k), 2.0) ** 2 for k in range(5))
-    total = lp_norm(f, 2.0) ** 2
-    assert 0.5 * total <= energy <= 2.0 * total
-
-
-def test_band_beyond_nyquist():
-    g = GridSpec(1, 64, 8.0)
-    with pytest.raises(GridAdequacyError):
-        band_project(Field.zeros(g), 6)
-
-
-def test_evolve_band_is_composition(rng):
-    g = GridSpec(1, 512, 40.0)
-    f = annulus_field(g, rng)
-    params = DispersionParams(2.0, 1)
-    lhs = evolve_band(f, 1, 0.6, params)
-    rhs = evolve(band_project(f, 1), 0.6, params, headroom=0.0)
-    assert np.abs(lhs.samples - rhs.samples).max() < 1e-13
-
-
-def test_cube_reconstruction(rng):
-    g = GridSpec(1, 1024, 32.0)
-    mesh = g.frequency_mesh()[0]
-    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    coef[np.abs(mesh) > 8.0] = 0.0
-    f = to_physical(Field(g, FREQUENCY, coef))
-    total = np.zeros(1024, dtype=complex)
-    for cube in active_cubes(f, 2, 64.0):
-        total += cube_project(f, cube).samples
-    assert np.abs(total - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
-
-
-def test_cube_plateau_captures_narrow_data(rng):
-    lam, j = 64.0, 1
-    side = 2.0**j / np.sqrt(lam)  # 0.25
-    g = GridSpec(1, 1024, 64 * np.pi)  # frequency spacing 1/64
-    mesh = g.frequency_mesh()[0]
-    center = 8 * side  # center of cube n=8
-    coef = np.where(np.abs(mesh - center) < 0.15 * side,
-                    rng.standard_normal(1024) + 1j * rng.standard_normal(1024), 0.0)
-    f = to_physical(Field(g, FREQUENCY, coef))
-    captured = cube_project(f, CubeIndex(j, (8,), lam))
-    assert np.abs(captured.samples - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
-    far = cube_project(f, CubeIndex(j, (11,), lam))
-    assert np.abs(far.samples).max() <= 1e-12 * np.abs(f.samples).max()
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
-def test_cube_lp_stability(p, rng):
-    g = GridSpec(1, 1024, 32.0)
-    mesh = g.frequency_mesh()[0]
-    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    coef[np.abs(mesh) > 4.0] = 0.0
-    f = to_physical(Field(g, FREQUENCY, coef))
-    total = sum(lp_norm(cube_project(f, c), p) ** p for c in active_cubes(f, 1, 64.0))
-    assert total ** (1.0 / p) <= 4.0 * lp_norm(f, p)
 
 
 def test_separation_weight_support_and_telescoping(rng):
@@ -279,14 +169,3 @@ def test_restriction_ratio_bounded_in_lam():
     ratios = np.array([bilinear_restriction_ratio(h1, h2, 6.0, lam, ep) for lam in lams])
     slope = np.polyfit(np.log(lams), np.log(ratios), 1)[0]
     assert slope <= 0.05
-
-
-@pytest.mark.slow
-def test_elliptic_operator_ratio_bounded(rng):
-    g = GridSpec(1, 512, 200.0)
-    mesh = g.frequency_mesh()[0]
-    coef = np.where(np.abs(mesh) < 1.0, rng.standard_normal(512) + 1j * rng.standard_normal(512), 0)
-    f = to_physical(Field(g, FREQUENCY, coef))
-    ep = quadratic_phase()
-    ratios = [elliptic_operator_ratio(f, 6.0, lam, ep) for lam in (16.0, 64.0, 128.0)]
-    assert max(ratios) / min(ratios) < 2.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from displab.cutoffs import make_cutoffs
+from displab.grid import FREQUENCY, Field, GridSpec
 from displab.harness import (
     FOCUSING_SAMPLES,
     SweepConfig,
@@ -8,13 +10,14 @@ from displab.harness import (
     direct_smoothing_record,
     fit_loglog,
     focusing_s_grid,
-    random_band_upper_bound_check,
     run_sweep,
     verify_airy,
     verify_maximal_necessary,
     verify_sharpness,
 )
-from displab.norms import airy_exponent, smoothing_exponent
+from displab.norms import _time_weights, airy_exponent, lp_norm, smoothing_exponent
+from displab.propagator import DispersionParams, evolved_lp_norms
+from displab.spectral import apply_symbol, to_physical
 
 
 def records_from(lams, ratios):
@@ -232,6 +235,32 @@ def test_verify_airy_contract():
     # boundary exponent: p = 4 sits at the zero of the endpoint formula
     verdict = verify_airy(SweepConfig("airy", 3.0, 1, 4.0, 0.0, lams), 0.1)
     assert verdict.passed and abs(verdict.slope) <= 0.1
+
+
+def random_band_upper_bound_check(alpha: float, p: float, bands) -> float:
+    """Spot check of the per-band space-time bound on random band-limited data.
+
+    Returns the largest measured constant
+    ||T_k f||_{L^p(dx dt)} / (2^{k beta(p)} ||f||_p) over the requested
+    bands; the bound predicts this stays O(1) in the band.  A diagnostic,
+    not a certification.
+    """
+    rng = np.random.default_rng(0)
+    beta_p = smoothing_exponent(alpha, 1, p)
+    params = DispersionParams(alpha, 1)
+    bandpass = make_cutoffs(dim=1).bandpass
+    points = 2**12
+    worst = 0.0
+    for k in bands:
+        grid = GridSpec(1, points, np.pi * points / (2 * 2.0 ** (k + 3)))
+        coef = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
+        raw = Field(grid, FREQUENCY, coef)
+        f = to_physical(apply_symbol(raw, lambda xi: bandpass(2.0**-k * np.abs(xi[0]))))
+        ts = np.linspace(0.0, 1.0, 65)
+        num = (evolved_lp_norms(f, ts, params, p) @ _time_weights(ts, (0.0, 1.0))) ** (1.0 / p)
+        den = 2.0 ** (k * beta_p) * lp_norm(f, p)
+        worst = max(worst, float(num / den))
+    return worst
 
 
 @pytest.mark.slow

@@ -8,11 +8,9 @@ from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import (
     admissibility_threshold,
     airy_exponent,
-    besov_norm,
     lp_norm,
     maximal_exponent,
     maximal_necessary_exponent,
-    maximal_norm,
     mixed_spacetime_norm,
     smoothing_exponent,
     sobolev_norm,
@@ -87,21 +85,6 @@ def test_mixed_norm_time_refinement_consistency():
     assert abs(fine - coarse) / fine < 0.01
 
 
-def test_maximal_norm_basics():
-    traj = _gaussian_trajectory(np.linspace(0, 1, 17))
-    m = maximal_norm(traj, 4.0)
-    for frame in traj.frames:
-        assert m >= lp_norm(frame, 4.0) - 1e-12
-    single = _gaussian_trajectory([0.3])
-    assert maximal_norm(single, 4.0) == pytest.approx(lp_norm(single.frames[0], 4.0))
-
-
-def test_maximal_norm_refinement_consistency():
-    coarse = maximal_norm(_gaussian_trajectory(np.linspace(0, 1, 33)), 4.0)
-    fine = maximal_norm(_gaussian_trajectory(np.linspace(0, 1, 65)), 4.0)
-    assert abs(fine - coarse) / fine < 0.01
-
-
 def test_sobolev_norm_beta_zero_and_single_mode(rng):
     g = GridSpec(1, 128, 6.0)
     f = Field(g, PHYSICAL, rng.standard_normal(128) + 1j * rng.standard_normal(128))
@@ -123,33 +106,6 @@ def test_sobolev_annulus_equivalence(rng):
             ratio = sobolev_norm(f, p, beta) / (lam**beta * lp_norm(f, p))
             slack = 1.15
             assert 2.0 ** -abs(beta) / slack <= ratio <= 2.0 ** abs(beta) * slack
-
-
-def test_besov_single_mode_band():
-    g = GridSpec(1, 1024, 16 * np.pi)
-    xi0 = 8.0  # dead center of band k=3, where the neighbors vanish
-    m0 = round(xi0 / g.frequency_spacing)
-    spectrum = np.zeros(1024, dtype=complex)
-    spectrum[m0] = 1.0
-    f = to_physical(Field(g, FREQUENCY, spectrum))
-    beta, p = 0.7, 4.0
-    got = besov_norm(f, p, beta, 1.0)
-    assert got == pytest.approx(2.0 ** (3 * beta) * lp_norm(f, p), rel=1e-10)
-
-
-def test_besov_l2_overlap_window(rng):
-    g = GridSpec(1, 512, 10.0)
-    f = Field(g, PHYSICAL, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-    got = besov_norm(f, 2.0, 0.0, 2.0)
-    n2 = lp_norm(f, 2.0)
-    assert 0.5 * n2 <= got <= 2.0 * n2
-
-
-def test_besov_monotone_in_beta(rng):
-    g = GridSpec(1, 256, 5.0)
-    f = Field(g, PHYSICAL, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    vals = [besov_norm(f, 2.0, b, 2.0) for b in (0.0, 0.5, 1.0)]
-    assert vals[0] <= vals[1] <= vals[2]
 
 
 # -- exponent formulas --------------------------------------------------------------

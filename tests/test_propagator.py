@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from displab.chirpquad import nonstationary_bound
-from displab.cutoffs import make_cutoffs
+from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import EllipticityError, GridAdequacyError, SizingError
+from displab.extremizers import unit_annulus_field, unit_profile_grid
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
@@ -15,17 +16,14 @@ from displab.propagator import (
     Trajectory,
     _band_spectrum,
     _outside_mass_bound,
-    airy_evolve,
     ball_constant,
     band_kernel,
     elliptic_evolve,
-    elliptic_values,
     evolve,
     evolve_trajectory,
     evolved_lp_norms,
     kernel_tail_mass,
     make_elliptic_phase,
-    power_phase,
     quadratic_phase,
 )
 from displab.spectral import apply_symbol, to_physical
@@ -178,7 +176,6 @@ def test_evolve_two_dimensional(rng):
 @pytest.mark.parametrize("one_sided", [False, True])
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
 def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
-    from displab.extremizers import unit_annulus_field, unit_profile_grid
     from displab.propagator import _BLOCK_SAMPLES
 
     grid = unit_profile_grid()
@@ -257,7 +254,11 @@ def test_elliptic_power_phase_matches_evolve(rng):
     mesh = g.frequency_mesh()[0]
     coef = cut.annulus(np.abs(mesh)) * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
     f = to_physical(Field(g, FREQUENCY, coef))
-    ep = power_phase(alpha)
+    ep = make_elliptic_phase(
+        lambda xi: (np.asarray(xi) ** 2).sum(axis=0) ** (alpha / 2.0),
+        lambda xi: cut.annulus(np.sqrt((np.asarray(xi) ** 2).sum(axis=0))),
+        [(-2.0, 2.0)],
+    )
     t = 0.8
     lhs = elliptic_evolve(f, t, ep)
     # the annulus amplitude is already 1 on the data support
@@ -273,72 +274,37 @@ def test_elliptic_rejects_degenerate_phase():
         elliptic_evolve(Field.zeros(g), 0.5, flat)
 
 
-def test_parabolic_rescaling_identity():
-    """Both sides on independent grids agree at probe points."""
-    xi0 = 0.5
-    amp = lambda xi: np.ones_like(np.asarray(xi)[0])  # noqa: E731
-    ep = make_elliptic_phase(lambda xi: 0.5 * (np.asarray(xi) ** 2).sum(axis=0), amp, [(-2, 2)])
-    probes = np.array([[-1.3, 0.2, 0.9, 2.4]])
-    for delta in (0.5, 0.25):
-        g = GridSpec(1, 4096, 480.0)
-        gs = GridSpec(1, 4096, 480.0 / delta)
-
-        def fhat(xi):
-            return np.exp(-(((xi - xi0) / (0.15 * delta)) ** 2)) * np.exp(1j * 3 * xi)
-
-        f = Field(g, FREQUENCY, fhat(g.frequency_mesh()[0]))
-        f_star = Field(gs, FREQUENCY, delta * fhat(xi0 + delta * gs.frequency_mesh()[0]))
-        for t in (0.7, 1.9):
-            lhs = elliptic_values(f, probes, t, ep)
-            rhs = np.exp(1j * (probes[0] * xi0 + t * 0.5 * xi0**2)) * elliptic_values(
-                f_star, delta * (probes + t * xi0), delta**2 * t, ep
-            )
-            assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-6
-
-
 # -- one-sided cubic flow --------------------------------------------------------------
 
 
-def test_airy_identity_at_zero_mean_zero(rng):
-    g = GridSpec(1, 256, 10.0)
-    coef = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    coef[0] = 0.0
-    f = to_physical(Field(g, FREQUENCY, coef))
-    out = airy_evolve(f, 0.0)
-    assert np.abs(out.samples - f.samples).max() <= 1e-10 * np.abs(f.samples).max()
+def airy_evolve(field: Field, t: float) -> Field:
+    """Solve u_t + u_xxx = 0 via half-line spectral projections (d = 1 only).
+
+    The oracle of the airy sweep's flow: its own signed symbol xi^3, where
+    the sweep runs |xi|^3 on one-sided data.  The projections use a smooth
+    transition of width one frequency cell around 0, which is exact for
+    mean-zero or annulus-supported data.
+    """
+    step = smooth_step()
+    h = field.grid.frequency_spacing
+
+    def symbol(xi):
+        x = np.asarray(xi)[0]
+        plus = step(x / h + 0.5)
+        return plus * np.exp(1j * t * np.abs(x) ** 3) + (1.0 - plus) * np.exp(
+            -1j * t * np.abs(x) ** 3
+        )
+
+    return apply_symbol(field, symbol)
 
 
-def test_airy_plane_wave():
-    g = GridSpec(1, 256, 10.0)
-    xi0 = 9 * g.frequency_spacing
-    pw = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
-    out = airy_evolve(pw, 0.6)
-    assert np.abs(out.samples - np.exp(1j * 0.6 * xi0**3) * pw.samples).max() < 1e-11
-
-
-def test_airy_l2_conserved(rng):
-    g = GridSpec(1, 512, 15.0)
-    coef = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    coef[0] = 0.0
-    f = to_physical(Field(g, FREQUENCY, coef))
-    base = lp_norm(f, 2.0)
-    for t in np.linspace(0.0, 1.0, 5):
-        assert abs(lp_norm(airy_evolve(f, float(t)), 2.0) - base) / base < 1e-11
-
-
-def test_airy_requires_dim_one():
-    g = GridSpec(2, 16, 4.0)
-    with pytest.raises(ValueError):
-        airy_evolve(Field.zeros(g), 0.5)
-
-
-def test_airy_negative_frequency_branch():
-    g = GridSpec(1, 256, 10.0)
-    xi0 = -9 * g.frequency_spacing
-    pw = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
-    out = airy_evolve(pw, 0.6)
-    # u_t + u_xxx = 0 evolves every mode by e^{i t xi^3}
-    assert np.abs(out.samples - np.exp(1j * 0.6 * xi0**3) * pw.samples).max() < 1e-11
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0, 25.0, -3.0])
+def test_one_sided_cubic_evolve_is_the_airy_flow(t):
+    """The airy sweep's route, |xi|^3 on one-sided data, is the signed cubic flow."""
+    profile = unit_annulus_field(unit_profile_grid(), one_sided=True)
+    got = to_physical(evolve(profile, t, DispersionParams(3.0, 1))).samples
+    oracle = to_physical(airy_evolve(profile, t)).samples
+    assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 # -- band kernels -----------------------------------------------------------------------
@@ -381,7 +347,7 @@ def test_band_spectrum_is_the_full_lattice_formula(dim, log2_points, half_width,
     """The box-and-band construction is bit for bit the lattice-wide bandpass(r) e^{i S r^alpha}."""
     grid = GridSpec(dim, 2 ** min(log2_points, _BAND_LOG2_POINTS[dim]), half_width)
     spectrum = _band_spectrum(grid, scale, alpha)
-    r = grid.frequency_radii()
+    r = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
     full = make_cutoffs(dim=grid.dim).bandpass(r) * np.exp(1j * scale * r**alpha)
     assert np.array_equal(spectrum, full)
     assert not spectrum.flags.writeable

@@ -16,3 +16,50 @@ def test_library_has_no_assert_statements():
             tree = ast.parse(fh.read(), filename=name)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the checks the system runs besides the library and its CLI
+CHECKS = (os.path.join(ROOT, "tests", "test_acceptance.py"), os.path.join(ROOT, "perfbench", "workloads.py"))
+# nothing in the library calls it, but it is the documented reader of the CLI's --dump-fields format
+REACHED_BY_DOCUMENTATION = {"load_field"}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _references(tree) -> set:
+    """Names loaded in ``tree``, bare or as attributes; a definition's use of its own name is not counted."""
+    found = set()
+    for statement in tree.body:
+        names = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(statement.name)
+        found |= names
+    return found
+
+
+def test_every_public_name_is_reached():
+    """Every public function and class of the library is used by the library, its CLI or a check."""
+    library = {
+        name: _parse(os.path.join(SRC, name))
+        for name in sorted(os.listdir(SRC))
+        if name.endswith(".py") and name != "__init__.py"  # re-exports reach nothing
+    }
+    public = {
+        f"{module[:-3]}.{node.name}": node.name
+        for module, tree in library.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert public  # the walk must see the package
+    reached = set().union(*map(_references, library.values()), *map(_references, map(_parse, CHECKS)))
+    unreached = sorted(
+        qualified for qualified, name in public.items()
+        if name not in reached and name not in REACHED_BY_DOCUMENTATION
+    )
+    assert unreached == []
