@@ -117,3 +117,12 @@ def test_sharpness_knob_preserves_identities(rng):
     assert np.abs(cut.lowpass_sum(r, 7) - 1.0).max() <= 1e-12
     with pytest.raises(ValueError):
         make_cutoffs(smoothness_scale=-1.0)
+
+
+def test_band_symbol_support():
+    cut = make_cutoffs()
+    xi = np.stack([np.linspace(-20, 20, 801)])
+    k = 3
+    vals = cut.bandpass(2.0**-k * np.abs(xi[0]))
+    r = np.abs(xi[0])
+    assert vals[(r < 2.0 ** (k - 1)) | (r > 2.0 ** (k + 1))].max() == 0.0

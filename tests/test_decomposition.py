@@ -12,8 +12,126 @@ from displab.decomposition import (
 )
 from displab.errors import SeparationError, TractabilityError
 from displab.grid import FREQUENCY, Field, GridSpec
-from displab.propagator import quadratic_phase
-from displab.spectral import to_physical
+from displab.norms import lp_norm, mixed_spacetime_norm
+from displab.propagator import DispersionParams, Trajectory, elliptic_evolve, evolve, quadratic_phase
+from displab.spectral import apply_symbol, to_frequency, to_physical
+
+
+# -- dyadic bands and cube projections, applied with apply_symbol (d = 1) -----------------
+
+
+def annulus_field(grid, rng, lo=0.9, hi=1.1):
+    mesh = grid.frequency_mesh()[0]
+    coef = np.where((np.abs(mesh) > lo) & (np.abs(mesh) < hi),
+                    rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points), 0.0)
+    return to_physical(Field(grid, FREQUENCY, coef))
+
+
+def band_project(field, k):
+    """Dyadic band k: lowpass(|xi|) for k = 0, bandpass(2^-k |xi|) else."""
+    cut = make_cutoffs(dim=1)
+    if k == 0:
+        return apply_symbol(field, lambda xi: cut.lowpass(np.abs(xi[0])))
+    return apply_symbol(field, lambda xi: cut.bandpass(2.0**-k * np.abs(xi[0])))
+
+
+def cube_project(field, j, n, lam):
+    """Cube member n of side 2^j lam^(-1/2): cell(xi / side - n)."""
+    cut = make_cutoffs(dim=1)
+    side = 2.0**j / np.sqrt(lam)
+    return apply_symbol(field, lambda xi: cut.cell(np.asarray(xi) / side - n))
+
+
+def active_cubes(field, j, lam, rel_tol=1e-13):
+    """Indices n of the cube members that can overlap the field's active spectrum."""
+    mag = np.abs(to_frequency(field).samples)
+    active = field.grid.frequency_mesh()[0][mag > rel_tol * mag.max()] / (2.0**j / np.sqrt(lam))
+    return range(int(np.floor(active.min() - 0.6)), int(np.ceil(active.max() + 0.6)) + 1)
+
+
+def test_thin_annulus_splits_between_bands(rng):
+    g = GridSpec(1, 512, 40.0)
+    f = annulus_field(g, rng)
+    b0 = band_project(f, 0)
+    b1 = band_project(f, 1)
+    rest = band_project(f, 2)
+    scale = np.abs(f.samples).max()
+    assert np.abs(b0.samples + b1.samples - f.samples).max() <= 1e-12 * scale
+    assert np.abs(rest.samples).max() <= 1e-12 * scale
+
+
+def test_band_telescoping(rng):
+    g = GridSpec(1, 1024, 32.0)
+    mesh = g.frequency_mesh()[0]
+    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    coef[np.abs(mesh) > 8.0] = 0.0  # spectrum below 2^(K-1) with K = 4
+    f = to_physical(Field(g, FREQUENCY, coef))
+    total = np.zeros(1024, dtype=complex)
+    for k in range(0, 5):
+        total += band_project(f, k).samples
+    assert np.abs(total - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
+
+
+def test_band_energy_overlap_window(rng):
+    g = GridSpec(1, 1024, 32.0)
+    mesh = g.frequency_mesh()[0]
+    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    coef[np.abs(mesh) > 8.0] = 0.0
+    f = to_physical(Field(g, FREQUENCY, coef))
+    energy = sum(lp_norm(band_project(f, k), 2.0) ** 2 for k in range(5))
+    total = lp_norm(f, 2.0) ** 2
+    assert 0.5 * total <= energy <= 2.0 * total
+
+
+def test_evolve_band_is_composition(rng):
+    """Evolving a band projection is the one multiplier bandpass(2^-k |xi|) e^{i t |xi|^2}."""
+    g = GridSpec(1, 512, 40.0)
+    f = annulus_field(g, rng)
+    bandpass = make_cutoffs(dim=1).bandpass
+    lhs = apply_symbol(f, lambda xi: bandpass(0.5 * np.abs(xi[0])) * np.exp(0.6j * xi[0] ** 2))
+    rhs = evolve(band_project(f, 1), 0.6, DispersionParams(2.0, 1), headroom=0.0)
+    assert np.abs(lhs.samples - rhs.samples).max() < 1e-13
+
+
+def test_cube_reconstruction(rng):
+    g = GridSpec(1, 1024, 32.0)
+    mesh = g.frequency_mesh()[0]
+    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    coef[np.abs(mesh) > 8.0] = 0.0
+    f = to_physical(Field(g, FREQUENCY, coef))
+    total = np.zeros(1024, dtype=complex)
+    for n in active_cubes(f, 2, 64.0):
+        total += cube_project(f, 2, n, 64.0).samples
+    assert np.abs(total - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
+
+
+def test_cube_plateau_captures_narrow_data(rng):
+    lam, j = 64.0, 1
+    side = 2.0**j / np.sqrt(lam)  # 0.25
+    g = GridSpec(1, 1024, 64 * np.pi)  # frequency spacing 1/64
+    mesh = g.frequency_mesh()[0]
+    center = 8 * side  # center of cube n=8
+    coef = np.where(np.abs(mesh - center) < 0.15 * side,
+                    rng.standard_normal(1024) + 1j * rng.standard_normal(1024), 0.0)
+    f = to_physical(Field(g, FREQUENCY, coef))
+    captured = cube_project(f, j, 8, lam)
+    assert np.abs(captured.samples - f.samples).max() <= 1e-12 * np.abs(f.samples).max()
+    far = cube_project(f, j, 11, lam)
+    assert np.abs(far.samples).max() <= 1e-12 * np.abs(f.samples).max()
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_cube_lp_stability(p, rng):
+    g = GridSpec(1, 1024, 32.0)
+    mesh = g.frequency_mesh()[0]
+    coef = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    coef[np.abs(mesh) > 4.0] = 0.0
+    f = to_physical(Field(g, FREQUENCY, coef))
+    total = sum(lp_norm(cube_project(f, 1, n, 64.0), p) ** p for n in active_cubes(f, 1, 64.0))
+    assert total ** (1.0 / p) <= 4.0 * lp_norm(f, p)
+
+
+# -- the near-diagonal bilinear split ------------------------------------------------------
 
 
 def test_separation_weight_support_and_telescoping(rng):
@@ -169,3 +287,20 @@ def test_restriction_ratio_bounded_in_lam():
     ratios = np.array([bilinear_restriction_ratio(h1, h2, 6.0, lam, ep) for lam in lams])
     slope = np.polyfit(np.log(lams), np.log(ratios), 1)[0]
     assert slope <= 0.05
+
+
+@pytest.mark.slow
+def test_elliptic_operator_ratio_bounded(rng):
+    """|| Sf ||_{L^p(box x [0, lam])} / (lam^{1/2 - 1/p} ||f||_p) stays bounded in lam."""
+    g = GridSpec(1, 512, 200.0)
+    mesh = g.frequency_mesh()[0]
+    coef = np.where(np.abs(mesh) < 1.0, rng.standard_normal(512) + 1j * rng.standard_normal(512), 0)
+    f = to_physical(Field(g, FREQUENCY, coef))
+    ep = quadratic_phase()
+    ratios = []
+    for lam in (16.0, 64.0, 128.0):
+        ts = np.linspace(0.0, lam, max(64, int(4 * lam)))
+        frames = tuple(to_physical(elliptic_evolve(f, float(t), ep)) for t in ts)
+        traj = Trajectory(g, tuple(ts), frames)
+        ratios.append(mixed_spacetime_norm(traj, 6.0) / (lam ** (0.5 - 1.0 / 6.0) * lp_norm(f, 6.0)))
+    assert max(ratios) / min(ratios) < 2.0

@@ -26,6 +26,7 @@ from displab.grid import FREQUENCY, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import DispersionParams, evolve_trajectory
 from displab.spectral import dft_forward, dft_inverse, to_physical
+from test_norms import maximal_norm
 
 
 def smoothing_grid(lam, alpha, margin=1.1):
@@ -267,14 +268,6 @@ def test_ridge_value_at_origin_positive():
     vals = ridge_trace(32.0, 3.0, [0.0], 0.05)
     assert vals[0].real == pytest.approx(1.0, rel=1e-6)
     assert abs(vals[0].imag) < 1e-9
-
-
-def maximal_norm(traj, p: float) -> float:
-    """L^p norm of the pointwise sup of a trajectory's frames over its sampled times."""
-    sup = np.abs(traj.frames[0].samples).copy()
-    for fr in traj.frames[1:]:
-        np.maximum(sup, np.abs(fr.samples), out=sup)
-    return lp_norm(traj.frames[0].with_samples(sup), p)
 
 
 @pytest.mark.slow

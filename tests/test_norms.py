@@ -85,6 +85,29 @@ def test_mixed_norm_time_refinement_consistency():
     assert abs(fine - coarse) / fine < 0.01
 
 
+def maximal_norm(traj, p: float) -> float:
+    """L^p norm of the pointwise sup of a trajectory's frames over its sampled times."""
+    sup = np.abs(traj.frames[0].samples).copy()
+    for fr in traj.frames[1:]:
+        np.maximum(sup, np.abs(fr.samples), out=sup)
+    return lp_norm(traj.frames[0].with_samples(sup), p)
+
+
+def test_maximal_norm_basics():
+    traj = _gaussian_trajectory(np.linspace(0, 1, 17))
+    m = maximal_norm(traj, 4.0)
+    for frame in traj.frames:
+        assert m >= lp_norm(frame, 4.0) - 1e-12
+    single = _gaussian_trajectory([0.3])
+    assert maximal_norm(single, 4.0) == pytest.approx(lp_norm(single.frames[0], 4.0))
+
+
+def test_maximal_norm_refinement_consistency():
+    coarse = maximal_norm(_gaussian_trajectory(np.linspace(0, 1, 33)), 4.0)
+    fine = maximal_norm(_gaussian_trajectory(np.linspace(0, 1, 65)), 4.0)
+    assert abs(fine - coarse) / fine < 0.01
+
+
 def test_sobolev_norm_beta_zero_and_single_mode(rng):
     g = GridSpec(1, 128, 6.0)
     f = Field(g, PHYSICAL, rng.standard_normal(128) + 1j * rng.standard_normal(128))

@@ -26,7 +26,7 @@ from displab.propagator import (
     make_elliptic_phase,
     quadratic_phase,
 )
-from displab.spectral import apply_symbol, to_physical
+from displab.spectral import apply_symbol, to_frequency, to_physical
 
 
 def band_limited_field(grid, rng, radius_cells=0.2):
@@ -274,6 +274,37 @@ def test_elliptic_rejects_degenerate_phase():
         elliptic_evolve(Field.zeros(g), 0.5, flat)
 
 
+def values_at(field: Field, points: np.ndarray) -> np.ndarray:
+    """The field's trigonometric interpolant at off-grid ``points`` (shape (dim, n)), by direct lattice sum."""
+    grid = field.grid
+    mesh = grid.frequency_mesh().reshape(grid.dim, -1)
+    scale = grid.frequency_cell_volume / (2.0 * np.pi) ** grid.dim
+    return scale * (np.exp(1j * (points.T @ mesh)) @ to_frequency(field).samples.reshape(-1))
+
+
+def test_parabolic_rescaling_identity():
+    """Both sides on independent grids agree at probe points."""
+    xi0 = 0.5
+    amp = lambda xi: np.ones_like(np.asarray(xi)[0])  # noqa: E731
+    ep = make_elliptic_phase(lambda xi: 0.5 * (np.asarray(xi) ** 2).sum(axis=0), amp, [(-2, 2)])
+    probes = np.array([[-1.3, 0.2, 0.9, 2.4]])
+    for delta in (0.5, 0.25):
+        g = GridSpec(1, 4096, 480.0)
+        gs = GridSpec(1, 4096, 480.0 / delta)
+
+        def fhat(xi):
+            return np.exp(-(((xi - xi0) / (0.15 * delta)) ** 2)) * np.exp(1j * 3 * xi)
+
+        f = Field(g, FREQUENCY, fhat(g.frequency_mesh()[0]))
+        f_star = Field(gs, FREQUENCY, delta * fhat(xi0 + delta * gs.frequency_mesh()[0]))
+        for t in (0.7, 1.9):
+            lhs = values_at(elliptic_evolve(f, t, ep), probes)
+            rhs = np.exp(1j * (probes[0] * xi0 + t * 0.5 * xi0**2)) * values_at(
+                elliptic_evolve(f_star, delta**2 * t, ep), delta * (probes + t * xi0)
+            )
+            assert np.abs(lhs - rhs).max() / np.abs(lhs).max() < 1e-6
+
+
 # -- one-sided cubic flow --------------------------------------------------------------
 
 
@@ -285,6 +316,8 @@ def airy_evolve(field: Field, t: float) -> Field:
     transition of width one frequency cell around 0, which is exact for
     mean-zero or annulus-supported data.
     """
+    if field.grid.dim != 1:
+        raise ValueError("the cubic one-dimensional flow requires dim = 1")
     step = smooth_step()
     h = field.grid.frequency_spacing
 
@@ -296,6 +329,48 @@ def airy_evolve(field: Field, t: float) -> Field:
         )
 
     return apply_symbol(field, symbol)
+
+
+def test_airy_identity_at_zero_mean_zero(rng):
+    g = GridSpec(1, 256, 10.0)
+    coef = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    coef[0] = 0.0
+    f = to_physical(Field(g, FREQUENCY, coef))
+    out = airy_evolve(f, 0.0)
+    assert np.abs(out.samples - f.samples).max() <= 1e-10 * np.abs(f.samples).max()
+
+
+def test_airy_plane_wave():
+    g = GridSpec(1, 256, 10.0)
+    xi0 = 9 * g.frequency_spacing
+    pw = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
+    out = airy_evolve(pw, 0.6)
+    assert np.abs(out.samples - np.exp(1j * 0.6 * xi0**3) * pw.samples).max() < 1e-11
+
+
+def test_airy_l2_conserved(rng):
+    g = GridSpec(1, 512, 15.0)
+    coef = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    coef[0] = 0.0
+    f = to_physical(Field(g, FREQUENCY, coef))
+    base = lp_norm(f, 2.0)
+    for t in np.linspace(0.0, 1.0, 5):
+        assert abs(lp_norm(airy_evolve(f, float(t)), 2.0) - base) / base < 1e-11
+
+
+def test_airy_requires_dim_one():
+    g = GridSpec(2, 16, 4.0)
+    with pytest.raises(ValueError):
+        airy_evolve(Field.zeros(g), 0.5)
+
+
+def test_airy_negative_frequency_branch():
+    g = GridSpec(1, 256, 10.0)
+    xi0 = -9 * g.frequency_spacing
+    pw = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
+    out = airy_evolve(pw, 0.6)
+    # u_t + u_xxx = 0 evolves every mode by e^{i t xi^3}
+    assert np.abs(out.samples - np.exp(1j * 0.6 * xi0**3) * pw.samples).max() < 1e-11
 
 
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.0, 25.0, -3.0])
