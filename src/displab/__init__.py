@@ -34,6 +34,7 @@ from .extremizers import (
     make_maximal_extremizer,
     make_smoothing_extremizer,
     ridge_check,
+    smoothing_spectrum,
 )
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
 from .harness import (

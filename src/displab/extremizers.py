@@ -81,19 +81,22 @@ def _owned_spectrum(grid: GridSpec, fn) -> Field:
     """Frequency field of ``fn`` on the lattice, for an ``fn`` of this module.
 
     Each of them returns a fresh array, so it is frozen and handed to the
-    Field as it is, where `Field.from_spectrum` would copy it.
+    Field as it is, without a copy.
     """
     samples = np.asarray(fn(grid.frequency_mesh()), dtype=np.complex128)
     samples.setflags(write=False)
     return Field(grid, FREQUENCY, samples)
 
 
-def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
-    """The chirped annulus datum as a physical field on spec.grid.
+def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
+    """The chirped annulus datum's exact spectrum theta(|xi|/lam) e^{-i|xi|^alpha}.
 
-    ``allow_wrapped`` skips the spatial-extent requirement; the datum then
-    wraps around the box and only frequency-local quantities (such as the
-    refocused values near t = 1) remain faithful.
+    A frequency field on spec.grid, exactly zero off lam/2 < |xi| < 2 lam,
+    so the evolutions form their phase on the annulus alone; its inverse
+    transform is `make_smoothing_extremizer`.  ``allow_wrapped`` skips the
+    spatial-extent requirement; the datum then wraps around the box and
+    only frequency-local quantities (such as the refocused values near
+    t = 1) remain faithful.
     """
     if spec.family != SMOOTHING:
         raise ValueError("spec.family must be 'smoothing'")
@@ -118,7 +121,17 @@ def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False)
         r = np.sqrt((np.asarray(xi) ** 2).sum(axis=0))
         return cut.annulus(inv * r) * np.exp(-1j * r**alpha)
 
-    return to_physical(_owned_spectrum(grid, spectrum))
+    return _owned_spectrum(grid, spectrum)
+
+
+def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
+    """The chirped annulus datum as a physical field on spec.grid.
+
+    The inverse transform of `smoothing_spectrum`, with the same sizing
+    rules; its round-off spreads over the whole lattice, so the library's
+    evolutions start from the spectrum instead.
+    """
+    return to_physical(smoothing_spectrum(spec, allow_wrapped))
 
 
 def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
@@ -295,7 +308,10 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     Built on a small box with a mesh fine enough to resolve the 1/lam focal
     spot; the datum wraps spatially, which leaves the refocused values near
     t = 1 untouched because the solution there is concentrated at scale
-    1/lam.  The exact focus value at (0, 1) is lam^d (2 pi)^-d int theta.
+    1/lam.  Each frame is evolved from the exact spectrum
+    (`smoothing_spectrum`), so the phase is formed on the annulus alone.
+    The exact focus value at (0, 1) is lam^d (2 pi)^-d int theta, read from
+    the middle frame.
     """
     if spec.family != SMOOTHING:
         raise ValueError("focusing_check applies to the smoothing family")
@@ -306,17 +322,15 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     half_width = 40.0
     points = int(2 ** np.ceil(np.log2(2.0 * half_width * 40.0 * lam)))  # dx <= 1/(40 lam)
     grid = GridSpec(1, points, half_width)
-    datum = make_smoothing_extremizer(
-        ExtremizerSpec(SMOOTHING, lam, params, grid), allow_wrapped=True
-    )
+    datum = smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params, grid), allow_wrapped=True)
     x = grid.axis_points()
     window = np.abs(x) <= 1.0 / (10.0 * lam)
     t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**alpha)
     min_mod = np.inf
-    for t in t_vals:
+    for index, t in enumerate(t_vals):
         frame = to_physical(evolve(datum, float(t), params, headroom=0.0))
         min_mod = min(min_mod, float(np.abs(frame.samples[window]).min()))
-        if t == 1.0:
+        if index == _FOCUS_FRAMES // 2:  # t = 1
             focus_value = complex(frame.samples[grid.points // 2])
     predicted = lam * ANNULUS_INTEGRAL / (2.0 * np.pi)
     return FocusingReport(

@@ -187,11 +187,6 @@ class Field:
         return cls(grid, PHYSICAL, np.asarray(fn(grid.point_mesh()), dtype=np.complex128))
 
     @classmethod
-    def from_spectrum(cls, grid: GridSpec, fn) -> "Field":
-        """Frequency field sampled from ``fn(xi)`` with xi stacked, shape (dim, ...)."""
-        return cls(grid, FREQUENCY, np.asarray(fn(grid.frequency_mesh()), dtype=np.complex128))
-
-    @classmethod
     def zeros(cls, grid: GridSpec, representation: str = PHYSICAL) -> "Field":
         return cls(grid, representation, np.zeros(grid.shape, dtype=np.complex128))
 

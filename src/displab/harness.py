@@ -44,10 +44,10 @@ from .extremizers import (
     datum_lp_norm,
     datum_quadrature_nodes,
     faithful_horizon,
-    make_smoothing_extremizer,
     maximal_datum_norm,
     ridge_trace,
     smoothing_grid_requirements,
+    smoothing_spectrum,
     unit_annulus_field,
     unit_profile_grid,
 )
@@ -335,7 +335,10 @@ def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
 
     Sizing follows the datum requirements (nyquist >= 4 lam, half width >=
     8 C(alpha) lam^{alpha-1}); feasible only for small lam, which is the
-    point: it cross-validates the rescaled engine.
+    point: it cross-validates the rescaled engine.  The frames are evolved
+    from the datum's exact spectrum (`smoothing_spectrum`), so the phase is
+    formed on the annulus alone; the denominator measures its inverse
+    transform.
     """
     cap = max_grid_points()
     need_nyq, need_hw = smoothing_grid_requirements(lam, cfg.alpha)
@@ -349,14 +352,15 @@ def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     grid = GridSpec(1, points, half_width)
     params = DispersionParams(cfg.alpha, 1)
     spec = ExtremizerSpec(SMOOTHING, lam, params, grid)
-    datum = make_smoothing_extremizer(spec)
+    spectrum = smoothing_spectrum(spec)
     if cfg.datum_scale != 1.0:
-        datum = datum.with_samples(datum.samples * cfg.datum_scale)
+        spectrum = spectrum.with_samples(spectrum.samples * cfg.datum_scale)
     s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha)
     t_grid = 1.0 + s_grid / lam**cfg.alpha
     w = _time_weights(t_grid, (0.0, 1.0))
-    vals = evolved_lp_norms(datum, t_grid, params, cfg.p)
+    vals = evolved_lp_norms(spectrum, t_grid, params, cfg.p)
     numerator = float((vals @ w) ** (1.0 / cfg.p))
+    datum = to_physical(spectrum)  # the norms measure a field in its own representation
     if cfg.use_sobolev_denominator:
         denominator = sobolev_norm(datum, cfg.p, cfg.beta)
     else:

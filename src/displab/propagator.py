@@ -2,7 +2,11 @@
 
 The flow is the Fourier multiplier e^{i t |xi|^alpha}, whose symbol
 |xi|^alpha is formed once per grid (`_symbol_power`) for both `evolve`
-and `evolved_lp_norms`.  alpha = 2 is the classical free-particle flow;
+and `evolved_lp_norms`.  Both form the phase e^{i t |xi|^alpha} only on
+the spectral support, the lattice points where the spectrum is nonzero
+(`_spectral_support`); band-limited data such as the unit annulus skip
+most of the lattice, and off the support the evolved spectrum is the
+zero it is allocated as.  alpha = 2 is the classical free-particle flow;
 alpha = 3 on half-line spectra is the one-sided cubic (Airy) flow, so
 the cubic flow needs no operator of its own.  The time orientation
 follows the multiplier as written: closed-form comparisons against the
@@ -66,16 +70,25 @@ def ball_constant(alpha: float) -> float:
 def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1.0) -> Field:
     """Apply e^{i t |xi|^alpha}; representation matches the input.
 
-    ``headroom`` is the required ratio of Nyquist to the field's active
-    spectral radius (1.0: merely representable; callers wanting the strict
-    sizing policy pass 4.0).
+    The phase is formed only on the spectral support; every entry there is
+    bit for bit the full-lattice product, and the rest is zero.  A
+    non-finite ``t`` raises ValueError.  ``headroom`` is the required ratio
+    of Nyquist to the field's active spectral radius (1.0: merely
+    representable; callers wanting the strict sizing policy pass 4.0).
     """
-    if field.grid.dim != params.dim:
-        raise ValueError(f"grid dim {field.grid.dim} != params dim {params.dim}")
+    grid = field.grid
+    if grid.dim != params.dim:
+        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     if headroom:
         ensure_headroom(field, factor=headroom)
-    power = _symbol_power(field.grid, params.alpha)
-    return apply_symbol(field, lambda xi: np.exp(1j * t * power))
+    spectrum, support, power = _spectral_support(field, params.alpha)
+    evolved = np.zeros(grid.size, dtype=np.complex128)
+    evolved[support] = spectrum * np.exp(1j * t * power)
+    evolved.setflags(write=False)  # fresh array: the Field takes it without a copy
+    out = Field(grid, FREQUENCY, evolved)
+    return out if field.is_frequency else dft_inverse(out)
 
 
 @lru_cache(maxsize=16)
@@ -87,12 +100,24 @@ def _symbol_power(grid: GridSpec, alpha: float) -> np.ndarray:
     return out
 
 
+def _spectral_support(field: Field, alpha: float):
+    """The nonzero spectrum of ``field``, its flat lattice indices and |xi|^alpha there.
+
+    The one place where `evolve` and `evolved_lp_norms` find the support on
+    which they form the phase.
+    """
+    spectrum = to_frequency(field).samples.reshape(-1)
+    support = np.flatnonzero(spectrum)
+    return spectrum[support], support, _symbol_power(field.grid, alpha).reshape(-1)[support]
+
+
 def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.ndarray:
     """||e^{i t |xi|^alpha} field||_p^p in physical space, at every time in ``t``.
 
     Equals ``lp_norm(to_physical(evolve(field, t_i, params, headroom=0.0)), p) ** p``
-    up to roundoff, but forms |xi|^alpha once and evolves the frames in
-    blocks through one batched inverse transform each.
+    up to roundoff, but forms the phase only on the spectral support, as
+    `evolve` does, and evolves the frames in blocks through one batched
+    inverse transform each.
     """
     grid = field.grid
     if grid.dim != params.dim:
@@ -102,12 +127,7 @@ def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.
     t = np.asarray(t, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError("evolution times must be finite")
-    spectrum = to_frequency(field).samples.reshape(-1)
-    # the phase matters only where the spectrum is nonzero: band-limited
-    # data (such as the unit annulus) skip most of the lattice
-    support = np.flatnonzero(spectrum)
-    power = _symbol_power(grid, params.alpha).reshape(-1)[support]
-    spectrum = spectrum[support]
+    spectrum, support, power = _spectral_support(field, params.alpha)
     block = max(1, _BLOCK_SAMPLES // grid.size)
     out = np.empty(t.size)
     for start in range(0, t.size, block):

@@ -19,6 +19,7 @@ from displab.extremizers import (
     ridge_check,
     ridge_trace,
     smoothing_grid_requirements,
+    smoothing_spectrum,
     unit_annulus_field,
     unit_profile_grid,
 )
@@ -27,6 +28,7 @@ from displab.norms import lp_norm
 from displab.propagator import DispersionParams, evolve_trajectory
 from displab.spectral import dft_forward, dft_inverse, to_physical
 from test_norms import maximal_norm
+from test_propagator import full_lattice_evolve
 
 
 def smoothing_grid(lam, alpha, margin=1.1):
@@ -64,6 +66,17 @@ def test_smoothing_datum_spectrum(rng):
     # modulus equals the annulus bump exactly: the chirp is unimodular
     cut = make_cutoffs()
     assert np.abs(mag - cut.annulus(np.abs(mesh) / lam)).max() < 1e-11
+
+
+@pytest.mark.parametrize("lam", [16.0, 32.0])
+def test_smoothing_spectrum_is_exact_on_the_annulus(lam):
+    spec = ExtremizerSpec(SMOOTHING, lam, DispersionParams(2.0, 1), smoothing_grid(lam, 2.0))
+    spectrum = smoothing_spectrum(spec)
+    assert spectrum.is_frequency
+    r = np.abs(spec.grid.frequency_mesh()[0])
+    off = (r <= lam / 2) | (r >= 2 * lam)
+    assert np.all(spectrum.samples[off] == 0.0)
+    assert np.array_equal(to_physical(spectrum).samples, make_smoothing_extremizer(spec).samples)
 
 
 def test_smoothing_datum_l2_plancherel_oracle():
@@ -130,7 +143,7 @@ def test_one_sided_datum_norm_matches_direct_grid():
         x = np.asarray(xi)[0]
         return cut.annulus(np.abs(x) / lam) * np.exp(-1j * np.abs(x) ** alpha) * (x > 0)
 
-    f = to_physical(Field.from_spectrum(grid, spectrum))
+    f = to_physical(Field(grid, FREQUENCY, spectrum(grid.frequency_mesh())))
     for p in (2.0, 6.0):
         direct = lp_norm(f, p)
         reduced = datum_lp_norm(lam, alpha, p, one_sided=True)
@@ -182,6 +195,29 @@ def test_focusing_lower_bound_and_exact_value():
         rel = abs(rep.focus_value - rep.predicted_focus_value) / rep.predicted_focus_value
         assert rel <= 1e-8
     assert max(ratios) / min(ratios) <= 1.2
+
+
+def physical_focusing(lam, params):
+    """(min modulus ratio, focus value) of `focusing_check`, evolving the physical datum."""
+    grid = GridSpec(1, int(2 ** np.ceil(np.log2(2.0 * 40.0 * 40.0 * lam))), 40.0)
+    spec = ExtremizerSpec(SMOOTHING, lam, params, grid)
+    datum = make_smoothing_extremizer(spec, allow_wrapped=True)
+    window = np.abs(grid.axis_points()) <= 1.0 / (10.0 * lam)
+    t_vals = 1.0 + np.linspace(-1.0, 1.0, 9) / (10.0 * lam**params.alpha)
+    frames = [to_physical(full_lattice_evolve(datum, float(t), params.alpha)).samples
+              for t in t_vals]
+    min_mod = min(float(np.abs(frame[window]).min()) for frame in frames)
+    return min_mod / lam, complex(frames[4][grid.points // 2])
+
+
+@pytest.mark.parametrize("lam, alpha", [(16.0, 2.0), (32.0, 2.0), (16.0, 3.0)])
+def test_focusing_from_the_spectrum_matches_the_physical_datum(lam, alpha):
+    params = DispersionParams(alpha, 1)
+    rep = focusing_check(ExtremizerSpec(SMOOTHING, lam, params))
+    min_ratio, focus = physical_focusing(lam, params)
+    assert rep.min_modulus_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0.0)
+    assert rep.focus_value.real == pytest.approx(focus.real, rel=1e-12, abs=0.0)
+    assert abs(rep.focus_value.imag - focus.imag) <= 1e-12 * abs(focus)
 
 
 def test_focus_value_is_lam_times_annulus_integral():

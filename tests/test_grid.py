@@ -106,7 +106,7 @@ def test_caller_arrays_are_copied_library_results_are_read_only(rng):
     kept = rng.standard_normal(16) + 0j
     fields = [
         Field.from_function(g, lambda x: kept),
-        Field.from_spectrum(g, lambda xi: kept),
+        Field(g, FREQUENCY, kept),
         Field(g, PHYSICAL, np.zeros(16, dtype=complex)).with_samples(kept),
     ]
     kept[:] = 123.0  # the symbol's or caller's array, mutated after construction

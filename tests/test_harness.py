@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from displab.cutoffs import make_cutoffs
+from displab.extremizers import SMOOTHING, ExtremizerSpec, make_smoothing_extremizer
 from displab.grid import FREQUENCY, Field, GridSpec
 from displab.harness import (
     FOCUSING_SAMPLES,
@@ -15,7 +16,7 @@ from displab.harness import (
     verify_maximal_necessary,
     verify_sharpness,
 )
-from displab.norms import _time_weights, airy_exponent, lp_norm, smoothing_exponent
+from displab.norms import _time_weights, airy_exponent, lp_norm, smoothing_exponent, sobolev_norm
 from displab.propagator import DispersionParams, evolved_lp_norms
 from displab.spectral import apply_symbol, to_physical
 
@@ -181,6 +182,32 @@ def test_rescaled_engine_matches_direct_route():
     direct = direct_smoothing_record(cfg, 16.0)
     assert direct.numerator == pytest.approx(rescaled.numerator, rel=1e-9)
     assert direct.denominator == pytest.approx(rescaled.denominator, rel=1e-9)
+
+
+def physical_direct_record(cfg, lam, grid):
+    """(numerator, denominator) of the direct record, evolved from the physical datum."""
+    params = DispersionParams(cfg.alpha, 1)
+    datum = make_smoothing_extremizer(ExtremizerSpec(SMOOTHING, lam, params, grid))
+    if cfg.datum_scale != 1.0:
+        datum = datum.with_samples(datum.samples * cfg.datum_scale)
+    t_grid = 1.0 + focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha) / lam**cfg.alpha
+    vals = evolved_lp_norms(datum, t_grid, params, cfg.p)
+    numerator = float((vals @ _time_weights(t_grid, (0.0, 1.0))) ** (1.0 / cfg.p))
+    if cfg.use_sobolev_denominator:
+        return numerator, sobolev_norm(datum, cfg.p, cfg.beta)
+    return numerator, lam**cfg.beta * lp_norm(datum, cfg.p)
+
+
+@pytest.mark.parametrize("datum_scale, sobolev", [(1.0, False), (1.3, True)])
+def test_direct_record_from_the_spectrum_matches_the_physical_datum(datum_scale, sobolev):
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, smoothing_exponent(2, 1, 6), (16.0,),
+                      datum_scale=datum_scale, use_sobolev_denominator=sobolev)
+    record = direct_smoothing_record(cfg, 16.0)
+    grid = GridSpec(1, record.points, record.half_width)
+    numerator, denominator = physical_direct_record(cfg, 16.0, grid)
+    assert record.numerator == pytest.approx(numerator, rel=1e-12, abs=0.0)
+    assert record.denominator == pytest.approx(denominator, rel=1e-12, abs=0.0)
+    assert record.ratio == pytest.approx(numerator / denominator, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.slow

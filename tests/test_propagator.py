@@ -173,6 +173,44 @@ def test_evolve_two_dimensional(rng):
         evolve(f, 0.1, DispersionParams(2.0, 1))  # dim mismatch
 
 
+def full_lattice_evolve(field, t, alpha):
+    """e^{i t |xi|^alpha} as one multiplier over the whole lattice; shares no code with `evolve`."""
+
+    def symbol(xi):
+        return np.exp(1j * t * (np.asarray(xi) ** 2).sum(axis=0) ** (alpha / 2.0))
+
+    return apply_symbol(field, symbol)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_support_evolution_is_the_full_lattice_multiplier(alpha, one_sided):
+    profile = unit_annulus_field(unit_profile_grid(), one_sided=one_sided)
+    params = DispersionParams(alpha, 1)
+    for t in (0.0, 0.37, 1.0, -3.0, 25.0, -400.0):
+        got = to_physical(evolve(profile, t, params)).samples
+        assert np.array_equal(got, to_physical(full_lattice_evolve(profile, t, alpha)).samples)
+
+
+@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 20.0), (2, 128, 8.0)])
+def test_full_support_evolution_is_the_full_lattice_multiplier(dim, points, half_width):
+    g = GridSpec(dim, points, half_width)
+    gaussian = Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0)))
+    params = DispersionParams(2.0, dim)
+    for t in (0.3, -1.1):
+        got = evolve(gaussian, t, params)
+        assert got.is_physical
+        assert np.array_equal(got.samples, full_lattice_evolve(gaussian, t, 2.0).samples)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_nonfinite_times(t):
+    spectrum = unit_annulus_field(unit_profile_grid(2**10))
+    for field in (spectrum, to_physical(spectrum)):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            evolve(field, t, DispersionParams(2.0, 1))
+
+
 @pytest.mark.parametrize("one_sided", [False, True])
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
 def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):

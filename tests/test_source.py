@@ -42,21 +42,34 @@ def _references(tree) -> set:
     return found
 
 
+def _public_definitions(module: str, tree) -> dict:
+    """Qualified name -> name of each public function, class, and method of a public class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found[f"{module}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            found.update(
+                (f"{module}.{node.name}.{member.name}", member.name)
+                for member in node.body
+                if isinstance(member, functions) and not member.name.startswith("_")
+            )
+    return found
+
+
 def test_every_public_name_is_reached():
-    """Every public function and class of the library is used by the library, its CLI or a check."""
+    """Every public function, class and method is used by the library, its CLI or a check."""
     library = {
         name: _parse(os.path.join(SRC, name))
         for name in sorted(os.listdir(SRC))
         if name.endswith(".py") and name != "__init__.py"  # re-exports reach nothing
     }
-    public = {
-        f"{module[:-3]}.{node.name}": node.name
-        for module, tree in library.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    }
-    assert public  # the walk must see the package
+    public = {}
+    for module, tree in library.items():
+        public.update(_public_definitions(module[:-3], tree))
+    assert "grid.GridSpec.frequency_mesh" in public  # the walk must see methods too
     reached = set().union(*map(_references, library.values()), *map(_references, map(_parse, CHECKS)))
     unreached = sorted(
         qualified for qualified, name in public.items()
