@@ -34,7 +34,7 @@ from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
 from .norms import lp_norm
-from .propagator import DispersionParams, ball_constant, evolve
+from .propagator import DispersionParams, _chirped_spectrum, _frame_blocks, ball_constant
 from .spectral import apply_symbol, dft_inverse, to_physical
 
 SMOOTHING = "smoothing"
@@ -92,8 +92,9 @@ def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Fie
     """The chirped annulus datum's exact spectrum theta(|xi|/lam) e^{-i|xi|^alpha}.
 
     A frequency field on spec.grid, exactly zero off lam/2 < |xi| < 2 lam,
-    so the evolutions form their phase on the annulus alone; its inverse
-    transform is `make_smoothing_extremizer`.  ``allow_wrapped`` skips the
+    formed on the index box that holds the annulus, so the evolutions form
+    their phase on the annulus alone; its inverse transform is
+    `make_smoothing_extremizer`.  ``allow_wrapped`` skips the
     spatial-extent requirement; the datum then wraps around the box and
     only frequency-local quantities (such as the refocused values near
     t = 1) remain faithful.
@@ -114,14 +115,10 @@ def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Fie
             required_points=n_req,
             required_half_width=need_hw,
         )
-    cut = make_cutoffs(dim=grid.dim)
+    annulus = make_cutoffs(dim=grid.dim).annulus
     inv = 1.0 / lam
-
-    def spectrum(xi):
-        r = np.sqrt((np.asarray(xi) ** 2).sum(axis=0))
-        return cut.annulus(inv * r) * np.exp(-1j * r**alpha)
-
-    return _owned_spectrum(grid, spectrum)
+    spectrum = _chirped_spectrum(grid, 2.0 * lam, lambda r: annulus(inv * r), -1j, alpha)
+    return Field(grid, FREQUENCY, spectrum)
 
 
 def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
@@ -308,10 +305,10 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     Built on a small box with a mesh fine enough to resolve the 1/lam focal
     spot; the datum wraps spatially, which leaves the refocused values near
     t = 1 untouched because the solution there is concentrated at scale
-    1/lam.  Each frame is evolved from the exact spectrum
-    (`smoothing_spectrum`), so the phase is formed on the annulus alone.
-    The exact focus value at (0, 1) is lam^d (2 pi)^-d int theta, read from
-    the middle frame.
+    1/lam.  The frames are evolved from the exact spectrum
+    (`smoothing_spectrum`) on the frame engine `propagator._frame_blocks`,
+    and each block records its window minima.  The exact focus value at
+    (0, 1) is lam^d (2 pi)^-d int theta, read from the middle frame.
     """
     if spec.family != SMOOTHING:
         raise ValueError("focusing_check applies to the smoothing family")
@@ -326,12 +323,17 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     x = grid.axis_points()
     window = np.abs(x) <= 1.0 / (10.0 * lam)
     t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**alpha)
-    min_mod = np.inf
-    for index, t in enumerate(t_vals):
-        frame = to_physical(evolve(datum, float(t), params, headroom=0.0))
-        min_mod = min(min_mod, float(np.abs(frame.samples[window]).min()))
-        if index == _FOCUS_FRAMES // 2:  # t = 1
-            focus_value = complex(frame.samples[grid.points // 2])
+    middle = _FOCUS_FRAMES // 2  # t = 1
+    min_mods = np.empty(_FOCUS_FRAMES)
+    focus = np.empty(1, dtype=np.complex128)
+
+    def read(start: int, frames: np.ndarray) -> None:
+        min_mods[start : start + len(frames)] = np.abs(frames[:, window]).min(axis=1)
+        if start <= middle < start + len(frames):
+            focus[0] = frames[middle - start, grid.points // 2]
+
+    _frame_blocks(datum, t_vals, params, read)
+    min_mod, focus_value = float(min_mods.min()), complex(focus[0])
     predicted = lam * ANNULUS_INTEGRAL / (2.0 * np.pi)
     return FocusingReport(
         min_modulus_ratio=min_mod / lam,

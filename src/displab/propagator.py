@@ -1,8 +1,9 @@
 """Dispersive evolution, the elliptic-phase operator and band-limited kernels.
 
 The flow is the Fourier multiplier e^{i t |xi|^alpha}, whose symbol
-|xi|^alpha is formed once per grid (`_symbol_power`) for both `evolve`
-and `evolved_lp_norms`.  Both form the phase e^{i t |xi|^alpha} only on
+|xi|^alpha is formed once per grid (`_symbol_power`).  `evolve` and the
+frame engine `_frame_blocks`, behind `evolved_lp_norms` and
+`extremizers.focusing_check`, form the phase e^{i t |xi|^alpha} only on
 the spectral support, the lattice points where the spectrum is nonzero
 (`_spectral_support`); band-limited data such as the unit annulus skip
 most of the lattice, and off the support the evolved spectrum is the
@@ -15,8 +16,9 @@ usual e^{i|x-y|^2/4t} kernel must flip the sign of t.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -25,18 +27,19 @@ from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from .spectral import (
+    _inverse_in_place,
     apply_symbol,
     dft_inverse,
-    dft_inverse_samples,
     ensure_headroom,
     require_finite_symbol,
     to_frequency,
     to_physical,
 )
 
-# complex samples per block of frames in evolved_lp_norms: 16 frames at 2^15
-# points, 4 at 2^17, so a block costs no more memory than a few single frames
-_BLOCK_SAMPLES = 2**19
+# complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
+# 2 at 2^17; the two blocks in flight together cost no more memory than a few
+# single frames
+_BLOCK_SAMPLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _symbol_power(grid: GridSpec, alpha: float) -> np.ndarray:
 def _spectral_support(field: Field, alpha: float):
     """The nonzero spectrum of ``field``, its flat lattice indices and |xi|^alpha there.
 
-    The one place where `evolve` and `evolved_lp_norms` find the support on
+    The one place where `evolve` and `_frame_blocks` find the support on
     which they form the phase.
     """
     spectrum = to_frequency(field).samples.reshape(-1)
@@ -111,13 +114,56 @@ def _spectral_support(field: Field, alpha: float):
     return spectrum[support], support, _symbol_power(field.grid, alpha).reshape(-1)[support]
 
 
+def _block_workers() -> int:
+    """Threads for frame blocks: the CPUs this process may run on, at most two."""
+    if not hasattr(os, "sched_getaffinity"):  # not Linux: no affinity to read
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+@cache
+def _block_pool(pid: int):
+    """Process ``pid``'s frame-block threads, built on first use; a forked child builds its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-frames")
+
+
+def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce) -> None:
+    """Evolve ``field`` to every time in the float array ``t``, in blocks of frames.
+
+    Each block forms its phase on the spectral support, as `evolve` does,
+    goes through one batched inverse transform, and is handed to
+    ``reduce(start, frames)`` as the physical frames of the times
+    ``t[start : start + len(frames)]``.  Blocks run on `_block_workers`
+    threads, so ``reduce`` may only call numpy and write its own slice of
+    the output; the results are then bit for bit those of the serial loop.
+    """
+    grid = field.grid
+    spectrum, support, power = _spectral_support(field, params.alpha)
+    block = max(1, _BLOCK_SAMPLES // grid.size)
+
+    def run(start: int) -> None:
+        ts = t[start : start + block]
+        frames = np.zeros((ts.size, grid.size), dtype=np.complex128)
+        frames[:, support] = np.exp((1j * ts)[:, None] * power) * spectrum
+        reduce(start, _inverse_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
+
+    starts = range(0, t.size, block)
+    if len(starts) == 1 or _block_workers() == 1:
+        for start in starts:
+            run(start)
+    else:  # reading every result re-raises the error of any block
+        for _ in _block_pool(os.getpid()).map(run, starts):
+            pass
+
+
 def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.ndarray:
     """||e^{i t |xi|^alpha} field||_p^p in physical space, at every time in ``t``.
 
     Equals ``lp_norm(to_physical(evolve(field, t_i, params, headroom=0.0)), p) ** p``
-    up to roundoff, but forms the phase only on the spectral support, as
-    `evolve` does, and evolves the frames in blocks through one batched
-    inverse transform each.
+    up to roundoff, but runs on the frame engine `_frame_blocks`, which
+    evolves the frames in blocks on up to two threads.
     """
     grid = field.grid
     if grid.dim != params.dim:
@@ -127,17 +173,13 @@ def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.
     t = np.asarray(t, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError("evolution times must be finite")
-    spectrum, support, power = _spectral_support(field, params.alpha)
-    block = max(1, _BLOCK_SAMPLES // grid.size)
     out = np.empty(t.size)
-    for start in range(0, t.size, block):
-        ts = t[start : start + block]
-        frames = np.zeros((ts.size, grid.size), dtype=np.complex128)
-        frames[:, support] = np.exp((1j * ts)[:, None] * power) * spectrum
-        frames = dft_inverse_samples(grid, frames.reshape((ts.size,) + grid.shape))
-        out[start : start + ts.size] = (
-            (np.abs(frames) ** p).reshape(ts.size, -1).sum(axis=1) * grid.cell_volume
-        )
+
+    def lp_powers(start: int, frames: np.ndarray) -> None:
+        powers = (np.abs(frames) ** p).reshape(len(frames), -1).sum(axis=1)
+        out[start : start + len(frames)] = powers * grid.cell_volume
+
+    _frame_blocks(field, t, params, lp_powers)
     return out
 
 
@@ -170,11 +212,13 @@ class Trajectory:
 
 
 def evolve_trajectory(field: Field, t_samples, params: DispersionParams) -> Trajectory:
+    """Physical frames of ``field`` evolved to each time, from one forward transform."""
     ts = [float(t) for t in t_samples]
     if not ts:
         raise ValueError("t_samples must be non-empty")
-    ensure_headroom(field, factor=1.0)
-    frames = [to_physical(evolve(field, t, params, headroom=0.0)) for t in ts]
+    spectrum = to_frequency(field)
+    ensure_headroom(spectrum, factor=1.0)
+    frames = [to_physical(evolve(spectrum, t, params, headroom=0.0)) for t in ts]
     return Trajectory(field.grid, tuple(ts), tuple(frames))
 
 
@@ -314,24 +358,26 @@ def band_kernel(
         raise GridAdequacyError(
             f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)"
         )
-    return dft_inverse(Field(grid, FREQUENCY, _band_spectrum(grid, scale, alpha)))
+    spectrum = _chirped_spectrum(grid, 2.0, make_cutoffs(dim=grid.dim).bandpass, 1j * scale, alpha)
+    return dft_inverse(Field(grid, FREQUENCY, spectrum))
 
 
-def _band_spectrum(grid: GridSpec, scale: float, alpha: float) -> np.ndarray:
-    """bandpass(|xi|) e^{i scale |xi|^alpha} on the lattice, read-only.
+def _chirped_spectrum(grid: GridSpec, radius: float, amplitude, chirp: complex, alpha: float):
+    """amplitude(|xi|) e^{chirp |xi|^alpha} on the lattice, read-only.
 
-    The band 1/2 < |xi| < 2 is a small part of a lattice reaching Nyquist
-    >= 8.  The radii and the amplitude are formed only on the index box
-    |m_i| <= ceil(2 / h) + 1 per axis, which holds every nonzero entry, and
-    the phase only where the amplitude is nonzero; the rest of the lattice
-    is the zero it is allocated as.  Each frequency is computed as
-    `GridSpec.axis_frequencies` computes it and the radii as the square
+    ``amplitude`` vanishes for |xi| >= radius, a small part of the lattice
+    for the band kernels and the chirped annulus datum.  The radii and the
+    amplitude are formed only on the index box
+    |m_i| <= ceil(radius / h) + 1 per axis, which holds every nonzero
+    entry, and the phase only where the amplitude is nonzero; the rest of
+    the lattice is the zero it is allocated as.  Each frequency is computed
+    as `GridSpec.axis_frequencies` computes it and the radii as the square
     root of the summed squares of `GridSpec.frequency_mesh`, so every entry
-    is bit for bit the lattice-wide formula.  The box arrays are freed on return, before the
-    inverse transform allocates.
+    is bit for bit the lattice-wide formula.  The box arrays are freed on
+    return, before an inverse transform allocates.
     """
     n = grid.points
-    reach = min(int(np.ceil(2.0 / grid.frequency_spacing)) + 1, n // 2)
+    reach = min(int(np.ceil(radius / grid.frequency_spacing)) + 1, n // 2)
     m = np.arange(-reach, min(reach, n // 2 - 1) + 1)
     xi = 2.0 * np.pi * (m * (1.0 / (n * grid.spacing)))
     square = xi**2
@@ -339,10 +385,10 @@ def _band_spectrum(grid: GridSpec, scale: float, alpha: float) -> np.ndarray:
     for _ in range(1, grid.dim):
         r2 = np.add.outer(r2, square)  # ((x_1^2 + x_2^2) + x_3^2), the mesh's sum order
     r = np.sqrt(r2)
-    amplitude = make_cutoffs(dim=grid.dim).bandpass(r)
-    band = amplitude != 0.0
+    values = amplitude(r)
+    nonzero = values != 0.0
     box = np.zeros(r.shape, dtype=np.complex128)
-    box[band] = amplitude[band] * np.exp(1j * scale * r[band] ** alpha)
+    box[nonzero] = values[nonzero] * np.exp(chirp * r[nonzero] ** alpha)
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
     spectrum[np.ix_(*[m] * grid.dim)] = box  # negative m wrap to the top of each axis
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy

@@ -63,8 +63,16 @@ def dft_inverse_samples(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
     The same inverse quadrature as ``dft_inverse``, applied over the trailing
     grid axes, so a block of frames goes through one batched transform.
     """
-    signed = _negate_odd_indices(np.array(spectra), grid.dim)
-    samples = np.fft.ifftn(signed, axes=tuple(range(-grid.dim, 0)))
+    return _inverse_in_place(grid, np.array(spectra))
+
+
+def _inverse_in_place(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """`dft_inverse_samples` of a writable array the caller hands over, overwritten and returned.
+
+    The transform runs in place, with the same bits as into a fresh array.
+    """
+    _negate_odd_indices(samples, grid.dim)
+    np.fft.ifftn(samples, axes=tuple(range(-grid.dim, 0)), out=samples)
     samples /= grid.cell_volume
     return samples
 

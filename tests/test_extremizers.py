@@ -68,6 +68,24 @@ def test_smoothing_datum_spectrum(rng):
     assert np.abs(mag - cut.annulus(np.abs(mesh) / lam)).max() < 1e-11
 
 
+@pytest.mark.parametrize("dim, points, half_width, lam, alpha", [
+    (1, 2**13, 110.0, 16.0, 2.0),
+    (1, 2**12, 30.0, 27.3, 3.0),
+    (1, 2**11, 4.0 * np.pi, 8.0, 1.5),  # |xi| = lam / 2 and 2 lam fall on the lattice
+    (2, 128, 5.0, 9.5, 2.0),
+    (3, 64, 2.5, 8.0, 3.0),
+])
+def test_smoothing_spectrum_is_the_full_lattice_formula(dim, points, half_width, lam, alpha):
+    """The box construction is bit for bit the lattice-wide annulus(r / lam) e^{-i r^alpha}."""
+    grid = GridSpec(dim, points, half_width)
+    spec = ExtremizerSpec(SMOOTHING, lam, DispersionParams(alpha, dim), grid)
+    spectrum = smoothing_spectrum(spec, allow_wrapped=True)
+    r = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
+    full = make_cutoffs(dim=dim).annulus((1.0 / lam) * r) * np.exp(-1j * r**alpha)
+    assert np.array_equal(spectrum.samples, full)
+    assert np.count_nonzero(spectrum.samples) > 0
+
+
 @pytest.mark.parametrize("lam", [16.0, 32.0])
 def test_smoothing_spectrum_is_exact_on_the_annulus(lam):
     spec = ExtremizerSpec(SMOOTHING, lam, DispersionParams(2.0, 1), smoothing_grid(lam, 2.0))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +18,8 @@ from displab.propagator import (
     _TAIL_TARGETS,
     DispersionParams,
     Trajectory,
-    _band_spectrum,
+    _chirped_spectrum,
+    _frame_blocks,
     _outside_mass_bound,
     ball_constant,
     band_kernel,
@@ -227,6 +232,93 @@ def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
+def test_frame_blocks_are_bitwise_those_of_single_frames(monkeypatch):
+    """Blocks on two threads, the serial loop and one frame at a time give the same bits."""
+    from displab import propagator
+
+    grid = unit_profile_grid()
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    block = propagator._BLOCK_SAMPLES // grid.size
+    s = np.linspace(-400.0, 0.0, 2 * block + 5)  # two full blocks and a partial one
+    single = np.array([evolved_lp_norms(profile, [v], params, 6.0)[0] for v in s])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+        threaded = evolved_lp_norms(profile, s, params, 6.0)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(propagator, "_block_workers", lambda: 1)
+    serial = evolved_lp_norms(profile, s, params, 6.0)
+    assert np.array_equal(threaded, single)
+    assert np.array_equal(serial, single)
+
+
+def test_frame_blocks_reraise_an_error_of_a_block(monkeypatch):
+    from displab import propagator
+
+    grid = unit_profile_grid(2**12)
+    block = propagator._BLOCK_SAMPLES // grid.size
+
+    def reduce(start, frames):
+        if start == block:
+            raise RuntimeError("reduce failed")
+
+    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    with pytest.raises(RuntimeError, match="reduce failed"):
+        _frame_blocks(unit_annulus_field(grid), np.zeros(3 * block), DispersionParams(2.0, 1), reduce)
+
+
+def _forked_norms(profile, s, params, expected):
+    sys.exit(0 if np.array_equal(evolved_lp_norms(profile, s, params, 6.0), expected) else 1)
+
+
+def test_frame_blocks_run_in_a_forked_child(monkeypatch):
+    """A child forked after the pool was built gets threads of its own, not a dead pool."""
+    import multiprocessing
+
+    from displab import propagator
+
+    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    grid = unit_profile_grid(2**12)
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
+    expected = evolved_lp_norms(profile, s, params, 6.0)  # builds this process's pool
+    child = multiprocessing.get_context("fork").Process(
+        target=_forked_norms, args=(profile, s, params, expected))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive
+    assert child.exitcode == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux-only")
+def test_import_and_one_cpu_start_no_thread():
+    """Importing builds no pool, and on one CPU the blocks run in the calling thread."""
+    code = """
+import os, sys, threading
+import numpy as np
+import displab
+assert threading.active_count() == 1 and "concurrent.futures" not in sys.modules
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from displab import propagator
+from displab.extremizers import unit_annulus_field, unit_profile_grid
+grid = unit_profile_grid(2**12)
+s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
+propagator.evolved_lp_norms(unit_annulus_field(grid), s, propagator.DispersionParams(2.0, 1), 6.0)
+assert propagator._block_workers() == 1
+assert threading.active_count() == 1 and propagator._block_pool.cache_info().currsize == 0
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
 def test_evolved_lp_norms_physical_input_and_validation(rng):
     g = GridSpec(1, 512, 12.0)
     f = band_limited_field(g, rng)
@@ -254,6 +346,22 @@ def test_evolved_lp_norms_physical_input_and_validation(rng):
     got = evolved_lp_norms(f2, ts, params2, 4.0)
     oracle = [lp_norm(to_physical(evolve(f2, t, params2, headroom=0.0)), 4.0) ** 4.0 for t in ts]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_trajectory_transforms_its_datum_once(monkeypatch):
+    from displab import spectral
+
+    g = GridSpec(1, 256, 10.0)
+    gaussian = Field.from_function(g, lambda x: np.exp(-np.asarray(x)[0] ** 2))
+    params = DispersionParams(2.0, 1)
+    ts = np.linspace(0.0, 1.0, 9)
+    oracle = [to_physical(evolve(gaussian, float(t), params, headroom=0.0)).samples for t in ts]
+    calls = []
+    forward = spectral.dft_forward
+    monkeypatch.setattr(spectral, "dft_forward", lambda f: calls.append(f) or forward(f))
+    traj = evolve_trajectory(gaussian, ts, params)
+    assert len(calls) == 1
+    assert all(np.array_equal(fr.samples, want) for fr, want in zip(traj.frames, oracle))
 
 
 def test_trajectory_basics(rng):
@@ -459,9 +567,10 @@ _BAND_LOG2_POINTS = {1: 13, 2: 8, 3: 6}
 def test_band_spectrum_is_the_full_lattice_formula(dim, log2_points, half_width, scale, alpha):
     """The box-and-band construction is bit for bit the lattice-wide bandpass(r) e^{i S r^alpha}."""
     grid = GridSpec(dim, 2 ** min(log2_points, _BAND_LOG2_POINTS[dim]), half_width)
-    spectrum = _band_spectrum(grid, scale, alpha)
+    bandpass = make_cutoffs(dim=grid.dim).bandpass
+    spectrum = _chirped_spectrum(grid, 2.0, bandpass, 1j * scale, alpha)
     r = np.sqrt((grid.frequency_mesh() ** 2).sum(axis=0))
-    full = make_cutoffs(dim=grid.dim).bandpass(r) * np.exp(1j * scale * r**alpha)
+    full = bandpass(r) * np.exp(1j * scale * r**alpha)
     assert np.array_equal(spectrum, full)
     assert not spectrum.flags.writeable
 

@@ -76,3 +76,42 @@ def test_every_public_name_is_reached():
         if name not in reached and name not in REACHED_BY_DOCUMENTATION
     )
     assert unreached == []
+
+
+def _load_trace_layers():
+    import importlib.util
+
+    path = os.path.join(ROOT, "perfbench", "trace_layers.py")
+    spec = importlib.util.spec_from_file_location("trace_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_counter_name_resolves():
+    """Each `displab.<layer>.<name>` a per-layer counter needs exists as the trace patches it.
+
+    A renamed or removed function turns its counters into absent entries,
+    which the benchmark reports as null instead of a count.
+    """
+    import importlib
+
+    trace_layers = _load_trace_layers()
+    needed = sorted({name for _, names in trace_layers.COUNTERS.values() for name in names})
+    assert "propagator.evolve" in needed  # the walk must see the counters
+    unresolved = []
+    for name in needed:
+        layer, *path = name.split(".")
+        module = importlib.import_module(f"displab.{layer}")
+        if path == ["CZT"] and layer == "chirpquad":
+            ok = isinstance(getattr(module, "CZT", None), type)
+        elif len(path) == 1:
+            ok = not path[0].startswith("_") and trace_layers._is_layer_function(
+                getattr(module, path[0], None), module.__name__)
+        else:
+            cls_name, method = path
+            ok = method in trace_layers.METHODS.get(layer, {}).get(cls_name, ()) and callable(
+                vars(getattr(module, cls_name, object)).get(method))
+        if not ok:
+            unresolved.append(name)
+    assert unresolved == []
