@@ -77,17 +77,6 @@ def smoothing_grid_requirements(lam: float, alpha: float) -> tuple[float, float]
     return 4.0 * lam, 8.0 * ball_constant(alpha) * lam ** (alpha - 1.0)
 
 
-def _owned_spectrum(grid: GridSpec, fn) -> Field:
-    """Frequency field of ``fn`` on the lattice, for an ``fn`` of this module.
-
-    Each of them returns a fresh array, so it is frozen and handed to the
-    Field as it is, without a copy.
-    """
-    samples = np.asarray(fn(grid.frequency_mesh()), dtype=np.complex128)
-    samples.setflags(write=False)
-    return Field(grid, FREQUENCY, samples)
-
-
 def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
     """The chirped annulus datum's exact spectrum theta(|xi|/lam) e^{-i|xi|^alpha}.
 
@@ -148,13 +137,9 @@ def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
             f"grid nyquist {grid.nyquist:.4g} cannot carry the bump at frequency "
             f"-{lam:g} (need >= {1.05 * (lam + width):.4g})"
         )
-    bump = _normalized_bump(eps)
     shift = lam ** ((alpha - 2.0) / 2.0)
-
-    def spectrum(xi):
-        return bump(shift * np.abs(np.asarray(xi)[0] + lam))
-
-    return to_physical(_owned_spectrum(grid, spectrum))
+    spectrum = _normalized_bump(eps)(shift * np.abs(grid.axis_frequencies() + lam))
+    return to_physical(Field(grid, FREQUENCY, spectrum))
 
 
 # -- unit-scale reductions -------------------------------------------------------
@@ -168,17 +153,15 @@ def unit_profile_grid(points: int = 2**15, nyquist: float = 8.0) -> GridSpec:
 def unit_annulus_field(
     grid: GridSpec, one_sided: bool = False, scale: float = 1.0
 ) -> Field:
-    """Frequency field theta(|eta|) (optionally restricted to eta > 0)."""
-    cut = make_cutoffs(dim=grid.dim)
+    """Frequency field scale * theta(|eta|), optionally restricted to eta_1 > 0.
 
-    def spectrum(xi):
-        r = np.sqrt((np.asarray(xi) ** 2).sum(axis=0))
-        vals = scale * cut.annulus(r)
-        if one_sided:
-            vals = vals * (np.asarray(xi)[0] > 0)
-        return vals
-
-    return _owned_spectrum(grid, spectrum)
+    Formed by `propagator._chirped_spectrum` with chirp 0 on the index box
+    of the annulus |eta| < 2; every entry is bit for bit the lattice-wide
+    formula.
+    """
+    annulus = make_cutoffs(dim=grid.dim).annulus
+    spectrum = _chirped_spectrum(grid, 2.0, lambda r: scale * annulus(r), 0.0, 1.0, one_sided)
+    return Field(grid, FREQUENCY, spectrum)
 
 
 def faithful_horizon(grid: GridSpec, alpha: float) -> float:
@@ -363,9 +346,15 @@ def _normalized_bump(epsilon: float):
 
 @lru_cache(maxsize=32)
 def packet_field(epsilon: float) -> Field:
-    """Frequency field of the normalized bump on the packet grid."""
-    bump = _normalized_bump(epsilon)
-    return _owned_spectrum(PACKET_GRID, lambda xi: bump(np.asarray(xi)[0]))
+    """Frequency field of the normalized bump on the packet grid.
+
+    Formed by `propagator._chirped_spectrum` with chirp 0 on the index box
+    of |w| < 0.9 epsilon, outside which the bump is exactly 0 (79 nonzero
+    entries of 4096 at epsilon 0.05); every entry is bit for bit the
+    lattice-wide formula.
+    """
+    return Field(PACKET_GRID, FREQUENCY,
+                 _chirped_spectrum(PACKET_GRID, 0.9 * epsilon, _normalized_bump(epsilon), 0.0, 1.0))
 
 
 def packet_taylor_remainder(alpha: float):
@@ -381,19 +370,17 @@ def ridge_trace(lam: float, alpha: float, t_grid, epsilon: float = 0.05) -> np.n
     """Packet-center values G(0, t) along the ridge t(x) = x/(alpha lam^{alpha-1}).
 
     |u(x, t(x))| = lam^{(2-alpha)/2} |G(0, t(x))| exactly, so these values
-    carry the whole ridge-trace norm.
+    carry the whole ridge-trace norm.  The phases are formed only on the
+    packet's support, one row of them per time.
     """
     spec_field = packet_field(epsilon)
     grid = spec_field.grid
-    w = grid.frequency_mesh()[0]
-    weights = spec_field.samples * grid.frequency_cell_volume / (2.0 * np.pi)
-    rho = packet_taylor_remainder(alpha)
-    shift = lam ** (-alpha / 2.0)
-    rho_w = rho(shift * w)
-    t_grid = np.asarray(t_grid, dtype=float)
-    return np.array(
-        [complex((weights * np.exp(1j * (t * lam**alpha) * rho_w)).sum()) for t in t_grid]
-    )
+    support = np.flatnonzero(spec_field.samples)
+    weights = spec_field.samples[support] * grid.frequency_cell_volume / (2.0 * np.pi)
+    w = grid.axis_frequencies()[support]
+    rho_w = packet_taylor_remainder(alpha)(lam ** (-alpha / 2.0) * w)
+    phase = 1j * (np.asarray(t_grid, dtype=float).reshape(-1) * lam**alpha)
+    return (weights * np.exp(phase[:, None] * rho_w)).sum(axis=1)
 
 
 def packet_lp_norm(p: float, epsilon: float = 0.05, lam: float | None = None,

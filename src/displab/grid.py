@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,29 +107,11 @@ class GridSpec:
 
     def point_mesh(self) -> np.ndarray:
         """Stacked physical coordinates, shape (dim, N, ..., N)."""
-        return _point_mesh(self)
+        return np.stack(np.meshgrid(*[self.axis_points()] * self.dim, indexing="ij"))
 
     def frequency_mesh(self) -> np.ndarray:
         """Stacked frequency coordinates in wrapped order, shape (dim, N, ..., N)."""
-        return _frequency_mesh(self)
-
-
-@lru_cache(maxsize=32)
-def _point_mesh(grid: GridSpec) -> np.ndarray:
-    axes = [grid.axis_points()] * grid.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    out = np.stack(mesh)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _frequency_mesh(grid: GridSpec) -> np.ndarray:
-    axes = [grid.axis_frequencies()] * grid.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    out = np.stack(mesh)
-    out.setflags(write=False)
-    return out
+        return np.stack(np.meshgrid(*[self.axis_frequencies()] * self.dim, indexing="ij"))
 
 
 @dataclass(frozen=True)

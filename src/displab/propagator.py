@@ -1,24 +1,24 @@
 """Dispersive evolution, the elliptic-phase operator and band-limited kernels.
 
-The flow is the Fourier multiplier e^{i t |xi|^alpha}, whose symbol
-|xi|^alpha is formed once per grid (`_symbol_power`).  `evolve` and the
+The flow is the Fourier multiplier e^{i t |xi|^alpha}.  `evolve` and the
 frame engine `_frame_blocks`, behind `evolved_lp_norms` and
-`extremizers.focusing_check`, form the phase e^{i t |xi|^alpha} only on
-the spectral support, the lattice points where the spectrum is nonzero
-(`_spectral_support`); band-limited data such as the unit annulus skip
-most of the lattice, and off the support the evolved spectrum is the
-zero it is allocated as.  alpha = 2 is the classical free-particle flow;
-alpha = 3 on half-line spectra is the one-sided cubic (Airy) flow, so
-the cubic flow needs no operator of its own.  The time orientation
-follows the multiplier as written: closed-form comparisons against the
-usual e^{i|x-y|^2/4t} kernel must flip the sign of t.
+`extremizers.focusing_check`, form the symbol |xi|^alpha and the phase
+e^{i t |xi|^alpha} only on the spectral support, the lattice points where
+the spectrum is nonzero (`_spectral_support`); band-limited data such as
+the unit annulus skip most of the lattice, and off the support the
+evolved spectrum is the zero it is allocated as.  alpha = 2 is the
+classical free-particle flow; alpha = 3 on half-line spectra is the
+one-sided cubic (Airy) flow, so the cubic flow needs no operator of its
+own.  The time orientation follows the multiplier as written:
+closed-form comparisons against the usual e^{i|x-y|^2/4t} kernel must
+flip the sign of t.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .spectral import (
     apply_symbol,
     dft_inverse,
     ensure_headroom,
-    require_finite_symbol,
     to_frequency,
     to_physical,
 )
@@ -88,30 +87,36 @@ def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1
         ensure_headroom(field, factor=headroom)
     spectrum, support, power = _spectral_support(field, params.alpha)
     evolved = np.zeros(grid.size, dtype=np.complex128)
-    evolved[support] = spectrum * np.exp(1j * t * power)
+    # a complex product is not commutative bit for bit, and numpy may evaluate
+    # `spectrum * temporary` as `temporary * spectrum`; a named phase keeps the order
+    phase = np.exp(1j * t * power)
+    evolved[support] = spectrum * phase
     evolved.setflags(write=False)  # fresh array: the Field takes it without a copy
     out = Field(grid, FREQUENCY, evolved)
     return out if field.is_frequency else dft_inverse(out)
-
-
-@lru_cache(maxsize=16)
-def _symbol_power(grid: GridSpec, alpha: float) -> np.ndarray:
-    """|xi|^alpha on the wrapped lattice, the one form of the dispersion symbol."""
-    out = (grid.frequency_mesh() ** 2).sum(axis=0) ** (alpha / 2.0)
-    require_finite_symbol(grid, out)
-    out.setflags(write=False)
-    return out
 
 
 def _spectral_support(field: Field, alpha: float):
     """The nonzero spectrum of ``field``, its flat lattice indices and |xi|^alpha there.
 
     The one place where `evolve` and `_frame_blocks` find the support on
-    which they form the phase.
+    which they form the phase.  |xi|^2 sums the squared
+    `GridSpec.axis_frequencies` in axis order, so every entry is bit for
+    bit the lattice-wide formula.  A symbol that overflows at the
+    lattice's largest radius raises ValueError, whatever the support.
     """
+    grid = field.grid
+    xi = grid.axis_frequencies()
+    top = (grid.dim * np.abs(xi).max() ** 2) ** (alpha / 2.0)  # numpy floats overflow to inf
+    if not np.isfinite(top):
+        raise ValueError(f"symbol |xi|^{alpha:g} is non-finite at the lattice's largest radius")
     spectrum = to_frequency(field).samples.reshape(-1)
     support = np.flatnonzero(spectrum)
-    return spectrum[support], support, _symbol_power(field.grid, alpha).reshape(-1)[support]
+    j = np.unravel_index(support, grid.shape)
+    r2 = xi[j[0]] ** 2
+    for j_a in j[1:]:
+        r2 += xi[j_a] ** 2
+    return spectrum[support], support, r2 ** (alpha / 2.0)
 
 
 def _block_workers() -> int:
@@ -362,35 +367,39 @@ def band_kernel(
     return dft_inverse(Field(grid, FREQUENCY, spectrum))
 
 
-def _chirped_spectrum(grid: GridSpec, radius: float, amplitude, chirp: complex, alpha: float):
+def _chirped_spectrum(
+    grid: GridSpec, radius: float, amplitude, chirp: complex, alpha: float, one_sided: bool = False
+):
     """amplitude(|xi|) e^{chirp |xi|^alpha} on the lattice, read-only.
 
-    ``amplitude`` vanishes for |xi| >= radius, a small part of the lattice
-    for the band kernels and the chirped annulus datum.  The radii and the
-    amplitude are formed only on the index box
-    |m_i| <= ceil(radius / h) + 1 per axis, which holds every nonzero
-    entry, and the phase only where the amplitude is nonzero; the rest of
-    the lattice is the zero it is allocated as.  Each frequency is computed
-    as `GridSpec.axis_frequencies` computes it and the radii as the square
-    root of the summed squares of `GridSpec.frequency_mesh`, so every entry
-    is bit for bit the lattice-wide formula.  The box arrays are freed on
-    return, before an inverse transform allocates.
+    The one builder of radial spectra: the band kernels, the chirped
+    annulus datum, and, with chirp 0 (e^0 is exactly 1), the unit annulus
+    and the traveling-bump packet.  ``amplitude`` vanishes for
+    |xi| >= radius, a small part of the lattice.  The radii and the
+    amplitude are formed only on the index box |m_i| <= ceil(radius / h) + 1
+    per axis, which holds every nonzero entry, and the phase only where the
+    amplitude is nonzero; the rest of the lattice is the zero it is
+    allocated as.  ``one_sided`` keeps only m > 0 on the first axis.  The
+    frequencies are `GridSpec.axis_frequencies` and the radii the square
+    root of their summed squares in axis order, so every entry is bit for
+    bit the lattice-wide formula.  The box arrays are freed on return,
+    before an inverse transform allocates.
     """
     n = grid.points
     reach = min(int(np.ceil(radius / grid.frequency_spacing)) + 1, n // 2)
     m = np.arange(-reach, min(reach, n // 2 - 1) + 1)
-    xi = 2.0 * np.pi * (m * (1.0 / (n * grid.spacing)))
-    square = xi**2
-    r2 = square
-    for _ in range(1, grid.dim):
-        r2 = np.add.outer(r2, square)  # ((x_1^2 + x_2^2) + x_3^2), the mesh's sum order
+    index = [m[m > 0] if one_sided else m] + [m] * (grid.dim - 1)
+    xi = grid.axis_frequencies()  # negative m index from the top: the wrapped lattice
+    r2 = xi[index[0]] ** 2
+    for m_a in index[1:]:
+        r2 = np.add.outer(r2, xi[m_a] ** 2)  # ((x_1^2 + x_2^2) + x_3^2), the axis order
     r = np.sqrt(r2)
     values = amplitude(r)
     nonzero = values != 0.0
     box = np.zeros(r.shape, dtype=np.complex128)
     box[nonzero] = values[nonzero] * np.exp(chirp * r[nonzero] ** alpha)
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
-    spectrum[np.ix_(*[m] * grid.dim)] = box  # negative m wrap to the top of each axis
+    spectrum[np.ix_(*index)] = box
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
     return spectrum
 

@@ -104,8 +104,8 @@ def require_finite_symbol(grid: GridSpec, values: np.ndarray) -> None:
     """Raise ValueError naming the first lattice frequency where ``values`` is not finite."""
     finite = np.isfinite(values)
     if not finite.all():
-        bad = tuple(np.argwhere(~finite)[0])
-        xi = tuple(float(grid.frequency_mesh()[(a, *bad)]) for a in range(grid.dim))
+        axis = grid.axis_frequencies()
+        xi = tuple(float(axis[j]) for j in np.argwhere(~finite)[0])
         raise ValueError(f"symbol evaluated to a non-finite value at xi = {xi}")
 
 
@@ -116,9 +116,8 @@ def spectral_radius(field: Field, rel_tol: float = 1e-9) -> float:
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    active = mag > rel_tol * peak
-    mesh = field.grid.frequency_mesh()
-    return max(float(np.abs(mesh[a][active]).max()) for a in range(field.grid.dim))
+    j = np.nonzero(mag > rel_tol * peak)  # lattice indices of the active entries, per axis
+    return float(np.abs(field.grid.axis_frequencies()[np.concatenate(j)]).max())
 
 
 def ensure_headroom(field: Field, factor: float = 4.0, rel_tol: float = 1e-9) -> float:

@@ -7,8 +7,10 @@ from displab.errors import SizingError
 from displab.extremizers import (
     ANNULUS_INTEGRAL,
     MAXIMAL,
+    PACKET_GRID,
     SMOOTHING,
     ExtremizerSpec,
+    _normalized_bump,
     datum_lp_norm,
     envelope_check,
     focusing_check,
@@ -16,6 +18,7 @@ from displab.extremizers import (
     make_smoothing_extremizer,
     maximal_datum_norm,
     packet_field,
+    packet_taylor_remainder,
     ridge_check,
     ridge_trace,
     smoothing_grid_requirements,
@@ -25,7 +28,13 @@ from displab.extremizers import (
 )
 from displab.grid import FREQUENCY, Field, GridSpec
 from displab.norms import lp_norm
-from displab.propagator import DispersionParams, evolve_trajectory
+from displab.propagator import (
+    DispersionParams,
+    band_kernel,
+    evolve,
+    evolve_trajectory,
+    evolved_lp_norms,
+)
 from displab.spectral import dft_forward, dft_inverse, to_physical
 from test_norms import maximal_norm
 from test_propagator import full_lattice_evolve
@@ -176,6 +185,87 @@ def test_unit_profile_grid_headroom():
     one_sided = unit_annulus_field(g, one_sided=True)
     mesh = g.frequency_mesh()[0]
     assert np.abs(one_sided.samples[mesh < 0]).max() == 0.0
+
+
+def lattice_annulus(grid, one_sided, scale):
+    """Oracle: the unit annulus formed on the whole lattice from the frequency mesh."""
+    mesh = grid.frequency_mesh()
+    vals = scale * make_cutoffs(dim=grid.dim).annulus(np.sqrt((mesh**2).sum(axis=0)))
+    return vals * (mesh[0] > 0) if one_sided else vals
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("grid", [unit_profile_grid(), GridSpec(1, 2**10, 30.0),
+                                  GridSpec(2, 64, 6.0), GridSpec(3, 32, 4.0)])
+def test_unit_annulus_field_is_the_full_lattice_formula(grid, one_sided):
+    """The box construction is bit for bit the lattice-wide scale * theta(r), one-sided or not."""
+    for scale in (1.0, 0.7):
+        got = unit_annulus_field(grid, one_sided=one_sided, scale=scale)
+        assert np.array_equal(got.samples, lattice_annulus(grid, one_sided, scale))
+        assert np.count_nonzero(got.samples) > 0
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_packet_field_is_the_full_lattice_formula(eps):
+    """The box construction is bit for bit the normalized bump on the whole packet lattice."""
+    full = _normalized_bump(eps)(PACKET_GRID.frequency_mesh()[0])
+    assert np.array_equal(packet_field(eps).samples, full)
+
+
+def lattice_ridge_trace(lam, alpha, t_grid, epsilon):
+    """Oracle: one lattice-wide sum per time, over every packet frequency."""
+    spec_field = packet_field(epsilon)
+    grid = spec_field.grid
+    w = grid.frequency_mesh()[0]
+    weights = spec_field.samples * grid.frequency_cell_volume / (2.0 * np.pi)
+    rho_w = packet_taylor_remainder(alpha)(lam ** (-alpha / 2.0) * w)
+    return np.array(
+        [complex((weights * np.exp(1j * (t * lam**alpha) * rho_w)).sum()) for t in t_grid]
+    )
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("lam", [16.0, 64.0, 256.0])
+def test_ridge_trace_matches_the_lattice_sum(lam, alpha):
+    """Summing over the packet's support only moves round-off (the sum order changes)."""
+    t_grid = np.linspace(0.0, 1.0, 129)
+    got = ridge_trace(lam, alpha, t_grid)
+    oracle = lattice_ridge_trace(lam, alpha, t_grid, 0.05)
+    np.testing.assert_allclose(got, oracle, rtol=1e-14, atol=0.0)
+
+
+def test_focusing_check_keeps_no_lattice_array_alive():
+    """No cache holds a symbol or mesh of the 2^19-point focusing grid once the check returns."""
+    import gc
+    import tracemalloc
+
+    params = DispersionParams(2.0, 1)
+    focusing_check(ExtremizerSpec(SMOOTHING, 16.0, params))  # first-call imports and thread pool
+    gc.collect()
+    tracemalloc.start()
+    try:
+        focusing_check(ExtremizerSpec(SMOOTHING, 128.0, params))
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20, f"{kept / 2**20:.1f} MB kept alive"
+
+
+def test_evolution_and_datum_paths_form_no_frequency_mesh(monkeypatch):
+    """Every lattice frequency there is read from `GridSpec.axis_frequencies`, on the support."""
+
+    def no_mesh(grid):
+        raise AssertionError("a lattice-wide frequency mesh was formed")
+
+    monkeypatch.setattr(GridSpec, "frequency_mesh", no_mesh)
+    params = DispersionParams(3.0, 1)
+    profile = unit_annulus_field(unit_profile_grid(2**12), one_sided=True)
+    evolve(to_physical(profile), 0.5, params)  # the default headroom measures the radius
+    evolved_lp_norms(profile, [0.0, 1.0], params, 6.0)
+    ridge_trace(16.0, 3.0, [0.0, 0.5], epsilon=0.07)  # an epsilon no other test caches
+    focusing_check(ExtremizerSpec(SMOOTHING, 16.0, DispersionParams(2.0, 1)))
+    band_kernel(2, 0.5, DispersionParams(2.0, 1))
 
 
 def test_envelope_peak_slopes():

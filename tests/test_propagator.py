@@ -197,15 +197,16 @@ def test_support_evolution_is_the_full_lattice_multiplier(alpha, one_sided):
         assert np.array_equal(got, to_physical(full_lattice_evolve(profile, t, alpha)).samples)
 
 
-@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 20.0), (2, 128, 8.0)])
-def test_full_support_evolution_is_the_full_lattice_multiplier(dim, points, half_width):
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 20.0), (2, 128, 8.0), (3, 32, 4.0)])
+def test_full_support_evolution_is_the_full_lattice_multiplier(dim, points, half_width, alpha):
     g = GridSpec(dim, points, half_width)
     gaussian = Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0)))
-    params = DispersionParams(2.0, dim)
+    params = DispersionParams(alpha, dim)
     for t in (0.3, -1.1):
         got = evolve(gaussian, t, params)
         assert got.is_physical
-        assert np.array_equal(got.samples, full_lattice_evolve(gaussian, t, 2.0).samples)
+        assert np.array_equal(got.samples, full_lattice_evolve(gaussian, t, alpha).samples)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

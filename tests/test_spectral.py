@@ -155,6 +155,21 @@ def test_unimodular_symbol_preserves_l2(rng):
     assert abs(lp_norm(out, 2.0) - lp_norm(f, 2.0)) / lp_norm(f, 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64), (3, 16)])
+def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
+    g = GridSpec(dim, points, 3.0)
+    mesh = g.frequency_mesh()
+    for _ in range(5):
+        coef = np.zeros(g.shape, dtype=complex)
+        picks = rng.choice(g.size, 7, replace=False)
+        coef.reshape(-1)[picks] = rng.standard_normal(7) * 10.0 ** rng.integers(-12, 1, 7)
+        f = Field(g, FREQUENCY, coef)
+        mag = np.abs(coef)
+        active = mag > 1e-9 * mag.max()
+        oracle = max(float(np.abs(mesh[a][active]).max()) for a in range(dim))
+        assert spectral_radius(f) == oracle
+
+
 def test_headroom_validation(rng):
     g = GridSpec(1, 64, 8.0)
     xi0 = 10 * g.frequency_spacing
