@@ -23,13 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chirpquad import (
-    BAND_COUNT,
-    UniformSegment,
-    chirp_profile,
-    dense_node_estimate,
-    nonstationary_bound,
-)
+from .chirpquad import UniformSegment, _route, chirp_profile, nonstationary_bound
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
@@ -40,9 +34,8 @@ from .spectral import apply_symbol, dft_inverse, to_physical
 SMOOTHING = "smoothing"
 MAXIMAL = "maximal"
 
-# nodes of the dispersed-profile quadrature over 0 <= u <= 1.25 C(alpha), and the
-# most dense-lattice nodes it spends before switching to the banded route
-_DATUM_NODES, _DATUM_DENSE_CAP = 8192, 2**21
+# nodes of the dispersed-profile quadrature over 0 <= u <= 1.25 C(alpha)
+_DATUM_NODES = 8192
 # the evolved unit profile must stay _HORIZON_WIDTH inside the box shrunk by _HORIZON_MARGIN
 _HORIZON_MARGIN, _HORIZON_WIDTH = 1.1, 60.0
 # envelope_check samples: the group annulus, and |x| in [8, 12] C(alpha) lam^{alpha-1}
@@ -173,6 +166,19 @@ def _annulus_intervals(one_sided: bool) -> tuple:
     return ((0.5, 2.0),) if one_sided else ((0.5, 2.0), (-2.0, -0.5))
 
 
+def _datum_segments(S: float, alpha: float, one_sided: bool) -> list[UniformSegment]:
+    """Targets y = S u of the dispersed-profile quadrature, 0 <= u <= 1.25 C(alpha)."""
+    du = 1.25 * ball_constant(alpha) / (_DATUM_NODES - 1)
+    segments = [UniformSegment(0.0, du * S, _DATUM_NODES)]
+    if one_sided:
+        # the non-stationary side u < 0 carries only rapidly vanishing mass;
+        # cover it coarsely, ending strictly below 0 to avoid double counting
+        neg_count = max(_DATUM_NODES // 32, 16)
+        neg_step = 8.0 * du * S
+        segments.insert(0, UniformSegment(-neg_count * neg_step, neg_step, neg_count))
+    return segments
+
+
 @lru_cache(maxsize=256)
 def datum_lp_norm(
     lam: float,
@@ -199,18 +205,8 @@ def datum_lp_norm(
             amplitude_scale * cut.annulus(xi) * (1.0 + (lam * np.asarray(xi)) ** 2) ** (b / 2.0)
         )
 
-    u_hi = 1.25 * ball_constant(alpha)
-    du = u_hi / (_DATUM_NODES - 1)
-    segments = [UniformSegment(0.0, du * S, _DATUM_NODES)]
-    if one_sided:
-        # the non-stationary side u < 0 carries only rapidly vanishing mass;
-        # cover it coarsely, ending strictly below 0 to avoid double counting
-        neg_count = max(_DATUM_NODES // 32, 16)
-        neg_step = 8.0 * du * S
-        segments.insert(0, UniformSegment(-neg_count * neg_step, neg_step, neg_count))
-    values = chirp_profile(
-        amplitude, _annulus_intervals(one_sided), alpha, -S, segments, dense_cap=_DATUM_DENSE_CAP
-    )
+    segments = _datum_segments(S, alpha, one_sided)
+    values = chirp_profile(amplitude, _annulus_intervals(one_sided), alpha, -S, segments)
     total = 0.0
     for seg, vals in zip(segments, values):
         u = seg.points() / S
@@ -220,12 +216,9 @@ def datum_lp_norm(
 
 
 def datum_quadrature_nodes(lam: float, alpha: float, one_sided: bool = False) -> int:
-    """Rough node count of the dispersed-norm quadrature (banded route)."""
+    """Node count of `datum_lp_norm`'s quadrature: the one its budget check reads."""
     S = lam**alpha
-    u_hi = 1.25 * ball_constant(alpha)
-    seg = UniformSegment(0.0, u_hi * S / (_DATUM_NODES - 1), _DATUM_NODES)
-    dense = dense_node_estimate(_annulus_intervals(one_sided), alpha, -S, [seg])
-    return max(dense // BAND_COUNT, min(dense, _DATUM_DENSE_CAP))
+    return _route(_annulus_intervals(one_sided), alpha, -S, _datum_segments(S, alpha, one_sided))[1]
 
 
 @dataclass(frozen=True)

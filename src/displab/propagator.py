@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
+from .chirpquad import nonstationary_bound
 from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
@@ -420,13 +420,13 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     is decreasing and convex there, and adds b B(3b) for |y| > 3b, which
     over-estimates because the bound decays like y^-5 past 3b.  No tail is
     measured, so the value does not read round-off.
-    Denominator, chosen by input size: the kernel's L1 mass on the grid of
-    half width 1.2 (spread + 120), which holds the spread C(alpha) 2^(alpha k) t;
-    where that grid would exceed `_KERNEL_GRID_CAP` points,
-    `_inner_mass_quadrature`, which counts only the group annulus and so
-    under-states the mass.  The share is therefore an upper bound, and a
-    loose one where the kernel is barely spread: alpha 1.5, k = 1, t = 0
-    reads 5.3e-2 where a grid reaching past the ball measures 4.4e-3.
+    Denominator: the kernel's L1 mass on `_kernel_mass_grid`, which holds
+    the spread C(alpha) 2^(alpha k) t; where that grid would exceed
+    `_KERNEL_GRID_CAP` points, the floor 1.  The floor holds for every
+    kernel: |kappa^(xi)| <= ||kappa||_1, and kappa^ peaks at
+    max bandpass = 1.  The share is therefore an upper bound, and a loose
+    one where the kernel is barely spread: alpha 1.5, k = 1, t = 0 reads
+    5.3e-2 where a grid reaching past the ball measures 4.4e-3.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -435,15 +435,20 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     alpha = params.alpha
     ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
     scale = 2.0 ** (alpha * k) * t
-    half_width = 1.2 * (ball_constant(alpha) * scale + 120.0)
-    n = _pow2_at_least(16.0 * half_width / np.pi)
-    if n <= _KERNEL_GRID_CAP:
-        grid = GridSpec(1, n, half_width)
-        mass = np.abs(band_kernel(k, t, params, grid=grid).samples).sum() * grid.spacing
+    grid = _kernel_mass_grid(alpha, scale)
+    if grid is None:
+        mass = 1.0
     else:
-        mass = 2.0 * _inner_mass_quadrature(alpha, scale)  # the kernel is even
+        mass = np.abs(band_kernel(k, t, params, grid=grid).samples).sum() * grid.spacing
     outside = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3.0 * ball, _TAIL_TARGETS))
     return float(outside / mass)
+
+
+def _kernel_mass_grid(alpha: float, scale: float) -> GridSpec | None:
+    """The L1-mass grid of half width 1.2 (spread + 120); None past `_KERNEL_GRID_CAP`."""
+    half_width = 1.2 * (ball_constant(alpha) * scale + 120.0)
+    n = _pow2_at_least(16.0 * half_width / np.pi)
+    return GridSpec(1, n, half_width) if n <= _KERNEL_GRID_CAP else None
 
 
 def _outside_mass_bound(alpha: float, scale: float, y: np.ndarray) -> float:
@@ -461,19 +466,3 @@ def _outside_mass_bound(alpha: float, scale: float, y: np.ndarray) -> float:
     bound = nonstationary_bound(make_cutoffs(dim=1).bandpass, _BAND_INTERVALS, alpha, scale, y)
     return 2.0 * float(np.trapezoid(bound, y) + bound[-1] * y[0])
 
-
-def _inner_mass_quadrature(alpha: float, scale: float) -> float:
-    """int |kappa(y)| dy over the group annulus y in (0.7 inner, 1.15 spread), one side.
-
-    inner and spread are the smallest and largest group speeds over the band
-    times ``scale``.  The banded chirp-z route evaluates the kernel only
-    where its band pieces sweep, which is all of this span; mass outside it
-    is left out, so the value is a lower bound on the mass of a half-line.
-    """
-    slopes = sorted((alpha * 0.5 ** (alpha - 1.0), alpha * 2.0 ** (alpha - 1.0)))
-    lo, hi = 0.7 * slopes[0] * scale, 1.15 * slopes[1] * scale
-    segment = UniformSegment(start=lo, step=(hi - lo) / 6144, count=6145)
-    values = chirp_profile(
-        make_cutoffs(dim=1).bandpass, _BAND_INTERVALS, alpha, scale, [segment], method="banded"
-    )[0]
-    return float(np.trapezoid(np.abs(values), segment.points()))

@@ -14,6 +14,7 @@ from displab.chirpquad import (
     _BOUND_STEPS,
     _MAX_CHIRP_ANGLE,
     CZT,
+    DENSE_CAP,
     UniformSegment,
     _czt_eval,
     _interval_lattice,
@@ -122,6 +123,34 @@ def test_auto_switches_to_banded():
     assert dense_node_estimate(INTERVALS, alpha, scale, [seg]) > 2**23
     out = chirp_profile(cut.annulus, INTERVALS, alpha, scale, [seg])  # must not blow memory
     assert np.isfinite(out[0]).all()
+
+
+def _profile_segment(alpha, scale, count=512):
+    """Targets over the swept group positions, as `datum_lp_norm` places them."""
+    reach = 1.25 * alpha * 2.0 ** (alpha - 1.0) * abs(scale)
+    return UniformSegment(0.0, reach / (count - 1), count)
+
+
+def _dense_nodes(alpha, scale):
+    return dense_node_estimate(INTERVALS, alpha, scale, [_profile_segment(alpha, scale)])
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_auto_route_is_dense_up_to_the_cap_and_banded_above(alpha):
+    """Bisect the scale to the crossover: auto is bitwise dense at it and bitwise banded past it."""
+    below, above = 1.0, 1e7
+    for _ in range(80):
+        mid = np.sqrt(below * above)
+        below, above = (mid, above) if _dense_nodes(alpha, -mid) <= DENSE_CAP else (below, mid)
+    # the two intervals' lattices grow together, two nodes at a time
+    assert DENSE_CAP - 2 <= _dense_nodes(alpha, -below) <= DENSE_CAP < _dense_nodes(alpha, -above)
+    assert _dense_nodes(alpha, -above) <= DENSE_CAP + 2
+    amp = make_cutoffs().annulus
+    for scale, route in ((below, "dense"), (above, "banded")):
+        seg = _profile_segment(alpha, -scale)
+        auto = chirp_profile(amp, INTERVALS, alpha, -scale, [seg])[0]
+        forced = chirp_profile(amp, INTERVALS, alpha, -scale, [seg], method=route)[0]
+        assert np.array_equal(auto, forced)
 
 
 def test_nonstationary_bound_dominates_truth():

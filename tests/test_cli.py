@@ -205,7 +205,8 @@ def test_kernel_diagnostic(capsys):
 
 def test_envelope_diagnostic_over_the_node_budget_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 quadrature nodes
-    code, _, err = run(capsys, "diagnostics", "envelope", "--alpha", "2", "--lam", "256")
+    # the banded peak quadrature at lam 1024 needs 100,774 nodes
+    code, _, err = run(capsys, "diagnostics", "envelope", "--alpha", "2", "--lam", "1024")
     assert code == 2
     assert "budget" in err and "Traceback" not in err
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from displab import chirpquad
 from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import SizingError
 from displab.extremizers import (
@@ -12,6 +13,7 @@ from displab.extremizers import (
     ExtremizerSpec,
     _normalized_bump,
     datum_lp_norm,
+    datum_quadrature_nodes,
     envelope_check,
     focusing_check,
     make_maximal_extremizer,
@@ -287,10 +289,44 @@ def test_envelope_tail():
 
 def test_envelope_quadrature_respects_the_node_budget(monkeypatch):
     """The peak quadrature checks its node count before it allocates a lattice."""
-    spec = ExtremizerSpec(SMOOTHING, 256.0, DispersionParams(2.0, 1))
+    spec = ExtremizerSpec(SMOOTHING, 1024.0, DispersionParams(2.0, 1))  # 100,774 banded nodes
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
     with pytest.raises(SizingError, match="budget"):
         envelope_check(spec)
+
+
+@pytest.mark.parametrize("lam, alpha, one_sided", [(64.0, 3.0, False), (32.0, 3.0, True)])
+def test_datum_norm_budget_check_reads_datum_quadrature_nodes(monkeypatch, lam, alpha, one_sided):
+    """The smallest budget holding datum_quadrature_nodes runs the norm; one node less refuses it."""
+    nodes = datum_quadrature_nodes(lam, alpha, one_sided)
+    norm = datum_lp_norm.__wrapped__  # past the cache, so every call checks its budget
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", str(-(-nodes // 64)))  # budget 64 x points
+    assert norm(lam, alpha, 6.0, one_sided) > 0
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", str((nodes - 1) // 64))
+    with pytest.raises(SizingError, match="budget"):
+        norm(lam, alpha, 6.0, one_sided)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "lam, alpha, one_sided",
+    [(32.0, 3.0, False), (32.0, 3.0, True), (64.0, 3.0, True), (256.0, 2.0, False)],
+)
+def test_banded_datum_norms_match_the_dense_route(monkeypatch, lam, alpha, one_sided):
+    """The sweep's datum norms between 2^17 and 2^21 dense nodes run banded; the dense route agrees."""
+    banded = datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided)
+    monkeypatch.setattr(chirpquad, "DENSE_CAP", 2**40)  # every call dense
+    dense = datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided)
+    assert abs(banded - dense) <= 1e-9 * dense
+
+
+@pytest.mark.slow
+def test_banded_envelope_peak_matches_the_dense_route(monkeypatch):
+    spec = ExtremizerSpec(SMOOTHING, 64.0, DispersionParams(3.0, 1))  # 3,628,094 dense nodes
+    banded = envelope_check(spec).peak_ratio
+    monkeypatch.setattr(chirpquad, "DENSE_CAP", 2**40)
+    dense = envelope_check(spec).peak_ratio
+    assert abs(banded - dense) <= 1e-7 * dense
 
 
 def test_focusing_lower_bound_and_exact_value():

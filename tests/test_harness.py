@@ -328,6 +328,13 @@ def test_memory_cap_names_smallest_failing_scale(monkeypatch):
         run_sweep(cfg)
 
 
+def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
+    """Budget 2^20: the banded datum norms at alpha 3, lam 64 and 128 need 80,983 and 647,743 nodes."""
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "16384")
+    records = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (64.0, 128.0)))
+    assert [r.lam for r in records] == [64.0, 128.0]
+
+
 @pytest.mark.slow
 def test_profile_curve_is_shared_across_scales_and_sweeps(monkeypatch):
     """All five alpha = 3 scales share one 189-sample s-grid; a second beta reuses it."""

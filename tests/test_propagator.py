@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from displab.chirpquad import nonstationary_bound
 from displab.cutoffs import make_cutoffs, smooth_step
-from displab.errors import EllipticityError, GridAdequacyError, SizingError
+from displab.errors import EllipticityError, GridAdequacyError
 from displab.extremizers import unit_annulus_field, unit_profile_grid
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
@@ -20,6 +20,7 @@ from displab.propagator import (
     Trajectory,
     _chirped_spectrum,
     _frame_blocks,
+    _kernel_mass_grid,
     _outside_mass_bound,
     ball_constant,
     band_kernel,
@@ -633,9 +634,28 @@ def test_tail_extension_holds_the_far_bound(alpha, k, t):
     assert extension >= far
 
 
-def test_banded_kernel_mass_respects_the_node_budget(monkeypatch):
-    """alpha 3, k 6, t 1 is past the kernel grid cap; a small budget stops its quadrature early."""
+def test_kernel_tail_past_the_grid_cap_runs_no_quadrature(monkeypatch):
+    """alpha 3, k 6, t 1 is past the kernel grid cap: its mass floor needs no chirp-z nodes."""
+    assert _kernel_mass_grid(3.0, 2.0**18) is None
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
-    with pytest.raises(SizingError, match="budget"):
-        kernel_tail_mass(6, 1.0, DispersionParams(3.0, 1))
+    assert 0.0 < kernel_tail_mass(6, 1.0, DispersionParams(3.0, 1)) < 1e-20
+
+
+@pytest.mark.slow
+def test_grid_kernel_masses_clear_the_floor():
+    """Every kernel measured on its grid, k = 1..8 at alpha 1.5, 2, 3, has L1 mass >= 1.
+
+    1 is the denominator past the kernel grid cap: |kappa^| <= ||kappa||_1 and
+    kappa^ peaks at max bandpass = 1.
+    """
+    masses = []
+    for alpha in (1.5, 2.0, 3.0):
+        for k in range(1, 9):
+            for t in (0.0, 0.5, 1.0):
+                grid = _kernel_mass_grid(alpha, 2.0 ** (alpha * k) * t)
+                if grid is not None:
+                    kernel = band_kernel(k, t, DispersionParams(alpha, 1), grid=grid)
+                    masses.append(np.abs(kernel.samples).sum() * grid.spacing)
+    assert len(masses) == 66  # all but alpha 3, k 6..8, t > 0
+    assert min(masses) >= 1.0
 
