@@ -101,9 +101,20 @@ class GridSpec:
     def axis_points(self) -> np.ndarray:
         return -self.half_width + self.spacing * np.arange(self.points)
 
-    def axis_frequencies(self) -> np.ndarray:
-        """Signed frequencies of one axis, in wrapped (FFT) order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
+    def axis_frequencies(self, index=None) -> np.ndarray:
+        """Signed frequencies of one axis, in wrapped (FFT) order.
+
+        With ``index``, only the frequencies at those lattice indices, read
+        modulo ``points`` as numpy reads a negative index; each equals the
+        whole axis's entry bit for bit (both are the signed index times
+        ``1 / (points * spacing)``, then times 2 pi, as in `np.fft.fftfreq`),
+        and the whole axis is not formed.
+        """
+        if index is None:
+            return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
+        n = self.points
+        signed = (np.asarray(index) + n // 2) % n - n // 2
+        return 2.0 * np.pi * (signed * (1.0 / (n * self.spacing)))
 
     def point_mesh(self) -> np.ndarray:
         """Stacked physical coordinates, shape (dim, N, ..., N)."""

@@ -25,7 +25,7 @@ import numpy as np
 from .chirpquad import nonstationary_bound
 from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, max_grid_points
 from .spectral import (
     _inverse_in_place,
     apply_symbol,
@@ -322,7 +322,6 @@ def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
 # -- band-limited kernels -------------------------------------------------------
 
 
-_KERNEL_GRID_CAP = 2**22
 # the band kernel's frequency support 1/2 < |xi| < 2, as single-signed intervals
 _BAND_INTERVALS = ((0.5, 2.0), (-2.0, -0.5))
 # targets of the out-of-ball bound, geometric over [ball, 3 ball]
@@ -340,7 +339,8 @@ def band_kernel(
     Returns kappa with kappa^(xi) = bandpass(|xi|) e^{i 2^(alpha k) t |xi|^alpha},
     so the physical kernel is K^t_k(x) = 2^(k d) kappa(2^k x).  The grid must
     carry the unit annulus with 4x headroom and contain the kernel spread
-    C(alpha) 2^(alpha k) t.
+    C(alpha) 2^(alpha k) t; without one, `_kernel_grid` sizes it, and raises
+    SizingError past `grid.max_grid_points`.
     """
     if k < 1:
         raise ValueError("band index k must be >= 1")
@@ -349,22 +349,64 @@ def band_kernel(
     alpha = params.alpha
     scale = 2.0 ** (alpha * k) * t
     if grid is None:
-        half_width = 1.2 * (ball_constant(alpha) * abs(scale) + 60.0)
-        n = _pow2_at_least(16.0 * half_width / np.pi)
-        if n > _KERNEL_GRID_CAP:
-            raise SizingError(
-                f"band kernel grid needs {n} points (cap {_KERNEL_GRID_CAP}); "
-                "kernel_tail_mass measures such kernels by chirp-z quadrature instead",
-                required_points=n,
-                required_half_width=half_width,
-            )
-        grid = GridSpec(params.dim, n, half_width)
+        grid = _kernel_grid(alpha, scale)
     if grid.nyquist < 8.0:
         raise GridAdequacyError(
             f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)"
         )
     spectrum = _chirped_spectrum(grid, 2.0, make_cutoffs(dim=grid.dim).bandpass, 1j * scale, alpha)
     return dft_inverse(Field(grid, FREQUENCY, spectrum))
+
+
+def _kernel_grid(alpha: float, scale: float) -> GridSpec:
+    """The one sizing rule of kernel grids: half width 1.2 (C(alpha) |scale| + 120), nyquist 8 to 16.
+
+    The grid of `band_kernel` without one and of `kernel_tail_mass`'s L1
+    mass.  Past `grid.max_grid_points` it raises SizingError, which
+    `kernel_tail_mass` answers with the mass floor 1.
+    """
+    half_width = 1.2 * (ball_constant(alpha) * abs(scale) + 120.0)
+    n = _pow2_at_least(16.0 * half_width / np.pi)
+    cap = max_grid_points()
+    if n > cap:
+        raise SizingError(
+            f"band kernel grid needs {n} points, over the cap of {cap} "
+            "(DISPLAB_MAX_GRID_POINTS); pass a grid, or raise the cap",
+            required_points=n,
+            required_half_width=half_width,
+        )
+    return GridSpec(1, n, half_width)
+
+
+def _chirped_box(
+    grid: GridSpec, radius: float, amplitude, chirp: complex, alpha: float, one_sided: bool = False
+):
+    """(index, box): the values of `_chirped_spectrum` on its index box.
+
+    ``index`` holds each axis's signed lattice indices |m_i| <= ceil(radius / h) + 1,
+    only m > 0 on the first axis if ``one_sided``, and ``box`` the values
+    amplitude(|xi|) e^{chirp |xi|^alpha} on their product; ``amplitude``
+    vanishes for |xi| >= radius, so the box holds every nonzero entry.
+    The phase is formed only where the amplitude is nonzero.  The
+    frequencies are `GridSpec.axis_frequencies` at the box's indices and
+    the radii the square root of their summed squares in axis order, so
+    every entry is bit for bit the lattice-wide formula, and no
+    lattice-wide array is formed.
+    """
+    n = grid.points
+    reach = min(int(np.ceil(radius / grid.frequency_spacing)) + 1, n // 2)
+    m = np.arange(-reach, min(reach, n // 2 - 1) + 1)
+    index = [m[m > 0] if one_sided else m] + [m] * (grid.dim - 1)
+    r2 = grid.axis_frequencies(index[0]) ** 2
+    for m_a in index[1:]:
+        # ((x_1^2 + x_2^2) + x_3^2), the axis order
+        r2 = np.add.outer(r2, grid.axis_frequencies(m_a) ** 2)
+    r = np.sqrt(r2, out=r2)
+    values = amplitude(r)
+    nonzero = values != 0.0
+    box = np.zeros(r.shape, dtype=np.complex128)
+    box[nonzero] = values[nonzero] * np.exp(chirp * r[nonzero] ** alpha)
+    return index, box
 
 
 def _chirped_spectrum(
@@ -374,30 +416,12 @@ def _chirped_spectrum(
 
     The one builder of radial spectra: the band kernels, the chirped
     annulus datum, and, with chirp 0 (e^0 is exactly 1), the unit annulus
-    and the traveling-bump packet.  ``amplitude`` vanishes for
-    |xi| >= radius, a small part of the lattice.  The radii and the
-    amplitude are formed only on the index box |m_i| <= ceil(radius / h) + 1
-    per axis, which holds every nonzero entry, and the phase only where the
-    amplitude is nonzero; the rest of the lattice is the zero it is
-    allocated as.  ``one_sided`` keeps only m > 0 on the first axis.  The
-    frequencies are `GridSpec.axis_frequencies` and the radii the square
-    root of their summed squares in axis order, so every entry is bit for
-    bit the lattice-wide formula.  The box arrays are freed on return,
-    before an inverse transform allocates.
+    and the traveling-bump packet.  `_chirped_box` forms the values on the
+    index box that holds every nonzero entry, and they are scattered into
+    a lattice that is otherwise the zero it is allocated as.  The box
+    arrays are freed on return, before an inverse transform allocates.
     """
-    n = grid.points
-    reach = min(int(np.ceil(radius / grid.frequency_spacing)) + 1, n // 2)
-    m = np.arange(-reach, min(reach, n // 2 - 1) + 1)
-    index = [m[m > 0] if one_sided else m] + [m] * (grid.dim - 1)
-    xi = grid.axis_frequencies()  # negative m index from the top: the wrapped lattice
-    r2 = xi[index[0]] ** 2
-    for m_a in index[1:]:
-        r2 = np.add.outer(r2, xi[m_a] ** 2)  # ((x_1^2 + x_2^2) + x_3^2), the axis order
-    r = np.sqrt(r2)
-    values = amplitude(r)
-    nonzero = values != 0.0
-    box = np.zeros(r.shape, dtype=np.complex128)
-    box[nonzero] = values[nonzero] * np.exp(chirp * r[nonzero] ** alpha)
+    index, box = _chirped_box(grid, radius, amplitude, chirp, alpha, one_sided)
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
     spectrum[np.ix_(*index)] = box
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
@@ -406,6 +430,69 @@ def _chirped_spectrum(
 
 def _pow2_at_least(x: float) -> int:
     return int(2 ** max(3, int(np.ceil(np.log2(max(x, 1.0))))))
+
+
+def _slice_count(span: int, points: int) -> int:
+    """The largest power of two P with P * span <= points.
+
+    Any ``span`` consecutive lattice indices are then distinct modulo
+    points / P, a whole number since ``points`` is a power of two.
+    """
+    return 1 << ((points // span).bit_length() - 1)
+
+
+def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
+    """L1 mass sum_j |kappa_j| h of the band kernel of spread ``scale`` on the 1-d ``grid``.
+
+    The same lattice sum as ``np.abs(band_kernel(...).samples).sum() * h``,
+    up to round-off, without a full-lattice array.  The nonzero kernel
+    spectrum kappa^_m spans S consecutive signed indices m (fewer than n/4
+    at nyquist >= 8), so with P = `_slice_count` (S, n) and L = n / P each
+    m has its own residue m mod L.  The physical samples j = P a + r then
+    form P slices
+
+        kappa_{P a + r} = (1/P) ifft_L(Y_r)[a] / h,  Y_r[m mod L] = (-1)^m kappa^_m e^{2 pi i m r / n},
+
+    so the mass is the sum of |ifft_L(Y_r)| over the slices, divided by P.
+    The slices run one after another, each dropped once summed: a batch
+    or a second thread would hold several at once for no gain in time.
+    """
+    n = grid.points
+    (m,), box = _chirped_box(grid, 2.0, make_cutoffs(dim=1).bandpass, 1j * scale, alpha)
+    nonzero = np.flatnonzero(box)
+    start, span = int(m[nonzero[0]]), int(nonzero[-1] - nonzero[0] + 1)
+    box = box[nonzero[0] : nonzero[-1] + 1]  # the entry of m = start + i is box[i]
+    del m, nonzero
+    odd = box[(start + 1) % 2 :: 2]
+    np.negative(odd, out=odd)  # (-1)^m: an exact negation of the odd m, in place
+    slices = _slice_count(span, n)
+    size = n // slices
+    # m = start + i has residue (split + i) mod size: the box wraps once around
+    split = start % size
+    head = min(span, size - split)
+    folded = np.zeros(size, dtype=np.complex128)
+    folded[split : split + head] = box[:head]
+    folded[: span - head] = box[head:]
+    del box, odd
+    total = 0.0
+    for r in range(slices - 1, -1, -1):
+        if r:
+            # residue q stands for m = q + start - split, plus size below split
+            angle = np.arange(size, dtype=float)
+            angle[:split] += size
+            angle += start - split
+            angle *= 2.0 * np.pi * r / n
+            part = np.empty(size, dtype=np.complex128)
+            np.cos(angle, out=part.real)
+            np.sin(angle, out=part.imag)
+            del angle
+            part *= folded
+        else:  # the last slice takes folded itself
+            part = folded
+        np.fft.ifft(part, out=part)
+        total += float(np.abs(part, out=part.real).sum())
+        del part
+    return total / slices
 
 
 def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
@@ -420,13 +507,16 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     is decreasing and convex there, and adds b B(3b) for |y| > 3b, which
     over-estimates because the bound decays like y^-5 past 3b.  No tail is
     measured, so the value does not read round-off.
-    Denominator: the kernel's L1 mass on `_kernel_mass_grid`, which holds
-    the spread C(alpha) 2^(alpha k) t; where that grid would exceed
-    `_KERNEL_GRID_CAP` points, the floor 1.  The floor holds for every
-    kernel: |kappa^(xi)| <= ||kappa||_1, and kappa^ peaks at
-    max bandpass = 1.  The share is therefore an upper bound, and a loose
-    one where the kernel is barely spread: alpha 1.5, k = 1, t = 0 reads
-    5.3e-2 where a grid reaching past the ball measures 4.4e-3.
+    Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
+    spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in P = 4
+    decimated slices of n / 4 points, one after another, so no array of
+    the grid's n points is formed.  Where that grid would exceed
+    `grid.max_grid_points` (DISPLAB_MAX_GRID_POINTS, default 2^22), the
+    floor 1.  The floor holds for every kernel: |kappa^(xi)| <= ||kappa||_1,
+    and kappa^ peaks at max bandpass = 1.  The share is therefore an upper
+    bound, and a loose one where the kernel is barely spread: alpha 1.5,
+    k = 1, t = 0 reads 5.3e-2 where a grid reaching past the ball measures
+    4.4e-3.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
@@ -435,20 +525,14 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     alpha = params.alpha
     ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
     scale = 2.0 ** (alpha * k) * t
-    grid = _kernel_mass_grid(alpha, scale)
-    if grid is None:
+    try:
+        grid = _kernel_grid(alpha, scale)
+    except SizingError:  # past the grid cap: the floor every kernel's mass clears
         mass = 1.0
     else:
-        mass = np.abs(band_kernel(k, t, params, grid=grid).samples).sum() * grid.spacing
+        mass = _kernel_l1_mass(grid, alpha, scale)
     outside = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3.0 * ball, _TAIL_TARGETS))
     return float(outside / mass)
-
-
-def _kernel_mass_grid(alpha: float, scale: float) -> GridSpec | None:
-    """The L1-mass grid of half width 1.2 (spread + 120); None past `_KERNEL_GRID_CAP`."""
-    half_width = 1.2 * (ball_constant(alpha) * scale + 120.0)
-    n = _pow2_at_least(16.0 * half_width / np.pi)
-    return GridSpec(1, n, half_width) if n <= _KERNEL_GRID_CAP else None
 
 
 def _outside_mass_bound(alpha: float, scale: float, y: np.ndarray) -> float:

@@ -27,7 +27,15 @@ from displab.norms import (
     maximal_exponent,
     smoothing_exponent,
 )
-from displab.propagator import DispersionParams, evolve, kernel_tail_mass, quadratic_phase
+from displab.errors import SizingError
+from displab.propagator import (
+    DispersionParams,
+    _kernel_l1_mass,
+    band_kernel,
+    evolve,
+    kernel_tail_mass,
+    quadratic_phase,
+)
 from displab.spectral import dft_forward, to_physical
 
 
@@ -138,6 +146,31 @@ def test_criterion_05_kernel_localization():
                 worst = max(worst, kernel_tail_mass(k, t, params))
     report(5, "band-kernel mass outside the locality ball below 1%", worst < 0.01,
            f"worst tail fraction {worst:.2e}")
+
+
+def test_criterion_05_sliced_masses_are_the_band_kernels():
+    """Cross-check of acceptance 05's denominator on the same grid of kernels.
+
+    `kernel_tail_mass` sums each kernel's L1 mass in decimated slices; on
+    every kernel whose grid fits the grid cap, that mass equals the mass of
+    `band_kernel`'s samples on the same grid within 1e-13 relative.
+    """
+    worst, checked = 0.0, 0
+    for alpha in (1.5, 2.0, 3.0):
+        params = DispersionParams(alpha, 1)
+        for k in range(3, 9):
+            for t in (0.0, 0.5, 1.0):
+                try:
+                    kernel = band_kernel(k, t, params)  # on the grid kernel_tail_mass uses
+                except SizingError:  # past the grid cap: the tail divides by the floor 1
+                    continue
+                grid = kernel.grid
+                full = np.abs(kernel.samples).sum() * grid.spacing
+                sliced = _kernel_l1_mass(grid, alpha, 2.0 ** (alpha * k) * t)
+                worst = max(worst, abs(sliced / full - 1.0))
+                checked += 1
+    assert checked == 48  # all but alpha 3, k 6..8, t > 0
+    assert worst <= 1e-13, f"sliced masses differ by {worst:.2e} relative"
 
 
 def test_criterion_06_smoothing_sharpness_endpoint():

@@ -36,6 +36,17 @@ def test_sample_points_and_frequencies():
     assert np.abs(xi).max() == pytest.approx(g.nyquist)
 
 
+@pytest.mark.parametrize("log2_points", [10, 15, 17, 22])
+def test_axis_frequencies_at_indices_are_the_axis_entries(log2_points):
+    """Frequencies at given indices, signed or not, equal the whole axis's entries bit for bit."""
+    g = GridSpec(1, 2**log2_points, 37.3)
+    n = g.points
+    whole = g.axis_frequencies()
+    signed = np.arange(-n // 2, n // 2)  # negative indices count from the top, as numpy reads them
+    assert g.axis_frequencies(signed).tobytes() == whole[signed].tobytes()
+    assert g.axis_frequencies(np.arange(n)).tobytes() == whole.tobytes()
+
+
 def test_field_shape_and_representation(rng):
     g = GridSpec(2, 8, 1.0)
     flat = rng.standard_normal(64) + 1j * rng.standard_normal(64)

@@ -1,15 +1,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from displab.chirpquad import nonstationary_bound
 from displab.cutoffs import make_cutoffs, smooth_step
-from displab.errors import EllipticityError, GridAdequacyError
+from displab.errors import EllipticityError, GridAdequacyError, SizingError
 from displab.extremizers import unit_annulus_field, unit_profile_grid
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
@@ -20,8 +21,10 @@ from displab.propagator import (
     Trajectory,
     _chirped_spectrum,
     _frame_blocks,
-    _kernel_mass_grid,
+    _kernel_grid,
+    _kernel_l1_mass,
     _outside_mass_bound,
+    _slice_count,
     ball_constant,
     band_kernel,
     elliptic_evolve,
@@ -636,9 +639,73 @@ def test_tail_extension_holds_the_far_bound(alpha, k, t):
 
 def test_kernel_tail_past_the_grid_cap_runs_no_quadrature(monkeypatch):
     """alpha 3, k 6, t 1 is past the kernel grid cap: its mass floor needs no chirp-z nodes."""
-    assert _kernel_mass_grid(3.0, 2.0**18) is None
+    with pytest.raises(SizingError):
+        _kernel_grid(3.0, 2.0**18)
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
     assert 0.0 < kernel_tail_mass(6, 1.0, DispersionParams(3.0, 1)) < 1e-20
+
+
+def test_band_kernel_past_the_grid_cap_names_the_cap():
+    with pytest.raises(SizingError, match=r"needs 33554432 points, over the cap of 4194304 "
+                       r"\(DISPLAB_MAX_GRID_POINTS\); pass a grid") as err:
+        band_kernel(6, 1.0, DispersionParams(3.0, 1))
+    assert err.value.required_points == 2**25
+
+
+def test_kernel_grids_honour_the_grid_cap(monkeypatch):
+    """DISPLAB_MAX_GRID_POINTS caps kernel grids; past it the tail divides by the floor 1."""
+    params = DispersionParams(2.0, 1)
+    ball, scale = _ball_and_scale(2.0, 5, 1.0)
+    outside = _outside_mass_bound(2.0, scale, np.geomspace(ball, 3 * ball, _TAIL_TARGETS))
+    assert band_kernel(5, 1.0, params).grid.points == _kernel_grid(2.0, scale).points == 2**15
+    measured = kernel_tail_mass(5, 1.0, params)
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "16384")
+    with pytest.raises(SizingError, match="over the cap of 16384"):
+        band_kernel(5, 1.0, params)
+    assert kernel_tail_mass(5, 1.0, params) == outside > measured
+
+
+@settings(max_examples=40)
+@given(
+    log2_points=st.integers(6, 14),
+    half_width=st.floats(10.0, 800.0),
+    t=st.floats(-2.0, 2.0),
+    alpha=st.sampled_from([0.5, 1.5, 2.0, 3.0]),
+)
+@example(log2_points=13, half_width=512.0 * np.pi, t=1.0, alpha=2.0)  # nyquist exactly 8
+def test_sliced_mass_is_the_band_kernel_mass(log2_points, half_width, t, alpha):
+    """On any grid with nyquist >= 8, the slices sum the full kernel's lattice mass."""
+    grid = GridSpec(1, 2**log2_points, half_width)
+    assume(grid.nyquist >= 8.0)
+    kernel = band_kernel(1, t, DispersionParams(alpha, 1), grid=grid)
+    full = np.abs(kernel.samples).sum() * grid.spacing
+    assert abs(_kernel_l1_mass(grid, alpha, 2.0**alpha * t) / full - 1.0) <= 1e-13
+
+
+@given(log2_points=st.integers(3, 16), data=st.data())
+def test_slice_count_keeps_folded_indices_distinct(log2_points, data):
+    n = 2**log2_points
+    span = data.draw(st.integers(1, n))
+    first = data.draw(st.integers(-n // 2, n // 2))
+    slices = _slice_count(span, n)
+    folded = np.arange(first, first + span) % (n // slices)
+    assert n % slices == 0
+    assert np.unique(folded).size == span
+    assert slices == n or 2 * slices * span > n  # the largest such power of two
+
+
+def test_kernel_mass_holds_no_full_lattice_array():
+    """On a 2^19-point mass grid, tracemalloc's peak stays below one complex array of the grid."""
+    scale = 2.0**14  # alpha 2, k 7, t 1
+    grid = _kernel_grid(2.0, scale)
+    assert grid.points == 2**19
+    tracemalloc.start()
+    try:
+        _kernel_l1_mass(grid, 2.0, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * grid.points, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.slow
@@ -652,10 +719,12 @@ def test_grid_kernel_masses_clear_the_floor():
     for alpha in (1.5, 2.0, 3.0):
         for k in range(1, 9):
             for t in (0.0, 0.5, 1.0):
-                grid = _kernel_mass_grid(alpha, 2.0 ** (alpha * k) * t)
-                if grid is not None:
-                    kernel = band_kernel(k, t, DispersionParams(alpha, 1), grid=grid)
-                    masses.append(np.abs(kernel.samples).sum() * grid.spacing)
+                scale = 2.0 ** (alpha * k) * t
+                try:
+                    grid = _kernel_grid(alpha, scale)
+                except SizingError:
+                    continue
+                masses.append(_kernel_l1_mass(grid, alpha, scale))
     assert len(masses) == 66  # all but alpha 3, k 6..8, t > 0
     assert min(masses) >= 1.0
 
