@@ -19,7 +19,10 @@ banded  the interval is split by a smooth partition of unity into narrow
         coherently on the caller's grid; targets outside every window
         receive the (rapidly vanishing) tail contributions of nothing, so
         the banded route must only be used with targets inside the swept
-        region, or together with `nonstationary_bound` for the rest.
+        region, or together with `nonstationary_bound` for the rest.  The
+        windows' weights and transforms run two at a time on the pool of
+        `grid._block_pool`; their plans are resolved, and their sums added,
+        in window order on the caller's thread.
 
 Route rule.  ``method="auto"`` runs dense up to `DENSE_CAP` = 2^17
 dense-lattice nodes and banded above it, for every caller; `_route`
@@ -54,6 +57,8 @@ scale built, and by then they are evicted, so the seed-0 benchmark
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +66,7 @@ import numpy as np
 
 from .cutoffs import make_cutoffs
 from .errors import SizingError
-from .grid import quadrature_node_budget
+from .grid import _block_pool, _block_workers, quadrature_node_budget
 
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
 _MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the chirp-z plan, keeps roundoff ~<1e-7
@@ -70,10 +75,8 @@ _OVERSAMPLE = 1.15  # lattice period over the span it must hold clear of images
 BAND_COUNT = 48  # bands per interval on the banded route
 DENSE_CAP = 2**17  # most dense-lattice nodes the automatic route evaluates densely
 _BOUND_STEPS = 5  # integrations by parts tried by nonstationary_bound
-_BOUND_NODES = 16384  # lattice nodes per interval in nonstationary_bound
-# targets per block of nonstationary_bound: one block's (targets x nodes) float64
-# temporaries stay near 0.5 MB, inside a core's cache
-_BOUND_BLOCK = max(1, 2**16 // _BOUND_NODES)
+_BOUND_NODES = 16384  # lattice nodes per interval in _bound_norms
+_BOUND_PIECES = 16  # pieces per interval, each bounded at its own distance from the targets
 
 
 @dataclass(frozen=True)
@@ -179,19 +182,31 @@ def _czt_eval(
     With y_k = start + k step and a block's nodes x_0 + j dxi, the block sum
     is e^{i y_k x_0} sum_j (weights_j e^{i start dxi j}) e^{i step dxi jk}.
     """
-    n_total = nodes.size
-    if n_total == 0:
-        return
-    dxi = nodes[1] - nodes[0] if n_total > 1 else 1.0
-    for seg, acc in zip(segments, out):
-        points = seg.points()
+    _czt_apply(nodes, weights, segments, _czt_plans(nodes, segments, chunk_cap), out)
+
+
+def _czt_plans(nodes: np.ndarray, segments, chunk_cap: int = _DEFAULT_CHUNK) -> list:
+    """(chunk, plan) per segment for the lattice ``nodes``, resolved through `_plan`."""
+    if nodes.size == 0:
+        return []
+    dxi = nodes[1] - nodes[0] if nodes.size > 1 else 1.0
+    plans = []
+    for seg in segments:
         theta = seg.step * dxi
         # cap the chunk so the chirp angle n^2*theta/2 stays reducible in float64
         chunk = int(min(chunk_cap, max(4096, np.sqrt(2.0 * _MAX_CHIRP_ANGLE / max(theta, 1e-300)))))
-        chunk = min(chunk, n_total)
-        transform = _plan(chunk, seg.count, theta)
+        chunk = min(chunk, nodes.size)
+        plans.append((chunk, _plan(chunk, seg.count, theta)))
+    return plans
+
+
+def _czt_apply(nodes: np.ndarray, weights: np.ndarray, segments, plans, out) -> None:
+    """The sums of `_czt_eval` through plans `_czt_plans` resolved for these nodes."""
+    dxi = nodes[1] - nodes[0] if nodes.size > 1 else 1.0
+    for seg, (chunk, transform), acc in zip(segments, plans, out):
+        points = seg.points()
         shift = np.exp(1j * (seg.start * dxi) * np.arange(chunk))
-        for start in range(0, n_total, chunk):
+        for start in range(0, nodes.size, chunk):
             block = weights[start : start + chunk]
             acc += np.exp(1j * points * nodes[start]) * transform(block * shift[: block.size])
 
@@ -283,7 +298,32 @@ def chirp_profile(
 
 
 def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
+    """Sum every band window onto ``out``, at most two windows in flight on `grid._block_pool`.
+
+    Only the calling thread builds the lattices (plans read their spacing),
+    resolves plans and adds views, all in window order, so plan builds,
+    cache hits and sums are bit for bit the serial ones.
+    """
     cells = make_cutoffs(dim=1)
+    pool = _block_pool(os.getpid()) if _block_workers() > 1 else None
+    pending = deque()
+
+    def window(nodes, d, p, h, subs, plans):
+        weights = (
+            np.asarray(amplitude(nodes), dtype=complex)
+            * cells.cell_1d(nodes / h - p)
+            * np.exp(1j * scale * np.abs(nodes) ** alpha)
+            * (d / (2.0 * np.pi))
+        )
+        views = [np.zeros(sub.count, dtype=complex) for sub in subs]
+        _czt_apply(nodes, weights, subs, plans, views)
+        return views
+
+    def settle():  # add the oldest window's views; reading a result re-raises its error
+        views, sliced = pending.popleft()
+        for (sub, acc, q0), view in zip(sliced, views if pool is None else views.result()):
+            acc[q0 : q0 + sub.count] += view
+
     for lo, hi in intervals:
         h = (hi - lo) / BAND_COUNT
         curvature = alpha * abs(alpha - 1.0) * max(abs(lo) ** (alpha - 2.0), abs(hi) ** (alpha - 2.0))
@@ -299,16 +339,11 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
             g_edges = _group_position(np.array([blo, bhi]), alpha, scale)
             foot_lo, foot_hi = float(g_edges.min()), float(g_edges.max())
             win_lo, win_hi = foot_lo - pad, foot_hi + pad
-            covered = [
-                (seg, acc)
-                for seg, acc in zip(segments, out)
-                if seg.stop >= win_lo and seg.start <= win_hi
-            ]
-            if not covered:
-                continue
-            # restrict each covered segment to the window slice
+            # restrict each segment the window covers to the window slice
             sliced = []
-            for seg, acc in covered:
+            for seg, acc in zip(segments, out):
+                if seg.stop < win_lo or seg.start > win_hi:
+                    continue
                 q0 = max(0, int(np.floor((win_lo - seg.start) / seg.step)))
                 q1 = min(seg.count - 1, int(np.ceil((win_hi - seg.start) / seg.step)))
                 if q1 < q0:
@@ -319,82 +354,71 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
                 continue
             span = (win_hi - win_lo) + pad + _TAIL_CLEARANCE
             nodes, d = _interval_lattice(blo, bhi, 2.0 * np.pi / (_OVERSAMPLE * span))
-            weights = (
-                np.asarray(amplitude(nodes), dtype=complex)
-                * cells.cell_1d(nodes / h - p)
-                * np.exp(1j * scale * np.abs(nodes) ** alpha)
-                * (d / (2.0 * np.pi))
-            )
-            views = [np.zeros(sub.count, dtype=complex) for sub, _, _ in sliced]
-            _czt_eval(nodes, weights, [sub for sub, _, _ in sliced], views)
-            for (sub, acc, q0), view in zip(sliced, views):
-                acc[q0 : q0 + sub.count] += view
+            subs = [sub for sub, _, _ in sliced]
+            job = (nodes, d, p, h, subs, _czt_plans(nodes, subs))
+            if len(pending) == 2:
+                settle()
+            pending.append((window(*job) if pool is None else pool.submit(window, *job), sliced))
+    while pending:
+        settle()
 
 
 def nonstationary_bound(amplitude, intervals, alpha: float, scale: float, y: np.ndarray) -> np.ndarray:
     """Integration-by-parts upper bound for |I(y)| away from all group positions.
 
-    Valid (and enforced) only where |y + S phi'(xi)| is bounded below on every
-    interval; returns, per target, the smallest of the iterated bounds
-    (2 pi)^-1 int |g_n| dxi, where g_0 = a and g_{n+1} = (g_n / (i s))' with
-    s the real phase slope.  The recursion runs in the amplitude's own
-    dtype as h_{n+1} = (h_n / s)': then g_n = (-i)^n h_n, so |g_n| = |h_n|,
-    and a real amplitude never forms a complex array.  Every tail the lab
-    reports comes from this bound (`propagator.kernel_tail_mass`,
-    `extremizers.envelope_check`): a quadrature there reads round-off.
+    With s = y + sigma(xi) the real phase slope, n integrations by parts give
+    |I(y)| <= (2 pi)^-1 int |h_n|, h_0 = a and h_{n+1} = (h_n / s)'.  So
+    h_n = sum_{j=n}^{2n} P_{n,j} s^-j, where P_{0,0} = a, P_{n+1,j+1} += P_{n,j}'
+    and P_{n+1,j+2} -= (j + 1) sigma' P_{n,j}; as sigma' = S alpha (alpha - 1)
+    |xi|^{alpha-2}, P_{n,j} = S^{j-n} R_{n,j} with R free of S and y.  On each
+    of `_BOUND_PIECES` pieces of an interval, |s| >= dist(y), the distance from
+    y to the group positions of the piece's ends, so per interval
 
-    Each interval's lattice, group slope and amplitude are formed once, with
-    two (`_BOUND_BLOCK` x nodes) buffers: the quotient h_n / s, whose real
-    part then takes |h_{n+1}|, and the derivative h_{n+1}, written by
-    `_gradient`.  The recursion runs over blocks of `_BOUND_BLOCK` targets
-    in those buffers and allocates nothing, so its passes stay cache-sized:
-    over the 65 bound calls of the seed-0 `localization` benchmark, blocks
-    of 8 targets took 1.52 s against 1.25 s for blocks of 4.  Every
-    target's row is computed as in one batch of `np.gradient` calls, so the
-    result does not depend on the block size.  The blocks run on one thread.
+        |I(y)| <= min_{n=1..5} sum_pieces sum_j |S|^{j-n} r_{n,j} dist(y)^-j,
+
+    r_{n,j} = (2 pi)^-1 int_piece |R_{n,j}| from `_bound_norms`.  The bound
+    falls as every dist(y) grows, so past the group positions its supremum
+    over a set of targets is its value at the nearest one.  Enforced: dist(y)
+    > |y| / 20 on every piece.  Every tail the lab reports comes from this
+    bound: a quadrature there reads round-off.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    rows = min(y.size, _BOUND_BLOCK)
-    lattices = []
-    for lo, hi in intervals:
-        xi, d = _interval_lattice(lo, hi, (hi - lo) / _BOUND_NODES)
-        sweep = scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
-        amp = np.asarray(amplitude(xi))
-        dtype = np.result_type(amp, np.float64)
-        buffers = (np.empty((rows, xi.size), dtype), np.empty((rows, xi.size), dtype))
-        lattices.append((d, sweep, amp, buffers))
-    total = np.zeros(y.size)
-    for start in range(0, y.size, _BOUND_BLOCK):
-        block = y[start : start + _BOUND_BLOCK]
-        for d, sweep, amp, (quotient, derivative) in lattices:
-            q, h = quotient[: block.size], derivative[: block.size]
-            magnitude = q.real  # q itself for a real amplitude
-            phase_slope = block[:, None] + sweep
-            min_slope = np.abs(phase_slope, out=magnitude).min(axis=1)
-            if np.any(min_slope <= 0.05 * np.abs(block)):
-                raise ValueError("targets are too close to the stationary region for the bound")
-            previous = amp
-            best = np.full(block.size, np.inf)
-            for _ in range(_BOUND_STEPS):
-                np.divide(previous, phase_slope, out=q)
-                _gradient(q, d, out=h)
-                bound = np.abs(h, out=magnitude).sum(axis=1) * d / (2.0 * np.pi)
-                np.minimum(best, bound, out=best)
-                previous = h
-            total[start : start + block.size] += best
+    total = 0.0
+    for coefficients, dist in _bound_terms(amplitude, intervals, alpha, scale, y):
+        j = np.arange(coefficients.shape[2])
+        total = total + np.einsum("pnj,pjt->nt", coefficients, dist[:, None] ** -j[:, None]).min(0)
     return total
 
 
-def _gradient(f: np.ndarray, d: float, out: np.ndarray) -> np.ndarray:
-    """``np.gradient(f, d, axis=1)`` bit for bit, written into ``out``.
+def _bound_terms(amplitude, intervals, alpha: float, scale: float, y):
+    """Per interval, |S|^{j-n} r_{n,j} as a (piece, n, j) array and dist(y) as (piece, y)."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not (np.isfinite(scale) and np.isfinite(y).all()):
+        raise ValueError(f"the bound needs a finite scale and targets, got scale {scale} and y {y}")
+    powers = np.maximum(np.arange(2 * _BOUND_STEPS + 1) - np.arange(1, _BOUND_STEPS + 1)[:, None], 0)
+    terms = []
+    for lo, hi in intervals:
+        g = _group_position(np.linspace(lo, hi, _BOUND_PIECES + 1), alpha, scale)[:, None]
+        dist = np.maximum(np.maximum(np.minimum(g[:-1], g[1:]) - y, y - np.maximum(g[:-1], g[1:])), 0.0)
+        if np.any(dist <= 0.05 * np.abs(y)):
+            raise ValueError("targets are too close to the stationary region for the bound")
+        terms.append((_bound_norms(amplitude, lo, hi, alpha) * abs(scale) ** powers, dist))
+    return terms
 
-    Central differences inside and one-sided ones at the two edges, each
-    formed as `np.gradient` forms it: a difference, then one division.
-    """
-    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
-    out[:, 1:-1] /= 2.0 * d
-    np.subtract(f[:, 1], f[:, 0], out=out[:, 0])
-    out[:, 0] /= d
-    np.subtract(f[:, -1], f[:, -2], out=out[:, -1])
-    out[:, -1] /= d
-    return out
+
+@lru_cache(maxsize=32)
+def _bound_norms(amplitude, lo: float, hi: float, alpha: float) -> np.ndarray:
+    """r_{n,j} as a (piece, n, j) array: R_{n,j} = P_{n,j} at S = 1 on `_BOUND_NODES` nodes
+    of [lo, hi], derivatives by `np.gradient`; keyed by the amplitude (cutoffs are shared)."""
+    xi, d = _interval_lattice(lo, hi, (hi - lo) / _BOUND_NODES)
+    curvature = alpha * (alpha - 1.0) * np.abs(xi) ** (alpha - 2.0)
+    rows = {0: np.asarray(amplitude(xi))}
+    norms = np.zeros((_BOUND_PIECES, _BOUND_STEPS, 2 * _BOUND_STEPS + 1))
+    for n in range(_BOUND_STEPS):
+        previous, rows = rows, {}
+        for j, p in previous.items():
+            rows[j + 1] = rows.get(j + 1, 0.0) + np.gradient(p, d)
+            rows[j + 2] = rows.get(j + 2, 0.0) - (j + 1) * curvature * p
+        for j, p in rows.items():
+            norms[:, n, j] = np.abs(p).reshape(_BOUND_PIECES, -1).sum(axis=1) * d / (2.0 * np.pi)
+    norms.setflags(write=False)
+    return norms

@@ -19,6 +19,7 @@ identities hold to roundoff, not just analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -117,5 +118,10 @@ class CutoffSpec:
 
 
 def make_cutoffs(smoothness_scale: float = 1.0, dim: int = 1) -> CutoffSpec:
-    """Build the standard cutoff family; ``smoothness_scale`` shapes the edges."""
-    return CutoffSpec(dim=dim, sharpness=smoothness_scale)
+    """The standard cutoff family; ``smoothness_scale`` shapes the edges."""
+    return _cutoff_spec(smoothness_scale, dim)
+
+
+@cache  # one immutable spec per argument pair, so its bound methods compare equal and key caches
+def _cutoff_spec(sharpness: float, dim: int) -> CutoffSpec:
+    return CutoffSpec(dim=dim, sharpness=sharpness)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -51,6 +52,23 @@ def quadrature_node_budget() -> int:
     chunks, so they may outnumber the points of a grid held whole.
     """
     return 64 * max_grid_points()
+
+
+def _block_workers() -> int:
+    """Threads for independent blocks of work: the CPUs this process may run on, at most two."""
+    if not hasattr(os, "sched_getaffinity"):  # not Linux: no affinity to read
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+@cache
+def _block_pool(pid: int):
+    """Process ``pid``'s block threads, built on first use; a forked child builds its own.
+
+    The one pool: `propagator`'s frame blocks and `chirpquad`'s band windows run on it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-blocks")
 
 
 @dataclass(frozen=True)

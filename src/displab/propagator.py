@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .chirpquad import nonstationary_bound
+from .chirpquad import _bound_terms
 from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, max_grid_points
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _block_pool, _block_workers, max_grid_points
 from .spectral import (
     _inverse_in_place,
     apply_symbol,
@@ -117,21 +116,6 @@ def _spectral_support(field: Field, alpha: float):
     for j_a in j[1:]:
         r2 += xi[j_a] ** 2
     return spectrum[support], support, r2 ** (alpha / 2.0)
-
-
-def _block_workers() -> int:
-    """Threads for frame blocks: the CPUs this process may run on, at most two."""
-    if not hasattr(os, "sched_getaffinity"):  # not Linux: no affinity to read
-        return 1
-    return min(2, len(os.sched_getaffinity(0)))
-
-
-@cache
-def _block_pool(pid: int):
-    """Process ``pid``'s frame-block threads, built on first use; a forked child builds its own."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-frames")
 
 
 def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce) -> None:
@@ -324,8 +308,6 @@ def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
 
 # the band kernel's frequency support 1/2 < |xi| < 2, as single-signed intervals
 _BAND_INTERVALS = ((0.5, 2.0), (-2.0, -0.5))
-# targets of the out-of-ball bound, geometric over [ball, 3 ball]
-_TAIL_TARGETS = 16
 
 
 def band_kernel(
@@ -501,12 +483,12 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     The ball is |x| <= 4 C(alpha) 2^(k(alpha-1)), i.e. |y| <= b = 4 C(alpha) 2^(alpha k)
     in the rescaled kernel variable.  Requires t in [0, 1] and dim = 1.
 
-    Numerator: `_outside_mass_bound` integrates the integration-by-parts
-    bound `chirpquad.nonstationary_bound` over 16 geometric targets on
-    [b, 3b] by the trapezoid rule, which over-estimates because the bound
-    is decreasing and convex there, and adds b B(3b) for |y| > 3b, which
-    over-estimates because the bound decays like y^-5 past 3b.  No tail is
-    measured, so the value does not read round-off.
+    Numerator: `_outside_mass_bound`, the exact integral over |y| > b of
+    the integration-by-parts bound `chirpquad.nonstationary_bound` (h_n =
+    sum_j P_{n,j} s^-j, P_{n,j} = S^{j-n} R_{n,j}): twice min_{n>=2} of
+    sum_j |S|^{j-n} r_{n,j} (b - g)^{1-j} / (j - 1), summed over pieces with
+    largest group position g.  No tail is measured, so the value does not
+    read round-off.
     Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
     spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in P = 4
     decimated slices of n / 4 points, one after another, so no array of
@@ -515,7 +497,7 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     floor 1.  The floor holds for every kernel: |kappa^(xi)| <= ||kappa||_1,
     and kappa^ peaks at max bandpass = 1.  The share is therefore an upper
     bound, and a loose one where the kernel is barely spread: alpha 1.5,
-    k = 1, t = 0 reads 5.3e-2 where a grid reaching past the ball measures
+    k = 1, t = 0 reads 5.6e-2 where a grid reaching past the ball measures
     4.4e-3.
     """
     if not 0.0 <= t <= 1.0:
@@ -531,22 +513,20 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
         mass = 1.0
     else:
         mass = _kernel_l1_mass(grid, alpha, scale)
-    outside = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3.0 * ball, _TAIL_TARGETS))
-    return float(outside / mass)
+    return _outside_mass_bound(alpha, scale, ball) / mass
 
 
-def _outside_mass_bound(alpha: float, scale: float, y: np.ndarray) -> float:
-    """Upper bound on int_{|y'| > y[0]} |kappa(y')| dy', for targets y running from b to 3b.
+def _outside_mass_bound(alpha: float, scale: float, ball: float) -> float:
+    """Upper bound on int_{|y| > b} |kappa(y)| dy, b = ``ball``, in closed form.
 
-    The kernel is even, so this is twice the integral over y' > b of
-    `chirpquad.nonstationary_bound`, which bounds |kappa| pointwise there.
-    Over [b, 3b] the bound is integrated by the trapezoid rule on the
-    targets; on every probed kernel the bound is decreasing and convex
-    there, so the chords lie above it and the rule over-estimates.  Past
-    3b the fifth integration by parts is the smallest bound, so it decays
-    like y^-5 and its integral from 3b on is at most (3/4) b B(3b); b B(3b)
-    is added.
+    Twice (the kernel is even) the exact integral over y > b of the bound
+    `chirpquad.nonstationary_bound` (P_{n,j} = S^{j-n} R_{n,j}): there each
+    piece's dist(y) is y - g, g its largest group position, and j >= n >= 2, so
+    int_b^inf <= min_{n>=2} sum_pieces sum_j |S|^{j-n} r_{n,j} (b - g)^{1-j} / (j - 1).
     """
-    bound = nonstationary_bound(make_cutoffs(dim=1).bandpass, _BAND_INTERVALS, alpha, scale, y)
-    return 2.0 * float(np.trapezoid(bound, y) + bound[-1] * y[0])
-
+    total = 0.0
+    bandpass = make_cutoffs(dim=1).bandpass
+    for coefficients, dist in _bound_terms(bandpass, _BAND_INTERVALS, alpha, scale, [ball]):
+        j = np.arange(2, coefficients.shape[2])
+        total += np.einsum("pnj,pj->n", coefficients[:, 1:, 2:], dist ** (1 - j) / (j - 1)).min()
+    return 2.0 * float(total)

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 import displab
 from displab.chirpquad import (
-    _BOUND_BLOCK,
     _BOUND_NODES,
+    _BOUND_PIECES,
     _BOUND_STEPS,
     _MAX_CHIRP_ANGLE,
     CZT,
     DENSE_CAP,
     UniformSegment,
+    _bound_norms,
+    _bound_terms,
     _czt_eval,
     _interval_lattice,
     _smooth_length,
@@ -125,6 +127,40 @@ def test_auto_switches_to_banded():
     assert np.isfinite(out[0]).all()
 
 
+def test_banded_windows_are_bitwise_on_one_and_two_threads(monkeypatch):
+    """Two threads add the same window sums in the same order, from the same plan builds."""
+    from displab import chirpquad
+
+    built = []
+    plan_class = chirpquad.CZT
+
+    def counted(n, m, w):
+        built.append((n, m, w))
+        return plan_class(n, m, w)
+
+    monkeypatch.setattr(chirpquad, "CZT", counted)
+    alpha, scale = 2.0, -65536.0
+    swept = 4.0 * abs(scale)
+    segments = [UniformSegment(-1.2 * swept, swept / 700, 800), UniformSegment(0.3 * swept, 7.0, 900)]
+    profiles, plans = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for workers in (1, 2, 1, 2):
+            monkeypatch.setattr(chirpquad, "_block_workers", lambda: workers)
+            chirpquad._plan.cache_clear()
+            built.clear()
+            profiles.append(chirp_profile(make_cutoffs().annulus, INTERVALS, alpha, scale, segments,
+                                          method="banded"))
+            plans.append(list(built))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(plans[0]) > 4  # more plans than the cache holds, so some are rebuilt
+    for profile, plan in zip(profiles[1:], plans[1:]):
+        assert all(np.array_equal(a, b) for a, b in zip(profile, profiles[0]))
+        assert plan == plans[0]
+
+
 def _profile_segment(alpha, scale, count=512):
     """Targets over the swept group positions, as `datum_lp_norm` places them."""
     reach = 1.25 * alpha * 2.0 ** (alpha - 1.0) * abs(scale)
@@ -187,14 +223,15 @@ def complex_bound(amplitude, intervals, alpha, scale, y, iters=5, grid_points=16
     # the localization workload's largest kernel: alpha = 3, k = 8, t = 1, y past its ball
     (3.0, 2.0**24, 4.0 * 12.0 * 2.0**24),
 ])
-def test_nonstationary_bound_matches_complex_recursion(alpha, scale, swept):
-    """|g_n| = |h_n| for the real recursion h_{n+1} = (h_n / s)'; only roundoff differs."""
+def test_nonstationary_bound_holds_the_complex_recursion(alpha, scale, swept):
+    """The closed form bounds the recursion's |g_n| termwise: at or above it, up to the
+    finite-difference gap, and within 3x of it."""
     cut = make_cutoffs()
     y = np.linspace(1.5 * swept, 8.0 * swept, 7)
     bound = nonstationary_bound(cut.annulus, INTERVALS, alpha, scale, y)
     assert bound.dtype == np.float64
-    np.testing.assert_allclose(bound, complex_bound(cut.annulus, INTERVALS, alpha, scale, y),
-                               rtol=1e-2, atol=0.0)
+    oracle = complex_bound(cut.annulus, INTERVALS, alpha, scale, y)
+    assert ((1.0 - 1e-3) * oracle <= bound).all() and (bound <= 3.0 * oracle).all()
     # a complex amplitude keeps its modulus through the recursion
     rotated = nonstationary_bound(lambda xi: np.exp(0.7j) * cut.annulus(xi), INTERVALS, alpha,
                                   scale, y)
@@ -224,21 +261,73 @@ def unblocked_bound(amplitude, intervals, alpha, scale, y):
 
 @pytest.mark.parametrize("targets", [1, 3, 96, 97])
 @pytest.mark.parametrize("alpha,scale", [(2.0, -256.0), (3.0, 2.0**24)])
-def test_nonstationary_bound_blocks_are_bitwise_one_batch(targets, alpha, scale):
+def test_nonstationary_bound_holds_the_batch_recursion_and_decreases(targets, alpha, scale):
     cut = make_cutoffs()
     ball = 4.0 * alpha * 2.0 ** (alpha - 1.0) * abs(scale)  # four times the swept reach
     y = np.linspace(ball, 3.0 * ball, targets)
     bound = nonstationary_bound(cut.bandpass, INTERVALS, alpha, scale, y)
-    assert np.array_equal(bound, unblocked_bound(cut.bandpass, INTERVALS, alpha, scale, y))
+    assert ((1.0 - 1e-3) * unblocked_bound(cut.bandpass, INTERVALS, alpha, scale, y) <= bound).all()
+    assert (np.diff(bound) <= 0.0).all()
 
 
-def test_nonstationary_bound_checks_the_last_partial_block():
+def test_nonstationary_bound_checks_the_last_target():
     cut = make_cutoffs()
     y = np.linspace(2000.0, 6000.0, 97)
     y[-1] = 200.0  # the one target inside the swept region |y| <= 400
-    assert y.size % _BOUND_BLOCK != 0  # so that target sits alone in a partial block
     with pytest.raises(ValueError):
         nonstationary_bound(cut.annulus, INTERVALS, 2.0, -100.0, y)
+
+
+@pytest.mark.parametrize("y, scale, named", [
+    ([np.nan, 5000.0], -100.0, r"y \[ *nan"),
+    ([5000.0], np.inf, "scale inf"),
+    ([np.inf], -100.0, r"y \[inf\]"),
+])
+def test_nonstationary_bound_rejects_non_finite_input(y, scale, named):
+    with pytest.raises(ValueError, match=named):
+        nonstationary_bound(make_cutoffs().annulus, INTERVALS, 2.0, scale, y)
+
+
+def direct_norms(amplitude, lo, hi, alpha, scale):
+    """Oracle for ``_bound_terms``: (2 pi)^-1 int |P_{n,j}| per piece, P formed with
+    sigma' = S alpha (alpha - 1) |xi|^(alpha - 2)."""
+    xi, d = _interval_lattice(lo, hi, (hi - lo) / _BOUND_NODES)
+    sigma_prime = scale * alpha * (alpha - 1.0) * np.abs(xi) ** (alpha - 2.0)
+    rows = {0: amplitude(xi)}
+    norms = np.zeros((_BOUND_PIECES, _BOUND_STEPS, 2 * _BOUND_STEPS + 1))
+    for n in range(_BOUND_STEPS):
+        previous, rows = rows, {}
+        for j, p in previous.items():
+            rows[j + 1] = rows.get(j + 1, 0.0) + np.gradient(p, d)
+            rows[j + 2] = rows.get(j + 2, 0.0) - (j + 1) * sigma_prime * p
+        for j, p in rows.items():
+            for piece, part in enumerate(np.split(np.abs(p), _BOUND_PIECES)):
+                norms[piece, n, j] = part.sum() * d / (2.0 * np.pi)
+    return norms
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [0.0, 64.0, -64.0, 2.0**24])
+def test_bound_coefficients_scale_out(alpha, scale):
+    """|S|^{j-n} r_{n,j} is (2 pi)^-1 int |P_{n,j}| formed directly at S."""
+    bandpass = make_cutoffs().bandpass
+    y = [1e3 * (abs(scale) + 1.0)]  # far past every group position
+    for (lo, hi), (coefficients, _) in zip(INTERVALS, _bound_terms(bandpass, INTERVALS, alpha,
+                                                                   scale, y)):
+        np.testing.assert_allclose(coefficients, direct_norms(bandpass, lo, hi, alpha, scale),
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_bound_norms_are_keyed_by_the_cutoff():
+    """Equal cutoffs share cached norms; another sharpness gets norms of its own."""
+    default = _bound_norms(make_cutoffs().bandpass, 0.5, 2.0, 2.0)
+    hits = _bound_norms.cache_info().hits
+    assert _bound_norms(make_cutoffs(dim=1).bandpass, 0.5, 2.0, 2.0) is default
+    assert _bound_norms.cache_info().hits == hits + 1
+    sharper = _bound_norms(make_cutoffs(2.0).bandpass, 0.5, 2.0, 2.0)
+    assert not np.array_equal(sharper, default)
+    np.testing.assert_array_equal(sharper, direct_norms(make_cutoffs(2.0).bandpass, 0.5, 2.0, 2.0,
+                                                        1.0))
 
 
 def brute_sum(weights, start, theta, m):

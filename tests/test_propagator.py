@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from displab.chirpquad import nonstationary_bound
 from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import EllipticityError, GridAdequacyError, SizingError
 from displab.extremizers import unit_annulus_field, unit_profile_grid
@@ -16,7 +15,6 @@ from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
     _BAND_INTERVALS,
-    _TAIL_TARGETS,
     DispersionParams,
     Trajectory,
     _chirped_spectrum,
@@ -36,6 +34,7 @@ from displab.propagator import (
     quadratic_phase,
 )
 from displab.spectral import apply_symbol, to_frequency, to_physical
+from test_chirpquad import unblocked_bound
 
 
 def band_limited_field(grid, rng, radius_cells=0.2):
@@ -615,26 +614,23 @@ def test_kernel_tail_mass_bounds_the_honest_grid(alpha):
     assert checked >= 3
 
 
-@pytest.mark.parametrize(
-    "alpha, k, t", [(1.5, 1, 1.0), (1.5, 3, 0.0), (2.0, 5, 1.0), (3.0, 6, 0.5), (3.0, 8, 1.0)]
-)
-def test_geometric_tail_targets_hold_a_fine_linear_grid(alpha, k, t):
-    """The trapezoid on the geometric targets over-estimates, and by under 5%, a 384-target one."""
-    ball, scale = _ball_and_scale(alpha, k, t)
-    geometric = _outside_mass_bound(alpha, scale, np.geomspace(ball, 3 * ball, _TAIL_TARGETS))
-    linear = _outside_mass_bound(alpha, scale, np.linspace(ball, 3 * ball, 384))
-    assert linear <= geometric <= 1.05 * linear
-
-
-@pytest.mark.parametrize("alpha, k, t", [(1.5, 1, 1.0), (2.0, 2, 0.5), (3.0, 8, 0.0)])
-def test_tail_extension_holds_the_far_bound(alpha, k, t):
-    """ball x B(3 ball) is at least the trapezoid of the bound from 3 ball to 81 ball."""
+@pytest.mark.parametrize("alpha, k, t", [
+    (1.5, 1, 1.0), (1.5, 3, 0.0), (2.0, 5, 1.0), (3.0, 6, 0.5), (3.0, 8, 1.0), (2.0, 2, 0.5),
+    (3.0, 8, 0.0),
+])
+def test_outside_mass_holds_the_recursion_out_to_81_balls(alpha, k, t):
+    """The closed-form integral is at least the recursion oracle's trapezoid, 384 linear
+    targets over [b, 3b] and 257 geometric ones over [3b, 81b], up to the finite-difference gap."""
     ball, scale = _ball_and_scale(alpha, k, t)
     bandpass = make_cutoffs(dim=1).bandpass
-    y = np.geomspace(3 * ball, 81 * ball, 257)
-    far = np.trapezoid(nonstationary_bound(bandpass, _BAND_INTERVALS, alpha, scale, y), y)
-    extension = ball * nonstationary_bound(bandpass, _BAND_INTERVALS, alpha, scale, [3 * ball])[0]
-    assert extension >= far
+
+    def oracle(y):
+        return np.concatenate([unblocked_bound(bandpass, _BAND_INTERVALS, alpha, scale, y[i : i + 64])
+                               for i in range(0, y.size, 64)])
+
+    near, far = np.linspace(ball, 3 * ball, 384), np.geomspace(3 * ball, 81 * ball, 257)
+    integral = np.trapezoid(oracle(near), near) + np.trapezoid(oracle(far), far)
+    assert _outside_mass_bound(alpha, scale, ball) >= (1.0 - 1e-3) * 2.0 * integral
 
 
 def test_kernel_tail_past_the_grid_cap_runs_no_quadrature(monkeypatch):
@@ -656,7 +652,7 @@ def test_kernel_grids_honour_the_grid_cap(monkeypatch):
     """DISPLAB_MAX_GRID_POINTS caps kernel grids; past it the tail divides by the floor 1."""
     params = DispersionParams(2.0, 1)
     ball, scale = _ball_and_scale(2.0, 5, 1.0)
-    outside = _outside_mass_bound(2.0, scale, np.geomspace(ball, 3 * ball, _TAIL_TARGETS))
+    outside = _outside_mass_bound(2.0, scale, ball)
     assert band_kernel(5, 1.0, params).grid.points == _kernel_grid(2.0, scale).points == 2**15
     measured = kernel_tail_mass(5, 1.0, params)
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "16384")
