@@ -173,11 +173,12 @@ def cmd_evolve(args) -> int:
         resolved = _resolve(args, defaults)
         datum = _build_datum(resolved)
         params = DispersionParams(float(resolved["alpha"]), int(resolved["d"]))
-        t_final = float(resolved["t"])
-        n_frames = max(1, int(resolved["frames"]))
-        ts = [t_final] if n_frames == 1 or t_final == 0.0 else list(
-            np.linspace(0.0, t_final, n_frames)
-        )
+        t_final, n_frames = float(resolved["t"]), int(resolved["frames"])
+        if n_frames < 1:
+            raise ConfigError(f"frames must be a positive integer, got {n_frames}")
+        # increasing from min(0, t) to max(0, t); evolve_trajectory rejects inf and nan
+        ts = [t_final] if n_frames == 1 or not 0.0 < abs(t_final) < np.inf else np.linspace(
+            *sorted((0.0, t_final)), n_frames)
         traj = evolve_trajectory(datum, ts, params)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,16 @@
 """Dispersive evolution, the elliptic-phase operator and band-limited kernels.
 
-The flow is the Fourier multiplier e^{i t |xi|^alpha}.  `evolve` and the
-frame engine `_frame_blocks`, behind `evolved_lp_norms` and
-`extremizers.focusing_check`, form the symbol |xi|^alpha and the phase
-e^{i t |xi|^alpha} only on the spectral support, the lattice points where
-the spectrum is nonzero (`_spectral_support`); band-limited data such as
-the unit annulus skip most of the lattice, and off the support the
-evolved spectrum is the zero it is allocated as.  alpha = 2 is the
-classical free-particle flow; alpha = 3 on half-line spectra is the
-one-sided cubic (Airy) flow, so the cubic flow needs no operator of its
-own.  The time orientation follows the multiplier as written:
-closed-form comparisons against the usual e^{i|x-y|^2/4t} kernel must
-flip the sign of t.
+The flow is the Fourier multiplier e^{i t |xi|^alpha}.  `evolve` (one time)
+and the frame engine `_frame_blocks` (blocks of times, behind every other
+frame) form it by one product, `_evolved_support`, only on the spectral
+support (`_spectral_support`), the lattice points where the spectrum is
+nonzero: band-limited data such as the unit annulus skip most of the
+lattice, and off the support the evolved spectrum is the zero it is
+allocated as.  alpha = 2 is the classical free-particle flow; alpha = 3 on
+half-line spectra is the one-sided cubic (Airy) flow, so the cubic flow
+needs no operator of its own.  The time orientation follows the multiplier
+as written: closed-form comparisons against the usual e^{i|x-y|^2/4t}
+kernel must flip the sign of t.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .spectral import (
     dft_inverse,
     ensure_headroom,
     to_frequency,
-    to_physical,
 )
 
 # complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
@@ -77,34 +75,32 @@ def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1
     of Nyquist to the field's active spectral radius (1.0: merely
     representable; callers wanting the strict sizing policy pass 4.0).
     """
-    grid = field.grid
-    if grid.dim != params.dim:
-        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
     if headroom:
         ensure_headroom(field, factor=headroom)
-    spectrum, support, power = _spectral_support(field, params.alpha)
-    evolved = np.zeros(grid.size, dtype=np.complex128)
-    # a complex product is not commutative bit for bit, and numpy may evaluate
-    # `spectrum * temporary` as `temporary * spectrum`; a named phase keeps the order
-    phase = np.exp(1j * t * power)
-    evolved[support] = spectrum * phase
+    ts = np.array([float(t)])
+    spectrum, support, power = _spectral_support(field, ts, params)
+    evolved = np.zeros(field.grid.size, dtype=np.complex128)
+    evolved[support] = _evolved_support(spectrum, power, ts)[0]
     evolved.setflags(write=False)  # fresh array: the Field takes it without a copy
-    out = Field(grid, FREQUENCY, evolved)
+    out = Field(field.grid, FREQUENCY, evolved)
     return out if field.is_frequency else dft_inverse(out)
 
 
-def _spectral_support(field: Field, alpha: float):
+def _spectral_support(field: Field, t: np.ndarray, params: DispersionParams):
     """The nonzero spectrum of ``field``, its flat lattice indices and |xi|^alpha there.
 
-    The one place where `evolve` and `_frame_blocks` find the support on
-    which they form the phase.  |xi|^2 sums the squared
-    `GridSpec.axis_frequencies` in axis order, so every entry is bit for
-    bit the lattice-wide formula.  A symbol that overflows at the
-    lattice's largest radius raises ValueError, whatever the support.
+    The one place where `evolve` and `_frame_blocks` check their input (the
+    grid's dim, finite times ``t``, a symbol finite at the lattice's largest
+    radius: ValueError otherwise) and find the support.  |xi|^2 sums the
+    squared `GridSpec.axis_frequencies` in axis order, bit for bit the
+    lattice-wide formula.
     """
-    grid = field.grid
+    grid, alpha = field.grid, params.alpha
+    if grid.dim != params.dim:
+        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"evolution times must be finite, got {t[~finite][0]}")
     xi = grid.axis_frequencies()
     top = (grid.dim * np.abs(xi).max() ** 2) ** (alpha / 2.0)  # numpy floats overflow to inf
     if not np.isfinite(top):
@@ -118,28 +114,36 @@ def _spectral_support(field: Field, alpha: float):
     return spectrum[support], support, r2 ** (alpha / 2.0)
 
 
+def _evolved_support(spectrum: np.ndarray, power: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The flow's one product, phase * spectrum on the support in place, a row per time."""
+    phase = (1j * t)[:, None] * power
+    np.exp(phase, out=phase)
+    # a complex product is not commutative bit for bit; `spectral.apply_symbol` has this order
+    return np.multiply(phase, spectrum, out=phase)
+
+
 def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce) -> None:
     """Evolve ``field`` to every time in the float array ``t``, in blocks of frames.
 
-    Each block forms its phase on the spectral support, as `evolve` does,
-    goes through one batched inverse transform, and is handed to
+    Each block forms its frames' spectra by `_evolved_support`, as `evolve`
+    does, goes through one batched inverse transform, and is handed to
     ``reduce(start, frames)`` as the physical frames of the times
     ``t[start : start + len(frames)]``.  Blocks run on `_block_workers`
     threads, so ``reduce`` may only call numpy and write its own slice of
     the output; the results are then bit for bit those of the serial loop.
     """
     grid = field.grid
-    spectrum, support, power = _spectral_support(field, params.alpha)
+    spectrum, support, power = _spectral_support(field, t, params)
     block = max(1, _BLOCK_SAMPLES // grid.size)
 
     def run(start: int) -> None:
         ts = t[start : start + block]
         frames = np.zeros((ts.size, grid.size), dtype=np.complex128)
-        frames[:, support] = np.exp((1j * ts)[:, None] * power) * spectrum
+        frames[:, support] = _evolved_support(spectrum, power, ts)
         reduce(start, _inverse_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
 
     starts = range(0, t.size, block)
-    if len(starts) == 1 or _block_workers() == 1:
+    if len(starts) <= 1 or _block_workers() == 1:
         for start in starts:
             run(start)
     else:  # reading every result re-raises the error of any block
@@ -155,13 +159,9 @@ def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.
     evolves the frames in blocks on up to two threads.
     """
     grid = field.grid
-    if grid.dim != params.dim:
-        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     t = np.asarray(t, dtype=float).reshape(-1)
-    if not np.isfinite(t).all():
-        raise ValueError("evolution times must be finite")
     out = np.empty(t.size)
 
     def lp_powers(start: int, frames: np.ndarray) -> None:
@@ -201,14 +201,18 @@ class Trajectory:
 
 
 def evolve_trajectory(field: Field, t_samples, params: DispersionParams) -> Trajectory:
-    """Physical frames of ``field`` evolved to each time, from one forward transform."""
-    ts = [float(t) for t in t_samples]
-    if not ts:
-        raise ValueError("t_samples must be non-empty")
+    """Physical frames of ``field`` at each time: read-only rows of one frame-engine array."""
+    t = np.asarray(t_samples, dtype=float).reshape(-1)
     spectrum = to_frequency(field)
     ensure_headroom(spectrum, factor=1.0)
-    frames = [to_physical(evolve(spectrum, t, params, headroom=0.0)) for t in ts]
-    return Trajectory(field.grid, tuple(ts), tuple(frames))
+    frames = np.empty((t.size,) + field.grid.shape, dtype=np.complex128)
+
+    def keep(start: int, block: np.ndarray) -> None:
+        frames[start : start + len(block)] = block
+
+    _frame_blocks(spectrum, t, params, keep)
+    frames.setflags(write=False)  # the Fields take its rows without a copy
+    return Trajectory(field.grid, t, [Field(field.grid, PHYSICAL, frame) for frame in frames])
 
 
 # -- elliptic-phase operator --------------------------------------------------

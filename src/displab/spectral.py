@@ -94,7 +94,7 @@ def apply_symbol(field: Field, symbol) -> Field:
     """
     values = np.asarray(symbol(field.grid.frequency_mesh()))
     require_finite_symbol(field.grid, values)
-    product = to_frequency(field).samples * values
+    product = values * to_frequency(field).samples  # the order of `propagator.evolve`'s product
     product.setflags(write=False)  # fresh array: the Field takes it without a copy
     out = Field(field.grid, FREQUENCY, product)
     return out if field.is_frequency else dft_inverse(out)

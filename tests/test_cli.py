@@ -56,6 +56,28 @@ def test_evolve_dumps_fields(tmp_path, capsys):
     assert field.grid.dim == 1
 
 
+def test_evolve_negative_time_samples_increasing_times(capsys):
+    code, out, _ = run(capsys, "evolve", "--datum", "gaussian", "--t", "-1", "--frames", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if line and not line.startswith("#")]
+    assert [float(r[0]) for r in rows[1:]] == [-1.0, -0.5, 0.0]
+    l2 = np.array([float(r[1]) for r in rows[1:]])
+    assert np.abs(l2 / l2[-1] - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--t", "nan"), "evolution times must be finite"),
+    (("--t", "inf"), "evolution times must be finite"),
+    (("--frames", "0"), "frames must be a positive integer"),
+    (("--frames", "-3"), "frames must be a positive integer"),
+])
+def test_evolve_bad_times_and_frames_are_config_errors(capsys, argv, message):
+    code, _, err = run(capsys, "evolve", "--datum", "gaussian", *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_sweep_critical_pass_and_csv_columns(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--family", "smoothing", "--alpha", "2", "--p", "6",

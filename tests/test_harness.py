@@ -335,48 +335,74 @@ def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
     assert [r.lam for r in records] == [64.0, 128.0]
 
 
+def _count_curve_frames(monkeypatch):
+    """Record every time the harness evolves through the frame engine; fail on any `evolve` call."""
+    import displab.harness as harness
+    from displab import propagator
+
+    times = []
+    real = harness._frame_blocks
+
+    def counting(field, t, params, reduce):
+        times.extend(np.asarray(t).tolist())
+        return real(field, t, params, reduce)
+
+    def no_single_frames(*args, **kwargs):
+        raise AssertionError("a sweep evolves every frame on the frame engine")
+
+    monkeypatch.setattr(harness, "_frame_blocks", counting)
+    monkeypatch.setattr(propagator, "evolve", no_single_frames)
+    harness._profile_curve.cache_clear()
+    return times
+
+
 @pytest.mark.slow
 def test_profile_curve_is_shared_across_scales_and_sweeps(monkeypatch):
     """All five alpha = 3 scales share one 189-sample s-grid; a second beta reuses it."""
-    import displab.harness as harness
-
-    evaluated = []
-    real = harness.evolved_lp_norms
-
-    def counting(field, t, params, p):
-        evaluated.append(len(t))
-        return real(field, t, params, p)
-
-    monkeypatch.setattr(harness, "evolved_lp_norms", counting)
-    harness._profile_curve.cache_clear()
+    evaluated = _count_curve_frames(monkeypatch)
     lams = (16.0, 32.0, 64.0, 128.0, 256.0)
     beta = smoothing_exponent(3, 1, 6)
     first = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta, lams))
-    assert sum(evaluated) == 189
+    assert len(evaluated) == 189
     assert [r.t_count for r in first] == [189] * 5
     second = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta - 0.2, lams))
-    assert sum(evaluated) == 189
+    assert len(evaluated) == 189
     for a, b in zip(first, second):
         assert b.numerator == a.numerator and b.coverage == a.coverage
 
 
 @pytest.mark.slow
 def test_edge_check_evolves_each_horizon_once(monkeypatch):
-    """All five alpha = 3 scales stop at the same horizon, so one frame is checked."""
+    """All five alpha = 3 scales stop at the same horizon, evolved once in the curve pass.
+
+    The box-edge check reads the curve's own frames, so it adds no frame:
+    the sweep evolves the 189 distinct s of the curve and nothing else.
+    """
     import displab.harness as harness
 
-    horizons = []
-    real = harness.evolve
-
-    def counting(field, t, params, **kwargs):
-        horizons.append(t)
-        return real(field, t, params, **kwargs)
-
-    monkeypatch.setattr(harness, "evolve", counting)
-    harness._profile_curve.cache_clear()
+    times = _count_curve_frames(monkeypatch)
     lams = (16.0, 32.0, 64.0, 128.0, 256.0)
     run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, smoothing_exponent(3, 1, 6), lams))
-    assert len(horizons) == 1
+    horizon = harness._profile_curve(3.0, 6.0, False, 1.0).horizon
+    farthest = {float(focusing_s_grid(lam, 3.0, horizon)[0]) for lam in lams}
+    assert len(farthest) == 1 and times.count(farthest.pop()) == 1
+    assert len(times) == len(set(times)) == 189
+
+
+def test_box_edge_check_fires_past_the_faithful_horizon(monkeypatch):
+    """At eight times the faithful horizon the alpha = 3 profile reaches the box edges."""
+    import displab.harness as harness
+    from displab.errors import SizingError
+
+    real = harness.faithful_horizon
+    monkeypatch.setattr(harness, "faithful_horizon", lambda grid, alpha: 8.0 * real(grid, alpha))
+    harness._profile_curve.cache_clear()
+    try:
+        with pytest.raises(SizingError, match="box edge"):
+            run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 32.0)))
+        assert not harness._profile_curve(3.0, 6.0, False, 1.0)._values  # nothing kept
+    finally:
+        harness._profile_curve.cache_clear()  # drop the curve built on the widened horizon
 
 
 @pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])

@@ -259,6 +259,45 @@ def test_frame_blocks_are_bitwise_those_of_single_frames(monkeypatch):
     assert np.array_equal(serial, single)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 20.0), (2, 128, 8.0), (3, 32, 4.0)])
+def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, alpha, workers):
+    """The engine and `evolve` form one product: every frame has the bits of a single evolve."""
+    from displab import propagator
+
+    g = GridSpec(dim, points, half_width)
+    gaussian = Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0)))
+    params = DispersionParams(alpha, dim)
+    block = propagator._BLOCK_SAMPLES // g.size
+    t = np.linspace(-1.1, 0.9, 2 * block + 3)  # two full blocks and a partial one
+    frames = np.empty((t.size,) + g.shape, dtype=np.complex128)
+
+    def keep(start, block_frames):
+        frames[start : start + len(block_frames)] = block_frames
+
+    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        _frame_blocks(gaussian, t, params, keep)
+    finally:
+        sys.setswitchinterval(interval)
+    for frame, v in zip(frames, t):
+        single = to_physical(evolve(gaussian, float(v), params, headroom=0.0))
+        assert np.array_equal(frame, single.samples)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_trajectory_rejects_what_evolve_rejects(t):
+    spectrum = unit_annulus_field(unit_profile_grid(2**10))
+    for field in (spectrum, to_physical(spectrum)):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_trajectory(field, [0.0, t], DispersionParams(2.0, 1))
+        with pytest.raises(ValueError, match="dim"):
+            evolve_trajectory(field, [0.0, 1.0], DispersionParams(2.0, 2))
+
+
 def test_frame_blocks_reraise_an_error_of_a_block(monkeypatch):
     from displab import propagator
 
