@@ -344,7 +344,7 @@ def _default_bilinear_residual() -> float:
 
     rng = np.random.default_rng(0)
     grid = GridSpec(1, 512, 160.0)
-    mesh = grid.frequency_mesh()[0]
+    mesh = grid.axis_frequencies()
     idx = np.flatnonzero(np.abs(mesh) < 1.0)
     cf = np.zeros(512, dtype=complex)
     cg = np.zeros(512, dtype=complex)
@@ -360,7 +360,7 @@ def _default_restriction_slope(p: float) -> float:
     from .propagator import quadratic_phase
 
     grid = GridSpec(1, 512, 200.0)
-    mesh = grid.frequency_mesh()[0]
+    mesh = grid.axis_frequencies()
     h1 = Field(grid, "frequency", np.where((mesh > -1.0) & (mesh < -0.25), 1.0, 0.0))
     h2 = Field(grid, "frequency", np.where((mesh > 0.25) & (mesh < 1.0), 1.0, 0.0))
     ep = quadratic_phase()

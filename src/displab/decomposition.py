@@ -16,8 +16,13 @@ from .cutoffs import CutoffSpec, make_cutoffs
 from .errors import SeparationError, TractabilityError
 from .grid import FREQUENCY, Field
 from .norms import admissibility_threshold, lp_norm, mixed_spacetime_norm
-from .propagator import EllipticPhase, Trajectory, elliptic_evolve
-from .spectral import apply_symbol, dft_inverse, to_frequency, to_physical
+from .propagator import EllipticPhase, Trajectory, elliptic_evolve, evolve_trajectory
+from .spectral import spectral_radius, to_frequency, to_physical
+
+_MODE_REL_TOL = 1e-14  # the active modes of a bilinear piece's factors, relative to the peak
+_SUPPORT_REL_TOL = 1e-12  # the active supports of the adjoint-restriction densities
+_SEPARATION_SHARE = 0.25  # the least support separation, a share of the joint diameter
+_MIN_TIMES, _TIMES_PER_LAM = 64, 8  # bilinear_restriction_ratio's times on [-lam, lam]
 
 
 def separation_weight(j: int, lam: float, xi, eta, cutoffs: CutoffSpec | None = None):
@@ -59,23 +64,19 @@ class BilinearPiece:
     values: np.ndarray  # shape (len(t_samples), *grid.shape)
 
 
-def _active_modes(field: Field, rel_tol: float = 1e-14):
-    spec = to_frequency(field)
-    flat = spec.samples.reshape(-1)
-    mesh = field.grid.frequency_mesh().reshape(field.grid.dim, -1)
-    keep = np.abs(flat) > rel_tol * max(np.abs(flat).max(), 1e-300)
-    return mesh[:, keep], flat[keep] * field.grid.frequency_cell_volume
+def _active_support(field: Field, rel_tol: float):
+    """(xi, values): the frequencies (dim, n) and spectrum where |spectrum| > rel_tol * its peak.
+
+    Frequencies are `GridSpec.axis_frequencies` at the active lattice
+    indices, as in `spectral.spectral_radius`, bit for bit the mesh entries.
+    """
+    spectrum = to_frequency(field).samples
+    mag = np.abs(spectrum)
+    j = np.nonzero(mag > rel_tol * max(mag.max(), 1e-300))
+    return np.stack([field.grid.axis_frequencies(j_a) for j_a in j]), spectrum[j]
 
 
-def bilinear_piece(
-    f: Field,
-    g: Field,
-    j: int,
-    lam: float,
-    t_samples,
-    ep: EllipticPhase,
-    cutoffs: CutoffSpec | None = None,
-) -> BilinearPiece:
+def bilinear_piece(f: Field, g: Field, j: int, lam: float, t_samples, ep: EllipticPhase) -> BilinearPiece:
     """Direct double-lattice-sum evaluation of one near-diagonal bilinear piece.
 
     Tractable for one-dimensional band-limited data with at most
@@ -87,9 +88,9 @@ def bilinear_piece(
     grid = f.grid
     if grid.dim != 1:
         raise TractabilityError("bilinear pieces are implemented for dim = 1")
-    cut = cutoffs or make_cutoffs(dim=grid.dim)
-    xi, wf = _active_modes(f)
-    eta, wg = _active_modes(g)
+    ep.require_elliptic()
+    xi, wf = _active_support(f, _MODE_REL_TOL)
+    eta, wg = _active_support(g, _MODE_REL_TOL)
     if xi.shape[1] > _MAX_ACTIVE_MODES or eta.shape[1] > _MAX_ACTIVE_MODES:
         raise TractabilityError(
             f"{xi.shape[1]} x {eta.shape[1]} active modes exceeds the "
@@ -99,12 +100,12 @@ def bilinear_piece(
     x = grid.axis_points()
     scale = 1.0 / (2.0 * np.pi) ** (2 * grid.dim)
 
-    amp_f = np.asarray(ep.amplitude(xi)) * wf
-    amp_g = np.asarray(ep.amplitude(eta)) * wg
+    amp_f = np.asarray(ep.amplitude(xi)) * (wf * grid.frequency_cell_volume)
+    amp_g = np.asarray(ep.amplitude(eta)) * (wg * grid.frequency_cell_volume)
     ph_f = np.asarray(ep.phase(xi))
     ph_g = np.asarray(ep.phase(eta))
 
-    pair_w = separation_weight(j, lam, xi[:, :, None], eta[:, None, :], cut)
+    pair_w = separation_weight(j, lam, xi[:, :, None], eta[:, None, :])
     pair_amp = (pair_w * np.outer(amp_f, amp_g)).reshape(-1)
     keep = np.abs(pair_amp) > 0.0
     if not keep.any():
@@ -123,8 +124,6 @@ def bilinear_piece(
 
 def relevant_piece_indices(f: Field, g: Field, lam: float) -> range:
     """Scale indices that can carry a nonzero piece for these data supports."""
-    from .spectral import spectral_radius
-
     diam = spectral_radius(f) + spectral_radius(g)
     dim = f.grid.dim
     j_max = int(np.ceil(np.log2(max(np.sqrt(lam) * diam / (8.0 * np.sqrt(dim)), 1.0)))) + 1
@@ -159,31 +158,26 @@ def bilinear_reconstruction_residual(
 
 
 def extension_trajectory(h: Field, t_samples, ep: EllipticPhase) -> Trajectory:
-    """The adjoint-restriction (extension) evolution of a frequency density h."""
+    """The adjoint-restriction (extension) evolution of a frequency density h.
+
+    The frame-engine evolution `evolve_trajectory` of (2 pi)^d h under the
+    elliptic phase, whose frames are the inverse transforms of (2 pi)^d h e^{i t phase}.
+    """
     h.require(FREQUENCY)
-    frames = []
-    scale = (2.0 * np.pi) ** h.grid.dim
-
-    def symbol_at(t):
-        return lambda xi: np.exp(1j * t * np.asarray(ep.phase(xi)))
-
-    for t in t_samples:
-        frame = dft_inverse(apply_symbol(h, symbol_at(float(t))))
-        frames.append(frame.with_samples(frame.samples * scale))
-    return Trajectory(h.grid, tuple(float(t) for t in t_samples), tuple(frames))
+    ep.require_elliptic()
+    scaled = h.with_samples(h.samples * (2.0 * np.pi) ** h.grid.dim)
+    return evolve_trajectory(scaled, t_samples, ep.phase)
 
 
-def support_separation(h1: Field, h2: Field, rel_tol: float = 1e-12) -> float:
+def support_separation(h1: Field, h2: Field) -> float:
     """Minimum distance between the active supports of two frequency densities."""
     out = []
     for h in (h1, h2):
         h.require(FREQUENCY)
-        mag = np.abs(h.samples)
-        active = mag > rel_tol * max(mag.max(), 1e-300)
-        if not active.any():
+        xi, _ = _active_support(h, _SUPPORT_REL_TOL)
+        if xi.shape[1] == 0:
             return np.inf
-        mesh = h.grid.frequency_mesh()
-        out.append(np.stack([mesh[a][active] for a in range(h.grid.dim)], axis=1))
+        out.append(xi.T)
     a, b = out
     if a.shape[0] * b.shape[0] > 10**8:
         raise TractabilityError("supports too large for pairwise separation check")
@@ -191,39 +185,28 @@ def support_separation(h1: Field, h2: Field, rel_tol: float = 1e-12) -> float:
     return float(np.sqrt(d2.min()))
 
 
-def bilinear_restriction_ratio(
-    h1: Field,
-    h2: Field,
-    p: float,
-    lam: float,
-    ep: EllipticPhase,
-    separation: float | None = None,
-    t_count: int = 0,
-) -> float:
+def bilinear_restriction_ratio(h1: Field, h2: Field, p: float, lam: float, ep: EllipticPhase) -> float:
     """|| Eh1 Eh2 ||_{p/2} over box x [-lam, lam], divided by ||h1||_2 ||h2||_2.
 
     The bilinear adjoint-restriction bound predicts this stays bounded as
     lam grows; the ratio is the diagnostic scalar.  Supports must be
-    separated by ``separation`` (default: a quarter of the joint support
-    diameter).
+    separated by a quarter of their joint diameter (SeparationError
+    otherwise); the time integral samples max(64, 8 lam) times.
     """
     if h1.grid != h2.grid:
         raise ValueError("densities must share a grid")
     dim = h1.grid.dim
     if not p > admissibility_threshold(dim):
         raise ValueError(f"p must exceed 2 + 4/(d+1) = {admissibility_threshold(dim):.4g}")
+    ep.require_elliptic()
     n1, n2 = lp_norm(h1, 2.0), lp_norm(h2, 2.0)
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    if separation is None:
-        separation = 0.25 * _joint_support_diameter(h1, h2)
+    separation = _SEPARATION_SHARE * _joint_support_diameter(h1, h2)
     gap = support_separation(h1, h2)
     if gap < separation:
-        raise SeparationError(
-            f"supports are {gap:.4g} apart, below the required {separation:.4g}"
-        )
-    t_count = t_count or max(64, int(8 * lam))
-    ts = np.linspace(-lam, lam, t_count)
+        raise SeparationError(f"supports are {gap:.4g} apart, below the required {separation:.4g}")
+    ts = np.linspace(-lam, lam, max(_MIN_TIMES, int(_TIMES_PER_LAM * lam)))
     e1 = extension_trajectory(h1, ts, ep)
     e2 = extension_trajectory(h2, ts, ep)
     frames = tuple(
@@ -233,12 +216,6 @@ def bilinear_restriction_ratio(
     return float(mixed_spacetime_norm(product, p / 2.0) / (n1 * n2))
 
 
-def _joint_support_diameter(h1: Field, h2: Field, rel_tol: float = 1e-12) -> float:
-    pts = []
-    for h in (h1, h2):
-        mag = np.abs(h.samples)
-        active = mag > rel_tol * max(mag.max(), 1e-300)
-        mesh = h.grid.frequency_mesh()
-        pts.append(np.stack([mesh[a][active] for a in range(h.grid.dim)], axis=1))
-    allpts = np.concatenate(pts, axis=0)
-    return float(np.sqrt(((allpts.max(axis=0) - allpts.min(axis=0)) ** 2).sum()))
+def _joint_support_diameter(h1: Field, h2: Field) -> float:
+    allpts = np.concatenate([_active_support(h, _SUPPORT_REL_TOL)[0] for h in (h1, h2)], axis=1)
+    return float(np.sqrt(((allpts.max(axis=1) - allpts.min(axis=1)) ** 2).sum()))

@@ -1,11 +1,13 @@
 """Dispersive evolution, the elliptic-phase operator and band-limited kernels.
 
-The flow is the Fourier multiplier e^{i t |xi|^alpha}.  `evolve` (one time)
-and the frame engine `_frame_blocks` (blocks of times, behind every other
-frame) form it by one product, `_evolved_support`, only on the spectral
-support (`_spectral_support`), the lattice points where the spectrum is
-nonzero: band-limited data such as the unit annulus skip most of the
-lattice, and off the support the evolved spectrum is the zero it is
+The flow is the Fourier multiplier e^{i t phi(xi)} of a real phase phi:
+|xi|^alpha (`DispersionParams`) or an elliptic phase (`EllipticPhase`).
+`evolve` (one time) and the frame engine `_frame_blocks` (blocks of times,
+behind every other frame, the elliptic evolutions and the extension
+operator included) form it by one product, `_evolved_support`, only on the
+spectral support (`_spectral_support`), the lattice points where the
+spectrum is nonzero: band-limited data such as the unit annulus skip most
+of the lattice, and off the support the evolved spectrum is the zero it is
 allocated as.  alpha = 2 is the classical free-particle flow; alpha = 3 on
 half-line spectra is the one-sided cubic (Airy) flow, so the cubic flow
 needs no operator of its own.  The time orientation follows the multiplier
@@ -25,6 +27,7 @@ from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _block_pool, _block_workers, max_grid_points
 from .spectral import (
+    SymbolFn,
     _inverse_in_place,
     apply_symbol,
     dft_inverse,
@@ -40,7 +43,7 @@ _BLOCK_SAMPLES = 2**18
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Symbol data |xi|^alpha in dimension dim.  alpha = 1 is excluded."""
+    """The phase |xi|^alpha in dimension dim, a `spectral.SymbolFn`.  alpha = 1 is excluded."""
 
     alpha: float
     dim: int = 1
@@ -52,6 +55,15 @@ class DispersionParams:
             raise ValueError("alpha = 1 (wave propagation) is not supported")
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+
+    def __call__(self, xi: np.ndarray) -> np.ndarray:
+        """|xi|^alpha at stacked frequencies (dim, ...), the squares summed in axis order."""
+        if len(xi) != self.dim:
+            raise ValueError(f"grid dim {len(xi)} != params dim {self.dim}")
+        r2 = xi[0] ** 2
+        for xi_a in xi[1:]:
+            r2 += xi_a**2
+        return r2 ** (self.alpha / 2.0)
 
 
 def ball_constant(alpha: float) -> float:
@@ -66,64 +78,63 @@ def ball_constant(alpha: float) -> float:
     return 1.0 if alpha < 1.0 else alpha * 2.0 ** (alpha - 1.0)
 
 
-def evolve(field: Field, t: float, params: DispersionParams, headroom: float = 1.0) -> Field:
-    """Apply e^{i t |xi|^alpha}; representation matches the input.
+def evolve(field: Field, t: float, phase: SymbolFn, headroom: float = 1.0) -> Field:
+    """Apply e^{i t phase(xi)}; representation matches the input.
 
-    The phase is formed only on the spectral support; every entry there is
-    bit for bit the full-lattice product, and the rest is zero.  A
-    non-finite ``t`` raises ValueError.  ``headroom`` is the required ratio
-    of Nyquist to the field's active spectral radius (1.0: merely
-    representable; callers wanting the strict sizing policy pass 4.0).
+    ``phase`` is a real `SymbolFn`, such as `DispersionParams` (|xi|^alpha).
+    It is formed only on the spectral support; every entry there is bit
+    for bit the full-lattice product, and the rest is zero.  A non-finite
+    ``t`` raises ValueError.  ``headroom`` is the required ratio of Nyquist
+    to the field's active spectral radius (1.0: merely representable;
+    callers wanting the strict sizing policy pass 4.0).
     """
     if headroom:
         ensure_headroom(field, factor=headroom)
     ts = np.array([float(t)])
-    spectrum, support, power = _spectral_support(field, ts, params)
+    spectrum, support, values = _spectral_support(field, ts, phase)
     evolved = np.zeros(field.grid.size, dtype=np.complex128)
-    evolved[support] = _evolved_support(spectrum, power, ts)[0]
+    evolved[support] = _evolved_support(spectrum, values, ts)[0]
     evolved.setflags(write=False)  # fresh array: the Field takes it without a copy
     out = Field(field.grid, FREQUENCY, evolved)
     return out if field.is_frequency else dft_inverse(out)
 
 
-def _spectral_support(field: Field, t: np.ndarray, params: DispersionParams):
-    """The nonzero spectrum of ``field``, its flat lattice indices and |xi|^alpha there.
+def _spectral_support(field: Field, t: np.ndarray, phase: SymbolFn):
+    """The nonzero spectrum of ``field``, its flat lattice indices and ``phase`` there.
 
-    The one place where `evolve` and `_frame_blocks` check their input (the
-    grid's dim, finite times ``t``, a symbol finite at the lattice's largest
-    radius: ValueError otherwise) and find the support.  |xi|^2 sums the
-    squared `GridSpec.axis_frequencies` in axis order, bit for bit the
-    lattice-wide formula.
+    The one place where `evolve` and `_frame_blocks` check their input
+    (finite times ``t``, a phase finite on the support and at the lattice
+    corner, index N/2 on every axis, so also on an empty support:
+    ValueError otherwise) and find the support.  The phase is evaluated
+    once, at the support's `GridSpec.axis_frequencies` plus the corner;
+    each frequency is bit for bit the lattice-wide mesh entry.
     """
-    grid, alpha = field.grid, params.alpha
-    if grid.dim != params.dim:
-        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
+    grid = field.grid
     finite = np.isfinite(t)
     if not finite.all():
         raise ValueError(f"evolution times must be finite, got {t[~finite][0]}")
-    xi = grid.axis_frequencies()
-    top = (grid.dim * np.abs(xi).max() ** 2) ** (alpha / 2.0)  # numpy floats overflow to inf
-    if not np.isfinite(top):
-        raise ValueError(f"symbol |xi|^{alpha:g} is non-finite at the lattice's largest radius")
     spectrum = to_frequency(field).samples.reshape(-1)
     support = np.flatnonzero(spectrum)
-    j = np.unravel_index(support, grid.shape)
-    r2 = xi[j[0]] ** 2
-    for j_a in j[1:]:
-        r2 += xi[j_a] ** 2
-    return spectrum[support], support, r2 ** (alpha / 2.0)
+    index = np.unravel_index(support, grid.shape)
+    xi = np.stack([grid.axis_frequencies(np.append(j_a, grid.points // 2)) for j_a in index])
+    values = np.asarray(phase(xi))
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(float(v) for v in xi[:, np.flatnonzero(~finite)[0]])
+        raise ValueError(f"phase evaluated to a non-finite value at xi = {at}")
+    return spectrum[support], support, values[:-1]
 
 
-def _evolved_support(spectrum: np.ndarray, power: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The flow's one product, phase * spectrum on the support in place, a row per time."""
-    phase = (1j * t)[:, None] * power
+def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The flow's one product, e^{i t phase} * spectrum on the support in place, a row per time."""
+    phase = (1j * t)[:, None] * values
     np.exp(phase, out=phase)
     # a complex product is not commutative bit for bit; `spectral.apply_symbol` has this order
     return np.multiply(phase, spectrum, out=phase)
 
 
-def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce) -> None:
-    """Evolve ``field`` to every time in the float array ``t``, in blocks of frames.
+def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
+    """Evolve ``field`` under ``phase`` to every time in the float array ``t``, in blocks of frames.
 
     Each block forms its frames' spectra by `_evolved_support`, as `evolve`
     does, goes through one batched inverse transform, and is handed to
@@ -133,13 +144,13 @@ def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce)
     the output; the results are then bit for bit those of the serial loop.
     """
     grid = field.grid
-    spectrum, support, power = _spectral_support(field, t, params)
+    spectrum, support, values = _spectral_support(field, t, phase)
     block = max(1, _BLOCK_SAMPLES // grid.size)
 
     def run(start: int) -> None:
         ts = t[start : start + block]
         frames = np.zeros((ts.size, grid.size), dtype=np.complex128)
-        frames[:, support] = _evolved_support(spectrum, power, ts)
+        frames[:, support] = _evolved_support(spectrum, values, ts)
         reduce(start, _inverse_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
 
     starts = range(0, t.size, block)
@@ -151,10 +162,10 @@ def _frame_blocks(field: Field, t: np.ndarray, params: DispersionParams, reduce)
             pass
 
 
-def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.ndarray:
-    """||e^{i t |xi|^alpha} field||_p^p in physical space, at every time in ``t``.
+def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
+    """||e^{i t phase} field||_p^p in physical space, at every time in ``t``.
 
-    Equals ``lp_norm(to_physical(evolve(field, t_i, params, headroom=0.0)), p) ** p``
+    Equals ``lp_norm(to_physical(evolve(field, t_i, phase, headroom=0.0)), p) ** p``
     up to roundoff, but runs on the frame engine `_frame_blocks`, which
     evolves the frames in blocks on up to two threads.
     """
@@ -168,7 +179,7 @@ def evolved_lp_norms(field: Field, t, params: DispersionParams, p: float) -> np.
         powers = (np.abs(frames) ** p).reshape(len(frames), -1).sum(axis=1)
         out[start : start + len(frames)] = powers * grid.cell_volume
 
-    _frame_blocks(field, t, params, lp_powers)
+    _frame_blocks(field, t, phase, lp_powers)
     return out
 
 
@@ -200,8 +211,8 @@ class Trajectory:
         return len(self.t_samples)
 
 
-def evolve_trajectory(field: Field, t_samples, params: DispersionParams) -> Trajectory:
-    """Physical frames of ``field`` at each time: read-only rows of one frame-engine array."""
+def evolve_trajectory(field: Field, t_samples, phase: SymbolFn) -> Trajectory:
+    """Frames of ``field`` under ``phase`` at each time: read-only rows of one frame-engine array."""
     t = np.asarray(t_samples, dtype=float).reshape(-1)
     spectrum = to_frequency(field)
     ensure_headroom(spectrum, factor=1.0)
@@ -210,12 +221,17 @@ def evolve_trajectory(field: Field, t_samples, params: DispersionParams) -> Traj
     def keep(start: int, block: np.ndarray) -> None:
         frames[start : start + len(block)] = block
 
-    _frame_blocks(spectrum, t, params, keep)
+    _frame_blocks(spectrum, t, phase, keep)
     frames.setflags(write=False)  # the Fields take its rows without a copy
     return Trajectory(field.grid, t, [Field(field.grid, PHYSICAL, frame) for frame in frames])
 
 
 # -- elliptic-phase operator --------------------------------------------------
+
+
+# make_elliptic_phase's Hessian probe: points where the amplitude lives, their seed, the step
+_PROBE_SAMPLES, _PROBE_SEED, _PROBE_STEP = 100, 0, 1e-3
+_QUADRATIC_BOX = (-1.8, 1.8)  # quadratic_phase's probe box per axis, holding its amplitude
 
 
 @dataclass(frozen=True)
@@ -228,31 +244,32 @@ class EllipticPhase:
     the amplitude support (second differences at scattered points).
     """
 
-    phase: object
-    amplitude: object
+    phase: SymbolFn
+    amplitude: SymbolFn
     hessian_probe: float
 
+    def require_elliptic(self) -> None:
+        """EllipticityError unless the probed Hessian is positive: every elliptic route's check."""
+        if not self.hessian_probe > 0:
+            raise EllipticityError(
+                "phase fails the sampled ellipticity probe "
+                f"(min eigenvalue {self.hessian_probe:.3g})"
+            )
 
-def make_elliptic_phase(
-    phase,
-    amplitude,
-    support_box,
-    dim: int = 1,
-    samples: int = 100,
-    step: float = 1e-3,
-    seed: int = 0,
-) -> EllipticPhase:
-    """Probe the Hessian at ``samples`` points of the box where the amplitude lives."""
-    rng = np.random.default_rng(seed)
+
+def make_elliptic_phase(phase, amplitude, support_box, dim: int = 1) -> EllipticPhase:
+    """Probe the Hessian at `_PROBE_SAMPLES` points of the box where the amplitude lives."""
+    rng = np.random.default_rng(_PROBE_SEED)
     box = np.atleast_2d(np.asarray(support_box, dtype=float))
     if box.shape != (dim, 2):
         raise ValueError(f"support_box must be shape ({dim}, 2)")
-    pts = rng.uniform(box[:, 0], box[:, 1], size=(max(samples * 4, 64), dim)).T
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(max(_PROBE_SAMPLES * 4, 64), dim)).T
     amp = np.abs(np.asarray(amplitude(pts)))
     keep = amp > 1e-6 * max(amp.max(), 1e-300)
-    pts = pts[:, keep][:, :samples]
+    pts = pts[:, keep][:, :_PROBE_SAMPLES]
     if pts.shape[1] == 0:
         raise ValueError("no probe points found inside the amplitude support")
+    step = _PROBE_STEP
 
     def hessian_at(p):
         h = np.zeros((dim, dim))
@@ -280,31 +297,30 @@ def _ph(phase, point: np.ndarray) -> float:
     return float(np.asarray(phase(point.reshape(-1, 1))).reshape(()))
 
 
-def quadratic_phase(dim: int = 1, amplitude=None, support_box=None) -> EllipticPhase:
-    """|xi|^2 / 2 with a unit-ball-ish bump amplitude by default."""
+def quadratic_phase(dim: int = 1) -> EllipticPhase:
+    """|xi|^2 / 2 with the lowpass bump of |xi| as amplitude."""
     cut = make_cutoffs(dim=dim)
 
     def phase(xi):
         return 0.5 * (np.asarray(xi) ** 2).sum(axis=0)
 
-    if amplitude is None:
-        amplitude = lambda xi: cut.lowpass(np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))  # noqa: E731
-    if support_box is None:
-        support_box = [(-1.8, 1.8)] * dim
-    return make_elliptic_phase(phase, amplitude, support_box, dim=dim)
+    def amplitude(xi):
+        return cut.lowpass(np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))
+
+    return make_elliptic_phase(phase, amplitude, [_QUADRATIC_BOX] * dim, dim=dim)
 
 
 def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
-    """Apply amplitude * e^{i t phase}; the elliptic-phase operator at one time."""
-    if not ep.hessian_probe > 0:
-        raise EllipticityError(
-            f"phase fails the sampled ellipticity probe (min eigenvalue {ep.hessian_probe:.3g})"
-        )
+    """Apply amplitude * e^{i t phase}; the elliptic-phase operator at one time.
 
-    def symbol(xi):
-        return np.asarray(ep.amplitude(xi)) * np.exp(1j * t * np.asarray(ep.phase(xi)))
-
-    return apply_symbol(field, symbol)
+    The time-independent amplitude goes through `apply_symbol`, the phase
+    through `evolve`'s one product on the amplified spectrum's support:
+    one forward transform of physical input, one inverse back.
+    """
+    ep.require_elliptic()
+    amplified = apply_symbol(to_frequency(field), ep.amplitude)
+    out = evolve(amplified, t, ep.phase, headroom=0.0)
+    return out if field.is_frequency else dft_inverse(out)
 
 
 # -- band-limited kernels -------------------------------------------------------

@@ -24,6 +24,9 @@ from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 # of the trailing shape; every multiplier below follows this convention
 SymbolFn = Callable[[np.ndarray], np.ndarray]
 
+# the active spectrum of `spectral_radius`: |spectrum| above this share of its peak
+_RADIUS_REL_TOL = 1e-9
+
 
 def _negate_odd_indices(array: np.ndarray, dim: int) -> np.ndarray:
     """Multiply ``array`` in place by (-1)^(m_1 + ... + m_d) over its trailing dim axes.
@@ -90,7 +93,10 @@ def apply_symbol(field: Field, symbol) -> Field:
 
     ``symbol`` receives the stacked frequency mesh, shape (dim, N, ..., N),
     and must return an array of shape (N, ..., N).  The output representation
-    matches the input.
+    matches the input.  The route of time-independent multipliers (the
+    Sobolev and Bessel weights, the elliptic amplitude) and the library's one
+    caller of `GridSpec.frequency_mesh`; a phase e^{i t phi} is formed by
+    `propagator.evolve` on the spectral support instead.
     """
     values = np.asarray(symbol(field.grid.frequency_mesh()))
     require_finite_symbol(field.grid, values)
@@ -109,25 +115,25 @@ def require_finite_symbol(grid: GridSpec, values: np.ndarray) -> None:
         raise ValueError(f"symbol evaluated to a non-finite value at xi = {xi}")
 
 
-def spectral_radius(field: Field, rel_tol: float = 1e-9) -> float:
-    """Largest |xi_i| (per-axis) carrying relative spectral mass above rel_tol."""
+def spectral_radius(field: Field) -> float:
+    """Largest |xi_i| (per-axis) carrying relative spectral mass above `_RADIUS_REL_TOL`."""
     spectrum = to_frequency(field)
     mag = np.abs(spectrum.samples)
     peak = mag.max()
     if peak == 0.0:
         return 0.0
-    j = np.nonzero(mag > rel_tol * peak)  # lattice indices of the active entries, per axis
+    j = np.nonzero(mag > _RADIUS_REL_TOL * peak)  # lattice indices of the active entries, per axis
     return float(np.abs(field.grid.axis_frequencies()[np.concatenate(j)]).max())
 
 
-def ensure_headroom(field: Field, factor: float = 4.0, rel_tol: float = 1e-9) -> float:
+def ensure_headroom(field: Field, factor: float = 4.0) -> float:
     """Require nyquist >= factor * (active spectral radius); returns the radius.
 
     The default factor 4 is the aliasing-control policy used by the
     automatic grid sizing; multiplier application itself only needs the
     spectrum to be representable (factor 1).
     """
-    radius = spectral_radius(field, rel_tol)
+    radius = spectral_radius(field)
     nyq = field.grid.nyquist
     if radius * factor > nyq * (1.0 + 1e-12):
         raise GridAdequacyError(

@@ -6,15 +6,23 @@ from displab.decomposition import (
     bilinear_piece,
     bilinear_reconstruction_residual,
     bilinear_restriction_ratio,
+    extension_trajectory,
     relevant_piece_indices,
     separation_weight,
     support_separation,
 )
-from displab.errors import SeparationError, TractabilityError
+from displab.errors import EllipticityError, SeparationError, TractabilityError
 from displab.grid import FREQUENCY, Field, GridSpec
 from displab.norms import lp_norm, mixed_spacetime_norm
-from displab.propagator import DispersionParams, Trajectory, elliptic_evolve, evolve, quadratic_phase
-from displab.spectral import apply_symbol, to_frequency, to_physical
+from displab.propagator import (
+    DispersionParams,
+    Trajectory,
+    elliptic_evolve,
+    evolve,
+    make_elliptic_phase,
+    quadratic_phase,
+)
+from displab.spectral import apply_symbol, dft_inverse, to_frequency, to_physical
 
 
 # -- dyadic bands and cube projections, applied with apply_symbol (d = 1) -----------------
@@ -304,3 +312,64 @@ def test_elliptic_operator_ratio_bounded(rng):
         traj = Trajectory(g, tuple(ts), frames)
         ratios.append(mixed_spacetime_norm(traj, 6.0) / (lam ** (0.5 - 1.0 / 6.0) * lp_norm(f, 6.0)))
     assert max(ratios) / min(ratios) < 2.0
+
+
+# -- the extension operator on the frame engine ---------------------------------------
+
+
+def test_every_elliptic_route_runs_the_ellipticity_check():
+    """A phase failing the Hessian probe raises on each route, as `elliptic_evolve` does."""
+    g = GridSpec(1, 256, 50.0)
+    h1, h2 = _separated_pair(g)
+    amp = lambda xi: np.exp(-np.asarray(xi)[0] ** 2)  # noqa: E731
+    flat = make_elliptic_phase(lambda xi: 0.0 * np.asarray(xi)[0], amp, [(-1, 1)])
+    assert not flat.hessian_probe > 0
+    with pytest.raises(EllipticityError):
+        extension_trajectory(h1, [0.0, 1.0], flat)
+    with pytest.raises(EllipticityError):
+        bilinear_piece(h1, h2, 0, 16.0, [0.0], flat)
+    with pytest.raises(EllipticityError):
+        bilinear_restriction_ratio(h1, h2, 6.0, 16.0, flat)
+    with pytest.raises(EllipticityError):  # also where zero data would return 0
+        bilinear_restriction_ratio(h1, Field.zeros(g, FREQUENCY), 6.0, 16.0, flat)
+    with pytest.raises(EllipticityError):
+        bilinear_reconstruction_residual(to_physical(h1), to_physical(h2), 16.0, [0.0], flat)
+
+
+def test_restriction_routes_read_no_frequency_mesh(monkeypatch):
+    """The phase is formed on the support and the supports are read by lattice index."""
+    g = GridSpec(1, 256, 50.0)
+    h1, h2 = _separated_pair(g)
+    ep = quadratic_phase()
+
+    def no_mesh(self):
+        raise AssertionError("frequency_mesh called")
+
+    monkeypatch.setattr(GridSpec, "frequency_mesh", no_mesh)
+    assert len(extension_trajectory(h1, [0.0, 0.5, 1.0], ep)) == 3
+    assert support_separation(h1, h2) > 0.0
+    assert bilinear_restriction_ratio(h1, h2, 6.0, 16.0, ep) > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim, points, half_width", [(1, 2**14, 400.0), (2, 128, 40.0)])
+def test_extension_trajectory_is_the_per_frame_route(monkeypatch, dim, points, half_width, workers):
+    """The frame engine against the former per-frame symbol route, kept here as the oracle."""
+    from displab import propagator
+
+    g = GridSpec(dim, points, half_width)
+    xi = g.axis_frequencies()
+    if dim == 1:
+        density = np.where((xi > 0.25) & (xi < 1.0), 1.0 + 0.3 * np.sin(3 * xi), 0.0)
+    else:
+        r2 = xi[:, None] ** 2 + xi[None, :] ** 2
+        density = np.where(r2 < 1.0, np.cos(xi)[:, None] * (1.0 - r2), 0.0)
+    h = Field(g, FREQUENCY, density)
+    ep = quadratic_phase(dim)
+    ts = np.linspace(-16.0, 16.0, 3 * (propagator._BLOCK_SAMPLES // g.size) + 5)
+    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    traj = extension_trajectory(h, ts, ep)
+    for t, frame in zip(ts, traj.frames):
+        symbol = lambda xi: np.exp(1j * t * np.asarray(ep.phase(xi)))  # noqa: E731
+        oracle = dft_inverse(apply_symbol(h, symbol)).samples * (2.0 * np.pi) ** dim
+        assert np.abs(frame.samples - oracle).max() <= 1e-12 * np.abs(oracle).max()

@@ -16,6 +16,7 @@ from displab.norms import lp_norm
 from displab.propagator import (
     _BAND_INTERVALS,
     DispersionParams,
+    EllipticPhase,
     Trajectory,
     _chirped_spectrum,
     _frame_blocks,
@@ -461,6 +462,80 @@ def test_elliptic_rejects_degenerate_phase():
     g = GridSpec(1, 32, 4.0)
     with pytest.raises(EllipticityError):
         elliptic_evolve(Field.zeros(g), 0.5, flat)
+
+
+def _elliptic_datum(grid, rng):
+    """Random physical data whose spectrum fills the quadratic phase's amplitude support."""
+    r = np.sqrt(sum(np.meshgrid(*[grid.axis_frequencies() ** 2] * grid.dim, indexing="ij")))
+    coef = np.where(r < 2.5, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape), 0.0)
+    return to_physical(Field(grid, FREQUENCY, coef))
+
+
+@pytest.mark.parametrize("dim, points, half_width", [(1, 512, 40.0), (2, 128, 20.0)])
+def test_elliptic_evolve_is_the_per_frame_symbol(rng, dim, points, half_width):
+    """`evolve`'s product on the support against the former full-mesh symbol route, the oracle."""
+    g = GridSpec(dim, points, half_width)
+    f = _elliptic_datum(g, rng)
+    ep = quadratic_phase(dim)
+    for t in (0.0, 0.7, -2.3, 15.0):
+        def symbol(xi):
+            return np.asarray(ep.amplitude(xi)) * np.exp(1j * t * np.asarray(ep.phase(xi)))
+
+        for field in (f, to_frequency(f)):
+            got, oracle = elliptic_evolve(field, t, ep), apply_symbol(field, symbol)
+            assert got.representation == field.representation
+            assert np.abs(got.samples - oracle.samples).max() <= 1e-12 * np.abs(oracle.samples).max()
+
+
+@pytest.mark.parametrize("dim, points, half_width", [(1, 512, 40.0), (2, 64, 20.0)])
+def test_elliptic_phase_is_formed_on_the_support(monkeypatch, rng, dim, points, half_width):
+    """The phase sees the support's stacked frequencies plus the lattice corner, never the mesh;
+    the one mesh per call is `apply_symbol`'s, for the time-independent amplitude."""
+    g = GridSpec(dim, points, half_width)
+    f = _elliptic_datum(g, rng)
+    quadratic = quadratic_phase(dim)
+    support = np.count_nonzero(apply_symbol(to_frequency(f), quadratic.amplitude).samples)
+    shapes, meshes = [], []
+
+    def phase(xi):
+        shapes.append(np.shape(xi))
+        return quadratic.phase(xi)
+
+    ep = EllipticPhase(phase, quadratic.amplitude, quadratic.hessian_probe)
+    real = GridSpec.frequency_mesh
+    monkeypatch.setattr(GridSpec, "frequency_mesh", lambda grid: meshes.append(grid) or real(grid))
+    for t in (0.5, 1.0, 2.0):
+        elliptic_evolve(f, t, ep)
+    assert shapes == [(dim, support + 1)] * 3
+    assert meshes == [g] * 3
+
+
+def test_a_phase_non_finite_on_the_support_raises(rng):
+    g = GridSpec(1, 256, 10.0)
+    f = to_frequency(band_limited_field(g, rng))
+    nyquist = g.nyquist
+    f = f.with_samples(np.where(np.abs(g.axis_frequencies()) < 0.2 * nyquist, f.samples, 0.0))
+
+    def phase_finite_below(edge):
+        return lambda xi: np.where(np.abs(xi[0]) < edge, 0.5 * xi[0] ** 2, np.inf)
+
+    broken = phase_finite_below(4.0)
+    for run in (
+        lambda: evolve(f, 0.5, broken),
+        lambda: evolve_trajectory(f, [0.0, 0.5], broken),
+        lambda: evolved_lp_norms(f, [0.0, 0.5], broken, 6.0),
+        lambda: elliptic_evolve(f, 0.5, EllipticPhase(broken, lambda xi: np.ones(xi.shape[1:]), 1.0)),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            run()
+    # the phase is read on the support and at the corner, not across the lattice
+    def holed(xi):
+        r = np.abs(xi[0])
+        return np.where((r > 0.5 * nyquist) & (r < 0.9 * nyquist), np.nan, 0.5 * xi[0] ** 2)
+
+    evolve(f, 0.5, holed)
+    with pytest.raises(ValueError, match="non-finite"):  # the corner, even with no support
+        evolve(Field.zeros(g), 0.5, phase_finite_below(0.99 * nyquist))
 
 
 def values_at(field: Field, points: np.ndarray) -> np.ndarray:

@@ -18,6 +18,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_apply_symbol_reads_the_frequency_mesh():
+    """Every phase e^{i t phi} is formed on the spectral support, so only the
+    time-independent multipliers of `spectral.apply_symbol` see the full mesh."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "frequency_mesh":
+                readers.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read(), filename=name), name[:-3])
+    assert readers == ["spectral.apply_symbol"]
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the checks the system runs besides the library and its CLI
 CHECKS = (os.path.join(ROOT, "tests", "test_acceptance.py"), os.path.join(ROOT, "perfbench", "workloads.py"))
