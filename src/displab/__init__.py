@@ -66,7 +66,6 @@ from .propagator import (
     EllipticPhase,
     Trajectory,
     band_kernel,
-    elliptic_evolve,
     evolve,
     evolve_trajectory,
     kernel_tail_mass,

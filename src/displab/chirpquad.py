@@ -5,11 +5,10 @@ Evaluates, in one dimension,
     I(y) = (2 pi)^-1  sum_intervals  int a(xi) e^{i (y xi + S |xi|^alpha)} dxi
 
 at large collections of y points, for |S| up to ~1e8 where a literal dense
-lattice would need 1e8..1e9 nodes.  Two routes share one chirp-z back end:
+lattice would need 1e8..1e9 nodes.  Two routes share one lattice-sum back end:
 
-dense   one trapezoid lattice per interval, fine enough that the implied
-        periodization images stay clear of every target; evaluated in
-        chunks through the chirp-z transform.
+dense   one trapezoid lattice per interval and segment, fine enough that
+        the implied periodization images stay clear of every target.
 
 banded  the interval is split by a smooth partition of unity into narrow
         bands; each band's profile is supported (up to rapidly decaying
@@ -19,40 +18,49 @@ banded  the interval is split by a smooth partition of unity into narrow
         coherently on the caller's grid; targets outside every window
         receive the (rapidly vanishing) tail contributions of nothing, so
         the banded route must only be used with targets inside the swept
-        region, or together with `nonstationary_bound` for the rest.  The
-        windows' weights and transforms run two at a time on the pool of
-        `grid._block_pool`; their plans are resolved, and their sums added,
-        in window order on the caller's thread.
+        region, or together with `nonstationary_bound` for the rest.  Each
+        window's lattices, weights and transforms form one job, two jobs in
+        flight on the pool of `grid._block_pool`; the calling thread only
+        slices the segments and adds the jobs' sums in window order.
 
 Route rule.  ``method="auto"`` runs dense up to `DENSE_CAP` = 2^17
 dense-lattice nodes and banded above it, for every caller; `_route`
 returns that choice with its node count, which is the count the budget
-check reads.  On `extremizers.datum_lp_norm`'s 8192 targets (2-core Xeon,
-warm plans, best of 3) the dense route costs 0.029 s at 81,790 nodes
-against 0.140 s banded, 0.053 s against 0.075 s at 162,722, 0.131 s
-against 0.054 s at 243,310 and 0.907 s against 0.057 s at 1,943,592.
-The two costs cross between 1.6e5 and 2.4e5 nodes; 2^17 is the power of
-two near there that no sweep scale within 3% of a dyadic one crosses
-(their dense counts skip from 81,790 to 243,310).  The switch costs no
-accuracy that shows: the dense route carries a chirp round-off floor of
-about 1e-8 absolute itself, and on the datum norms the rule moves to
-banded the two routes agree on sum |I|^6 within 1e-9 relative.
+check reads.  On `extremizers.datum_lp_norm`'s 8192 targets at alpha 2
+(2-core Xeon, best of 3) the dense route costs 0.014 s at 81,790 nodes
+against 0.100 s banded, 0.027 s against 0.059 s at 162,722, 0.051 s
+against 0.047 s at 324,688, 0.065 s against 0.043 s at 486,620 and
+0.147 s against 0.039 s at 1,296,278.  The costs cross near 3e5 nodes,
+yet the cap stays at 2^17: the dense route runs on one thread, and with
+the cap at 3 * 2^17 the seed-0 benchmark `sweep` took 1.05-1.31 s against
+1.04-1.24 s (four alternating passes each) and peaked at 77-78 MB against
+61-63 MB.  No sweep scale within 3% of a dyadic one crosses 2^17 (their
+dense counts skip from 81,790 to 243,310).  The switch costs no accuracy
+that shows: the dense route carries a chirp round-off floor of about 1e-8
+absolute itself, and on the datum norms the rule moves to banded the two
+routes agree on sum |I|^6 within 1e-9 relative.
 
 The trapezoid lattice sum equals the exact periodization of I, so the only
 quadrature error is wrap-around of the profile's rapidly decaying tails;
-lattice spacings are chosen so the images stay `pad` away from every
+lattice periods are chosen so the images stay `pad` away from every
 target.
 
-Back end.  Every block of every segment, down to one node or one target,
-goes through a numpy Bluestein chirp-z transform (`CZT`; Rabiner, Schafer
-& Rader 1969, Bluestein 1970): one forward and one inverse FFT of a
-5-smooth length.  A segment's start is folded into the block weights, so
-a plan depends only on (nodes, targets, step angle) and the last few are
-kept in a small LRU cache.  There is no direct O(nodes x targets) sum.
-The cache is too small for a sweep: at alpha 3 the one-sided (airy)
-datum norm at a scale needs the 49 band plans the two-sided norm at that
-scale built, and by then they are evicted, so the seed-0 benchmark
-`sweep` builds 378 plans of which 149 repeat an earlier one.
+Back end.  The lattice spacing is ours to choose, so `_lattice_sum` picks
+it for each (interval or band window, segment) pair so that the step
+angle, target step times node spacing, is 2 pi / L with L the smallest
+5-smooth length at or above the required period over the target step.
+The chirp-z sum (Rabiner, Schafer & Rader 1969) over that lattice is then
+a plain DFT of length L: the weights fold onto their node index mod L and
+one inverse FFT returns target k at k mod L.  Where L is over twice the
+Bluestein length of the nodes and targets (few of both on a long period:
+small scales on the banded route, and two of the 14 quadratures of the
+seed-0 benchmark `sweep`), a Bluestein `CZT` plan (Bluestein 1970) at
+angle 2 pi / L runs instead, built by the job that applies it.  There
+n, m < L / 2, so the plan's largest chirp angle pi max(n, m)^2 / L stays
+below pi max(n, m) / 2 and no plan is chunked; it holds its lattice whole,
+while the folded route forms its weights in blocks of whole periods.
+There is no direct O(nodes x targets) sum and no plan cache: the seed-0
+benchmark `sweep` builds 9 plans and `localization` none.
 """
 
 from __future__ import annotations
@@ -69,8 +77,7 @@ from .errors import SizingError
 from .grid import _block_pool, _block_workers, quadrature_node_budget
 
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
-_MAX_CHIRP_ANGLE = 2.0e8  # cap on n^2*theta/2 inside the chirp-z plan, keeps roundoff ~<1e-7
-_DEFAULT_CHUNK = 2**21
+_FOLD_BLOCK = 2**21  # most lattice nodes whose weights are formed at once
 _OVERSAMPLE = 1.15  # lattice period over the span it must hold clear of images
 BAND_COUNT = 48  # bands per interval on the banded route
 DENSE_CAP = 2**17  # most dense-lattice nodes the automatic route evaluates densely
@@ -165,50 +172,44 @@ class CZT:
         return np.fft.ifft(spectrum)[: self.m] * self._post
 
 
-@lru_cache(maxsize=4)
-def _plan(n: int, m: int, theta: float) -> CZT:
-    return CZT(n=n, m=m, w=np.exp(1j * theta))
+def _lattice_sum(amplitude, alpha, scale, lo, hi, period, seg: UniformSegment) -> np.ndarray:
+    """sum_x a(x) e^{i (S |x|^alpha + y x)} d / 2 pi at ``seg``'s targets y, over a centred
+    lattice x in [lo, hi] of spacing d.
 
-
-def _czt_eval(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    segments,
-    out: list[np.ndarray],
-    chunk_cap: int = _DEFAULT_CHUNK,
-) -> None:
-    """Accumulate sum_n weights[n] e^{i y nodes[n]} onto each segment's output.
-
-    With y_k = start + k step and a block's nodes x_0 + j dxi, the block sum
-    is e^{i y_k x_0} sum_j (weights_j e^{i start dxi j}) e^{i step dxi jk}.
+    The spacing d sets the step angle seg.step * d to 2 pi / L, with L the
+    smallest 5-smooth length at or above period / seg.step, so the lattice's
+    period in y, L seg.step, is at least ``period``.  With x_j = x_0 + j d and
+    y_k = start + k step the sum is e^{i k step x_0} sum_j w_j e^{2 pi i jk / L},
+    w_j = a(x_j) e^{i (S |x_j|^alpha + start x_j)} d / 2 pi: the weights fold
+    onto j mod L, in blocks of whole periods, and one inverse FFT of length L
+    gives target k at k mod L.  Where L is over twice the Bluestein length of
+    the folded nodes and targets (few of both on a long period), a `CZT` plan
+    at angle 2 pi / L runs instead; then n, m < L / 2, so its largest chirp
+    angle pi max(n, m)^2 / L stays below pi max(n, m) / 2.
     """
-    _czt_apply(nodes, weights, segments, _czt_plans(nodes, segments, chunk_cap), out)
+    L = _smooth_length(int(np.ceil(period / seg.step)))
+    d = 2.0 * np.pi / (L * seg.step)
+    n = int((hi - lo) / d) + 1
+    x0 = 0.5 * (lo + hi - (n - 1) * d)
 
+    def weights(j0: int, j1: int) -> np.ndarray:
+        x = x0 + d * np.arange(j0, j1)
+        chirp = np.exp(1j * (scale * np.abs(x) ** alpha + seg.start * x))
+        return np.asarray(amplitude(x), dtype=complex) * chirp * (d / (2.0 * np.pi))
 
-def _czt_plans(nodes: np.ndarray, segments, chunk_cap: int = _DEFAULT_CHUNK) -> list:
-    """(chunk, plan) per segment for the lattice ``nodes``, resolved through `_plan`."""
-    if nodes.size == 0:
-        return []
-    dxi = nodes[1] - nodes[0] if nodes.size > 1 else 1.0
-    plans = []
-    for seg in segments:
-        theta = seg.step * dxi
-        # cap the chunk so the chirp angle n^2*theta/2 stays reducible in float64
-        chunk = int(min(chunk_cap, max(4096, np.sqrt(2.0 * _MAX_CHIRP_ANGLE / max(theta, 1e-300)))))
-        chunk = min(chunk, nodes.size)
-        plans.append((chunk, _plan(chunk, seg.count, theta)))
-    return plans
-
-
-def _czt_apply(nodes: np.ndarray, weights: np.ndarray, segments, plans, out) -> None:
-    """The sums of `_czt_eval` through plans `_czt_plans` resolved for these nodes."""
-    dxi = nodes[1] - nodes[0] if nodes.size > 1 else 1.0
-    for seg, (chunk, transform), acc in zip(segments, plans, out):
-        points = seg.points()
-        shift = np.exp(1j * (seg.start * dxi) * np.arange(chunk))
-        for start in range(0, nodes.size, chunk):
-            block = weights[start : start + chunk]
-            acc += np.exp(1j * points * nodes[start]) * transform(block * shift[: block.size])
+    m = seg.count
+    if L > 2 * _smooth_length(min(n, L) + min(m, L) - 1):
+        sums = CZT(n, m, np.exp(2j * np.pi / L))(weights(0, n))
+    else:
+        folded = np.zeros(L, dtype=complex)
+        block = L * max(_FOLD_BLOCK // L, 1)
+        for j0 in range(0, n, block):
+            w = weights(j0, min(j0 + block, n))
+            whole = w.size - w.size % L
+            folded += w[:whole].reshape(-1, L).sum(axis=0)
+            folded[: w.size - whole] += w[whole:]
+        sums = np.resize(np.fft.ifft(folded, norm="forward"), m)
+    return sums * np.exp(1j * (seg.step * x0) * np.arange(m))
 
 
 def _interval_lattice(lo: float, hi: float, spacing: float):
@@ -284,13 +285,8 @@ def chirp_profile(
 
     if not use_banded:
         for (lo, hi), period in zip(intervals, _dense_periods(intervals, alpha, scale, segments)):
-            nodes, d = _interval_lattice(lo, hi, 2.0 * np.pi / period)
-            weights = (
-                np.asarray(amplitude(nodes), dtype=complex)
-                * np.exp(1j * scale * np.abs(nodes) ** alpha)
-                * (d / (2.0 * np.pi))
-            )
-            _czt_eval(nodes, weights, segments, out)
+            for seg, acc in zip(segments, out):
+                acc += _lattice_sum(amplitude, alpha, scale, lo, hi, period, seg)
         return out
 
     _banded_profile(amplitude, intervals, alpha, scale, segments, out)
@@ -300,24 +296,19 @@ def chirp_profile(
 def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
     """Sum every band window onto ``out``, at most two windows in flight on `grid._block_pool`.
 
-    Only the calling thread builds the lattices (plans read their spacing),
-    resolves plans and adds views, all in window order, so plan builds,
-    cache hits and sums are bit for bit the serial ones.
+    Each window job forms its own lattices, weights and transforms; the
+    calling thread only slices segments and adds views, in window order, so
+    the sums are bit for bit the serial ones.
     """
     cells = make_cutoffs(dim=1)
     pool = _block_pool(os.getpid()) if _block_workers() > 1 else None
     pending = deque()
 
-    def window(nodes, d, p, h, subs, plans):
-        weights = (
-            np.asarray(amplitude(nodes), dtype=complex)
-            * cells.cell_1d(nodes / h - p)
-            * np.exp(1j * scale * np.abs(nodes) ** alpha)
-            * (d / (2.0 * np.pi))
-        )
-        views = [np.zeros(sub.count, dtype=complex) for sub in subs]
-        _czt_apply(nodes, weights, subs, plans, views)
-        return views
+    def window(blo, bhi, p, h, period, subs):
+        def band(x):
+            return amplitude(x) * cells.cell_1d(x / h - p)
+
+        return [_lattice_sum(band, alpha, scale, blo, bhi, period, sub) for sub in subs]
 
     def settle():  # add the oldest window's views; reading a result re-raises its error
         views, sliced = pending.popleft()
@@ -353,9 +344,7 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
             if not sliced:
                 continue
             span = (win_hi - win_lo) + pad + _TAIL_CLEARANCE
-            nodes, d = _interval_lattice(blo, bhi, 2.0 * np.pi / (_OVERSAMPLE * span))
-            subs = [sub for sub, _, _ in sliced]
-            job = (nodes, d, p, h, subs, _czt_plans(nodes, subs))
+            job = (blo, bhi, p, h, _OVERSAMPLE * span, [sub for sub, _, _ in sliced])
             if len(pending) == 2:
                 settle()
             pending.append((window(*job) if pool is None else pool.submit(window, *job), sliced))

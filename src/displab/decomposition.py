@@ -16,8 +16,8 @@ from .cutoffs import CutoffSpec, make_cutoffs
 from .errors import SeparationError, TractabilityError
 from .grid import FREQUENCY, Field
 from .norms import admissibility_threshold, lp_norm, mixed_spacetime_norm
-from .propagator import EllipticPhase, Trajectory, elliptic_evolve, evolve_trajectory
-from .spectral import spectral_radius, to_frequency, to_physical
+from .propagator import EllipticPhase, Trajectory, evolve_trajectory
+from .spectral import apply_symbol, spectral_radius, to_frequency
 
 _MODE_REL_TOL = 1e-14  # the active modes of a bilinear piece's factors, relative to the peak
 _SUPPORT_REL_TOL = 1e-12  # the active supports of the adjoint-restriction densities
@@ -137,14 +137,15 @@ def bilinear_reconstruction_residual(
 
     The product side is computed through the FFT evolution path, the pieces
     by direct double summation, so the telescoping identity is checked
-    across two independent evaluation routes.
+    across two independent evaluation routes.  Each factor's amplified
+    spectrum is formed once and evolved to every time by `evolve_trajectory`,
+    so the times must increase strictly.
     """
     ts = tuple(float(t) for t in t_samples)
-    product = np.empty((len(ts), *f.grid.shape), dtype=complex)
-    for i, t in enumerate(ts):
-        sf = to_physical(elliptic_evolve(f, t, ep))
-        sg = to_physical(elliptic_evolve(g, t, ep))
-        product[i] = sf.samples * sg.samples
+    ep.require_elliptic()
+    sf, sg = (evolve_trajectory(apply_symbol(to_frequency(h), ep.amplitude), ts, ep.phase)
+              for h in (f, g))
+    product = np.array([a.samples * b.samples for a, b in zip(sf.frames, sg.frames)])
     total = np.zeros_like(product)
     for j in relevant_piece_indices(f, g, lam):
         total += bilinear_piece(f, g, j, lam, ts, ep).values

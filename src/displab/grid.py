@@ -48,8 +48,8 @@ def max_grid_points() -> int:
 def quadrature_node_budget() -> int:
     """Most nodes a chirp-z quadrature may allocate: 64 x `max_grid_points`.
 
-    Quadrature nodes stream through the chirp-z transform in bounded
-    chunks, so they may outnumber the points of a grid held whole.
+    The folded lattice sums form their weights in bounded blocks of whole
+    lattice periods, so nodes may outnumber the points of a grid held whole.
     """
     return 64 * max_grid_points()
 

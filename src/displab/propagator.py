@@ -29,7 +29,6 @@ from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _block_pool, _block_work
 from .spectral import (
     SymbolFn,
     _inverse_in_place,
-    apply_symbol,
     dft_inverse,
     ensure_headroom,
     to_frequency,
@@ -85,10 +84,11 @@ def evolve(field: Field, t: float, phase: SymbolFn, headroom: float = 1.0) -> Fi
     It is formed only on the spectral support; every entry there is bit
     for bit the full-lattice product, and the rest is zero.  A non-finite
     ``t`` raises ValueError.  ``headroom`` is the required ratio of Nyquist
-    to the field's active spectral radius (1.0: merely representable;
-    callers wanting the strict sizing policy pass 4.0).
+    to the field's active spectral radius (callers wanting the strict sizing
+    policy pass 4.0).  No lattice frequency exceeds Nyquist, so a ratio of
+    1 or less holds for every field and is not scanned for.
     """
-    if headroom:
+    if headroom > 1.0:
         ensure_headroom(field, factor=headroom)
     ts = np.array([float(t)])
     spectrum, support, values = _spectral_support(field, ts, phase)
@@ -215,7 +215,6 @@ def evolve_trajectory(field: Field, t_samples, phase: SymbolFn) -> Trajectory:
     """Frames of ``field`` under ``phase`` at each time: read-only rows of one frame-engine array."""
     t = np.asarray(t_samples, dtype=float).reshape(-1)
     spectrum = to_frequency(field)
-    ensure_headroom(spectrum, factor=1.0)
     frames = np.empty((t.size,) + field.grid.shape, dtype=np.complex128)
 
     def keep(start: int, block: np.ndarray) -> None:
@@ -308,19 +307,6 @@ def quadratic_phase(dim: int = 1) -> EllipticPhase:
         return cut.lowpass(np.sqrt((np.asarray(xi) ** 2).sum(axis=0)))
 
     return make_elliptic_phase(phase, amplitude, [_QUADRATIC_BOX] * dim, dim=dim)
-
-
-def elliptic_evolve(field: Field, t: float, ep: EllipticPhase) -> Field:
-    """Apply amplitude * e^{i t phase}; the elliptic-phase operator at one time.
-
-    The time-independent amplitude goes through `apply_symbol`, the phase
-    through `evolve`'s one product on the amplified spectrum's support:
-    one forward transform of physical input, one inverse back.
-    """
-    ep.require_elliptic()
-    amplified = apply_symbol(to_frequency(field), ep.amplitude)
-    out = evolve(amplified, t, ep.phase, headroom=0.0)
-    return out if field.is_frequency else dft_inverse(out)
 
 
 # -- band-limited kernels -------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from displab.chirpquad import (
     _BOUND_NODES,
     _BOUND_PIECES,
     _BOUND_STEPS,
-    _MAX_CHIRP_ANGLE,
     CZT,
     DENSE_CAP,
     UniformSegment,
     _bound_norms,
     _bound_terms,
-    _czt_eval,
     _interval_lattice,
+    _lattice_sum,
     _smooth_length,
     as_segments,
     chirp_profile,
@@ -131,14 +131,19 @@ def test_banded_windows_are_bitwise_on_one_and_two_threads(monkeypatch):
     """Two threads add the same window sums in the same order, from the same plan builds."""
     from displab import chirpquad
 
-    built = []
-    plan_class = chirpquad.CZT
+    built, sums = [], []
+    plan_class, lattice_sum = chirpquad.CZT, chirpquad._lattice_sum
 
     def counted(n, m, w):
         built.append((n, m, w))
         return plan_class(n, m, w)
 
+    def summed(*args):
+        sums.append(args[-1])
+        return lattice_sum(*args)
+
     monkeypatch.setattr(chirpquad, "CZT", counted)
+    monkeypatch.setattr(chirpquad, "_lattice_sum", summed)
     alpha, scale = 2.0, -65536.0
     swept = 4.0 * abs(scale)
     segments = [UniformSegment(-1.2 * swept, swept / 700, 800), UniformSegment(0.3 * swept, 7.0, 900)]
@@ -148,14 +153,15 @@ def test_banded_windows_are_bitwise_on_one_and_two_threads(monkeypatch):
     try:
         for workers in (1, 2, 1, 2):
             monkeypatch.setattr(chirpquad, "_block_workers", lambda: workers)
-            chirpquad._plan.cache_clear()
             built.clear()
+            sums.clear()
             profiles.append(chirp_profile(make_cutoffs().annulus, INTERVALS, alpha, scale, segments,
                                           method="banded"))
-            plans.append(list(built))
+            plans.append(Counter(built))
     finally:
         sys.setswitchinterval(interval)
-    assert len(plans[0]) > 4  # more plans than the cache holds, so some are rebuilt
+    # both back ends ran: windows summed by a folded FFT and windows summed by a CZT plan
+    assert 0 < sum(plans[0].values()) < len(sums)
     for profile, plan in zip(profiles[1:], plans[1:]):
         assert all(np.array_equal(a, b) for a, b in zip(profile, profiles[0]))
         assert plan == plans[0]
@@ -344,24 +350,90 @@ def brute_sum(weights, start, theta, m):
 @given(
     n=st.integers(1, 5000),
     m=st.one_of(st.just(1), st.integers(1, 3000)),
-    angle=st.one_of(st.floats(1e-6, np.pi), st.just(np.pi), st.just("limit")),
+    spare=st.one_of(st.just(0), st.integers(0, 10**6)),
     start=st.floats(-1e4, 1e4),
-    chunk_cap=st.sampled_from([2**21, 1000, 64]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_chirp_z_matches_brute_force_sum(n, m, angle, start, chunk_cap, seed):
-    """The Bluestein plan with the start folded into the weights is the direct sum."""
-    # "limit": the largest step angle the chunk cap admits for these sizes
-    theta = 2.0 * _MAX_CHIRP_ANGLE / max(n, m) ** 2 if angle == "limit" else angle
+def test_chirp_z_matches_brute_force_sum(n, m, spare, start, seed):
+    """A plan at the step angle 2 pi / L of the CZT case, L > 2 (n + m - 1), with the start
+    folded into the weights, is the direct sum."""
+    theta = 2.0 * np.pi / (2 * _smooth_length(n + m - 1) + 1 + spare)
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    out = [np.zeros(m, dtype=complex)]
-    _czt_eval(np.arange(n, dtype=float), weights, [UniformSegment(start, theta, m)], out,
-              chunk_cap=chunk_cap)
+    out = CZT(n, m, np.exp(1j * theta))(weights * np.exp(1j * start * np.arange(n)))
     ref = brute_sum(weights, start, theta, m)
     # float64 roundoff of the largest phases either side forms
     phase = theta * max(n, m) ** 2 + abs(start) * n
-    assert np.abs(out[0] - ref).max() <= 1e-15 * (1.0 + phase) * np.abs(weights).sum()
+    assert np.abs(out - ref).max() <= 1e-15 * (1.0 + phase) * np.abs(weights).sum()
+
+
+@pytest.mark.parametrize("n, m, L", [
+    (1006, 696, 9216000),  # the largest L the suite reaches (a band window at a small scale)
+    (1050, 8192, 28125),  # the largest chirp angle it reaches (datum norm, alpha 2, lam 16)
+])
+def test_czt_case_chirp_angle_is_bounded(n, m, L):
+    """In the CZT case L > 2 (n + m - 1), so the plan's largest chirp angle pi max(n, m)^2 / L
+    stays below pi max(n, m) / 2 and the plan needs no chunking to keep its round-off."""
+    assert L > 2 * _smooth_length(n + m - 1)
+    theta = 2.0 * np.pi / L
+    assert 0.5 * theta * max(n, m) ** 2 < 0.5 * np.pi * max(n, m)
+    weights = np.random.default_rng(n).standard_normal(n) + 0j
+    out = CZT(n, m, np.exp(1j * theta))(weights)
+    phase = theta * max(n, m) ** 2
+    assert np.abs(out - brute_sum(weights, 0.0, theta, m)).max() <= 1e-15 * (1.0 + phase) * np.abs(
+        weights).sum()
+
+
+def _lattice_case(data, case):
+    """(L, nodes, targets) that put `_lattice_sum` on the folded FFT with n > L ("fold") or
+    m > L ("tile"), or on the CZT plan ("czt")."""
+    if case == "czt":
+        L = _smooth_length(data.draw(st.integers(64, 20000)))
+        return L, data.draw(st.integers(1, L // 6)), data.draw(st.integers(1, L // 6))
+    L = _smooth_length(data.draw(st.integers(8, 400)))
+    many, few = st.integers(L + 1, 8 * L), st.integers(1, L)
+    nodes, targets = (many, few) if case == "fold" else (few, many)
+    return L, data.draw(nodes), data.draw(targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(["fold", "tile", "czt"]),
+    step=st.floats(0.5, 20.0),
+    lo=st.floats(-3.0, 3.0),
+    scale=st.floats(-1e3, 1e3),
+    start=st.floats(-1e4, 1e4),
+    data=st.data(),
+)
+def test_lattice_sum_matches_brute_force(case, step, lo, scale, start, data):
+    """The folded FFT, read at k mod L, and the CZT plan both return the lattice's direct sum."""
+    from displab import chirpquad
+
+    L, n, m = _lattice_case(data, case)
+    d = 2.0 * np.pi / (L * step)
+    seen, built = [], []
+
+    def amplitude(x):
+        seen.append(x)
+        return np.cos(40.0 * x) + 1j * np.sin(3.0 * x)
+
+    def counted(n, m, w):
+        built.append(w)
+        return CZT(n, m, w)
+
+    seg = UniformSegment(start, step, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chirpquad, "CZT", counted)
+        out = _lattice_sum(amplitude, 2.0, scale, lo, lo + (n - 0.5) * d, (L - 0.5) * step, seg)
+    x = np.concatenate(seen)
+    assert x.size == n and (len(built) == 1) == (case == "czt")
+    w = (np.cos(40.0 * x) + 1j * np.sin(3.0 * x)) * np.exp(1j * scale * x**2) * (d / (2.0 * np.pi))
+    # y_k x_j = y_k x_0 + (start d + k step d) j on the lattice x_j = x_0 + j d
+    y = seg.points()
+    ref = np.exp(1j * y * x[0]) * brute_sum(w, start * d, step * d, m)
+    reach = np.abs(x).max() + n * d
+    phase = np.abs(y).max() * reach + abs(scale) * reach**2 + 2.0 * np.pi * max(n, m) ** 2 / L
+    assert np.abs(out - ref).max() <= 1e-15 * (1.0 + phase) * np.abs(w).sum()
 
 
 def test_czt_plan_is_read_only_and_checks_length():

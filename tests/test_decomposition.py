@@ -17,12 +17,12 @@ from displab.norms import lp_norm, mixed_spacetime_norm
 from displab.propagator import (
     DispersionParams,
     Trajectory,
-    elliptic_evolve,
     evolve,
     make_elliptic_phase,
     quadratic_phase,
 )
 from displab.spectral import apply_symbol, dft_inverse, to_frequency, to_physical
+from test_propagator import elliptic_evolve
 
 
 # -- dyadic bands and cube projections, applied with apply_symbol (d = 1) -----------------
@@ -184,7 +184,6 @@ def test_bilinear_two_mode_case():
         total += piece.values
     # exactly the pieces straddling the separation 6 lam^{-1/2} contribute
     assert sum(1 for v in contributions.values() if v > 1e-14) in (1, 2)
-    from displab.propagator import elliptic_evolve
 
     prod = (
         to_physical(elliptic_evolve(f, 0.3, ep)).samples
@@ -215,6 +214,41 @@ def test_bilinear_reconstruction_residual(rng):
         cg[r.choice(idx, 64, replace=False)] = r.standard_normal(64) + 1j * r.standard_normal(64)
         f, h = Field(g, FREQUENCY, cf), Field(g, FREQUENCY, cg)
         assert bilinear_reconstruction_residual(f, h, 256.0, [0.0, 0.5, 1.0], ep) <= 1e-10
+
+
+def per_time_residual(f, g, lam, t_samples, ep):
+    """Oracle for ``bilinear_reconstruction_residual``: each factor through `elliptic_evolve`
+    one time at a time."""
+    ts = tuple(float(t) for t in t_samples)
+    product = np.array([to_physical(elliptic_evolve(f, t, ep)).samples
+                        * to_physical(elliptic_evolve(g, t, ep)).samples for t in ts])
+    total = np.zeros_like(product)
+    for j in relevant_piece_indices(f, g, lam):
+        total += bilinear_piece(f, g, j, lam, ts, ep).values
+    return float(np.abs(product - total).max() / np.abs(product).max())
+
+
+def test_bilinear_residual_evolves_each_factor_once_as_the_per_time_route(monkeypatch):
+    """One amplified spectrum and one trajectory per factor give the per-time residual."""
+    from displab import decomposition
+
+    g = GridSpec(1, 512, 160.0)
+    idx = np.flatnonzero(np.abs(g.frequency_mesh()[0]) < 1.0)
+    r = np.random.default_rng(7)
+    factors = []
+    for _ in range(2):
+        coef = np.zeros(512, dtype=complex)
+        coef[r.choice(idx, 64, replace=False)] = r.standard_normal(64) + 1j * r.standard_normal(64)
+        factors.append(Field(g, FREQUENCY, coef))
+    f, h = factors[0], dft_inverse(factors[1])  # one factor in each representation
+    ep, ts = quadratic_phase(), [0.0, 0.5, 1.0]
+    oracle = per_time_residual(f, h, 256.0, ts, ep)
+    amplified = []
+    monkeypatch.setattr(decomposition, "apply_symbol",
+                        lambda *a: amplified.append(a) or apply_symbol(*a))
+    residual = bilinear_reconstruction_residual(f, h, 256.0, ts, ep)
+    assert len(amplified) == 2
+    assert abs(residual - oracle) <= 1e-12 * oracle
 
 
 def test_bilinear_residual_zero_factor():

@@ -329,6 +329,27 @@ def test_banded_envelope_peak_matches_the_dense_route(monkeypatch):
     assert abs(banded - dense) <= 1e-7 * dense
 
 
+def test_chirp_z_plans_over_the_benchmark_scales(monkeypatch):
+    """Each quadrature folds onto its own lattice period, so a `CZT` plan is built only where
+    few nodes and targets sit on a long period: the seed-0 benchmark's datum norms build at
+    most 16 and its envelope peaks none."""
+    built = []
+    plan_class = chirpquad.CZT
+    monkeypatch.setattr(chirpquad, "CZT", lambda n, m, w: built.append(w) or plan_class(n, m, w))
+    scales = (16.0, 32.0, 64.0, 128.0, 256.0)
+    for alpha in (2.0, 3.0):
+        for lam in scales:
+            datum_lp_norm.__wrapped__(lam, alpha, 6.0)
+    for lam in scales[:4]:  # the airy sweep's one-sided norms
+        datum_lp_norm.__wrapped__(lam, 3.0, 6.0, one_sided=True)
+    assert len(built) <= 16
+    built.clear()
+    for alpha in (2.0, 3.0):
+        for lam in scales:
+            envelope_check(ExtremizerSpec(SMOOTHING, lam, DispersionParams(alpha, 1)))
+    assert built == []
+
+
 def test_focusing_lower_bound_and_exact_value():
     params = DispersionParams(2.0, 1)
     ratios = []

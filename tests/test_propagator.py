@@ -26,7 +26,6 @@ from displab.propagator import (
     _slice_count,
     ball_constant,
     band_kernel,
-    elliptic_evolve,
     evolve,
     evolve_trajectory,
     evolved_lp_norms,
@@ -34,7 +33,7 @@ from displab.propagator import (
     make_elliptic_phase,
     quadratic_phase,
 )
-from displab.spectral import apply_symbol, to_frequency, to_physical
+from displab.spectral import apply_symbol, dft_inverse, to_frequency, to_physical
 from test_chirpquad import unblocked_bound
 
 
@@ -165,6 +164,20 @@ def test_evolve_headroom_error():
     evolve(pw, 0.1, DispersionParams(2.0, 1), headroom=1.0)
     with pytest.raises(GridAdequacyError):
         evolve(pw, 0.1, DispersionParams(2.0, 1), headroom=4.0)
+
+
+def test_evolve_scans_headroom_only_above_one(monkeypatch):
+    from displab import propagator
+
+    scans = []
+    monkeypatch.setattr(propagator, "ensure_headroom", lambda field, factor: scans.append(factor))
+    g = GridSpec(1, 64, 8.0)
+    pw = Field.from_function(g, lambda x: np.exp(1j * 31 * g.frequency_spacing * x[0]))
+    params = DispersionParams(2.0, 1)
+    evolve(pw, 0.1, params)
+    evolve_trajectory(pw, [0.1, 0.2], params)
+    evolve(pw, 0.1, params, headroom=4.0)
+    assert scans == [4.0]
 
 
 def test_evolve_two_dimensional(rng):
@@ -426,6 +439,14 @@ def test_trajectory_basics(rng):
 
 
 # -- elliptic phases ---------------------------------------------------------------
+
+
+def elliptic_evolve(field, t, ep):
+    """The elliptic-phase operator amplitude * e^{i t phase} at one time: the ellipticity
+    check, the amplitude through `apply_symbol`, then `evolve`'s product on its support."""
+    ep.require_elliptic()
+    out = evolve(apply_symbol(to_frequency(field), ep.amplitude), t, ep.phase, headroom=0.0)
+    return out if field.is_frequency else dft_inverse(out)
 
 
 def test_elliptic_t0_reduces_to_amplitude(rng):

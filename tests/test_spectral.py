@@ -170,6 +170,16 @@ def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
         assert spectral_radius(f) == oracle
 
 
+@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 3.0), (2, 64, 40.0), (3, 16, 0.5)])
+def test_full_lattice_spectra_stay_within_nyquist(dim, points, half_width, rng):
+    """No lattice frequency exceeds nyquist, so a headroom factor of 1 always holds: `evolve`
+    and `evolve_trajectory` skip that scan."""
+    g = GridSpec(dim, points, half_width)
+    f = Field(g, FREQUENCY, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    assert spectral_radius(f) <= g.nyquist
+    assert ensure_headroom(f, factor=1.0) <= g.nyquist
+
+
 def test_headroom_validation(rng):
     g = GridSpec(1, 64, 8.0)
     xi0 = 10 * g.frequency_spacing
