@@ -65,7 +65,9 @@ def _block_workers() -> int:
 def _block_pool(pid: int):
     """Process ``pid``'s block threads, built on first use; a forked child builds its own.
 
-    The one pool: `propagator`'s frame blocks and `chirpquad`'s band windows run on it."""
+    The one pool, with at most two jobs running at once: `propagator`'s frame
+    blocks and band-kernel mass slices and `chirpquad`'s band windows run on
+    it.  Their callers wait on it, so no job may submit another and wait."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-blocks")

@@ -36,7 +36,7 @@ from .spectral import (
 
 # complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
 # 2 at 2^17; the two blocks in flight together cost no more memory than a few
-# single frames
+# single frames.  Also the longest slice transform of `_kernel_l1_mass`.
 _BLOCK_SAMPLES = 2**18
 
 
@@ -153,13 +153,20 @@ def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
         frames[:, support] = _evolved_support(spectrum, values, ts)
         reduce(start, _inverse_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
 
-    starts = range(0, t.size, block)
-    if len(starts) <= 1 or _block_workers() == 1:
-        for start in starts:
-            run(start)
-    else:  # reading every result re-raises the error of any block
-        for _ in _block_pool(os.getpid()).map(run, starts):
-            pass
+    _on_block_threads(run, range(0, t.size, block))
+
+
+def _on_block_threads(job, items) -> list:
+    """[job(item) for item in items], two at a time on `grid._block_pool` where that can help.
+
+    With one CPU or one item the loop runs in the calling thread, and no
+    pool is built.  Results come back in item order; reading each one
+    re-raises the error of any job.  The caller waits on the pool, so a
+    pool job must not call this.
+    """
+    if len(items) <= 1 or _block_workers() == 1:
+        return [job(item) for item in items]
+    return list(_block_pool(os.getpid()).map(job, items))
 
 
 def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
@@ -314,6 +321,8 @@ def quadratic_phase(dim: int = 1) -> EllipticPhase:
 
 # the band kernel's frequency support 1/2 < |xi| < 2, as single-signed intervals
 _BAND_INTERVALS = ((0.5, 2.0), (-2.0, -0.5))
+# entries of the fine twiddle table in `_kernel_l1_mass`; the coarse one steps by as many
+_TWIDDLE_ROW = 512
 
 
 def band_kernel(
@@ -420,67 +429,77 @@ def _pow2_at_least(x: float) -> int:
     return int(2 ** max(3, int(np.ceil(np.log2(max(x, 1.0))))))
 
 
-def _slice_count(span: int, points: int) -> int:
-    """The largest power of two P with P * span <= points.
-
-    Any ``span`` consecutive lattice indices are then distinct modulo
-    points / P, a whole number since ``points`` is a power of two.
-    """
-    return 1 << ((points // span).bit_length() - 1)
-
-
 def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     """L1 mass sum_j |kappa_j| h of the band kernel of spread ``scale`` on the 1-d ``grid``.
 
     The same lattice sum as ``np.abs(band_kernel(...).samples).sum() * h``,
-    up to round-off, without a full-lattice array.  The nonzero kernel
-    spectrum kappa^_m spans S consecutive signed indices m (fewer than n/4
-    at nyquist >= 8), so with P = `_slice_count` (S, n) and L = n / P each
-    m has its own residue m mod L.  The physical samples j = P a + r then
-    form P slices
+    up to round-off, without a full-lattice array.  With L = min(2^18, n / 8)
+    (`_BLOCK_SAMPLES` caps it) and P = n / L, the physical samples
+    j = P a + r form P decimated slices
 
-        kappa_{P a + r} = (1/P) ifft_L(Y_r)[a] / h,  Y_r[m mod L] = (-1)^m kappa^_m e^{2 pi i m r / n},
+        kappa_{P a + r} = (1/P) ifft_L(Y_r)[a] / h,  Y_r[q] = sum_{m = q mod L} (-1)^m kappa^_m e^{2 pi i m r / n},
 
     so the mass is the sum of |ifft_L(Y_r)| over the slices, divided by P.
-    The slices run one after another, each dropped once summed: a batch
-    or a second thread would hold several at once for no gain in time.
+    Each entry is twiddled before it is folded onto its residue, so any L
+    dividing n is exact, even where entries share a residue.  A twiddle is
+    the outer product of two short exponential tables, their angles reduced
+    modulo n in integers.  The spectrum is even (the band lies inside
+    nyquist, 8 to 16 on kernel grids), so only its m > 0 half is built
+    (`_chirped_box` with ``one_sided``) and m < 0 takes the conjugate
+    twiddles; the kernel is even too, so slice P - r has the sum of slice r
+    and only the slices r <= P / 2 run.
+
+    They run two at a time on `grid._block_pool` (one CPU: in the calling
+    thread), and their sums are added in slice order, so the mass is bit for
+    bit the same on one thread and two.  Two transforms in flight hold at
+    most a quarter of a full-lattice array, and at most 2^18 points keep each
+    transform's own plan and scratch, which tracemalloc does not see, small.
+    It waits on the pool, so a pool job must not call it.
     """
     n = grid.points
-    (m,), box = _chirped_box(grid, 2.0, make_cutoffs(dim=1).bandpass, 1j * scale, alpha)
+    (m,), box = _chirped_box(grid, 2.0, make_cutoffs(dim=1).bandpass, 1j * scale, alpha, one_sided=True)
     nonzero = np.flatnonzero(box)
-    start, span = int(m[nonzero[0]]), int(nonzero[-1] - nonzero[0] + 1)
-    box = box[nonzero[0] : nonzero[-1] + 1]  # the entry of m = start + i is box[i]
-    del m, nonzero
-    odd = box[(start + 1) % 2 :: 2]
-    np.negative(odd, out=odd)  # (-1)^m: an exact negation of the odd m, in place
-    slices = _slice_count(span, n)
-    size = n // slices
-    # m = start + i has residue (split + i) mod size: the box wraps once around
-    split = start % size
-    head = min(span, size - split)
-    folded = np.zeros(size, dtype=np.complex128)
-    folded[split : split + head] = box[:head]
-    folded[: span - head] = box[head:]
-    del box, odd
-    total = 0.0
-    for r in range(slices - 1, -1, -1):
-        if r:
-            # residue q stands for m = q + start - split, plus size below split
-            angle = np.arange(size, dtype=float)
-            angle[:split] += size
-            angle += start - split
-            angle *= 2.0 * np.pi * r / n
-            part = np.empty(size, dtype=np.complex128)
-            np.cos(angle, out=part.real)
-            np.sin(angle, out=part.imag)
-            del angle
-            part *= folded
-        else:  # the last slice takes folded itself
-            part = folded
-        np.fft.ifft(part, out=part)
-        total += float(np.abs(part, out=part.real).sum())
-        del part
-    return total / slices
+    first, span = int(m[nonzero[0]]), int(nonzero[-1] - nonzero[0] + 1)
+    rows = -(-span // _TWIDDLE_ROW)
+    # the entry of m = first + i is coefficients[i]; the padding past the box is zero
+    coefficients = np.zeros(rows * _TWIDDLE_ROW, dtype=np.complex128)
+    coefficients[:span] = box[nonzero[0] : nonzero[-1] + 1]
+    del m, box, nonzero
+    odd = coefficients[(first + 1) % 2 :: 2]
+    np.negative(odd, out=odd)  # (-1)^m, even in m like the spectrum: an exact negation in place
+    coefficients = coefficients.reshape(rows, _TWIDDLE_ROW)
+    last = first + coefficients.size - 1
+    size = min(_BLOCK_SAMPLES, n // 8)
+    coarse_m = first + _TWIDDLE_ROW * np.arange(rows)
+    fine_m = np.arange(_TWIDDLE_ROW)
+
+    def slice_mass(r: int) -> float:
+        # e^{2 pi i m r / n} at m = coarse + fine, the angles reduced modulo n exactly
+        twiddle = np.multiply.outer(np.exp(2j * np.pi / n * (coarse_m * r % n)),
+                                    np.exp(2j * np.pi / n * (fine_m * r % n)))
+        folded = np.zeros(size, dtype=np.complex128)
+        _fold(np.multiply(twiddle, coefficients).reshape(-1), first, folded)
+        np.conjugate(twiddle, out=twiddle)  # the twiddles of -m
+        twiddle *= coefficients
+        _fold(twiddle.reshape(-1)[::-1], -last, folded)
+        del twiddle
+        np.fft.ifft(folded, out=folded)
+        return float(np.abs(folded, out=folded.real).sum())
+
+    slices = n // size
+    sums = _on_block_threads(slice_mass, range(slices // 2 + 1))
+    # the kernel is even, so |kappa_j| = |kappa_{n-j}| and slice P - r has the sum of slice r
+    return (sums[0] + 2.0 * sum(sums[1:-1]) + sums[-1]) / slices
+
+
+def _fold(values: np.ndarray, first: int, out: np.ndarray) -> None:
+    """out[(first + i) mod out.size] += values[i], one contiguous run of residues at a time."""
+    size = out.size
+    q, i = first % size, 0
+    while i < values.size:
+        run = min(size - q, values.size - i)
+        out[q : q + run] += values[i : i + run]
+        q, i = 0, i + run
 
 
 def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
@@ -496,9 +515,10 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     largest group position g.  No tail is measured, so the value does not
     read round-off.
     Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
-    spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in P = 4
-    decimated slices of n / 4 points, one after another, so no array of
-    the grid's n points is formed.  Where that grid would exceed
+    spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in decimated
+    slices of min(2^18, n / 8) points, two at a time on `grid._block_pool`,
+    so no array of the grid's n points is formed.  It waits on that pool,
+    so a pool job must not call it.  Where that grid would exceed
     `grid.max_grid_points` (DISPLAB_MAX_GRID_POINTS, default 2^22), the
     floor 1.  The floor holds for every kernel: |kappa^(xi)| <= ||kappa||_1,
     and kappa^ peaks at max bandpass = 1.  The share is therefore an upper

@@ -18,12 +18,12 @@ from displab.propagator import (
     DispersionParams,
     EllipticPhase,
     Trajectory,
+    _chirped_box,
     _chirped_spectrum,
     _frame_blocks,
     _kernel_grid,
     _kernel_l1_mass,
     _outside_mass_bound,
-    _slice_count,
     ball_constant,
     band_kernel,
     evolve,
@@ -357,7 +357,8 @@ def test_frame_blocks_run_in_a_forked_child(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux-only")
 def test_import_and_one_cpu_start_no_thread():
-    """Importing builds no pool, and on one CPU the blocks run in the calling thread."""
+    """Importing builds no pool, and on one CPU the frame blocks and the mass slices run
+    in the calling thread."""
     code = """
 import os, sys, threading
 import numpy as np
@@ -369,6 +370,8 @@ from displab.extremizers import unit_annulus_field, unit_profile_grid
 grid = unit_profile_grid(2**12)
 s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
 propagator.evolved_lp_norms(unit_annulus_field(grid), s, propagator.DispersionParams(2.0, 1), 6.0)
+assert propagator._kernel_grid(2.0, 2.0**14).points == 2**19  # slices on more than one job
+propagator.kernel_tail_mass(7, 1.0, propagator.DispersionParams(2.0, 1))
 assert propagator._block_workers() == 1
 assert threading.active_count() == 1 and propagator._block_pool.cache_info().currsize == 0
 """
@@ -813,16 +816,75 @@ def test_sliced_mass_is_the_band_kernel_mass(log2_points, half_width, t, alpha):
     assert abs(_kernel_l1_mass(grid, alpha, 2.0**alpha * t) / full - 1.0) <= 1e-13
 
 
-@given(log2_points=st.integers(3, 16), data=st.data())
-def test_slice_count_keeps_folded_indices_distinct(log2_points, data):
+@settings(max_examples=40)
+@given(
+    log2_points=st.integers(6, 14),
+    nyquist=st.floats(8.0, 32.0),
+    t=st.floats(-2.0, 2.0),
+    alpha=st.sampled_from([0.5, 1.5, 2.0, 3.0]),
+    data=st.data(),
+)
+def test_slices_sharing_residues_sum_the_band_kernel_mass(log2_points, nyquist, t, alpha, data):
+    """Slices shorter than the spectrum's span (P * S > n) fold entries onto shared residues."""
+    from unittest import mock  # monkeypatch is per test, not per hypothesis example
+
+    from displab import propagator
+
     n = 2**log2_points
-    span = data.draw(st.integers(1, n))
-    first = data.draw(st.integers(-n // 2, n // 2))
-    slices = _slice_count(span, n)
-    folded = np.arange(first, first + span) % (n // slices)
-    assert n % slices == 0
-    assert np.unique(folded).size == span
-    assert slices == n or 2 * slices * span > n  # the largest such power of two
+    grid = GridSpec(1, n, np.pi * n / (2.0 * nyquist))
+    scale = 2.0**alpha * t
+    (m,), box = _chirped_box(grid, 2.0, make_cutoffs(dim=1).bandpass, 1j * scale, alpha)
+    span = int(np.ptp(m[box != 0])) + 1  # of the nonzero spectrum
+    size = 2 ** data.draw(st.integers(max(0, log2_points - 8), (span - 1).bit_length() - 1))
+    assert (n // size) * span > n
+    kernel = band_kernel(1, t, DispersionParams(alpha, 1), grid=grid)
+    full = np.abs(kernel.samples).sum() * grid.spacing
+    with mock.patch.object(propagator, "_BLOCK_SAMPLES", size):
+        sliced = _kernel_l1_mass(grid, alpha, scale)
+    assert abs(sliced / full - 1.0) <= 1e-13
+
+
+@given(log2_points=st.integers(3, 16), nyquist=st.floats(8.0, 64.0),
+       scale=st.floats(-2.0**20, 2.0**20), alpha=st.floats(0.25, 4.0))
+def test_band_box_is_even(log2_points, nyquist, scale, alpha):
+    """The one-sided box, mirrored into m < 0, is bit for bit the two-sided box.
+
+    At nyquist >= 8, as on every kernel grid, the band misses m = -n/2."""
+    n = 2**log2_points
+    grid = GridSpec(1, n, np.pi * n / (2.0 * nyquist))
+    bandpass = make_cutoffs(dim=1).bandpass
+    (m,), box = _chirped_box(grid, 2.0, bandpass, 1j * scale, alpha)
+    (half,), one_sided = _chirped_box(grid, 2.0, bandpass, 1j * scale, alpha, one_sided=True)
+    assert np.array_equal(m[m > 0], half) and np.array_equal(box[m > 0], one_sided)
+    mirrored = np.isin(m, -half)
+    assert np.array_equal(box[mirrored], one_sided[: mirrored.sum()][::-1])
+    assert not box[(m <= 0) & ~mirrored].any()
+
+
+def test_kernel_masses_are_bitwise_on_one_and_two_threads(monkeypatch):
+    """The 48 acceptance-grid masses add the same slice sums in the same order on both."""
+    from displab import propagator
+
+    kernels = []
+    for alpha in (1.5, 2.0, 3.0):
+        for k in range(3, 9):
+            for t in (0.0, 0.5, 1.0):
+                scale = 2.0 ** (alpha * k) * t
+                try:
+                    kernels.append((_kernel_grid(alpha, scale), alpha, scale))
+                except SizingError:  # past the grid cap: the tail divides by the floor 1
+                    continue
+    assert len(kernels) == 48
+    masses = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for workers in (1, 2):
+            monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+            masses.append([_kernel_l1_mass(*kernel) for kernel in kernels])
+    finally:
+        sys.setswitchinterval(interval)
+    assert masses[0] == masses[1]
 
 
 def test_kernel_mass_holds_no_full_lattice_array():
@@ -837,6 +899,24 @@ def test_kernel_mass_holds_no_full_lattice_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * grid.points, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_kernel_mass_box_and_slices_stay_under_three_quarters_of_the_lattice(monkeypatch):
+    """On the 2^21-point grid, with two slices in flight, the traced peak stays below
+    0.75 of one complex array of the grid: the box is built on m > 0 only."""
+    from displab import propagator
+
+    scale = 2.0**16  # alpha 2, k 8, t 1
+    grid = _kernel_grid(2.0, scale)
+    assert grid.points == 2**21
+    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        _kernel_l1_mass(grid, 2.0, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 16 * grid.points, f"peak {peak / (16 * grid.points):.2f} of the lattice"
 
 
 @pytest.mark.slow

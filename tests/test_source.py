@@ -134,3 +134,17 @@ def test_every_traced_counter_name_resolves():
         if not ok:
             unresolved.append(name)
     assert unresolved == []
+
+
+def test_only_grid_builds_threads():
+    """One pool: no module but `grid` constructs a `ThreadPoolExecutor` or a `threading.Thread`."""
+    builders = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            for node in ast.walk(_parse(os.path.join(SRC, name))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if called in ("ThreadPoolExecutor", "Thread"):
+                        builders.append(f"{name[:-3]}.{called}")
+    assert builders == ["grid.ThreadPoolExecutor"]
