@@ -27,15 +27,16 @@ Route rule.  ``method="auto"`` runs dense up to `DENSE_CAP` = 2^17
 dense-lattice nodes and banded above it, for every caller; `_route`
 returns that choice with its node count, which is the count the budget
 check reads.  On `extremizers.datum_lp_norm`'s 8192 targets at alpha 2
-(2-core Xeon, best of 3) the dense route costs 0.014 s at 81,790 nodes
-against 0.100 s banded, 0.027 s against 0.059 s at 162,722, 0.051 s
-against 0.047 s at 324,688, 0.065 s against 0.043 s at 486,620 and
-0.147 s against 0.039 s at 1,296,278.  The costs cross near 3e5 nodes,
-yet the cap stays at 2^17: the dense route runs on one thread, and with
-the cap at 3 * 2^17 the seed-0 benchmark `sweep` took 1.05-1.31 s against
-1.04-1.24 s (four alternating passes each) and peaked at 77-78 MB against
-61-63 MB.  No sweep scale within 3% of a dyadic one crosses 2^17 (their
-dense counts skip from 81,790 to 243,310).  The switch costs no accuracy
+(2-core Xeon, best of 3, weights on the centred phase) the dense route
+costs 0.008 s at 81,790 nodes against 0.077 s banded, 0.018 s against
+0.048 s at 162,756, 0.032 s against 0.039 s at 324,688, 0.049 s against
+0.038 s at 486,620 and 0.136 s against 0.039 s at 1,296,278.  The costs
+cross between 3e5 and 5e5 nodes, yet the cap stays at 2^17: the dense
+route runs on one thread, and with the cap at 3 * 2^17 the seed-0
+benchmark `sweep` took 1.05-1.31 s against 1.04-1.24 s (four alternating
+passes each) and peaked at 77-78 MB against 61-63 MB.  No sweep scale
+within 3% of a dyadic one crosses 2^17 (their dense counts skip from
+81,790 to 243,310).  The switch costs no accuracy
 that shows: the dense route carries a chirp round-off floor of about 1e-8
 absolute itself, and on the datum norms the rule moves to banded the two
 routes agree on sum |I|^6 within 1e-9 relative.
@@ -61,6 +62,21 @@ below pi max(n, m) / 2 and no plan is chunked; it holds its lattice whole,
 while the folded route forms its weights in blocks of whole periods.
 There is no direct O(nodes x targets) sum and no plan cache: the seed-0
 benchmark `sweep` builds 9 plans and `localization` none.
+
+Weights.  Each lattice's phase is formed about its midpoint c, as
+S (|x|^alpha - |c|^alpha) + y_0 (x - c), and the constant
+e^{i (S |c|^alpha + y_0 c)} joins the final twiddle.  On the band
+windows of `extremizers.datum_lp_norm` at alpha 3, lam 256 the phase
+stays within 1.1e5 rather than 2.6e8, so its cosine and sine, written
+into the real and imaginary parts of the chirp, need no slow reduction of
+large arguments.  On either form the largest phase error is the rounding
+of |x|^alpha before the multiplication by S.  Against a long-double-phase
+oracle the centred form put datum norms at 14 scales (alpha 1.5 to 4) a
+median 3.1e-13 relative away, the uncentred one 1.2e-12, and at most
+5.1e-11 against 4.3e-10; it is the further off at alpha 3, lam 256
+(1.55e-11 against 2.1e-12) and alpha 4, lam 64 (1.31e-11 against
+4.4e-12).  Forming S |c|^alpha without rounding (Dekker's product) moved
+no norm by more than 3e-15 relative, so the constant is rounded.
 """
 
 from __future__ import annotations
@@ -179,8 +195,10 @@ def _lattice_sum(amplitude, alpha, scale, lo, hi, period, seg: UniformSegment) -
     The spacing d sets the step angle seg.step * d to 2 pi / L, with L the
     smallest 5-smooth length at or above period / seg.step, so the lattice's
     period in y, L seg.step, is at least ``period``.  With x_j = x_0 + j d and
-    y_k = start + k step the sum is e^{i k step x_0} sum_j w_j e^{2 pi i jk / L},
-    w_j = a(x_j) e^{i (S |x_j|^alpha + start x_j)} d / 2 pi: the weights fold
+    y_k = start + k step and the lattice's midpoint c the sum is
+    e^{i (k step x_0 + S |c|^alpha + start c)} sum_j w_j e^{2 pi i jk / L},
+    w_j = a(x_j) e^{i (S (|x_j|^alpha - |c|^alpha) + start (x_j - c))} d / 2 pi,
+    a phase that stays small on a narrow lattice: the weights fold
     onto j mod L, in blocks of whole periods, and one inverse FFT of length L
     gives target k at k mod L.  Where L is over twice the Bluestein length of
     the folded nodes and targets (few of both on a long period), a `CZT` plan
@@ -191,10 +209,15 @@ def _lattice_sum(amplitude, alpha, scale, lo, hi, period, seg: UniformSegment) -
     d = 2.0 * np.pi / (L * seg.step)
     n = int((hi - lo) / d) + 1
     x0 = 0.5 * (lo + hi - (n - 1) * d)
+    c = 0.5 * (lo + hi)
+    c_alpha = abs(c) ** alpha
 
     def weights(j0: int, j1: int) -> np.ndarray:
         x = x0 + d * np.arange(j0, j1)
-        chirp = np.exp(1j * (scale * np.abs(x) ** alpha + seg.start * x))
+        phase = scale * (np.abs(x) ** alpha - c_alpha) + seg.start * (x - c)
+        chirp = np.empty(x.size, dtype=complex)
+        np.cos(phase, out=chirp.real)
+        np.sin(phase, out=chirp.imag)
         return np.asarray(amplitude(x), dtype=complex) * chirp * (d / (2.0 * np.pi))
 
     m = seg.count
@@ -209,7 +232,8 @@ def _lattice_sum(amplitude, alpha, scale, lo, hi, period, seg: UniformSegment) -
             folded += w[:whole].reshape(-1, L).sum(axis=0)
             folded[: w.size - whole] += w[whole:]
         sums = np.resize(np.fft.ifft(folded, norm="forward"), m)
-    return sums * np.exp(1j * (seg.step * x0) * np.arange(m))
+    centre = (scale * c_alpha + seg.start * c) % (2.0 * np.pi)
+    return sums * np.exp(1j * ((seg.step * x0) * np.arange(m) + centre))
 
 
 def _interval_lattice(lo: float, hi: float, spacing: float):

@@ -34,7 +34,8 @@ def smooth_step(sharpness: float = 1.0):
 
     def step(u):
         u = np.asarray(u, dtype=np.float64)
-        out = np.heaviside(u - 1.0, 1.0, out=np.empty_like(u))  # 0 below 1, else 1; NaN stays
+        out = np.asarray(u >= 1.0, dtype=np.float64)  # 0 below 1, else 1, and NaN from u
+        np.copyto(out, u, where=np.isnan(u))
         inside = (u > 0.0) & (u < 1.0)
         v = u[inside]
         with np.errstate(over="ignore"):  # a subnormal v overflows a / v to inf
@@ -95,10 +96,22 @@ class CutoffSpec:
     # -- cube partition ------------------------------------------------------
 
     def cell_1d(self, s):
-        """One-dimensional profile whose integer translates sum to 1."""
+        """One-dimensional profile whose integer translates sum to 1.
+
+        It is edge(s + 1/2) - edge(s - 1/2), with edges rising over
+        [-1/10, 1/10].  For |s| <= 0.39 the two edge steps are exactly 1
+        and 0, and for |s| >= 0.61 exactly equal, so the steps run only on
+        the two ramps in between (and on NaN); elsewhere the profile is
+        written as exact 1.0 or 0.0, bit for bit the full formula.
+        """
         s = np.asarray(s, dtype=np.float64)
         edge = lambda u: self._step((u + 0.1) / 0.2)  # noqa: E731 - local profile
-        return edge(s + 0.5) - edge(s - 0.5)
+        size = np.abs(s)
+        out = np.asarray(size < 0.5, dtype=np.float64)
+        ramps = ~((size <= 0.39) | (size >= 0.61))  # NaN included
+        r = s[ramps]
+        out[ramps] = edge(r + 0.5) - edge(r - 0.5)
+        return out[()]  # a numpy scalar for 0-d input
 
     def cell(self, xi):
         xi = np.asarray(xi, dtype=np.float64)

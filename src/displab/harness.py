@@ -211,11 +211,12 @@ class _ProfileCurve:
         edge = self.grid.points // 64
 
         def powers_and_edges(start: int, frames: np.ndarray) -> None:
-            body = np.abs(frames)
-            vals[start : start + len(frames)] = (body**self.p).sum(axis=1) * self.grid.cell_volume
+            body = np.abs(frames, out=frames.real)  # |frame|, then |frame|^p
             ends = np.maximum(body[:, :edge].max(axis=1), body[:, -edge:].max(axis=1))
             if (ends > 1e-6 * body.max(axis=1)).any():
                 raise SizingError("evolved profile reached the box edge; enlarge the unit grid")
+            body **= self.p
+            vals[start : start + len(frames)] = body.sum(axis=1) * self.grid.cell_volume
 
         _frame_blocks(self.profile, np.array(new), self.params, powers_and_edges)
         self._values.update(zip(new, vals.tolist()))

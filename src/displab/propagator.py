@@ -28,7 +28,7 @@ from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _block_pool, _block_workers, max_grid_points
 from .spectral import (
     SymbolFn,
-    _inverse_in_place,
+    _inverse_signed_in_place,
     dft_inverse,
     ensure_headroom,
     to_frequency,
@@ -38,6 +38,9 @@ from .spectral import (
 # 2 at 2^17; the two blocks in flight together cost no more memory than a few
 # single frames.  Also the longest slice transform of `_kernel_l1_mass`.
 _BLOCK_SAMPLES = 2**18
+# the largest `_kernel_l1_mass` grid whose slices run in the calling thread: there
+# the pool's hand-off costs more than the slices
+_SERIAL_MASS_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -137,21 +140,44 @@ def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
     """Evolve ``field`` under ``phase`` to every time in the float array ``t``, in blocks of frames.
 
     Each block forms its frames' spectra by `_evolved_support`, as `evolve`
-    does, goes through one batched inverse transform, and is handed to
-    ``reduce(start, frames)`` as the physical frames of the times
+    does, goes through the inverse transform (in one batch, or one frame
+    at a time from 2^17 points: `spectral._inverse_signed_in_place`), and
+    is handed to ``reduce(start, frames)`` as the physical frames of the times
     ``t[start : start + len(frames)]``.  Blocks run on `_block_workers`
     threads, so ``reduce`` may only call numpy and write its own slice of
     the output; the results are then bit for bit those of the serial loop.
+
+    The frames array is a block buffer of this call, one per block thread,
+    zeroed and reused by the next block once ``reduce`` returns: a reducer
+    may overwrite it, as `evolved_lp_norms` does with ``|frame|^p``, and one
+    that keeps frames copies them, as `evolve_trajectory` does.
+    The inverse transform's sign (-1)^(m_1 + ... + m_d) is folded into the
+    support values once per call; a negation commutes with the product, so
+    every frame keeps the bits of `evolve`.
     """
     grid = field.grid
     spectrum, support, values = _spectral_support(field, t, phase)
+    odd = np.add.reduce(np.unravel_index(support, grid.shape)) % 2 == 1
+    np.negative(spectrum, out=spectrum, where=odd)
     block = max(1, _BLOCK_SAMPLES // grid.size)
+    buffers = []  # block buffers given back by finished blocks
 
     def run(start: int) -> None:
         ts = t[start : start + block]
-        frames = np.zeros((ts.size, grid.size), dtype=np.complex128)
-        frames[:, support] = _evolved_support(spectrum, values, ts)
-        reduce(start, _inverse_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
+        # a block builds a buffer only while every earlier one is in use; taking one is the
+        # single step `list.pop` and giving it back the single step `list.append`, so no
+        # two threads hold the same buffer
+        try:
+            buffer = buffers.pop()
+        except IndexError:
+            buffer = np.empty((min(block, t.size), grid.size), dtype=np.complex128)
+        try:
+            frames = buffer[: ts.size]
+            frames.fill(0.0)
+            frames[:, support] = _evolved_support(spectrum, values, ts)
+            reduce(start, _inverse_signed_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
+        finally:
+            buffers.append(buffer)
 
     _on_block_threads(run, range(0, t.size, block))
 
@@ -183,7 +209,9 @@ def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
     out = np.empty(t.size)
 
     def lp_powers(start: int, frames: np.ndarray) -> None:
-        powers = (np.abs(frames) ** p).reshape(len(frames), -1).sum(axis=1)
+        body = np.abs(frames, out=frames.real)  # |frame|, then |frame|^p, on the frames' own buffer
+        body **= p
+        powers = body.reshape(len(frames), -1).sum(axis=1)
         out[start : start + len(frames)] = powers * grid.cell_volume
 
     _frame_blocks(field, t, phase, lp_powers)
@@ -449,11 +477,13 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     twiddles; the kernel is even too, so slice P - r has the sum of slice r
     and only the slices r <= P / 2 run.
 
-    They run two at a time on `grid._block_pool` (one CPU: in the calling
-    thread), and their sums are added in slice order, so the mass is bit for
-    bit the same on one thread and two.  Two transforms in flight hold at
-    most a quarter of a full-lattice array, and at most 2^18 points keep each
-    transform's own plan and scratch, which tracemalloc does not see, small.
+    They run two at a time on `grid._block_pool` (one CPU, or a grid of at
+    most `_SERIAL_MASS_POINTS` = 2^15 points, where the hand-off costs more
+    than the slices: in the calling thread), and their sums are added in
+    slice order, so the mass is bit for bit the same on one thread and two.
+    Two transforms in flight hold at most a quarter of a full-lattice array,
+    and at most 2^18 points keep each transform's own plan and scratch,
+    which tracemalloc does not see, small.
     It waits on the pool, so a pool job must not call it.
     """
     n = grid.points
@@ -487,7 +517,11 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
         return float(np.abs(folded, out=folded.real).sum())
 
     slices = n // size
-    sums = _on_block_threads(slice_mass, range(slices // 2 + 1))
+    halves = range(slices // 2 + 1)
+    if n <= _SERIAL_MASS_POINTS:
+        sums = [slice_mass(r) for r in halves]
+    else:
+        sums = _on_block_threads(slice_mass, halves)
     # the kernel is even, so |kappa_j| = |kappa_{n-j}| and slice P - r has the sum of slice r
     return (sums[0] + 2.0 * sum(sums[1:-1]) + sums[-1]) / slices
 
@@ -516,9 +550,9 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     read round-off.
     Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
     spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in decimated
-    slices of min(2^18, n / 8) points, two at a time on `grid._block_pool`,
-    so no array of the grid's n points is formed.  It waits on that pool,
-    so a pool job must not call it.  Where that grid would exceed
+    slices of min(2^18, n / 8) points, two at a time on `grid._block_pool`
+    above 2^15 points, so no array of the grid's n points is formed.  It
+    waits on that pool, so a pool job must not call it.  Where that grid would exceed
     `grid.max_grid_points` (DISPLAB_MAX_GRID_POINTS, default 2^22), the
     floor 1.  The floor holds for every kernel: |kappa^(xi)| <= ||kappa||_1,
     and kappa^ peaks at max bandpass = 1.  The share is therefore an upper

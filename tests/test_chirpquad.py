@@ -384,6 +384,32 @@ def test_czt_case_chirp_angle_is_bounded(n, m, L):
         weights).sum()
 
 
+_TWO_PI_LONG = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def long_double_lattice_sum(amplitude, alpha, scale, lo, hi, period, seg):
+    """`_lattice_sum`'s lattice, nodes and transforms, with every phase formed in long double
+    and reduced modulo 2 pi there before its exponential: the oracle for the weights' phase."""
+    L = _smooth_length(int(np.ceil(period / seg.step)))
+    d = 2.0 * np.pi / (L * seg.step)
+    n = int((hi - lo) / d) + 1
+    x0 = 0.5 * (lo + hi - (n - 1) * d)
+    x = x0 + d * np.arange(n)
+    xl = x.astype(np.longdouble)
+    phase = np.longdouble(scale) * np.abs(xl) ** np.longdouble(alpha) + np.longdouble(seg.start) * xl
+    w = np.asarray(amplitude(x), dtype=complex) * np.exp(
+        1j * np.fmod(phase, _TWO_PI_LONG).astype(float)) * (d / (2.0 * np.pi))
+    m = seg.count
+    if L > 2 * _smooth_length(min(n, L) + min(m, L) - 1):
+        sums = CZT(n, m, np.exp(2j * np.pi / L))(w)
+    else:
+        folded = np.pad(w, (0, -n % L)).reshape(-1, L).sum(axis=0)
+        sums = np.resize(np.fft.ifft(folded, norm="forward"), m)
+    k = np.arange(m, dtype=np.longdouble)
+    twiddle = np.fmod(np.longdouble(seg.step) * np.longdouble(x0) * k, _TWO_PI_LONG)
+    return sums * np.exp(1j * twiddle.astype(float))
+
+
 def _lattice_case(data, case):
     """(L, nodes, targets) that put `_lattice_sum` on the folded FFT with n > L ("fold") or
     m > L ("tile"), or on the CZT plan ("czt")."""
@@ -401,12 +427,13 @@ def _lattice_case(data, case):
     case=st.sampled_from(["fold", "tile", "czt"]),
     step=st.floats(0.5, 20.0),
     lo=st.floats(-3.0, 3.0),
-    scale=st.floats(-1e3, 1e3),
+    scale=st.one_of(st.floats(-1e3, 1e3), st.floats(1e8, 4e9), st.floats(-4e9, -1e8)),
     start=st.floats(-1e4, 1e4),
     data=st.data(),
 )
 def test_lattice_sum_matches_brute_force(case, step, lo, scale, start, data):
-    """The folded FFT, read at k mod L, and the CZT plan both return the lattice's direct sum."""
+    """The folded FFT, read at k mod L, and the CZT plan both return the lattice's direct sum,
+    also where the phase S x^2 passes 1e8 (26 of the 60 draws)."""
     from displab import chirpquad
 
     L, n, m = _lattice_case(data, case)

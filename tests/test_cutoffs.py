@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs, smooth_step
@@ -54,6 +54,93 @@ def test_step_is_bitwise_the_full_formula(rng, sharpness):
         value = step(x)
         assert np.ndim(value) == 0
         assert np.array_equal(value, oracle(x), equal_nan=True)
+
+
+def heaviside_step(sharpness=1.0):
+    """The step with its exact 0 and 1 from ``np.heaviside(u - 1, 1)``: the earlier form,
+    an oracle for ``smooth_step``'s comparison ``u >= 1``."""
+
+    def step(u):
+        u = np.asarray(u, dtype=np.float64)
+        out = np.heaviside(u - 1.0, 1.0, out=np.empty_like(u))
+        inside = (u > 0.0) & (u < 1.0)
+        v = u[inside]
+        with np.errstate(over="ignore"):
+            rising = np.exp(-sharpness / v)
+            falling = np.exp(-sharpness / (1.0 - v))
+        out[inside] = rising / (rising + falling)
+        return out[()]
+
+    return step
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.0**-1030,
+           -(2.0**-1030), 2.0**-1022, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.5]
+
+
+def same_bits(a, b):
+    """Equal values, NaN where NaN, and equal signs, zeros included."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+
+
+@settings(max_examples=200)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), max_size=40),
+    sharpness=st.sampled_from([0.3, 1.0, 2.5]),
+)
+def test_step_is_bitwise_the_heaviside_form(values, sharpness):
+    step, oracle = smooth_step(sharpness), heaviside_step(sharpness)
+    u = np.array(values, dtype=np.float64)
+    assert same_bits(step(u), oracle(u))
+    assert same_bits(step(u.reshape(-1, 1)), oracle(u.reshape(-1, 1)))
+    for x in values[:8] + SPECIAL:
+        got, want = step(x), oracle(x)
+        assert type(got) is np.float64 and np.ndim(got) == 0  # a numpy scalar for 0-d input
+        assert same_bits(got, want)
+        assert same_bits(step(np.array(x)), want)
+
+
+def full_cell_1d(sharpness):
+    """`cell_1d` as the plain formula edge(s + 1/2) - edge(s - 1/2) on every point."""
+    step = smooth_step(sharpness)
+
+    def cell_1d(s):
+        s = np.asarray(s, dtype=np.float64)
+        with np.errstate(over="ignore"):  # |s| near the float maximum overflows to inf
+            return step((s + 0.5 + 0.1) / 0.2) - step((s - 0.5 + 0.1) / 0.2)
+
+    return cell_1d
+
+
+CELL_POINTS = [0.0, 0.39, 0.4, 0.5, 0.6, 0.61, 0.45, 0.55, 1.0, 2.0, np.nan, np.inf, 5e-324]
+
+
+@settings(max_examples=200)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from(CELL_POINTS + [-v for v in CELL_POINTS]),
+            st.floats(-1.0, 1.0),
+            st.floats(0.38, 0.62),
+            st.floats(-0.62, -0.38),
+            st.floats(),
+        ),
+        max_size=40,
+    ),
+    sharpness=st.sampled_from([0.3, 1.0, 2.5]),
+)
+def test_cell_profile_is_bitwise_the_full_formula(values, sharpness):
+    """`cell_1d` runs its steps only on the ramps 0.39 < |s| < 0.61 and writes exact 1.0 and
+    0.0 elsewhere, with the bits of the full formula, NaN and 0-d input included."""
+    cell_1d, oracle = make_cutoffs(sharpness).cell_1d, full_cell_1d(sharpness)
+    s = np.array(values, dtype=np.float64)
+    assert same_bits(cell_1d(s), oracle(s))
+    assert same_bits(cell_1d(s.reshape(-1, 1)), oracle(s.reshape(-1, 1)))
+    for x in values[:8] + CELL_POINTS:
+        got = cell_1d(x)
+        assert type(got) is np.float64 and np.ndim(got) == 0  # a numpy scalar for 0-d input
+        assert same_bits(got, oracle(x))
 
 
 def test_annulus_plateau_and_support():

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -300,6 +302,112 @@ def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, a
     for frame, v in zip(frames, t):
         single = to_physical(evolve(gaussian, float(v), params, headroom=0.0))
         assert np.array_equal(frame, single.samples)
+
+
+def test_long_frames_are_transformed_one_at_a_time_with_the_batch_bits(monkeypatch):
+    """At 2^17 points a block holds two frames, which go through the inverse transform one at a
+    time; every frame is bit for bit `evolve`'s and the one-batch transform's."""
+    from displab import propagator, spectral
+
+    grid = GridSpec(1, 2**17, 400.0)
+    datum = Field.from_function(grid, lambda x: np.exp(-(np.asarray(x)[0] / 20.0) ** 2))
+    params = DispersionParams(2.0, 1)
+    t = np.linspace(-0.3, 0.5, 5)  # blocks of 2, 2 and 1 frames
+    assert propagator._BLOCK_SAMPLES // grid.size == 2
+    frames = {}
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: calls.append(a.shape) or ifftn(a, **kw))
+
+    def keep(start, block):
+        frames[start] = block.copy()
+
+    _frame_blocks(datum, t, params, keep)
+    assert calls == [grid.shape] * t.size
+    one_at_a_time = np.concatenate([frames[start] for start in sorted(frames)])
+    monkeypatch.setattr(spectral, "_ONE_AT_A_TIME_POINTS", 2 * grid.size)
+    frames.clear()
+    _frame_blocks(datum, t, params, keep)
+    assert np.array_equal(np.concatenate([frames[start] for start in sorted(frames)]), one_at_a_time)
+    for frame, v in zip(one_at_a_time, t):
+        assert np.array_equal(frame, to_physical(evolve(datum, float(v), params)).samples)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
+    """Over five blocks, each thread zeroes and reuses one block buffer, and the lp reducer
+    writes |frame|^p over it through one real temporary (numpy's copy for an output that
+    overlaps its input): the traced peak stays below, per thread, those two and one block
+    of support products, plus the support arrays (at most 96 bytes per support point)."""
+    from displab import propagator
+
+    grid = unit_profile_grid()
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    block = propagator._BLOCK_SAMPLES // grid.size
+    s = np.linspace(-400.0, 0.0, 4 * block + 3)  # four full blocks and a partial one
+    support = np.count_nonzero(to_frequency(profile).samples)
+    buffers = set()
+
+    def seen(start, frames):
+        buffers.add(frames.__array_interface__["data"][0])
+
+    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    _frame_blocks(profile, s, params, seen)
+    assert 1 <= len(buffers) <= workers
+    expected = evolved_lp_norms(profile, s, params, 6.0)  # builds the pool outside the trace
+    tracemalloc.start()
+    try:
+        norms = evolved_lp_norms(profile, s, params, 6.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(norms, expected)
+    per_thread = (16 + 8) * block * grid.size + 16 * block * support
+    assert peak < workers * per_thread + 96 * support, f"peak {peak / per_thread:.2f} blocks"
+
+
+def test_frame_block_buffers_are_never_shared_under_stress(monkeypatch):
+    """On eight pool threads, with the interpreter switching threads every microsecond, no
+    block is handed a buffer that another block still holds, every frame keeps its bits,
+    and at most one buffer per thread is built."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from displab import propagator
+
+    grid = unit_profile_grid(2**12)
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    block = propagator._BLOCK_SAMPLES // grid.size
+    s = np.linspace(-20.0, 0.0, 40 * block)
+    expected = evolved_lp_norms(profile, s, params, 6.0)
+    held, built, lock = set(), set(), threading.Lock()
+    out = np.empty(s.size)
+
+    def check(start, frames):
+        address = frames.__array_interface__["data"][0]
+        with lock:
+            assert address not in held
+            held.add(address)
+            built.add(address)
+        out[start : start + len(frames)] = (np.abs(frames) ** 6.0).sum(axis=1) * grid.cell_volume
+        time.sleep(0.001)  # the other threads take buffers meanwhile
+        with lock:
+            held.remove(address)
+
+    pool = ThreadPoolExecutor(max_workers=8)
+    monkeypatch.setattr(propagator, "_block_pool", lambda pid: pool)
+    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _frame_blocks(profile, s, params, check)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert not held
+    assert 1 <= len(built) <= 8
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -885,6 +993,26 @@ def test_kernel_masses_are_bitwise_on_one_and_two_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert masses[0] == masses[1]
+
+
+def test_small_mass_grids_keep_their_slices_in_the_calling_thread(monkeypatch):
+    """Up to 2^15 points the slices run serially on two CPUs too, with the same bits; above,
+    they go to the pool."""
+    from displab import propagator
+
+    real_pool = propagator._block_pool
+    pools = []
+    monkeypatch.setattr(propagator, "_block_pool", lambda pid: pools.append(pid) or real_pool(pid))
+    for scale, points, pooled in ((2.0**10, 2**15, False), (2.0**11, 2**16, True)):
+        grid = _kernel_grid(2.0, scale)
+        assert grid.points == points
+        masses = []
+        for workers in (1, 2):
+            monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+            pools.clear()
+            masses.append(_kernel_l1_mass(grid, 2.0, scale))
+        assert bool(pools) == pooled
+        assert masses[0] == masses[1]
 
 
 def test_kernel_mass_holds_no_full_lattice_array():
