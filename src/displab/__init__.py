@@ -72,6 +72,6 @@ from .propagator import (
     make_elliptic_phase,
     quadratic_phase,
 )
-from .spectral import SymbolFn, apply_symbol, dft_forward, dft_inverse, ensure_headroom
+from .spectral import SymbolFn, apply_symbol, dft_forward, dft_inverse
 
 __version__ = "0.1.0"

@@ -19,14 +19,17 @@ banded  the interval is split by a smooth partition of unity into narrow
         receive the (rapidly vanishing) tail contributions of nothing, so
         the banded route must only be used with targets inside the swept
         region, or together with `nonstationary_bound` for the rest.  Each
-        window's lattices, weights and transforms form one job, two jobs in
-        flight on the pool of `grid._block_pool`; the calling thread only
-        slices the segments and adds the jobs' sums in window order.
+        window's lattices, weights and transforms form one job; the jobs
+        are queued at once and run two at a time by `grid._run_blocks`,
+        and the calling thread only slices the segments and adds the jobs'
+        sums in window order.
 
-Route rule.  ``method="auto"`` runs dense up to `DENSE_CAP` = 2^17
+Route rule.  `chirp_profile` runs dense up to `DENSE_CAP` = 2^17
 dense-lattice nodes and banded above it, for every caller; `_route`
 returns that choice with its node count, which is the count the budget
-check reads.  On `extremizers.datum_lp_norm`'s 8192 targets at alpha 2
+check reads.  Both routes stay: the dense one is the banded one's oracle
+in tests, and the faster below the cap; tests force one by patching
+`DENSE_CAP`.  On `extremizers.datum_lp_norm`'s 8192 targets at alpha 2
 (2-core Xeon, best of 3, weights on the centred phase) the dense route
 costs 0.008 s at 81,790 nodes against 0.077 s banded, 0.018 s against
 0.048 s at 162,756, 0.032 s against 0.039 s at 324,688, 0.049 s against
@@ -81,8 +84,6 @@ no norm by more than 3e-15 relative, so the constant is rounded.
 
 from __future__ import annotations
 
-import os
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,13 +91,13 @@ import numpy as np
 
 from .cutoffs import make_cutoffs
 from .errors import SizingError
-from .grid import _block_pool, _block_workers, quadrature_node_budget
+from .grid import _run_blocks, quadrature_node_budget
 
 _TAIL_CLEARANCE = 1500.0  # absolute image clearance added to every lattice, in y units
 _FOLD_BLOCK = 2**21  # most lattice nodes whose weights are formed at once
 _OVERSAMPLE = 1.15  # lattice period over the span it must hold clear of images
 BAND_COUNT = 48  # bands per interval on the banded route
-DENSE_CAP = 2**17  # most dense-lattice nodes the automatic route evaluates densely
+DENSE_CAP = 2**17  # most dense-lattice nodes `chirp_profile` evaluates densely
 _BOUND_STEPS = 5  # integrations by parts tried by nonstationary_bound
 _BOUND_NODES = 16384  # lattice nodes per interval in _bound_norms
 _BOUND_PIECES = 16  # pieces per interval, each bounded at its own distance from the targets
@@ -260,28 +261,18 @@ def dense_node_estimate(intervals, alpha, scale, segments) -> int:
     )
 
 
-def _route(intervals, alpha, scale, segments, method: str = "auto") -> tuple[bool, int]:
+def _route(intervals, alpha, scale, segments) -> tuple[bool, int]:
     """(banded, nodes): the route `chirp_profile` runs for these targets and its node count.
 
-    ``method="auto"`` is banded above `DENSE_CAP` dense nodes; the banded
-    route spends about one band's share of the dense nodes.
+    Banded above `DENSE_CAP` dense nodes; the banded route spends about one
+    band's share of the dense nodes.
     """
-    if method not in ("auto", "dense", "banded"):
-        raise ValueError(f"unknown method {method!r}")
     n_dense = dense_node_estimate(intervals, alpha, scale, segments)
-    banded = method == "banded" or (method == "auto" and n_dense > DENSE_CAP)
+    banded = n_dense > DENSE_CAP
     return banded, n_dense // BAND_COUNT if banded else n_dense
 
 
-def chirp_profile(
-    amplitude,
-    intervals,
-    alpha: float,
-    scale: float,
-    segments,
-    *,
-    method: str = "auto",
-) -> list[np.ndarray]:
+def chirp_profile(amplitude, intervals, alpha: float, scale: float, segments) -> list[np.ndarray]:
     """Evaluate the chirped profile on each segment; returns one array per segment.
 
     ``amplitude`` maps xi arrays to (complex) values and must be supported
@@ -298,7 +289,7 @@ def chirp_profile(
             raise ValueError("intervals must not straddle 0; split them")
     out = [np.zeros(seg.count, dtype=complex) for seg in segments]
 
-    use_banded, nodes = _route(intervals, alpha, scale, segments, method)
+    use_banded, nodes = _route(intervals, alpha, scale, segments)
     budget = quadrature_node_budget()
     if nodes > budget:
         raise SizingError(
@@ -318,26 +309,22 @@ def chirp_profile(
 
 
 def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
-    """Sum every band window onto ``out``, at most two windows in flight on `grid._block_pool`.
+    """Sum every band window onto ``out``, the windows run two at a time by `grid._run_blocks`.
 
     Each window job forms its own lattices, weights and transforms; the
-    calling thread only slices segments and adds views, in window order, so
-    the sums are bit for bit the serial ones.
+    calling thread only slices segments and adds views, in window order,
+    so the sums are bit for bit the serial ones.
     """
     cells = make_cutoffs(dim=1)
-    pool = _block_pool(os.getpid()) if _block_workers() > 1 else None
-    pending = deque()
+    jobs = []
 
-    def window(blo, bhi, p, h, period, subs):
+    def window(job):
+        blo, bhi, p, h, period, sliced = job
+
         def band(x):
             return amplitude(x) * cells.cell_1d(x / h - p)
 
-        return [_lattice_sum(band, alpha, scale, blo, bhi, period, sub) for sub in subs]
-
-    def settle():  # add the oldest window's views; reading a result re-raises its error
-        views, sliced = pending.popleft()
-        for (sub, acc, q0), view in zip(sliced, views if pool is None else views.result()):
-            acc[q0 : q0 + sub.count] += view
+        return [_lattice_sum(band, alpha, scale, blo, bhi, period, sub) for sub, _, _ in sliced]
 
     for lo, hi in intervals:
         h = (hi - lo) / BAND_COUNT
@@ -368,12 +355,10 @@ def _banded_profile(amplitude, intervals, alpha, scale, segments, out):
             if not sliced:
                 continue
             span = (win_hi - win_lo) + pad + _TAIL_CLEARANCE
-            job = (blo, bhi, p, h, _OVERSAMPLE * span, [sub for sub, _, _ in sliced])
-            if len(pending) == 2:
-                settle()
-            pending.append((window(*job) if pool is None else pool.submit(window, *job), sliced))
-    while pending:
-        settle()
+            jobs.append((blo, bhi, p, h, _OVERSAMPLE * span, sliced))
+    for (*_, sliced), views in zip(jobs, _run_blocks(window, jobs)):
+        for (sub, acc, q0), view in zip(sliced, views):
+            acc[q0 : q0 + sub.count] += view
 
 
 def nonstationary_bound(amplitude, intervals, alpha: float, scale: float, y: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Smooth cutoff constructions: annular bumps, dyadic pairs, cube partitions.
 
-Everything is built from one C-infinity step.  With A(u) = exp(-a/u) for
+Everything is built from one C-infinity step.  With A(u) = exp(-1/u) for
 u > 0 (and 0 otherwise), the step
 
     step(u) = A(u) / (A(u) + A(1 - u))
 
-is exactly 0 for u <= 0, exactly 1 for u >= 1, and smooth; ``a`` is the
-sharpness knob.  For every u and every a, step(u) + step(1 - u) = 1, so
+is exactly 0 for u <= 0, exactly 1 for u >= 1, and smooth; the rate in
+the exponent is fixed at 1.  For every u, step(u) + step(1 - u) = 1, so
 the step integrates to 1/2 over [0, 1] and a rise or fall of width w to
 w / 2: the cutoff integrals the extremizers need have closed forms.  The
 two exponentials are evaluated only inside (0, 1); everywhere else the
@@ -18,7 +18,7 @@ identities hold to roundoff, not just analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -27,24 +27,18 @@ _SQRT_HALF = 2.0**-0.5
 _SQRT_TWO = 2.0**0.5
 
 
-def smooth_step(sharpness: float = 1.0):
-    """Return the canonical mollified step: 0 on u<=0, 1 on u>=1, C-infinity."""
-    if not sharpness > 0:
-        raise ValueError("sharpness must be positive")
-
-    def step(u):
-        u = np.asarray(u, dtype=np.float64)
-        out = np.asarray(u >= 1.0, dtype=np.float64)  # 0 below 1, else 1, and NaN from u
-        np.copyto(out, u, where=np.isnan(u))
-        inside = (u > 0.0) & (u < 1.0)
-        v = u[inside]
-        with np.errstate(over="ignore"):  # a subnormal v overflows a / v to inf
-            rising = np.exp(-sharpness / v)
-            falling = np.exp(-sharpness / (1.0 - v))
-        out[inside] = rising / (rising + falling)
-        return out[()]  # a numpy scalar for 0-d input
-
-    return step
+def smooth_step(u):
+    """The canonical mollified step: 0 on u<=0, 1 on u>=1, C-infinity."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.asarray(u >= 1.0, dtype=np.float64)  # 0 below 1, else 1, and NaN from u
+    np.copyto(out, u, where=np.isnan(u))
+    inside = (u > 0.0) & (u < 1.0)
+    v = u[inside]
+    with np.errstate(over="ignore"):  # a subnormal v overflows 1 / v to inf
+        rising = np.exp(-1.0 / v)
+        falling = np.exp(-1.0 / (1.0 - v))
+    out[inside] = rising / (rising + falling)
+    return out[()]  # a numpy scalar for 0-d input
 
 
 @dataclass(frozen=True)
@@ -64,34 +58,31 @@ class CutoffSpec:
     """
 
     dim: int
-    sharpness: float = 1.0
-    _step: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        object.__setattr__(self, "_step", smooth_step(self.sharpness))
 
     # -- radial pieces ------------------------------------------------------
 
     def lowpass(self, r):
         r = np.abs(np.asarray(r, dtype=np.float64))
-        return 1.0 - self._step(r - 1.0)
+        return 1.0 - smooth_step(r - 1.0)
 
     def bandpass(self, r):
         r = np.abs(np.asarray(r, dtype=np.float64))
-        return self._step(2.0 * r - 1.0) - self._step(r - 1.0)
+        return smooth_step(2.0 * r - 1.0) - smooth_step(r - 1.0)
 
     def annulus(self, r):
         r = np.abs(np.asarray(r, dtype=np.float64))
-        rise = self._step((r - 0.5) / (_SQRT_HALF - 0.5))
-        fall = 1.0 - self._step((r - _SQRT_TWO) / (2.0 - _SQRT_TWO))
+        rise = smooth_step((r - 0.5) / (_SQRT_HALF - 0.5))
+        fall = 1.0 - smooth_step((r - _SQRT_TWO) / (2.0 - _SQRT_TWO))
         return rise * fall
 
     def diagonal_lowpass(self, r):
         s = 8.0 * np.sqrt(self.dim)
         r = np.abs(np.asarray(r, dtype=np.float64))
-        return 1.0 - self._step(r / s - 1.0)
+        return 1.0 - smooth_step(r / s - 1.0)
 
     # -- cube partition ------------------------------------------------------
 
@@ -105,7 +96,7 @@ class CutoffSpec:
         written as exact 1.0 or 0.0, bit for bit the full formula.
         """
         s = np.asarray(s, dtype=np.float64)
-        edge = lambda u: self._step((u + 0.1) / 0.2)  # noqa: E731 - local profile
+        edge = lambda u: smooth_step((u + 0.1) / 0.2)  # noqa: E731 - local profile
         size = np.abs(s)
         out = np.asarray(size < 0.5, dtype=np.float64)
         ramps = ~((size <= 0.39) | (size >= 0.61))  # NaN included
@@ -130,11 +121,11 @@ class CutoffSpec:
         return total
 
 
-def make_cutoffs(smoothness_scale: float = 1.0, dim: int = 1) -> CutoffSpec:
-    """The standard cutoff family; ``smoothness_scale`` shapes the edges."""
-    return _cutoff_spec(smoothness_scale, dim)
+def make_cutoffs(dim: int = 1) -> CutoffSpec:
+    """The standard cutoff family in dimension ``dim``."""
+    return _cutoff_spec(dim)
 
 
-@cache  # one immutable spec per argument pair, so its bound methods compare equal and key caches
-def _cutoff_spec(sharpness: float, dim: int) -> CutoffSpec:
-    return CutoffSpec(dim=dim, sharpness=sharpness)
+@cache  # one immutable spec per dim, however it is passed, so its bound methods key caches
+def _cutoff_spec(dim: int) -> CutoffSpec:
+    return CutoffSpec(dim)

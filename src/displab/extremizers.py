@@ -328,11 +328,10 @@ PACKET_GRID = GridSpec(1, 2**12, 2800.0)
 
 def _normalized_bump(epsilon: float):
     """Radial bump supported in r < 0.9 eps, with (2pi)^-1 int chi(|w|) dw = 1."""
-    step = smooth_step()
     c = 2.0 * np.pi / (2.0 * epsilon * _BUMP_PROFILE_MASS)
 
     def bump(r):
-        return c * (1.0 - step((np.abs(r) / epsilon - 0.4) / 0.5))
+        return c * (1.0 - smooth_step((np.abs(r) / epsilon - 0.4) / 0.5))
 
     return bump
 

@@ -63,14 +63,25 @@ def _block_workers() -> int:
 
 @cache
 def _block_pool(pid: int):
-    """Process ``pid``'s block threads, built on first use; a forked child builds its own.
-
-    The one pool, with at most two jobs running at once: `propagator`'s frame
-    blocks and band-kernel mass slices and `chirpquad`'s band windows run on
-    it.  Their callers wait on it, so no job may submit another and wait."""
+    """Process ``pid``'s block threads, built on first use; a forked child builds its own."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-blocks")
+
+
+def _run_blocks(job, items) -> list:
+    """[job(item) for item in items], two at a time on `_block_pool` where that can help.
+
+    The one way onto the pool: `propagator`'s frame blocks and band-kernel
+    mass slices and `chirpquad`'s band windows run through it.  With one
+    CPU or one item the loop runs in the calling thread, and no pool is
+    built.  Every item is queued at once; results come back in item order,
+    and reading each one re-raises the error of any job.  The caller waits
+    on the pool, so a job must not call this.
+    """
+    if len(items) <= 1 or _block_workers() == 1:
+        return [job(item) for item in items]
+    return list(_block_pool(os.getpid()).map(job, items))
 
 
 @dataclass(frozen=True)

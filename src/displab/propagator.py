@@ -17,7 +17,6 @@ kernel must flip the sign of t.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,8 @@ import numpy as np
 from .chirpquad import _bound_terms
 from .cutoffs import make_cutoffs
 from .errors import EllipticityError, GridAdequacyError, SizingError
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _block_pool, _block_workers, max_grid_points
-from .spectral import (
-    SymbolFn,
-    _inverse_signed_in_place,
-    dft_inverse,
-    ensure_headroom,
-    to_frequency,
-)
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, max_grid_points
+from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_frequency
 
 # complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
 # 2 at 2^17; the two blocks in flight together cost no more memory than a few
@@ -80,19 +73,14 @@ def ball_constant(alpha: float) -> float:
     return 1.0 if alpha < 1.0 else alpha * 2.0 ** (alpha - 1.0)
 
 
-def evolve(field: Field, t: float, phase: SymbolFn, headroom: float = 1.0) -> Field:
+def evolve(field: Field, t: float, phase: SymbolFn) -> Field:
     """Apply e^{i t phase(xi)}; representation matches the input.
 
     ``phase`` is a real `SymbolFn`, such as `DispersionParams` (|xi|^alpha).
     It is formed only on the spectral support; every entry there is bit
     for bit the full-lattice product, and the rest is zero.  A non-finite
-    ``t`` raises ValueError.  ``headroom`` is the required ratio of Nyquist
-    to the field's active spectral radius (callers wanting the strict sizing
-    policy pass 4.0).  No lattice frequency exceeds Nyquist, so a ratio of
-    1 or less holds for every field and is not scanned for.
+    ``t`` raises ValueError.
     """
-    if headroom > 1.0:
-        ensure_headroom(field, factor=headroom)
     ts = np.array([float(t)])
     spectrum, support, values = _spectral_support(field, ts, phase)
     evolved = np.zeros(field.grid.size, dtype=np.complex128)
@@ -143,9 +131,10 @@ def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
     does, goes through the inverse transform (in one batch, or one frame
     at a time from 2^17 points: `spectral._inverse_signed_in_place`), and
     is handed to ``reduce(start, frames)`` as the physical frames of the times
-    ``t[start : start + len(frames)]``.  Blocks run on `_block_workers`
-    threads, so ``reduce`` may only call numpy and write its own slice of
-    the output; the results are then bit for bit those of the serial loop.
+    ``t[start : start + len(frames)]``.  Blocks run two at a time through
+    `grid._run_blocks`, so ``reduce`` may only call numpy and write its own
+    slice of the output; the results are then bit for bit those of the
+    serial loop.
 
     The frames array is a block buffer of this call, one per block thread,
     zeroed and reused by the next block once ``reduce`` returns: a reducer
@@ -179,26 +168,13 @@ def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
         finally:
             buffers.append(buffer)
 
-    _on_block_threads(run, range(0, t.size, block))
-
-
-def _on_block_threads(job, items) -> list:
-    """[job(item) for item in items], two at a time on `grid._block_pool` where that can help.
-
-    With one CPU or one item the loop runs in the calling thread, and no
-    pool is built.  Results come back in item order; reading each one
-    re-raises the error of any job.  The caller waits on the pool, so a
-    pool job must not call this.
-    """
-    if len(items) <= 1 or _block_workers() == 1:
-        return [job(item) for item in items]
-    return list(_block_pool(os.getpid()).map(job, items))
+    _run_blocks(run, range(0, t.size, block))
 
 
 def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
     """||e^{i t phase} field||_p^p in physical space, at every time in ``t``.
 
-    Equals ``lp_norm(to_physical(evolve(field, t_i, phase, headroom=0.0)), p) ** p``
+    Equals ``lp_norm(to_physical(evolve(field, t_i, phase)), p) ** p``
     up to roundoff, but runs on the frame engine `_frame_blocks`, which
     evolves the frames in blocks on up to two threads.
     """
@@ -477,9 +453,9 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     twiddles; the kernel is even too, so slice P - r has the sum of slice r
     and only the slices r <= P / 2 run.
 
-    They run two at a time on `grid._block_pool` (one CPU, or a grid of at
+    They run two at a time through `grid._run_blocks` (on a grid of at
     most `_SERIAL_MASS_POINTS` = 2^15 points, where the hand-off costs more
-    than the slices: in the calling thread), and their sums are added in
+    than the slices, in the calling thread), and their sums are added in
     slice order, so the mass is bit for bit the same on one thread and two.
     Two transforms in flight hold at most a quarter of a full-lattice array,
     and at most 2^18 points keep each transform's own plan and scratch,
@@ -521,7 +497,7 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     if n <= _SERIAL_MASS_POINTS:
         sums = [slice_mass(r) for r in halves]
     else:
-        sums = _on_block_threads(slice_mass, halves)
+        sums = _run_blocks(slice_mass, halves)
     # the kernel is even, so |kappa_j| = |kappa_{n-j}| and slice P - r has the sum of slice r
     return (sums[0] + 2.0 * sum(sums[1:-1]) + sums[-1]) / slices
 
@@ -540,7 +516,8 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     """Certified upper bound on the share of the band-k kernel's L1 mass outside its ball.
 
     The ball is |x| <= 4 C(alpha) 2^(k(alpha-1)), i.e. |y| <= b = 4 C(alpha) 2^(alpha k)
-    in the rescaled kernel variable.  Requires t in [0, 1] and dim = 1.
+    in the rescaled kernel variable.  Requires k >= 1, t in [0, 1] and dim = 1
+    (ValueError otherwise, as `band_kernel` raises for k < 1).
 
     Numerator: `_outside_mass_bound`, the exact integral over |y| > b of
     the integration-by-parts bound `chirpquad.nonstationary_bound` (h_n =
@@ -550,7 +527,7 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     read round-off.
     Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
     spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in decimated
-    slices of min(2^18, n / 8) points, two at a time on `grid._block_pool`
+    slices of min(2^18, n / 8) points, two at a time through `grid._run_blocks`
     above 2^15 points, so no array of the grid's n points is formed.  It
     waits on that pool, so a pool job must not call it.  Where that grid would exceed
     `grid.max_grid_points` (DISPLAB_MAX_GRID_POINTS, default 2^22), the
@@ -560,6 +537,8 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     k = 1, t = 0 reads 5.6e-2 where a grid reaching past the ball measures
     4.4e-3.
     """
+    if k < 1:
+        raise ValueError("band index k must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if params.dim != 1:

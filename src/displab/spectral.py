@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridAdequacyError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 
 # a symbol maps stacked frequency coordinates, shape (dim, ...), to values
@@ -63,36 +62,23 @@ def dft_forward(field: Field) -> Field:
 def dft_inverse(field: Field) -> Field:
     """Inverse quadrature with (2pi)^{-d} and lattice measure (pi/L)^d."""
     field.require(FREQUENCY)
-    samples = dft_inverse_samples(field.grid, field.samples)
+    grid = field.grid
+    samples = _negate_odd_indices(np.array(field.samples), grid.dim)
+    _inverse_signed_in_place(grid, samples)  # in place, with the bits of a fresh output
     samples.setflags(write=False)  # fresh array: the Field takes it without a copy
-    return Field(field.grid, PHYSICAL, samples)
-
-
-def dft_inverse_samples(grid: GridSpec, spectra: np.ndarray) -> np.ndarray:
-    """Physical samples of stacked spectra, shape (..., *grid.shape).
-
-    The same inverse quadrature as ``dft_inverse``, applied over the trailing
-    grid axes, so a block of frames goes through one call.
-    """
-    return _inverse_in_place(grid, np.array(spectra))
-
-
-def _inverse_in_place(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """`dft_inverse_samples` of a writable array the caller hands over, overwritten and returned.
-
-    The transform runs in place, with the same bits as into a fresh array.
-    """
-    return _inverse_signed_in_place(grid, _negate_odd_indices(samples, grid.dim))
+    return Field(grid, PHYSICAL, samples)
 
 
 def _inverse_signed_in_place(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """`_inverse_in_place` of spectra that already carry the sign (-1)^(m_1 + ... + m_d).
+    """The inverse quadrature of spectra that already carry the sign (-1)^(m_1 + ... + m_d),
+    over the trailing grid axes of a writable array, overwritten and returned.
 
-    The frame engine folds the sign into its support values once, and a
-    negation commutes with every IEEE product, so its frames keep the bits
-    of `_inverse_in_place` without a negation pass per block.  Stacked
-    spectra of at least `_ONE_AT_A_TIME_POINTS` points go through the
-    transform one at a time, with the same bits as in one batch.
+    `dft_inverse` negates its odd indices first.  The frame engine folds
+    the sign into its support values once, and a negation commutes with
+    every IEEE product, so its frames keep the bits of `dft_inverse`
+    without a negation pass per block.  Stacked spectra of at least
+    `_ONE_AT_A_TIME_POINTS` points go through the transform one at a time,
+    with the same bits as in one batch.
     """
     axes = tuple(range(-grid.dim, 0))
     if grid.size >= _ONE_AT_A_TIME_POINTS:
@@ -148,20 +134,3 @@ def spectral_radius(field: Field) -> float:
         return 0.0
     j = np.nonzero(mag > _RADIUS_REL_TOL * peak)  # lattice indices of the active entries, per axis
     return float(np.abs(field.grid.axis_frequencies()[np.concatenate(j)]).max())
-
-
-def ensure_headroom(field: Field, factor: float = 4.0) -> float:
-    """Require nyquist >= factor * (active spectral radius); returns the radius.
-
-    The default factor 4 is the aliasing-control policy used by the
-    automatic grid sizing; multiplier application itself only needs the
-    spectrum to be representable (factor 1).
-    """
-    radius = spectral_radius(field)
-    nyq = field.grid.nyquist
-    if radius * factor > nyq * (1.0 + 1e-12):
-        raise GridAdequacyError(
-            f"grid nyquist {nyq:.4g} is below {factor:g} x active spectral radius "
-            f"{radius:.4g}; enlarge points or shrink half_width"
-        )
-    return radius

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,14 @@ def brute_profile(amplitude, intervals, alpha, scale, y, nodes=400000):
     return total
 
 
+def on_route(route, *args):
+    """``chirp_profile(*args)`` on the named route, forced by patching `chirpquad.DENSE_CAP`
+    in a context, which works under hypothesis too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("displab.chirpquad.DENSE_CAP", 2**62 if route == "dense" else -1)
+        return chirp_profile(*args)
+
+
 def test_segment_helpers():
     seg = UniformSegment(1.0, 0.5, 5)
     assert seg.stop == 3.0
@@ -65,7 +74,7 @@ def test_dense_matches_brute_force():
     cut = make_cutoffs()
     scale = -1200.0
     seg = UniformSegment(1000.0, 40.0, 80)
-    out = chirp_profile(cut.annulus, INTERVALS, 2.0, scale, [seg], method="dense")[0]
+    out = on_route("dense", cut.annulus, INTERVALS, 2.0, scale, [seg])[0]
     ref = brute_profile(cut.annulus, INTERVALS, 2.0, scale, seg.points())
     assert np.abs(out - ref).max() / np.abs(ref).max() < 1e-8
 
@@ -73,7 +82,7 @@ def test_dense_matches_brute_force():
 def test_dense_zero_scale_is_plain_transform():
     cut = make_cutoffs()
     seg = UniformSegment(-6.0, 0.25, 49)
-    out = chirp_profile(cut.annulus, INTERVALS, 2.0, 0.0, [seg], method="dense")[0]
+    out = on_route("dense", cut.annulus, INTERVALS, 2.0, 0.0, [seg])[0]
     ref = brute_profile(cut.annulus, INTERVALS, 2.0, 0.0, seg.points())
     assert np.abs(out - ref).max() < 1e-10
 
@@ -85,8 +94,8 @@ def test_banded_matches_dense(alpha, scale):
     slope_hi = alpha * 2.0 ** (alpha - 1.0)
     u = np.linspace(0.0, 1.25 * slope_hi, 3000)
     seg = UniformSegment(0.0, (u[1] - u[0]) * abs(scale), u.size)
-    dense = chirp_profile(cut.annulus, INTERVALS, alpha, scale, [seg], method="dense")[0]
-    banded = chirp_profile(cut.annulus, INTERVALS, alpha, scale, [seg], method="banded")[0]
+    dense = on_route("dense", cut.annulus, INTERVALS, alpha, scale, [seg])[0]
+    banded = on_route("banded", cut.annulus, INTERVALS, alpha, scale, [seg])[0]
     peak = np.abs(dense).max()
     # the dense route carries an ~1e-8 absolute chirp-roundoff floor
     assert np.abs(dense - banded).max() < 5e-8 + 1e-5 * peak
@@ -113,8 +122,8 @@ def test_banded_matches_dense_at_small_scales(alpha, scale, sign, intervals, amp
     swept = alpha * 2.0 ** (alpha - 1.0) * scale  # largest group position
     seg = UniformSegment(offset * swept, reach * swept / count, count)
     scale *= sign
-    dense = chirp_profile(amp, intervals, alpha, scale, [seg], method="dense")[0]
-    banded = chirp_profile(amp, intervals, alpha, scale, [seg], method="banded")[0]
+    dense = on_route("dense", amp, intervals, alpha, scale, [seg])[0]
+    banded = on_route("banded", amp, intervals, alpha, scale, [seg])[0]
     assert np.abs(dense - banded).max() < 5e-8 + 1e-5 * np.abs(dense).max()
 
 
@@ -152,11 +161,11 @@ def test_banded_windows_are_bitwise_on_one_and_two_threads(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
         for workers in (1, 2, 1, 2):
-            monkeypatch.setattr(chirpquad, "_block_workers", lambda: workers)
+            monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
             built.clear()
             sums.clear()
-            profiles.append(chirp_profile(make_cutoffs().annulus, INTERVALS, alpha, scale, segments,
-                                          method="banded"))
+            profiles.append(on_route("banded", make_cutoffs().annulus, INTERVALS, alpha, scale,
+                                     segments))
             plans.append(Counter(built))
     finally:
         sys.setswitchinterval(interval)
@@ -165,6 +174,25 @@ def test_banded_windows_are_bitwise_on_one_and_two_threads(monkeypatch):
     for profile, plan in zip(profiles[1:], plans[1:]):
         assert all(np.array_equal(a, b) for a, b in zip(profile, profiles[0]))
         assert plan == plans[0]
+
+
+def test_an_error_of_a_band_window_reaches_the_caller(monkeypatch):
+    """On two workers, an amplitude that raises in a pool thread's window raises in
+    `chirp_profile`."""
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
+    annulus = make_cutoffs().annulus
+    raised_in = []
+
+    def amplitude(x):
+        if np.any(x > 1.5):  # only the last windows that reach the targets
+            raised_in.append(threading.current_thread().name)
+            raise RuntimeError("amplitude failed")
+        return annulus(x)
+
+    alpha, scale = 2.0, -65536.0
+    with pytest.raises(RuntimeError, match="amplitude failed"):
+        on_route("banded", amplitude, INTERVALS, alpha, scale, [_profile_segment(alpha, scale)])
+    assert raised_in and all(name.startswith("displab-blocks") for name in raised_in)
 
 
 def _profile_segment(alpha, scale, count=512):
@@ -191,7 +219,7 @@ def test_auto_route_is_dense_up_to_the_cap_and_banded_above(alpha):
     for scale, route in ((below, "dense"), (above, "banded")):
         seg = _profile_segment(alpha, -scale)
         auto = chirp_profile(amp, INTERVALS, alpha, -scale, [seg])[0]
-        forced = chirp_profile(amp, INTERVALS, alpha, -scale, [seg], method=route)[0]
+        forced = on_route(route, amp, INTERVALS, alpha, -scale, [seg])[0]
         assert np.array_equal(auto, forced)
 
 
@@ -325,15 +353,15 @@ def test_bound_coefficients_scale_out(alpha, scale):
 
 
 def test_bound_norms_are_keyed_by_the_cutoff():
-    """Equal cutoffs share cached norms; another sharpness gets norms of its own."""
+    """Equal cutoffs share cached norms; another cutoff gets norms of its own."""
+    assert make_cutoffs(dim=1) is make_cutoffs()
     default = _bound_norms(make_cutoffs().bandpass, 0.5, 2.0, 2.0)
     hits = _bound_norms.cache_info().hits
     assert _bound_norms(make_cutoffs(dim=1).bandpass, 0.5, 2.0, 2.0) is default
     assert _bound_norms.cache_info().hits == hits + 1
-    sharper = _bound_norms(make_cutoffs(2.0).bandpass, 0.5, 2.0, 2.0)
-    assert not np.array_equal(sharper, default)
-    np.testing.assert_array_equal(sharper, direct_norms(make_cutoffs(2.0).bandpass, 0.5, 2.0, 2.0,
-                                                        1.0))
+    annulus = _bound_norms(make_cutoffs().annulus, 0.5, 2.0, 2.0)
+    assert not np.array_equal(annulus, default)
+    np.testing.assert_array_equal(annulus, direct_norms(make_cutoffs().annulus, 0.5, 2.0, 2.0, 1.0))
 
 
 def brute_sum(weights, start, theta, m):

@@ -225,6 +225,13 @@ def test_kernel_diagnostic(capsys):
     assert row.endswith("true")
 
 
+def test_kernel_diagnostic_below_band_one_is_config_error(capsys):
+    code, out, err = run(capsys, "diagnostics", "kernel-tail", "--k", "0")
+    assert code == 2
+    assert "band index" in err and "Traceback" not in err
+    assert "kernel_tail_mass" not in out
+
+
 def test_envelope_diagnostic_over_the_node_budget_is_config_error(capsys, monkeypatch):
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 quadrature nodes
     # the banded peak quadrature at lam 1024 needs 100,774 nodes

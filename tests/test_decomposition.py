@@ -97,7 +97,7 @@ def test_evolve_band_is_composition(rng):
     f = annulus_field(g, rng)
     bandpass = make_cutoffs(dim=1).bandpass
     lhs = apply_symbol(f, lambda xi: bandpass(0.5 * np.abs(xi[0])) * np.exp(0.6j * xi[0] ** 2))
-    rhs = evolve(band_project(f, 1), 0.6, DispersionParams(2.0, 1), headroom=0.0)
+    rhs = evolve(band_project(f, 1), 0.6, DispersionParams(2.0, 1))
     assert np.abs(lhs.samples - rhs.samples).max() < 1e-13
 
 
@@ -401,7 +401,7 @@ def test_extension_trajectory_is_the_per_frame_route(monkeypatch, dim, points, h
     h = Field(g, FREQUENCY, density)
     ep = quadratic_phase(dim)
     ts = np.linspace(-16.0, 16.0, 3 * (propagator._BLOCK_SAMPLES // g.size) + 5)
-    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
     traj = extension_trajectory(h, ts, ep)
     for t, frame in zip(ts, traj.frames):
         symbol = lambda xi: np.exp(1j * t * np.asarray(ep.phase(xi)))  # noqa: E731

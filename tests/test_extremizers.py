@@ -264,7 +264,7 @@ def test_evolution_and_datum_paths_form_no_frequency_mesh(monkeypatch):
     monkeypatch.setattr(GridSpec, "frequency_mesh", no_mesh)
     params = DispersionParams(3.0, 1)
     profile = unit_annulus_field(unit_profile_grid(2**12), one_sided=True)
-    evolve(to_physical(profile), 0.5, params)  # the default headroom measures the radius
+    evolve(to_physical(profile), 0.5, params)
     evolved_lp_norms(profile, [0.0, 1.0], params, 6.0)
     ridge_trace(16.0, 3.0, [0.0, 0.5], epsilon=0.07)  # an epsilon no other test caches
     focusing_check(ExtremizerSpec(SMOOTHING, 16.0, DispersionParams(2.0, 1)))
@@ -398,8 +398,7 @@ def test_closed_form_cutoff_integrals_match_quad():
     tight = dict(limit=400, epsabs=1e-13, epsrel=1e-13)
     line = 2.0 * quad(cut.annulus, 0.4, 2.1, **tight)[0]
     assert ANNULUS_INTEGRAL == pytest.approx(line, rel=1e-13, abs=0.0)
-    step = smooth_step()
-    mass = quad(lambda s: 1.0 - step((s - 0.4) / 0.5), 0.0, 1.0, **tight)[0]
+    mass = quad(lambda s: 1.0 - smooth_step((s - 0.4) / 0.5), 0.0, 1.0, **tight)[0]
     assert _BUMP_PROFILE_MASS == pytest.approx(mass, rel=1e-13, abs=0.0)
 
 

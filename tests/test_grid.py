@@ -1,8 +1,11 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from displab import grid as grid_module
 from displab.errors import FieldDumpError, RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
 from displab.propagator import DispersionParams, evolve
@@ -129,3 +132,48 @@ def test_caller_arrays_are_copied_library_results_are_read_only(rng):
         assert not out.samples.flags.writeable
         with pytest.raises(ValueError):
             out.samples[0] = 1.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_blocks_keeps_item_order(monkeypatch, workers):
+    """`_run_blocks` returns job(item) in item order.  With one worker, or at most one item, the
+    jobs run in the calling thread and no pool is built; with two, two jobs run at once."""
+    real_pool = grid_module._block_pool
+    pools = []
+    monkeypatch.setattr(grid_module, "_block_pool", lambda pid: pools.append(pid) or real_pool(pid))
+    monkeypatch.setattr(grid_module, "_block_workers", lambda: workers)
+    caller = threading.get_ident()
+    second_started = threading.Event()
+    threads = []
+
+    def job(item):
+        threads.append(threading.get_ident())
+        if item == 1:
+            second_started.set()
+        elif item == 0 and workers == 2:  # only a second thread can start item 1 now
+            assert second_started.wait(timeout=30)
+        time.sleep(0.002 * (5 - item))  # on two threads the later items finish first
+        return item * item
+
+    assert grid_module._run_blocks(job, list(range(6))) == [item * item for item in range(6)]
+    assert bool(pools) == (workers == 2)
+    assert (caller in threads) == (workers == 1)
+    pools.clear()
+    threads.clear()
+    assert grid_module._run_blocks(job, [3]) == [9]
+    assert grid_module._run_blocks(job, []) == []
+    assert pools == [] and threads == [caller]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_blocks_reraises_the_error_of_a_job(monkeypatch, workers):
+    monkeypatch.setattr(grid_module, "_block_workers", lambda: workers)
+
+    def job(item):
+        if item == 2:
+            raise RuntimeError("job failed")
+        return item
+
+    with pytest.raises(RuntimeError, match="job failed"):
+        grid_module._run_blocks(job, list(range(4)))
+    assert grid_module._run_blocks(job, [0, 1, 3]) == [0, 1, 3]  # the pool serves on after it

@@ -310,7 +310,7 @@ def test_focusing_window_lower_bound_slope():
     s = np.linspace(-0.1, 0.0, 17)
     w = np.diff(np.concatenate([[-0.1], 0.5 * (s[1:] + s[:-1]), [0.0]]))
     vals = np.array(
-        [_lp(to_physical(evolve(profile, float(si), params, headroom=0.0)), p) ** p for si in s]
+        [_lp(to_physical(evolve(profile, float(si), params)), p) ** p for si in s]
     )
     window_integral = float(vals @ w)
     lams = np.array([16.0, 32.0, 64.0, 128.0])

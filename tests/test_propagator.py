@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs, smooth_step
-from displab.errors import EllipticityError, GridAdequacyError, SizingError
+from displab.errors import EllipticityError, SizingError
 from displab.extremizers import unit_annulus_field, unit_profile_grid
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
@@ -159,29 +159,6 @@ def test_unitarity_and_group_law_in_higher_dimensions(dim, points, half_width, a
     assert err <= tolerance
 
 
-def test_evolve_headroom_error():
-    g = GridSpec(1, 64, 8.0)
-    xi0 = 31 * g.frequency_spacing  # just below nyquist
-    pw = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
-    evolve(pw, 0.1, DispersionParams(2.0, 1), headroom=1.0)
-    with pytest.raises(GridAdequacyError):
-        evolve(pw, 0.1, DispersionParams(2.0, 1), headroom=4.0)
-
-
-def test_evolve_scans_headroom_only_above_one(monkeypatch):
-    from displab import propagator
-
-    scans = []
-    monkeypatch.setattr(propagator, "ensure_headroom", lambda field, factor: scans.append(factor))
-    g = GridSpec(1, 64, 8.0)
-    pw = Field.from_function(g, lambda x: np.exp(1j * 31 * g.frequency_spacing * x[0]))
-    params = DispersionParams(2.0, 1)
-    evolve(pw, 0.1, params)
-    evolve_trajectory(pw, [0.1, 0.2], params)
-    evolve(pw, 0.1, params, headroom=4.0)
-    assert scans == [4.0]
-
-
 def test_evolve_two_dimensional(rng):
     g = GridSpec(2, 64, 6.0)
     mesh = g.frequency_mesh()
@@ -247,7 +224,7 @@ def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
     block = _BLOCK_SAMPLES // grid.size
     s = np.linspace(-400.0, 0.0, 2 * block + 5)  # two full blocks and a partial one
     got = evolved_lp_norms(profile, s, params, 6.0)
-    oracle = [lp_norm(to_physical(evolve(profile, float(v), params, headroom=0.0)), 6.0) ** 6.0
+    oracle = [lp_norm(to_physical(evolve(profile, float(v), params)), 6.0) ** 6.0
               for v in s]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
@@ -265,11 +242,11 @@ def test_frame_blocks_are_bitwise_those_of_single_frames(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
-        monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+        monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
         threaded = evolved_lp_norms(profile, s, params, 6.0)
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(propagator, "_block_workers", lambda: 1)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 1)
     serial = evolved_lp_norms(profile, s, params, 6.0)
     assert np.array_equal(threaded, single)
     assert np.array_equal(serial, single)
@@ -292,7 +269,7 @@ def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, a
     def keep(start, block_frames):
         frames[start : start + len(block_frames)] = block_frames
 
-    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
@@ -300,7 +277,7 @@ def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, a
     finally:
         sys.setswitchinterval(interval)
     for frame, v in zip(frames, t):
-        single = to_physical(evolve(gaussian, float(v), params, headroom=0.0))
+        single = to_physical(evolve(gaussian, float(v), params))
         assert np.array_equal(frame, single.samples)
 
 
@@ -352,7 +329,7 @@ def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
     def seen(start, frames):
         buffers.add(frames.__array_interface__["data"][0])
 
-    monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
     _frame_blocks(profile, s, params, seen)
     assert 1 <= len(buffers) <= workers
     expected = evolved_lp_norms(profile, s, params, 6.0)  # builds the pool outside the trace
@@ -396,8 +373,8 @@ def test_frame_block_buffers_are_never_shared_under_stress(monkeypatch):
             held.remove(address)
 
     pool = ThreadPoolExecutor(max_workers=8)
-    monkeypatch.setattr(propagator, "_block_pool", lambda pid: pool)
-    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    monkeypatch.setattr("displab.grid._block_pool", lambda pid: pool)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -430,7 +407,7 @@ def test_frame_blocks_reraise_an_error_of_a_block(monkeypatch):
         if start == block:
             raise RuntimeError("reduce failed")
 
-    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
     with pytest.raises(RuntimeError, match="reduce failed"):
         _frame_blocks(unit_annulus_field(grid), np.zeros(3 * block), DispersionParams(2.0, 1), reduce)
 
@@ -445,7 +422,7 @@ def test_frame_blocks_run_in_a_forked_child(monkeypatch):
 
     from displab import propagator
 
-    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
     grid = unit_profile_grid(2**12)
     profile = unit_annulus_field(grid)
     params = DispersionParams(2.0, 1)
@@ -480,8 +457,9 @@ s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
 propagator.evolved_lp_norms(unit_annulus_field(grid), s, propagator.DispersionParams(2.0, 1), 6.0)
 assert propagator._kernel_grid(2.0, 2.0**14).points == 2**19  # slices on more than one job
 propagator.kernel_tail_mass(7, 1.0, propagator.DispersionParams(2.0, 1))
-assert propagator._block_workers() == 1
-assert threading.active_count() == 1 and propagator._block_pool.cache_info().currsize == 0
+import displab.grid
+assert displab.grid._block_workers() == 1
+assert threading.active_count() == 1 and displab.grid._block_pool.cache_info().currsize == 0
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
@@ -493,7 +471,7 @@ def test_evolved_lp_norms_physical_input_and_validation(rng):
     params = DispersionParams(1.5, 1)
     ts = [0.0, 0.3, 1.0]
     got = evolved_lp_norms(f, ts, params, 3.0)
-    oracle = [lp_norm(to_physical(evolve(f, t, params, headroom=0.0)), 3.0) ** 3.0 for t in ts]
+    oracle = [lp_norm(to_physical(evolve(f, t, params)), 3.0) ** 3.0 for t in ts]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError, match="finite"):
         evolved_lp_norms(f, [0.1, np.nan], params, 2.0)
@@ -512,7 +490,7 @@ def test_evolved_lp_norms_physical_input_and_validation(rng):
     f2 = Field(g2, FREQUENCY, coef)
     params2 = DispersionParams(2.0, 2)
     got = evolved_lp_norms(f2, ts, params2, 4.0)
-    oracle = [lp_norm(to_physical(evolve(f2, t, params2, headroom=0.0)), 4.0) ** 4.0 for t in ts]
+    oracle = [lp_norm(to_physical(evolve(f2, t, params2)), 4.0) ** 4.0 for t in ts]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
@@ -523,7 +501,7 @@ def test_trajectory_transforms_its_datum_once(monkeypatch):
     gaussian = Field.from_function(g, lambda x: np.exp(-np.asarray(x)[0] ** 2))
     params = DispersionParams(2.0, 1)
     ts = np.linspace(0.0, 1.0, 9)
-    oracle = [to_physical(evolve(gaussian, float(t), params, headroom=0.0)).samples for t in ts]
+    oracle = [to_physical(evolve(gaussian, float(t), params)).samples for t in ts]
     calls = []
     forward = spectral.dft_forward
     monkeypatch.setattr(spectral, "dft_forward", lambda f: calls.append(f) or forward(f))
@@ -556,7 +534,7 @@ def elliptic_evolve(field, t, ep):
     """The elliptic-phase operator amplitude * e^{i t phase} at one time: the ellipticity
     check, the amplitude through `apply_symbol`, then `evolve`'s product on its support."""
     ep.require_elliptic()
-    out = evolve(apply_symbol(to_frequency(field), ep.amplitude), t, ep.phase, headroom=0.0)
+    out = evolve(apply_symbol(to_frequency(field), ep.amplitude), t, ep.phase)
     return out if field.is_frequency else dft_inverse(out)
 
 
@@ -714,12 +692,11 @@ def airy_evolve(field: Field, t: float) -> Field:
     """
     if field.grid.dim != 1:
         raise ValueError("the cubic one-dimensional flow requires dim = 1")
-    step = smooth_step()
     h = field.grid.frequency_spacing
 
     def symbol(xi):
         x = np.asarray(xi)[0]
-        plus = step(x / h + 0.5)
+        plus = smooth_step(x / h + 0.5)
         return plus * np.exp(1j * t * np.abs(x) ** 3) + (1.0 - plus) * np.exp(
             -1j * t * np.abs(x) ** 3
         )
@@ -831,6 +808,10 @@ def test_kernel_tail_mass_basics():
     assert kernel_tail_mass(6, 0.0, params) < 0.01
     with pytest.raises(ValueError):
         kernel_tail_mass(6, 1.5, params)
+    for k in (0, -3):  # unchecked, k = -3 read a share of 20.8
+        for fn in (kernel_tail_mass, band_kernel):
+            with pytest.raises(ValueError, match="band index"):
+                fn(k, 1.0, params)
 
 
 def _ball_and_scale(alpha, k, t):
@@ -988,7 +969,7 @@ def test_kernel_masses_are_bitwise_on_one_and_two_threads(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
         for workers in (1, 2):
-            monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+            monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
             masses.append([_kernel_l1_mass(*kernel) for kernel in kernels])
     finally:
         sys.setswitchinterval(interval)
@@ -1000,15 +981,16 @@ def test_small_mass_grids_keep_their_slices_in_the_calling_thread(monkeypatch):
     they go to the pool."""
     from displab import propagator
 
-    real_pool = propagator._block_pool
+    from displab.grid import _block_pool as real_pool
+
     pools = []
-    monkeypatch.setattr(propagator, "_block_pool", lambda pid: pools.append(pid) or real_pool(pid))
+    monkeypatch.setattr("displab.grid._block_pool", lambda pid: pools.append(pid) or real_pool(pid))
     for scale, points, pooled in ((2.0**10, 2**15, False), (2.0**11, 2**16, True)):
         grid = _kernel_grid(2.0, scale)
         assert grid.points == points
         masses = []
         for workers in (1, 2):
-            monkeypatch.setattr(propagator, "_block_workers", lambda: workers)
+            monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
             pools.clear()
             masses.append(_kernel_l1_mass(grid, 2.0, scale))
         assert bool(pools) == pooled
@@ -1037,7 +1019,7 @@ def test_kernel_mass_box_and_slices_stay_under_three_quarters_of_the_lattice(mon
     scale = 2.0**16  # alpha 2, k 8, t 1
     grid = _kernel_grid(2.0, scale)
     assert grid.points == 2**21
-    monkeypatch.setattr(propagator, "_block_workers", lambda: 2)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
     tracemalloc.start()
     try:
         _kernel_l1_mass(grid, 2.0, scale)

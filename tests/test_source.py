@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 
 import displab
@@ -136,6 +137,25 @@ def test_every_traced_counter_name_resolves():
     assert unresolved == []
 
 
+def test_options_that_only_tests_set_stay_gone():
+    """No caller set these knobs, so the library has none: `evolve`'s headroom, the chirp-z
+    route's method, the cutoffs' sharpness and smoothness scale, and the public headroom
+    check and stacked inverse that went with them."""
+    from displab import chirpquad, cutoffs, propagator, spectral
+
+    knobs = [
+        (propagator.evolve, "headroom"),
+        (chirpquad.chirp_profile, "method"),
+        (chirpquad._route, "method"),
+        (cutoffs.make_cutoffs, "smoothness_scale"),
+        (cutoffs.make_cutoffs, "sharpness"),
+        (cutoffs.CutoffSpec, "sharpness"),
+        (cutoffs.smooth_step, "sharpness"),
+    ]
+    assert [(fn.__name__, knob) for fn, knob in knobs if knob in inspect.signature(fn).parameters] == []
+    names = ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place")
+    assert [name for name in names if hasattr(spectral, name) or hasattr(displab, name)] == []
+
 def test_only_grid_builds_threads():
     """One pool: no module but `grid` constructs a `ThreadPoolExecutor` or a `threading.Thread`."""
     builders = []
@@ -148,3 +168,18 @@ def test_only_grid_builds_threads():
                     if called in ("ThreadPoolExecutor", "Thread"):
                         builders.append(f"{name[:-3]}.{called}")
     assert builders == ["grid.ThreadPoolExecutor"]
+
+
+def test_only_grid_names_the_block_pool():
+    """One way onto the pool: no module but `grid` names `_block_pool` or `_block_workers`;
+    the others go through `grid._run_blocks`."""
+    pool_names = {"_block_pool", "_block_workers"}
+    naming = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            tree = _parse(os.path.join(SRC, name))
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for alias in node.names}
+            named = (_references(tree) | imported) & pool_names
+            naming += [f"{name[:-3]}.{n}" for n in sorted(named)]
+    assert naming == ["grid._block_pool", "grid._block_workers"]

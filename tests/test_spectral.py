@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from displab.errors import GridAdequacyError, RepresentationError
+from displab.errors import RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
-from displab.spectral import (
-    apply_symbol,
-    dft_forward,
-    dft_inverse,
-    dft_inverse_samples,
-    ensure_headroom,
-    spectral_radius,
-)
+from displab import spectral
+from displab.spectral import apply_symbol, dft_forward, dft_inverse, spectral_radius
 
 
 def slow_dft(field: Field) -> np.ndarray:
@@ -47,11 +41,24 @@ def test_transform_parity_is_the_fftfreq_construction(dim):
         assert np.array_equal(forward, grid.cell_volume * sign * np.fft.fftn(samples))
         inverse = dft_inverse(Field(grid, FREQUENCY, samples)).samples
         assert np.array_equal(inverse, np.fft.ifftn(samples * sign) / grid.cell_volume)
-        stacked = np.stack([samples, samples[::-1]])
-        want = np.fft.ifftn(stacked * sign, axes=tuple(range(-dim, 0))) / grid.cell_volume
-        assert np.array_equal(dft_inverse_samples(grid, stacked), want)
-        assert np.array_equal(stacked[0], samples)  # the caller's spectra are left as they were
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_signed_stacked_inverse_is_the_batched_formula(dim, monkeypatch):
+    """The frame engine's inverse of stacked spectra that carry the sign: bitwise the batched
+    ``ifftn`` over the trailing grid axes, in one batch and one spectrum at a time."""
+    rng = np.random.default_rng(10 + dim)
+    grid = GridSpec(dim, 2 ** (12 // dim), 1.0)
+    samples = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+    signed = samples * fftfreq_parity(grid)
+    want = np.fft.ifftn(signed, axes=tuple(range(-dim, 0))) / grid.cell_volume
+    for one_at_a_time in (2**62, 0):
+        monkeypatch.setattr(spectral, "_ONE_AT_A_TIME_POINTS", one_at_a_time)
+        spectra = signed.copy()
+        got = spectral._inverse_signed_in_place(grid, spectra)
+        assert got is spectra  # overwritten in place and returned
+        assert np.array_equal(got, want)
+        assert np.array_equal(dft_inverse(Field(grid, FREQUENCY, samples[1])).samples, want[1])
 
 def test_delta_transform():
     g = GridSpec(1, 32, 5.0)
@@ -172,19 +179,15 @@ def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
 
 @pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 3.0), (2, 64, 40.0), (3, 16, 0.5)])
 def test_full_lattice_spectra_stay_within_nyquist(dim, points, half_width, rng):
-    """No lattice frequency exceeds nyquist, so a headroom factor of 1 always holds: `evolve`
-    and `evolve_trajectory` skip that scan."""
+    """No lattice frequency exceeds nyquist, so every field's spectrum is representable:
+    `evolve` and the frame engine need no headroom scan."""
     g = GridSpec(dim, points, half_width)
     f = Field(g, FREQUENCY, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     assert spectral_radius(f) <= g.nyquist
-    assert ensure_headroom(f, factor=1.0) <= g.nyquist
 
 
-def test_headroom_validation(rng):
+def test_spectral_radius_of_a_plane_wave():
     g = GridSpec(1, 64, 8.0)
     xi0 = 10 * g.frequency_spacing
     f = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
     assert spectral_radius(f) == pytest.approx(xi0)
-    ensure_headroom(f, factor=1.0)
-    with pytest.raises(GridAdequacyError):
-        ensure_headroom(f, factor=4.0)
