@@ -7,10 +7,11 @@ Commands
     diagnostics  one-shot checks (kernel tails, bilinear residuals, ...)
     exponents    print the critical-exponent table for (alpha, d, p)
 
-Configuration precedence: command-line flags override JSON config-file
-values, which override defaults; the resolved configuration is echoed in
-every output header.  Exit codes: 0 success / verdict pass, 1 verdict
-fail, 2 invalid configuration, 3 numerical failure.
+Each setting is declared once, as a flag with its type, choices and
+default in `build_parser`.  A JSON `--config` file sets them by the names
+the output header echoes; its values pass through those same flags, ahead
+of the command line's, so flags override them.  Exit codes: 0 success /
+verdict pass, 1 verdict fail, 2 invalid configuration, 3 numerical failure.
 
 Environment: DISPLAB_MAX_GRID_POINTS caps automatic grid sizing.  It must
 be a positive integer when set; any other value is a configuration error
@@ -41,65 +42,86 @@ class ConfigError(ValueError):
     pass
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults <- config file <- explicit flags.
+def _setting_actions(command_parser: argparse.ArgumentParser) -> dict:
+    """A command's settings by name: every argument but --help and --config."""
+    return {a.dest: a for a in command_parser._actions if a.dest not in ("help", "config")}
 
-    The config file must hold a JSON object whose keys are the command's
-    settings; anything else raises `ConfigError`.
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The resolved settings, sorted by name, as a config file would set them."""
+    return {key: getattr(args, key) for key in sorted(_setting_actions(args.command_parser))}
+
+
+def _config_argv(command_parser: argparse.ArgumentParser, path) -> list[str]:
+    """Turn a JSON config file into the command's own flags.
+
+    `null` keeps a setting's default.  A positional setting (the diagnostic
+    name) becomes the positional's default, so one named on the command
+    line still overrides it.  Anything else the flags could not take, or a
+    key the command does not have, raises `ConfigError`.
     """
-    merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            loaded = json.loads(Path(cfg_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {cfg_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, not {type(loaded).__name__}")
+    actions = _setting_actions(command_parser)
+    unknown = sorted(set(loaded) - set(actions))
+    if unknown:
+        raise ConfigError(
+            f"config file {path} has unknown keys {unknown}; known keys: {sorted(actions)}"
+        )
+    argv = []
+    for key, value in loaded.items():
+        if value is None:
+            continue
+        action = actions[key]
+        flag = action.option_strings[0] if action.option_strings else key
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(
+                    f"config key {key!r} sets the switch {flag}: give true or false, not {value!r}"
+                )
+            if value:
+                argv.append(flag)
+        elif isinstance(value, (bool, list, dict)):
             raise ConfigError(
-                f"config file {cfg_path} must hold a JSON object, not {type(loaded).__name__}"
+                f"config key {key!r} sets {flag}: give a number or a string, not {value!r}"
             )
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise ConfigError(
-                f"config file {cfg_path} has unknown keys {unknown}; known keys: {sorted(defaults)}"
-            )
-        merged.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+        elif action.option_strings:
+            argv.append(f"{flag}={value}")
+        else:
+            command_parser.set_defaults(**{key: value})
+    return argv
 
 
-def _header_lines(command: str, resolved: dict) -> list[str]:
-    return [
-        f"# displab {command}",
-        f"# config: {json.dumps(resolved, sort_keys=True)}",
-    ]
-
-
-def _write_table(path, header_lines, columns, rows, fmt, verdict=None):
+def _write_table(args, columns, rows, verdict=None):
     """CSV ('.' decimals, ',' delimiter, LF endings) or JSON mirror."""
-    if fmt == "json":
+    settings = _settings(args)
+    if args.format == "json":
         payload = {
-            "command": header_lines[0].lstrip("# "),
-            "config": json.loads(header_lines[1].split("config: ", 1)[1]),
+            "command": f"displab {args.command}",
+            "config": settings,
             "records": [dict(zip(columns, row)) for row in rows],
         }
         if verdict is not None:
             payload["verdict"] = verdict
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = list(header_lines)
-        lines.append(",".join(columns))
+        lines = [
+            f"# displab {args.command}",
+            f"# config: {json.dumps(settings)}",
+            ",".join(columns),
+        ]
         for row in rows:
             lines.append(",".join(_cell(v) for v in row))
         if verdict is not None:
             for key, val in verdict.items():
                 lines.append(f"# {key} = {_cell(val)}")
         text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text, newline="\n")
+    if args.output:
+        Path(args.output).write_text(text, newline="\n")
     else:
         sys.stdout.write(text)
 
@@ -107,18 +129,16 @@ def _write_table(path, header_lines, columns, rows, fmt, verdict=None):
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
-def _emit_plot_script(path, csv_path, xlabel, ylabel):
+def _emit_plot_script(path, csv_path):
     script = "\n".join(
         [
             "set datafile separator ','",
             "set logscale xy",
-            f"set xlabel '{xlabel}'",
-            f"set ylabel '{ylabel}'",
+            "set xlabel 'lambda'",
+            "set ylabel 'ratio'",
             f"plot '{csv_path}' using 1:7 with linespoints title 'ratio'",
             "pause -1",
         ]
@@ -129,7 +149,7 @@ def _emit_plot_script(path, csv_path, xlabel, ylabel):
 # -- evolve ---------------------------------------------------------------------
 
 
-def _build_datum(resolved):
+def _build_datum(args):
     from .extremizers import (
         ExtremizerSpec,
         make_maximal_extremizer,
@@ -138,24 +158,19 @@ def _build_datum(resolved):
     from .grid import Field, GridSpec
     from .propagator import DispersionParams
 
-    name = resolved["datum"]
-    dim = int(resolved["d"])
-    grid = GridSpec(dim, int(resolved["points"]), float(resolved["half_width"]))
-    if name == "gaussian":
+    grid = GridSpec(args.d, args.points, args.half_width)
+    if args.datum == "gaussian":
         return Field.from_function(grid, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0) / 2.0))
-    if name == "plane-wave":
-        m = round(float(resolved["xi0"]) / grid.frequency_spacing)
+    if args.datum == "plane-wave":
+        m = round(args.xi0 / grid.frequency_spacing)
         xi0 = m * grid.frequency_spacing  # snap to the lattice
         return Field.from_function(grid, lambda x: np.exp(1j * xi0 * np.asarray(x)[0]))
-    params = DispersionParams(float(resolved["alpha"]), dim)
-    lam = float(resolved["lam"])
-    if name == "f_lambda":
+    params = DispersionParams(args.alpha, args.d)
+    if args.datum == "f_lambda":
         return make_smoothing_extremizer(
-            ExtremizerSpec("smoothing", lam, params, grid), allow_wrapped=bool(resolved["allow_wrapped"])
+            ExtremizerSpec("smoothing", args.lam, params, grid), allow_wrapped=args.allow_wrapped
         )
-    if name == "g_lambda":
-        return make_maximal_extremizer(ExtremizerSpec("maximal", lam, params, grid))
-    raise ConfigError(f"unknown datum {name!r} (gaussian, plane-wave, f_lambda, g_lambda)")
+    return make_maximal_extremizer(ExtremizerSpec("maximal", args.lam, params, grid))
 
 
 def cmd_evolve(args) -> int:
@@ -163,26 +178,13 @@ def cmd_evolve(args) -> int:
     from .norms import lp_norm
     from .propagator import DispersionParams, evolve_trajectory
 
-    defaults = {
-        "alpha": 2.0, "d": 1, "datum": "gaussian", "t": 1.0, "frames": 9,
-        "points": 1024, "half_width": 20.0, "xi0": 1.0, "lam": 16.0,
-        "allow_wrapped": False, "output": None, "format": "csv",
-        "dump_fields": None, "plot_script": None,
-    }
-    try:
-        resolved = _resolve(args, defaults)
-        datum = _build_datum(resolved)
-        params = DispersionParams(float(resolved["alpha"]), int(resolved["d"]))
-        t_final, n_frames = float(resolved["t"]), int(resolved["frames"])
-        if n_frames < 1:
-            raise ConfigError(f"frames must be a positive integer, got {n_frames}")
-        # increasing from min(0, t) to max(0, t); evolve_trajectory rejects inf and nan
-        ts = [t_final] if n_frames == 1 or not 0.0 < abs(t_final) < np.inf else np.linspace(
-            *sorted((0.0, t_final)), n_frames)
-        traj = evolve_trajectory(datum, ts, params)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    datum = _build_datum(args)
+    if args.frames < 1:
+        raise ConfigError(f"frames must be a positive integer, got {args.frames}")
+    # increasing from min(0, t) to max(0, t); evolve_trajectory rejects inf and nan
+    ts = [args.t] if args.frames == 1 or not 0.0 < abs(args.t) < np.inf else np.linspace(
+        *sorted((0.0, args.t)), args.frames)
+    traj = evolve_trajectory(datum, ts, DispersionParams(args.alpha, args.d))
 
     rows = []
     for t, frame in zip(traj.t_samples, traj.frames):
@@ -192,13 +194,11 @@ def cmd_evolve(args) -> int:
         rows.append(
             (t, lp_norm(frame, 2.0), lp_norm(frame, np.inf), float(np.abs(frame.samples).min()))
         )
-    header = _header_lines("evolve", resolved)
-    _write_table(resolved["output"], header, ("t", "l2_norm", "sup_norm", "min_modulus"), rows,
-                 resolved["format"])
-    if resolved["dump_fields"]:
-        outdir = Path(resolved["dump_fields"])
+    _write_table(args, ("t", "l2_norm", "sup_norm", "min_modulus"), rows)
+    if args.dump_fields:
+        outdir = Path(args.dump_fields)
         outdir.mkdir(parents=True, exist_ok=True)
-        manifest = {"config": resolved, "frames": []}
+        manifest = {"config": _settings(args), "frames": []}
         for i, (t, frame) in enumerate(zip(traj.t_samples, traj.frames)):
             name = f"frame_{i:04d}.fld"
             save_field(frame, outdir / name)
@@ -213,34 +213,19 @@ def cmd_evolve(args) -> int:
 def cmd_sweep(args) -> int:
     from .harness import SweepConfig, critical_exponent, expected_slope, run_sweep, slope_verdict
 
-    defaults = {
-        "family": "smoothing", "alpha": 2.0, "d": 1, "p": 6.0, "beta": None,
-        "lambdas": "16,32,64,128", "tolerance": 0.1,
-        "expect": None, "sobolev_denominator": False,
-        "output": None, "format": "csv", "plot_script": None,
-    }
-    try:
-        resolved = _resolve(args, defaults)
-        family = resolved["family"]
-        alpha, dim, p = float(resolved["alpha"]), int(resolved["d"]), float(resolved["p"])
-        critical = critical_exponent(family, alpha, dim, p)
-        beta = critical if resolved["beta"] is None else float(resolved["beta"])
-        lambdas = tuple(float(v) for v in str(resolved["lambdas"]).split(","))
-        cfg = SweepConfig(
-            family=family, alpha=alpha, dim=dim, p=p, beta=beta, lambdas=lambdas,
-            use_sobolev_denominator=bool(resolved["sobolev_denominator"]),
-        )
-        resolved["beta"] = beta
-        # default: the slope the family's sharp exponent predicts, critical - beta
-        expected = (
-            expected_slope(cfg) if resolved["expect"] is None else _parse_expect(resolved["expect"])
-        )
-        tolerance = float(resolved["tolerance"])
-        records = run_sweep(cfg)
-        decision = slope_verdict(records, expected, tolerance) if len(records) >= 2 else None
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.plot_script and not args.output:
+        raise ConfigError("--plot-script needs --output, the CSV file its script plots")
+    if args.beta is None:  # resolved here so the header echoes the beta that ran
+        args.beta = critical_exponent(args.family, args.alpha, args.d, args.p)
+    cfg = SweepConfig(
+        family=args.family, alpha=args.alpha, dim=args.d, p=args.p, beta=args.beta,
+        lambdas=tuple(float(v) for v in args.lambdas.split(",")),
+        use_sobolev_denominator=args.sobolev_denominator,
+    )
+    # default: the slope the family's sharp exponent predicts, critical - beta
+    expected = expected_slope(cfg) if args.expect is None else args.expect
+    records = run_sweep(cfg)
+    decision = slope_verdict(records, expected, args.tolerance) if len(records) >= 2 else None
 
     rows = [
         (r.lam, r.points, r.half_width, r.t_count, r.numerator, r.denominator,
@@ -256,84 +241,53 @@ def cmd_sweep(args) -> int:
             "tolerance": decision.tolerance, "passed": decision.passed,
         }
         status = EXIT_OK if decision.passed else EXIT_VERDICT_FAIL
-    header = _header_lines("sweep", resolved)
-    _write_table(resolved["output"], header, SWEEP_COLUMNS, rows, resolved["format"], verdict)
-    if resolved["plot_script"] and resolved["output"]:
-        _emit_plot_script(resolved["plot_script"], resolved["output"], "lambda", "ratio")
+    _write_table(args, SWEEP_COLUMNS, rows, verdict)
+    if args.plot_script:
+        _emit_plot_script(args.plot_script, args.output)
     return status
 
 
-def _parse_expect(text) -> float:
-    text = str(text)
-    if "=" in text:
-        key, val = text.split("=", 1)
-        if key.strip() != "slope":
-            raise ConfigError(f"unknown expectation {key!r}")
-        return float(val)
-    return float(text)
+def slope(text: str) -> float:
+    """An `--expect` value: a slope, bare or as slope=<s> (argparse says "invalid slope value")."""
+    key, _, val = text.rpartition("=")
+    if key.strip() not in ("", "slope"):
+        raise argparse.ArgumentTypeError(f"unknown expectation {key!r}")
+    return float(val)
 
 
 # -- diagnostics ------------------------------------------------------------------
 
 
 def cmd_diagnostics(args) -> int:
-    from .propagator import DispersionParams
+    from .extremizers import ExtremizerSpec, envelope_check, focusing_check, ridge_check
+    from .propagator import DispersionParams, kernel_tail_mass
 
-    defaults = {
-        "which": "kernel-tail", "alpha": 2.0, "k": 6, "t": 1.0, "lam": 32.0,
-        "p": 6.0, "epsilon": 0.05, "output": None, "format": "csv",
-    }
-    try:
-        resolved = _resolve(args, defaults)
-        which = resolved["which"]
-        alpha = float(resolved["alpha"])
-        rows = []
-        if which == "kernel-tail":
-            from .propagator import kernel_tail_mass
+    params = DispersionParams(args.alpha, 1)
+    rows = []
+    if args.which == "kernel-tail":
+        value = kernel_tail_mass(args.k, args.t, params)
+        rows.append(("kernel_tail_mass", value, 0.01, value < 0.01))
+    elif args.which == "bilinear-reconstruction":
+        value = _default_bilinear_residual()
+        rows.append(("bilinear_reconstruction_residual", value, 1e-10, value <= 1e-10))
+    elif args.which == "bilinear-ratio":
+        value = _default_restriction_slope(args.p)
+        rows.append(("bilinear_restriction_ratio_slope", value, 0.05, value <= 0.05))
+    elif args.which == "envelope":
+        rep = envelope_check(ExtremizerSpec("smoothing", args.lam, params))
+        rows.append(("envelope_peak_ratio", rep.peak_ratio, float("inf"), True))
+        rows.append(("envelope_tail_ratio", rep.tail_ratio, 1e-4, rep.tail_ratio <= 1e-4))
+    elif args.which == "focusing":
+        rep = focusing_check(ExtremizerSpec("smoothing", args.lam, params))
+        rows.append(("focusing_min_modulus_ratio", rep.min_modulus_ratio, 0.1,
+                     rep.min_modulus_ratio >= 0.1))
+    elif args.which == "ridge":
+        rep = ridge_check(ExtremizerSpec("maximal", args.lam, params, epsilon=args.epsilon))
+        rows.append(("ridge_min_ratio", rep.min_ridge_ratio, 0.1, rep.min_ridge_ratio >= 0.1))
+    else:
+        raise ConfigError(f"unknown diagnostic {args.which!r}")
 
-            value = kernel_tail_mass(int(resolved["k"]), float(resolved["t"]),
-                                     DispersionParams(alpha, 1))
-            rows.append(("kernel_tail_mass", value, 0.01, value < 0.01))
-        elif which == "bilinear-reconstruction":
-            value = _default_bilinear_residual()
-            rows.append(("bilinear_reconstruction_residual", value, 1e-10, value <= 1e-10))
-        elif which == "bilinear-ratio":
-            value = _default_restriction_slope(float(resolved["p"]))
-            rows.append(("bilinear_restriction_ratio_slope", value, 0.05, value <= 0.05))
-        elif which == "envelope":
-            from .extremizers import ExtremizerSpec, envelope_check
-
-            rep = envelope_check(
-                ExtremizerSpec("smoothing", float(resolved["lam"]), DispersionParams(alpha, 1))
-            )
-            rows.append(("envelope_peak_ratio", rep.peak_ratio, float("inf"), True))
-            rows.append(("envelope_tail_ratio", rep.tail_ratio, 1e-4, rep.tail_ratio <= 1e-4))
-        elif which == "focusing":
-            from .extremizers import ExtremizerSpec, focusing_check
-
-            rep = focusing_check(
-                ExtremizerSpec("smoothing", float(resolved["lam"]), DispersionParams(alpha, 1))
-            )
-            rows.append(("focusing_min_modulus_ratio", rep.min_modulus_ratio, 0.1,
-                         rep.min_modulus_ratio >= 0.1))
-        elif which == "ridge":
-            from .extremizers import ExtremizerSpec, ridge_check
-
-            rep = ridge_check(
-                ExtremizerSpec("maximal", float(resolved["lam"]), DispersionParams(alpha, 1),
-                               epsilon=float(resolved["epsilon"]))
-            )
-            rows.append(("ridge_min_ratio", rep.min_ridge_ratio, 0.1, rep.min_ridge_ratio >= 0.1))
-        else:
-            print(f"error: unknown diagnostic {which!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    header = _header_lines("diagnostics", resolved)
-    _write_table(resolved["output"], header, ("diagnostic", "value", "threshold", "passed"),
-                 rows, resolved["format"])
+    _write_table(args, ("diagnostic", "value", "threshold", "passed"), rows)
     return EXIT_OK if all(r[3] for r in rows) else EXIT_VERDICT_FAIL
 
 
@@ -381,15 +335,9 @@ def cmd_exponents(args) -> int:
         smoothing_exponent,
     )
 
-    defaults = {"alpha": 2.0, "d": 1, "p": 6.0, "output": None, "format": "csv"}
-    try:
-        resolved = _resolve(args, defaults)
-        alpha, dim, p = float(resolved["alpha"]), int(resolved["d"]), float(resolved["p"])
-        if dim < 1:
-            raise ConfigError("d must be >= 1")
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    alpha, dim, p = args.alpha, args.d, args.p
+    if dim < 1:
+        raise ConfigError("d must be >= 1")
     rows = [
         ("smoothing_exponent", smoothing_exponent(alpha, dim, p)),
         ("maximal_exponent", maximal_exponent(alpha, dim, p)),
@@ -398,8 +346,7 @@ def cmd_exponents(args) -> int:
     ]
     if dim == 1:
         rows.append(("airy_exponent", airy_exponent(p)))
-    header = _header_lines("exponents", resolved)
-    _write_table(resolved["output"], header, ("name", "value"), rows, resolved["format"])
+    _write_table(args, ("name", "value"), rows)
     return EXIT_OK
 
 
@@ -410,79 +357,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="displab", description="dispersive-flow laboratory experiments"
     )
-    sub = parser.add_subparsers(dest="command")
+    commands = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
+    def command(name, handler, help):
+        p = commands.add_parser(name, help=help)
+        p.set_defaults(handler=handler, command_parser=p)
+        p.add_argument("--config", help="JSON config file of settings; flags override its values")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    ev = sub.add_parser("evolve", help="run the flow on a built-in datum")
-    common(ev)
-    ev.add_argument("--alpha", type=float)
-    ev.add_argument("--d", type=int)
-    ev.add_argument("--datum", choices=("gaussian", "plane-wave", "f_lambda", "g_lambda"))
-    ev.add_argument("--t", type=float)
-    ev.add_argument("--frames", type=int)
-    ev.add_argument("--points", type=int)
-    ev.add_argument("--half-width", dest="half_width", type=float)
-    ev.add_argument("--xi0", type=float)
-    ev.add_argument("--lam", type=float)
-    ev.add_argument("--allow-wrapped", dest="allow_wrapped", action="store_const", const=True)
-    ev.add_argument("--dump-fields", dest="dump_fields")
-    ev.add_argument("--plot-script", dest="plot_script")
+    ev = command("evolve", cmd_evolve, "run the flow on a built-in datum")
+    ev.add_argument("--alpha", type=float, default=2.0)
+    ev.add_argument("--d", type=int, default=1)
+    ev.add_argument("--datum", choices=("gaussian", "plane-wave", "f_lambda", "g_lambda"),
+                    default="gaussian")
+    ev.add_argument("--t", type=float, default=1.0)
+    ev.add_argument("--frames", type=int, default=9)
+    ev.add_argument("--points", type=int, default=1024)
+    ev.add_argument("--half-width", type=float, default=20.0)
+    ev.add_argument("--xi0", type=float, default=1.0)
+    ev.add_argument("--lam", type=float, default=16.0)
+    ev.add_argument("--allow-wrapped", action="store_true")
+    ev.add_argument("--dump-fields", help="directory for per-frame field dumps")
 
-    sw = sub.add_parser("sweep", help="scaling sweep with slope verdict")
-    common(sw)
-    sw.add_argument("--family", choices=("smoothing", "maximal", "airy"))
-    sw.add_argument("--alpha", type=float)
-    sw.add_argument("--d", type=int)
-    sw.add_argument("--p", type=float)
-    sw.add_argument("--beta", type=float)
-    sw.add_argument("--lambdas", help="comma-separated increasing scales")
-    sw.add_argument("--tolerance", type=float)
-    sw.add_argument("--expect", help="override the expected slope (default: critical - beta), "
-                                      "e.g. slope=0.2")
-    sw.add_argument("--sobolev-denominator", dest="sobolev_denominator",
-                    action="store_const", const=True)
-    sw.add_argument("--plot-script", dest="plot_script")
+    sw = command("sweep", cmd_sweep, "scaling sweep with slope verdict")
+    sw.add_argument("--family", choices=("smoothing", "maximal", "airy"), default="smoothing")
+    sw.add_argument("--alpha", type=float, default=2.0)
+    sw.add_argument("--d", type=int, default=1)
+    sw.add_argument("--p", type=float, default=6.0)
+    sw.add_argument("--beta", type=float, help="default: the family's critical exponent")
+    sw.add_argument("--lambdas", default="16,32,64,128", help="comma-separated increasing scales")
+    sw.add_argument("--tolerance", type=float, default=0.1)
+    sw.add_argument("--expect", type=slope, help="override the expected slope "
+                                                 "(default: critical - beta), e.g. slope=0.2")
+    sw.add_argument("--sobolev-denominator", action="store_true")
+    sw.add_argument("--plot-script", help="gnuplot script plotting the --output CSV")
 
-    dg = sub.add_parser("diagnostics", help="one-shot numerical checks")
-    common(dg)
-    dg.add_argument("which", nargs="?", help="kernel-tail | bilinear-reconstruction | "
-                                             "bilinear-ratio | envelope | focusing | ridge")
-    dg.add_argument("--alpha", type=float)
-    dg.add_argument("--k", type=int)
-    dg.add_argument("--t", type=float)
-    dg.add_argument("--lam", type=float)
-    dg.add_argument("--p", type=float)
-    dg.add_argument("--epsilon", type=float)
+    dg = command("diagnostics", cmd_diagnostics, "one-shot numerical checks")
+    dg.add_argument("which", nargs="?", default="kernel-tail",
+                    help="kernel-tail | bilinear-reconstruction | bilinear-ratio | "
+                         "envelope | focusing | ridge")
+    dg.add_argument("--alpha", type=float, default=2.0)
+    dg.add_argument("--k", type=int, default=6)
+    dg.add_argument("--t", type=float, default=1.0)
+    dg.add_argument("--lam", type=float, default=32.0)
+    dg.add_argument("--p", type=float, default=6.0)
+    dg.add_argument("--epsilon", type=float, default=0.05)
 
-    ex = sub.add_parser("exponents", help="critical-exponent table")
-    common(ex)
-    ex.add_argument("--alpha", type=float)
-    ex.add_argument("--d", type=int)
-    ex.add_argument("--p", type=float)
+    ex = command("exponents", cmd_exponents, "critical-exponent table")
+    ex.add_argument("--alpha", type=float, default=2.0)
+    ex.add_argument("--d", type=int, default=1)
+    ex.add_argument("--p", type=float, default=6.0)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "evolve": cmd_evolve,
-        "sweep": cmd_sweep,
-        "diagnostics": cmd_diagnostics,
-        "exponents": cmd_exponents,
-    }
-    if args.command not in handlers:
-        parser.print_usage(sys.stderr)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_CONFIG
+        if args.config:  # the file's values as flags, ahead of the command line's so those win
+            args = parser.parse_args(
+                [argv[0], *_config_argv(args.command_parser, args.config), *argv[1:]]
+            )
+        return args.handler(args)
+    except SystemExit as exc:  # argparse's exit after --help or a value a flag rejects
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+    except ValueError as exc:  # ConfigError and the library's typed input errors
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

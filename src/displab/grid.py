@@ -98,8 +98,8 @@ class GridSpec:
         n = self.points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points must be a power of two >= 8, got {n}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -251,7 +251,10 @@ def load_field(path) -> Field:
             raise FieldDumpError(
                 path, f"header keys {sorted(keys)} are not {sorted(_HEADER_KEYS)}"
             )
-        grid = GridSpec(header["dim"], header["points"], header["half_width"])
+        try:
+            grid = GridSpec(header["dim"], header["points"], header["half_width"])
+        except (TypeError, ValueError) as exc:
+            raise FieldDumpError(path, f"bad header grid: {exc}") from None
         payload = fh.read()
     if len(payload) != grid.size * 16:
         raise FieldDumpError(
@@ -259,4 +262,7 @@ def load_field(path) -> Field:
         )
     raw = np.frombuffer(payload, dtype="<f8").reshape(-1, 2)
     samples = (raw[:, 0] + 1j * raw[:, 1]).reshape(grid.shape)
-    return Field(grid, header["representation"], samples)
+    try:
+        return Field(grid, header["representation"], samples)
+    except ValueError as exc:
+        raise FieldDumpError(path, f"bad header representation: {exc}") from None

@@ -70,6 +70,7 @@ def test_evolve_negative_time_samples_increasing_times(capsys):
     (("--t", "inf"), "evolution times must be finite"),
     (("--frames", "0"), "frames must be a positive integer"),
     (("--frames", "-3"), "frames must be a positive integer"),
+    (("--half-width", "inf"), "half_width must be positive and finite"),
 ])
 def test_evolve_bad_times_and_frames_are_config_errors(capsys, argv, message):
     code, _, err = run(capsys, "evolve", "--datum", "gaussian", *argv)
@@ -165,6 +166,18 @@ def test_nonfinite_scale_is_config_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--p", "0"),
+    ("exponents", "--p", "nan"),
+    ("sweep", "--p", "0", "--lambdas", "16,32"),
+])
+def test_exponent_p_outside_its_range_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "p must be finite and >= 1" in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])
 def test_sweep_bad_environment_is_config_error(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "abc")
@@ -198,6 +211,67 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "unknown keys ['lamdbas']" in err
     assert out == ""  # nothing ran
+
+
+@pytest.mark.parametrize("command,config,flag", [
+    ("evolve", {"allow_wrapped": "false"}, "--allow-wrapped"),
+    ("evolve", {"format": "xml"}, "--format"),
+    ("evolve", {"frames": 2.7}, "--frames"),
+    ("sweep", {"sobolev_denominator": "false"}, "--sobolev-denominator"),
+    ("sweep", {"lambdas": [16, 32]}, "--lambdas"),
+    ("sweep", {"expect": "intercept=0"}, "--expect"),
+])
+def test_config_value_its_flag_rejects_is_config_error(tmp_path, capsys, command, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert out == ""  # nothing ran
+
+
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--alpha", "3", "--p", "8"),
+    ("evolve", "--datum", "plane-wave", "--xi0", "2", "--t", "-0.5", "--frames", "3",
+     "--points", "64", "--half-width", "8", "--allow-wrapped", "--dump-fields", "{tmp}/frames"),
+    ("sweep", "--family", "airy", "--alpha", "3", "--lambdas", "16,32", "--sobolev-denominator",
+     "--expect", "slope=0.1", "--tolerance", "0.5", "--output", "{tmp}/out.csv",
+     "--plot-script", "{tmp}/plot.gp"),
+    ("diagnostics", "kernel-tail", "--alpha", "3", "--k", "3", "--t", "0.5"),
+], ids=["exponents", "evolve", "sweep", "diagnostics"])
+def test_echoed_config_round_trips(tmp_path, capsys, argv):
+    """The echoed settings, fed back as a config file, resolve to the same echo and exit."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+
+    def echo(out):
+        return (out or (tmp_path / "out.csv").read_text()).splitlines()[1]
+
+    code, out, _ = run(capsys, *argv)
+    first = echo(out)
+    assert first.startswith("# config: ")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(first.removeprefix("# config: "))
+    again, out, _ = run(capsys, argv[0], "--config", str(cfg))
+    assert (again, echo(out)) == (code, first)
+
+
+def test_config_file_may_name_the_diagnostic(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"which": "nope", "k": 3}))
+    code, out, err = run(capsys, "diagnostics", "--config", str(cfg))
+    assert code == 2 and "unknown diagnostic 'nope'" in err and out == ""
+    code, out, _ = run(capsys, "diagnostics", "kernel-tail", "--config", str(cfg))
+    assert code == 0
+    echoed = json.loads(out.splitlines()[1].removeprefix("# config: "))
+    assert (echoed["which"], echoed["k"]) == ("kernel-tail", 3)  # the command line named it
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--lambdas", "16,32"), ("evolve", "--frames", "2")])
+def test_plot_script_is_sweep_only_and_needs_output(tmp_path, capsys, argv):
+    script = tmp_path / "plot.gp"
+    code, out, _ = run(capsys, *argv, "--plot-script", str(script))
+    assert code == 2 and out == ""
+    assert not script.exists()
 
 
 def test_sweep_verdict_is_the_library_verdict(capsys):

@@ -24,6 +24,8 @@ def test_gridspec_invariants():
         GridSpec(1, 4, 10.0)  # too small
     with pytest.raises(ValueError):
         GridSpec(1, 64, -1.0)
+    with pytest.raises(ValueError, match="half_width must be positive and finite"):
+        GridSpec(1, 16, np.inf)  # would read nyquist 0
 
 
 def test_sample_points_and_frequencies():
@@ -93,6 +95,22 @@ def test_load_rejects_bad_header_keys(tmp_path, rng):
         with pytest.raises(FieldDumpError, match="header keys") as info:
             load_field(path)
         assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit", [
+    {"points": "16"}, {"points": 16.0}, {"half_width": "x"}, {"points": 12}, {"dim": 4},
+    {"half_width": -1.0}, {"half_width": float("inf")}, {"representation": "spatial"},
+], ids=lambda edit: "-".join(f"{k}={v!r}" for k, v in edit.items()))
+def test_load_rejects_header_values_naming_the_file(tmp_path, rng, edit):
+    """Right keys, values GridSpec or Field reject: a FieldDumpError naming the file."""
+    path = tmp_path / "dump.fld"
+    save_field(Field(GridSpec(1, 16, 3.0), PHYSICAL, rng.standard_normal(16) + 0j), path)
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    fields = {**json.loads(header), **edit}
+    path.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + payload)
+    with pytest.raises(FieldDumpError) as info:
+        load_field(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_rejects_truncated_payload(tmp_path, rng):

@@ -168,6 +168,18 @@ def test_maximal_necessary_values():
         assert maximal_necessary_exponent(alpha, p) < maximal_exponent(alpha, dim, p)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, -6.0, np.inf, np.nan])
+@pytest.mark.parametrize("formula", [
+    lambda p: smoothing_exponent(2.0, 1, p),
+    lambda p: maximal_exponent(2.0, 1, p),
+    airy_exponent,
+    lambda p: maximal_necessary_exponent(2.0, p),
+], ids=["smoothing", "maximal", "airy", "maximal_necessary"])
+def test_exponent_formulas_reject_p_outside_their_range(formula, p):
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        formula(p)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=1.01, max_value=10.0),
