@@ -162,8 +162,10 @@ def _build_datum(args):
     if args.datum == "gaussian":
         return Field.from_function(grid, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0) / 2.0))
     if args.datum == "plane-wave":
-        m = round(args.xi0 / grid.frequency_spacing)
-        xi0 = m * grid.frequency_spacing  # snap to the lattice
+        index = args.xi0 / grid.frequency_spacing
+        if not np.isfinite(index):  # inf, nan, or past the float range once divided by the spacing
+            raise ConfigError(f"--xi0 must be a finite lattice frequency, got {args.xi0}")
+        xi0 = round(index) * grid.frequency_spacing  # snap to the lattice
         return Field.from_function(grid, lambda x: np.exp(1j * xi0 * np.asarray(x)[0]))
     params = DispersionParams(args.alpha, args.d)
     if args.datum == "f_lambda":
@@ -215,6 +217,8 @@ def cmd_sweep(args) -> int:
 
     if args.plot_script and not args.output:
         raise ConfigError("--plot-script needs --output, the CSV file its script plots")
+    if args.plot_script and args.format != "csv":
+        raise ConfigError(f"--plot-script plots CSV output; it cannot read --format {args.format}")
     if args.beta is None:  # resolved here so the header echoes the beta that ran
         args.beta = critical_exponent(args.family, args.alpha, args.d, args.p)
     cfg = SweepConfig(

@@ -28,7 +28,13 @@ from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
 from .norms import lp_norm
-from .propagator import DispersionParams, _chirped_spectrum, _frame_blocks, ball_constant
+from .propagator import (
+    DispersionParams,
+    _chirped_box,
+    _chirped_spectrum,
+    _evolved_support,
+    ball_constant,
+)
 from .spectral import apply_symbol, dft_inverse, to_physical
 
 SMOOTHING = "smoothing"
@@ -97,10 +103,15 @@ def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Fie
             required_points=n_req,
             required_half_width=need_hw,
         )
-    annulus = make_cutoffs(dim=grid.dim).annulus
-    inv = 1.0 / lam
-    spectrum = _chirped_spectrum(grid, 2.0 * lam, lambda r: annulus(inv * r), -1j, alpha)
+    spectrum = _chirped_spectrum(grid, 2.0 * lam, _scaled_annulus(lam, grid.dim), -1j, alpha)
     return Field(grid, FREQUENCY, spectrum)
+
+
+def _scaled_annulus(lam: float, dim: int):
+    """theta(r / lam), the smoothing datum's amplitude at scale lam."""
+    annulus = make_cutoffs(dim=dim).annulus
+    inv = 1.0 / lam
+    return lambda r: annulus(inv * r)
 
 
 def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
@@ -278,44 +289,61 @@ _BUMP_PROFILE_MASS = 0.65
 def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     """Refocusing lower-bound check on |x| <= 1/(10 lam), |t - 1| <= 1/(10 lam^alpha).
 
-    Built on a small box with a mesh fine enough to resolve the 1/lam focal
-    spot; the datum wraps spatially, which leaves the refocused values near
-    t = 1 untouched because the solution there is concentrated at scale
-    1/lam.  The frames are evolved from the exact spectrum
-    (`smoothing_spectrum`) on the frame engine `propagator._frame_blocks`,
-    and each block records its window minima.  The exact focus value at
-    (0, 1) is lam^d (2 pi)^-d int theta, read from the middle frame.
+    The lattice is a small box (half width L = 40) with a mesh h fine
+    enough to resolve the 1/lam focal spot.  The datum wraps spatially, so
+    the lattice sum is the periodized field; that leaves the refocused
+    values near t = 1 untouched, because the solution there is
+    concentrated at scale 1/lam.  Only the window samples x_j = j h are
+    formed, each as the inverse quadrature of the exact spectrum summed
+    over the annulus:
+
+        u(x_j, t) = (2L)^-1 sum_m X_m e^{i t phi(xi_m)} e^{2 pi i (m j mod N) / N}.
+
+    X_m are the datum's nonzero values from `propagator._chirped_box` (as
+    in `smoothing_spectrum`) and the evolved values are the frame
+    engine's one product `propagator._evolved_support`, so every term is
+    bit for bit an entry of the engine's evolved spectrum; the twiddle
+    angles are reduced modulo N in integers, and one (frames x support) @
+    (support x window) product sums them.  No array of the lattice's N
+    points is formed.  The exact focus value at (0, 1) is
+    lam^d (2 pi)^-d int theta, read from the middle frame at j = 0.
     """
     if spec.family != SMOOTHING:
         raise ValueError("focusing_check applies to the smoothing family")
-    lam, alpha = spec.lam, spec.params.alpha
-    params = spec.params
+    lam, params = spec.lam, spec.params
     # box wide enough that the frequency lattice resolves the annulus bump to
     # ~1e-9 (spacing pi/L), mesh fine enough to resolve the 1/lam focal spot
     half_width = 40.0
     points = int(2 ** np.ceil(np.log2(2.0 * half_width * 40.0 * lam)))  # dx <= 1/(40 lam)
     grid = GridSpec(1, points, half_width)
-    datum = smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params, grid), allow_wrapped=True)
-    x = grid.axis_points()
-    window = np.abs(x) <= 1.0 / (10.0 * lam)
-    t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**alpha)
-    middle = _FOCUS_FRAMES // 2  # t = 1
-    min_mods = np.empty(_FOCUS_FRAMES)
-    focus = np.empty(1, dtype=np.complex128)
-
-    def read(start: int, frames: np.ndarray) -> None:
-        min_mods[start : start + len(frames)] = np.abs(frames[:, window]).min(axis=1)
-        if start <= middle < start + len(frames):
-            focus[0] = frames[middle - start, grid.points // 2]
-
-    _frame_blocks(datum, t_vals, params, read)
-    min_mod, focus_value = float(min_mods.min()), complex(focus[0])
+    (m,), box = _chirped_box(grid, 2.0 * lam, _scaled_annulus(lam, 1), -1j, params.alpha)
+    support = np.flatnonzero(box)
+    m = m[support]
+    j = _focus_window(grid, lam)
+    t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**params.alpha)
+    frames = _evolved_support(box[support], params(grid.axis_frequencies(m)[None]), t_vals)
+    twiddle = 1j * (2.0 * np.pi / points) * (np.multiply.outer(m, j) % points)
+    np.exp(twiddle, out=twiddle)
+    values = frames @ twiddle / (2.0 * half_width)
     predicted = lam * ANNULUS_INTEGRAL / (2.0 * np.pi)
     return FocusingReport(
-        min_modulus_ratio=min_mod / lam,
-        focus_value=focus_value,
+        min_modulus_ratio=float(np.abs(values).min()) / lam,
+        focus_value=complex(values[_FOCUS_FRAMES // 2, np.flatnonzero(j == 0)[0]]),
         predicted_focus_value=float(predicted),
     )
+
+
+def _focus_window(grid: GridSpec, lam: float) -> np.ndarray:
+    """Offsets j of the samples x_{N/2 + j} with |x| <= 1/(10 lam).
+
+    x is formed as `GridSpec.axis_points` forms it, so the window holds the
+    same samples as the whole axis's.
+    """
+    bound = 1.0 / (10.0 * lam)
+    reach = int(bound / grid.spacing) + 1
+    j = np.arange(-reach, reach + 1)
+    x = -grid.half_width + grid.spacing * (grid.points // 2 + j)
+    return j[np.abs(x) <= bound]
 
 
 # -- traveling-bump packet machinery ----------------------------------------------

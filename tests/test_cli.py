@@ -274,6 +274,23 @@ def test_plot_script_is_sweep_only_and_needs_output(tmp_path, capsys, argv):
     assert not script.exists()
 
 
+def test_plot_script_needs_csv_output(tmp_path, capsys):
+    """The gnuplot script reads a CSV separator and column 7, which a JSON file does not have."""
+    script, output = tmp_path / "plot.gp", tmp_path / "o.json"
+    code, out, err = run(capsys, "sweep", "--lambdas", "16,32", "--format", "json",
+                         "--output", str(output), "--plot-script", str(script))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--plot-script" in err and "Traceback" not in err
+    assert not script.exists() and not output.exists()
+
+
+@pytest.mark.parametrize("xi0", ["inf", "-inf", "nan", "1e308"])
+def test_evolve_nonfinite_plane_wave_frequency_is_config_error(capsys, xi0):
+    code, out, err = run(capsys, "evolve", "--datum", "plane-wave", f"--xi0={xi0}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--xi0" in err and "Traceback" not in err
+
+
 def test_sweep_verdict_is_the_library_verdict(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "smoothing", "--alpha", "2", "--p", "6",
                        "--lambdas", "16,32,64,128", "--format", "json")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from displab import chirpquad
+from displab import chirpquad, propagator
 from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import SizingError
 from displab.extremizers import (
@@ -11,6 +11,7 @@ from displab.extremizers import (
     PACKET_GRID,
     SMOOTHING,
     ExtremizerSpec,
+    _focus_window,
     _normalized_bump,
     datum_lp_norm,
     datum_quadrature_nodes,
@@ -238,12 +239,12 @@ def test_ridge_trace_matches_the_lattice_sum(lam, alpha):
 
 
 def test_focusing_check_keeps_no_lattice_array_alive():
-    """No cache holds a symbol or mesh of the 2^19-point focusing grid once the check returns."""
+    """Nothing the check forms, annulus values, phases or twiddles, outlives it in a cache."""
     import gc
     import tracemalloc
 
     params = DispersionParams(2.0, 1)
-    focusing_check(ExtremizerSpec(SMOOTHING, 16.0, params))  # first-call imports and thread pool
+    focusing_check(ExtremizerSpec(SMOOTHING, 16.0, params))  # first-call imports
     gc.collect()
     tracemalloc.start()
     try:
@@ -253,6 +254,46 @@ def test_focusing_check_keeps_no_lattice_array_alive():
     finally:
         tracemalloc.stop()
     assert kept < 2**20, f"{kept / 2**20:.1f} MB kept alive"
+
+
+def test_focusing_check_peak_is_below_half_a_lattice():
+    """At lam 128 the check's 2^19-point lattice is never formed: its traced peak stays below
+    4 MB, half of one complex array of that lattice."""
+    import tracemalloc
+
+    params = DispersionParams(2.0, 1)
+    focusing_check(ExtremizerSpec(SMOOTHING, 16.0, params))  # first-call imports
+    tracemalloc.start()
+    try:
+        focusing_check(ExtremizerSpec(SMOOTHING, 128.0, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_focusing_check_runs_no_frame_engine_or_transform(monkeypatch):
+    """The window values are a direct sum over the annulus: no frame block, inverse FFT or
+    lattice-wide point array."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the focusing check formed a lattice-wide frame")
+
+    monkeypatch.setattr(propagator, "_frame_blocks", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    monkeypatch.setattr(GridSpec, "axis_points", refuse)
+    rep = focusing_check(ExtremizerSpec(SMOOTHING, 64.0, DispersionParams(3.0, 1)))
+    assert rep.min_modulus_ratio >= 0.1
+
+
+@pytest.mark.parametrize("lam", [16.0, 20.48, 90.3, 124.2])
+def test_focus_window_is_the_axis_points_window(lam):
+    """The window offsets pick the same samples as |axis_points| <= 1/(10 lam) on the lattice;
+    at lam 20.48 the bound falls on the sample j = 8."""
+    grid = GridSpec(1, int(2 ** np.ceil(np.log2(2.0 * 40.0 * 40.0 * lam))), 40.0)
+    want = np.flatnonzero(np.abs(grid.axis_points()) <= 1.0 / (10.0 * lam)) - grid.points // 2
+    np.testing.assert_array_equal(_focus_window(grid, lam), want)
 
 
 def test_evolution_and_datum_paths_form_no_frequency_mesh(monkeypatch):
@@ -376,7 +417,9 @@ def physical_focusing(lam, params):
     return min_mod / lam, complex(frames[4][grid.points // 2])
 
 
-@pytest.mark.parametrize("lam, alpha", [(16.0, 2.0), (32.0, 2.0), (16.0, 3.0)])
+@pytest.mark.parametrize(
+    "lam, alpha", [(16.0, 2.0), (32.0, 2.0), (16.0, 3.0), (128.0, 2.0), (90.3, 4.0)]
+)
 def test_focusing_from_the_spectrum_matches_the_physical_datum(lam, alpha):
     params = DispersionParams(alpha, 1)
     rep = focusing_check(ExtremizerSpec(SMOOTHING, lam, params))
