@@ -31,8 +31,7 @@ from .extremizers import (
     RidgeReport,
     envelope_check,
     focusing_check,
-    make_maximal_extremizer,
-    make_smoothing_extremizer,
+    maximal_spectrum,
     ridge_check,
     smoothing_spectrum,
 )

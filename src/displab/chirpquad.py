@@ -123,21 +123,6 @@ class UniformSegment:
         return self.start + self.step * (self.count - 1)
 
 
-def as_segments(y) -> tuple[UniformSegment, ...]:
-    """Coerce a uniform 1-d array (or segment sequence) into segments."""
-    if isinstance(y, UniformSegment):
-        return (y,)
-    if isinstance(y, (tuple, list)) and y and isinstance(y[0], UniformSegment):
-        return tuple(y)
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("targets must be a 1-d array with >= 2 points or segments")
-    steps = np.diff(arr)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12 * abs(steps[0])):
-        raise ValueError("array targets must be uniformly spaced; pass segments instead")
-    return (UniformSegment(float(arr[0]), float(steps[0]), arr.size),)
-
-
 def _group_position(xi: np.ndarray, alpha: float, scale: float) -> np.ndarray:
     """Stationary target y(xi) = -S * d/dxi |xi|^alpha."""
     return -scale * alpha * np.abs(xi) ** (alpha - 1.0) * np.sign(xi)
@@ -275,12 +260,12 @@ def _route(intervals, alpha, scale, segments) -> tuple[bool, int]:
 def chirp_profile(amplitude, intervals, alpha: float, scale: float, segments) -> list[np.ndarray]:
     """Evaluate the chirped profile on each segment; returns one array per segment.
 
-    ``amplitude`` maps xi arrays to (complex) values and must be supported
-    inside ``intervals`` (finite unions of single-signed intervals).  Raises
-    SizingError, before any lattice is allocated, when the route's node
-    count exceeds `grid.quadrature_node_budget`.
+    ``segments`` is a sequence of `UniformSegment`.  ``amplitude`` maps xi
+    arrays to (complex) values and must be supported inside ``intervals``
+    (finite unions of single-signed intervals).  Raises SizingError, before
+    any lattice is allocated, when the route's node count exceeds
+    `grid.quadrature_node_budget`.
     """
-    segments = as_segments(segments)
     intervals = tuple((float(lo), float(hi)) for lo, hi in intervals)
     for lo, hi in intervals:
         if not hi > lo:

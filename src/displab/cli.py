@@ -150,11 +150,9 @@ def _emit_plot_script(path, csv_path):
 
 
 def _build_datum(args):
-    from .extremizers import (
-        ExtremizerSpec,
-        make_maximal_extremizer,
-        make_smoothing_extremizer,
-    )
+    """The evolve datum: the gaussian and the plane wave as physical fields, f_lambda and
+    g_lambda as their exact spectra, so the flow forms its phase on their supports alone."""
+    from .extremizers import ExtremizerSpec, maximal_spectrum, smoothing_spectrum
     from .grid import Field, GridSpec
     from .propagator import DispersionParams
 
@@ -169,10 +167,10 @@ def _build_datum(args):
         return Field.from_function(grid, lambda x: np.exp(1j * xi0 * np.asarray(x)[0]))
     params = DispersionParams(args.alpha, args.d)
     if args.datum == "f_lambda":
-        return make_smoothing_extremizer(
+        return smoothing_spectrum(
             ExtremizerSpec("smoothing", args.lam, params, grid), allow_wrapped=args.allow_wrapped
         )
-    return make_maximal_extremizer(ExtremizerSpec("maximal", args.lam, params, grid))
+    return maximal_spectrum(ExtremizerSpec("maximal", args.lam, params, grid))
 
 
 def cmd_evolve(args) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import CutoffSpec, make_cutoffs
+from .cutoffs import make_cutoffs
 from .errors import SeparationError, TractabilityError
 from .grid import FREQUENCY, Field
 from .norms import admissibility_threshold, lp_norm, mixed_spacetime_norm
@@ -25,7 +25,7 @@ _SEPARATION_SHARE = 0.25  # the least support separation, a share of the joint d
 _MIN_TIMES, _TIMES_PER_LAM = 64, 8  # bilinear_restriction_ratio's times on [-lam, lam]
 
 
-def separation_weight(j: int, lam: float, xi, eta, cutoffs: CutoffSpec | None = None):
+def separation_weight(j: int, lam: float, xi, eta):
     """Near-diagonal weight for the pair (xi, eta) at dyadic separation 2^j lam^(-1/2).
 
     xi and eta are stacked coordinate arrays of matching shape (dim, ...).
@@ -38,7 +38,7 @@ def separation_weight(j: int, lam: float, xi, eta, cutoffs: CutoffSpec | None = 
         raise ValueError("lam must be positive")
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    cut = cutoffs or make_cutoffs(dim=xi.shape[0] if xi.ndim > 0 else 1)
+    cut = make_cutoffs(dim=xi.shape[0] if xi.ndim > 0 else 1)
     gap = np.sqrt(((xi - eta) ** 2).sum(axis=0))
     root = np.sqrt(lam)
     if j == 0:

@@ -27,7 +27,7 @@ from .chirpquad import UniformSegment, _route, chirp_profile, nonstationary_boun
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
-from .norms import lp_norm
+from .norms import bessel_symbol, lp_norm
 from .propagator import (
     DispersionParams,
     _chirped_box,
@@ -35,7 +35,7 @@ from .propagator import (
     _evolved_support,
     ball_constant,
 )
-from .spectral import apply_symbol, dft_inverse, to_physical
+from .spectral import apply_symbol, dft_inverse
 
 SMOOTHING = "smoothing"
 MAXIMAL = "maximal"
@@ -81,8 +81,8 @@ def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Fie
 
     A frequency field on spec.grid, exactly zero off lam/2 < |xi| < 2 lam,
     formed on the index box that holds the annulus, so the evolutions form
-    their phase on the annulus alone; its inverse transform is
-    `make_smoothing_extremizer`.  ``allow_wrapped`` skips the
+    their phase on the annulus alone; its inverse transform is the physical
+    datum, whose round-off covers the whole lattice.  ``allow_wrapped`` skips the
     spatial-extent requirement; the datum then wraps around the box and
     only frequency-local quantities (such as the refocused values near
     t = 1) remain faithful.
@@ -114,18 +114,13 @@ def _scaled_annulus(lam: float, dim: int):
     return lambda r: annulus(inv * r)
 
 
-def make_smoothing_extremizer(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Field:
-    """The chirped annulus datum as a physical field on spec.grid.
+def maximal_spectrum(spec: ExtremizerSpec) -> Field:
+    """The traveling-bump datum's spectrum on spec.grid (dim = 1).
 
-    The inverse transform of `smoothing_spectrum`, with the same sizing
-    rules; its round-off spreads over the whole lattice, so the library's
-    evolutions start from the spectrum instead.
+    The normalized bump at frequency -lam, dilated by lam^{(2-alpha)/2};
+    exactly zero off its support, so the evolutions form their phase there
+    alone.
     """
-    return to_physical(smoothing_spectrum(spec, allow_wrapped))
-
-
-def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
-    """The traveling-bump datum as a physical field on spec.grid (dim = 1)."""
     if spec.family != MAXIMAL:
         raise ValueError("spec.family must be 'maximal'")
     grid = spec.grid
@@ -143,7 +138,7 @@ def make_maximal_extremizer(spec: ExtremizerSpec) -> Field:
         )
     shift = lam ** ((alpha - 2.0) / 2.0)
     spectrum = _normalized_bump(eps)(shift * np.abs(grid.axis_frequencies() + lam))
-    return to_physical(Field(grid, FREQUENCY, spectrum))
+    return Field(grid, FREQUENCY, spectrum)
 
 
 # -- unit-scale reductions -------------------------------------------------------
@@ -154,17 +149,15 @@ def unit_profile_grid(points: int = 2**15, nyquist: float = 8.0) -> GridSpec:
     return GridSpec(1, points, np.pi * points / (2.0 * nyquist))
 
 
-def unit_annulus_field(
-    grid: GridSpec, one_sided: bool = False, scale: float = 1.0
-) -> Field:
-    """Frequency field scale * theta(|eta|), optionally restricted to eta_1 > 0.
+def unit_annulus_field(grid: GridSpec, one_sided: bool = False) -> Field:
+    """Frequency field theta(|eta|), optionally restricted to eta_1 > 0.
 
     Formed by `propagator._chirped_spectrum` with chirp 0 on the index box
     of the annulus |eta| < 2; every entry is bit for bit the lattice-wide
     formula.
     """
     annulus = make_cutoffs(dim=grid.dim).annulus
-    spectrum = _chirped_spectrum(grid, 2.0, lambda r: scale * annulus(r), 0.0, 1.0, one_sided)
+    spectrum = _chirped_spectrum(grid, 2.0, annulus, 0.0, 1.0, one_sided)
     return Field(grid, FREQUENCY, spectrum)
 
 
@@ -192,29 +185,22 @@ def _datum_segments(S: float, alpha: float, one_sided: bool) -> list[UniformSegm
 
 @lru_cache(maxsize=256)
 def datum_lp_norm(
-    lam: float,
-    alpha: float,
-    p: float,
-    one_sided: bool = False,
-    bessel_beta: float | None = None,
-    amplitude_scale: float = 1.0,
+    lam: float, alpha: float, p: float, one_sided: bool = False, bessel_beta: float = 0.0
 ) -> float:
-    """||f_lam||_p (or the Bessel-weighted norm) via the dispersed-profile quadrature.
+    """||f_lam||_p via the dispersed-profile quadrature, Bessel-weighted if ``bessel_beta`` != 0.
 
     Exact reduction: f_lam(x) = lam^d V(x lam^{1-alpha}) with V the chirped
     annulus profile at scale lam^alpha, so the norm is
     lam^{d + (alpha-1) d / p} ||V||_p in the rescaled variable (d = 1 here).
+    The weight `norms.bessel_symbol` is read at xi = lam eta.
     """
-    cut = make_cutoffs(dim=1)
+    annulus = make_cutoffs(dim=1).annulus
     S = lam**alpha
 
-    if bessel_beta is None:
-        amplitude = lambda xi: amplitude_scale * cut.annulus(xi)  # noqa: E731
-    else:
-        b = float(bessel_beta)
-        amplitude = lambda xi: (  # noqa: E731
-            amplitude_scale * cut.annulus(xi) * (1.0 + (lam * np.asarray(xi)) ** 2) ** (b / 2.0)
-        )
+    amplitude = annulus
+    if bessel_beta != 0.0:
+        weight = bessel_symbol(bessel_beta)
+        amplitude = lambda eta: annulus(eta) * weight(lam * np.asarray(eta)[None])  # noqa: E731
 
     segments = _datum_segments(S, alpha, one_sided)
     values = chirp_profile(amplitude, _annulus_intervals(one_sided), alpha, -S, segments)
@@ -403,27 +389,21 @@ def ridge_trace(lam: float, alpha: float, t_grid, epsilon: float = 0.05) -> np.n
     return (weights * np.exp(phase[:, None] * rho_w)).sum(axis=1)
 
 
-def packet_lp_norm(p: float, epsilon: float = 0.05, lam: float | None = None,
-                   alpha: float | None = None, bessel_beta: float | None = None) -> float:
-    """||chi_inv||_p on the packet grid, optionally Bessel-weighted at scale lam."""
-    f = packet_field(epsilon)
-    if bessel_beta is not None:
-        if lam is None or alpha is None:
-            raise ValueError("bessel weighting needs lam and alpha")
-        shift = lam ** (-alpha / 2.0)
-
-        def weight(xi):
-            w = np.asarray(xi)[0]
-            return (1.0 + (lam * (1.0 - shift * w)) ** 2) ** (bessel_beta / 2.0)
-
-        f = apply_symbol(f, weight)
-    return lp_norm(dft_inverse(f), p)
-
-
 def maximal_datum_norm(lam: float, alpha: float, p: float, epsilon: float = 0.05,
-                       bessel_beta: float | None = None) -> float:
-    """||g_lam||_p via the exact modulated-dilation reduction to the packet."""
-    base = packet_lp_norm(p, epsilon, lam=lam, alpha=alpha, bessel_beta=bessel_beta)
+                       bessel_beta: float = 0.0) -> float:
+    """||g_lam||_p, Bessel-weighted when ``bessel_beta`` is nonzero, via the packet.
+
+    The exact modulated-dilation reduction: the spectrum of g_lam is the
+    packet's, dilated by lam^{(2-alpha)/2} and centred at -lam, so packet
+    frequency w sits at xi = -lam (1 - lam^{-alpha/2} w), where the weight
+    `norms.bessel_symbol` (even in xi) is read.
+    """
+    f = packet_field(epsilon)
+    if bessel_beta != 0.0:
+        shift = lam ** (-alpha / 2.0)
+        weight = bessel_symbol(bessel_beta)
+        f = apply_symbol(f, lambda w: weight(lam * (1.0 - shift * np.asarray(w))))
+    base = lp_norm(dft_inverse(f), p)
     return float(lam ** ((2.0 - alpha) / 2.0 * (1.0 - 1.0 / p)) * base)
 
 

@@ -7,6 +7,13 @@ The fitted log-log slope of the ratio against lam detects the critical
 regularity: at the critical beta the slope is ~0, and shifting beta by
 delta shifts the slope by -delta.
 
+One record builder.  Each family hands `_record` its numerator at unit
+datum amplitude and its datum's Bessel-weighted norm as a function of the
+exponent; `_record` alone picks the denominator (that norm at beta, or
+lam^beta times the plain norm) and applies `datum_scale`.  Every norm is
+absolutely homogeneous, so the scale multiplies numerator and denominator
+by |datum_scale| and the ratio is that of the unit values.
+
 Unit-scale reductions.  All sweep quantities are evaluated through the exact
 unit-scale reductions of the extremizer families (see `extremizers`): the
 solution norms come from the unit annulus profile W with
@@ -22,11 +29,11 @@ cross-validates at small lam.
 
 Profile-norm curve.  Every scale reads the same unit profile, so the curve
 s -> ||W(., s)||_p^p is shared by all scales and sweeps with the same
-(alpha, p, one_sided, datum scale); each distinct s is evolved
-once per process.  `run_sweep` fills the curve over the union of its
-scales' s-grids, then builds the records one scale after another.  A record
-is its rectangle-rule weights dotted with the looked-up values, plus its
-datum norm.
+(alpha, p, one_sided), whatever their datum scale; each distinct s is
+evolved once per process.  `run_sweep` fills the curve over the union of
+its scales' s-grids, then builds the records one scale after another.  A
+record is its rectangle-rule weights dotted with the looked-up values,
+plus its datum norm.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from .norms import (
     _time_weights,
     admissibility_threshold,
     airy_exponent,
-    lp_norm,
     maximal_necessary_exponent,
     smoothing_exponent,
     sobolev_norm,
@@ -119,6 +125,8 @@ class SweepConfig:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if not np.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
+        if not (np.isfinite(self.datum_scale) and self.datum_scale != 0):
+            raise ValueError(f"datum_scale must be finite and nonzero, got {self.datum_scale}")
         object.__setattr__(self, "lambdas", lams)
 
 
@@ -197,9 +205,9 @@ class _ProfileCurve:
     same pass raises SizingError where a frame reaches the box edges.
     """
 
-    def __init__(self, alpha: float, p: float, one_sided: bool, scale: float):
+    def __init__(self, alpha: float, p: float, one_sided: bool):
         self.grid = unit_profile_grid()
-        self.profile = unit_annulus_field(self.grid, one_sided=one_sided, scale=scale)
+        self.profile = unit_annulus_field(self.grid, one_sided=one_sided)
         self.params = DispersionParams(alpha, 1)
         self.p = p
         self.horizon = faithful_horizon(self.grid, alpha)
@@ -225,7 +233,7 @@ class _ProfileCurve:
         return np.array([self._values[v] for v in np.asarray(s, dtype=float).tolist()])
 
 
-# one curve per (alpha, p, one_sided, datum scale)
+# one curve per (alpha, p, one_sided): the profile has unit amplitude, and `_record` scales
 _profile_curve = lru_cache(maxsize=32)(_ProfileCurve)
 
 
@@ -251,6 +259,28 @@ def _coverage(s_grid: np.ndarray, vals: np.ndarray, integral: float, s_full: flo
     return integral / (integral + max(omitted, 0.0))
 
 
+def _record(cfg: SweepConfig, lam: float, grid: GridSpec, t_count: int, numerator: float,
+            datum_norm, coverage: float = 1.0) -> SweepRecord:
+    """The one builder of a `SweepRecord`, for every family and route.
+
+    ``numerator`` is the solution norm of the unit-amplitude datum and
+    ``datum_norm(beta)`` that datum's Bessel-weighted L^p norm, the plain
+    norm at beta 0.  The denominator is the Sobolev norm at ``cfg.beta``
+    or lam^beta times the plain norm; |datum_scale| multiplies both, and
+    the ratio is taken from the unit values.
+    """
+    if cfg.use_sobolev_denominator:
+        denominator = datum_norm(cfg.beta)
+    else:
+        denominator = lam**cfg.beta * datum_norm(0.0)
+    scale = abs(cfg.datum_scale)
+    return SweepRecord(
+        lam=lam, points=grid.points, half_width=grid.half_width, t_count=t_count,
+        numerator=scale * numerator, denominator=scale * denominator,
+        ratio=numerator / denominator, coverage=coverage,
+    )
+
+
 def _smoothing_record(
     cfg: SweepConfig, lam: float, curve: _ProfileCurve, s_grid: np.ndarray
 ) -> SweepRecord:
@@ -258,42 +288,25 @@ def _smoothing_record(
     one_sided = cfg.family == "airy"
     vals = curve(s_grid)
     integral = float(vals @ _time_weights(s_grid, (float(s_grid[0]), 0.0)))
-    coverage = _coverage(s_grid, vals, integral, lam**cfg.alpha)
     numerator = lam ** (1.0 - 1.0 / cfg.p) * (lam**-cfg.alpha * integral) ** (1.0 / cfg.p)
-    if cfg.use_sobolev_denominator:
-        datum = datum_lp_norm(
-            lam, cfg.alpha, cfg.p, one_sided, bessel_beta=cfg.beta,
-            amplitude_scale=cfg.datum_scale,
-        )
-        denominator = datum
-    else:
-        datum = datum_lp_norm(lam, cfg.alpha, cfg.p, one_sided, amplitude_scale=cfg.datum_scale)
-        denominator = lam**cfg.beta * datum
-    return SweepRecord(
-        lam=lam, points=curve.grid.points, half_width=curve.grid.half_width,
-        t_count=s_grid.size, numerator=numerator, denominator=denominator,
-        ratio=numerator / denominator, coverage=coverage,
+    return _record(
+        cfg, lam, curve.grid, s_grid.size, numerator,
+        lambda beta: datum_lp_norm(lam, cfg.alpha, cfg.p, one_sided, beta),
+        _coverage(s_grid, vals, integral, lam**cfg.alpha),
     )
 
 
 def _maximal_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     alpha, p = cfg.alpha, cfg.p
     t_grid = np.linspace(0.0, 1.0, RIDGE_SAMPLES)
-    trace = np.abs(ridge_trace(lam, alpha, t_grid)) * cfg.datum_scale
+    trace = np.abs(ridge_trace(lam, alpha, t_grid))
     w = _time_weights(t_grid, (0.0, 1.0))
     ridge_speed = alpha * lam ** (alpha - 1.0)
     numerator = (
         lam ** ((2.0 - alpha) / 2.0) * (ridge_speed * float((trace**p) @ w)) ** (1.0 / p)
     )
-    if cfg.use_sobolev_denominator:
-        denominator = cfg.datum_scale * maximal_datum_norm(lam, alpha, p, bessel_beta=cfg.beta)
-    else:
-        denominator = lam**cfg.beta * cfg.datum_scale * maximal_datum_norm(lam, alpha, p)
-    return SweepRecord(
-        lam=lam, points=PACKET_GRID.points, half_width=PACKET_GRID.half_width,
-        t_count=t_grid.size, numerator=numerator, denominator=denominator,
-        ratio=numerator / denominator,
-    )
+    return _record(cfg, lam, PACKET_GRID, t_grid.size, numerator,
+                   lambda beta: maximal_datum_norm(lam, alpha, p, bessel_beta=beta))
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -316,7 +329,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
                 f"(the smallest failing scale needs ~{nodes:.2e} quadrature nodes, "
                 f"cap {budget:.2e}); raise DISPLAB_MAX_GRID_POINTS or drop large scales"
             )
-    curve = _profile_curve(cfg.alpha, cfg.p, cfg.family == "airy", cfg.datum_scale)
+    curve = _profile_curve(cfg.alpha, cfg.p, cfg.family == "airy")
     s_grids = {lam: focusing_s_grid(lam, cfg.alpha, curve.horizon) for lam in cfg.lambdas}
     curve.fill(np.concatenate(list(s_grids.values())))
     return [_smoothing_record(cfg, lam, curve, s_grids[lam]) for lam in cfg.lambdas]
@@ -348,23 +361,14 @@ def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     params = DispersionParams(cfg.alpha, 1)
     spec = ExtremizerSpec(SMOOTHING, lam, params, grid)
     spectrum = smoothing_spectrum(spec)
-    if cfg.datum_scale != 1.0:
-        spectrum = spectrum.with_samples(spectrum.samples * cfg.datum_scale)
     s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha)
     t_grid = 1.0 + s_grid / lam**cfg.alpha
     w = _time_weights(t_grid, (0.0, 1.0))
     vals = evolved_lp_norms(spectrum, t_grid, params, cfg.p)
     numerator = float((vals @ w) ** (1.0 / cfg.p))
     datum = to_physical(spectrum)  # the norms measure a field in its own representation
-    if cfg.use_sobolev_denominator:
-        denominator = sobolev_norm(datum, cfg.p, cfg.beta)
-    else:
-        denominator = lam**cfg.beta * lp_norm(datum, cfg.p)
-    return SweepRecord(
-        lam=lam, points=points, half_width=half_width, t_count=t_grid.size,
-        numerator=numerator, denominator=float(denominator),
-        ratio=numerator / float(denominator),
-    )
+    return _record(cfg, lam, grid, t_grid.size, numerator,
+                   lambda beta: sobolev_norm(datum, cfg.p, beta))
 
 
 # -- verdicts -------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_criterion_03_partition_identities(rng):
     lam = 256.0
     xi = np.stack([rng.uniform(-4, 4, 1000)])
     eta = np.stack([rng.uniform(-4, 4, 1000)])
-    tele = sum(separation_weight(j, lam, xi, eta, cut1) for j in range(12))
+    tele = sum(separation_weight(j, lam, xi, eta) for j in range(12))
     err_tele = np.abs(tele - 1.0).max()
 
     worst = max(err_lp, err_cell, err_tele)

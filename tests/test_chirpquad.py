@@ -22,7 +22,6 @@ from displab.chirpquad import (
     _interval_lattice,
     _lattice_sum,
     _smooth_length,
-    as_segments,
     chirp_profile,
     dense_node_estimate,
     nonstationary_bound,
@@ -56,10 +55,6 @@ def test_segment_helpers():
     seg = UniformSegment(1.0, 0.5, 5)
     assert seg.stop == 3.0
     np.testing.assert_allclose(seg.points(), [1.0, 1.5, 2.0, 2.5, 3.0])
-    (coerced,) = as_segments(np.linspace(0.0, 1.0, 11))
-    assert coerced.count == 11 and coerced.step == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        as_segments(np.array([0.0, 1.0, 3.0]))
     with pytest.raises(ValueError):
         UniformSegment(0.0, -1.0, 4)
 
@@ -67,7 +62,7 @@ def test_segment_helpers():
 def test_interval_validation():
     cut = make_cutoffs()
     with pytest.raises(ValueError, match="straddle"):
-        chirp_profile(cut.annulus, ((-1.0, 1.0),), 2.0, 10.0, np.linspace(0, 1, 8))
+        chirp_profile(cut.annulus, ((-1.0, 1.0),), 2.0, 10.0, [UniformSegment(0.0, 1 / 7, 8)])
 
 
 def test_dense_matches_brute_force():

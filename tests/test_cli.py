@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from displab.cli import main
-from displab.grid import load_field
+from displab.extremizers import ExtremizerSpec, maximal_spectrum, smoothing_spectrum
+from displab.grid import GridSpec, load_field
 from displab.harness import SweepConfig, verify_sharpness
 from displab.norms import airy_exponent, maximal_necessary_exponent, smoothing_exponent
+from displab.propagator import DispersionParams, evolve_trajectory
 
 
 def run(capsys, *argv):
@@ -289,6 +291,29 @@ def test_evolve_nonfinite_plane_wave_frequency_is_config_error(capsys, xi0):
     code, out, err = run(capsys, "evolve", "--datum", "plane-wave", f"--xi0={xi0}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--xi0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("datum, points, extra", [
+    ("f_lambda", 1024, ("--allow-wrapped",)),
+    ("g_lambda", 4096, ("--points", "4096")),
+])
+def test_evolve_extremizers_start_from_their_exact_spectra(tmp_path, capsys, datum, points, extra):
+    """The dumped frames are bit for bit the frame engine's evolution of the exact spectrum, so
+    the phase is formed on the datum's support alone."""
+    code, _, _ = run(capsys, "evolve", "--datum", datum, *extra,
+                     "--dump-fields", str(tmp_path), "--output", str(tmp_path / "t.csv"))
+    assert code == 0
+    params, grid = DispersionParams(2.0, 1), GridSpec(1, points, 20.0)
+    if datum == "f_lambda":
+        spectrum = smoothing_spectrum(ExtremizerSpec("smoothing", 16.0, params, grid),
+                                      allow_wrapped=True)
+    else:
+        spectrum = maximal_spectrum(ExtremizerSpec("maximal", 16.0, params, grid))
+    frames = json.loads((tmp_path / "manifest.json").read_text())["frames"]
+    want = evolve_trajectory(spectrum, [frame["t"] for frame in frames], params)
+    assert len(frames) == 9
+    for frame, expected in zip(frames, want.frames):
+        assert np.array_equal(load_field(tmp_path / frame["file"]).samples, expected.samples)
 
 
 def test_sweep_verdict_is_the_library_verdict(capsys):

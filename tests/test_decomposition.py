@@ -143,22 +143,21 @@ def test_cube_lp_stability(p, rng):
 
 
 def test_separation_weight_support_and_telescoping(rng):
-    cut = make_cutoffs(dim=1)
     lam = 256.0
     xi = np.stack([rng.uniform(-4, 4, 400)])
     eta = np.stack([rng.uniform(-4, 4, 400)])
-    total = sum(separation_weight(j, lam, xi, eta, cut) for j in range(12))
+    total = sum(separation_weight(j, lam, xi, eta) for j in range(12))
     assert np.abs(total - 1.0).max() <= 1e-12
     # support of the j-th weight: 4 sqrt(d) 2^j lam^{-1/2} <= |xi - eta| <= 16 sqrt(d) ...
     j = 3
     gap = np.abs(xi[0] - eta[0])
-    w = separation_weight(j, lam, xi, eta, cut)
+    w = separation_weight(j, lam, xi, eta)
     lo = 4.0 * 2.0**j / np.sqrt(lam)
     hi = 16.0 * 2.0**j / np.sqrt(lam)
     assert np.all(w[(gap < lo) | (gap > hi)] == 0.0)
     # the diagonal weight is 1 on the diagonal
     same = np.stack([np.array([0.3])])
-    assert separation_weight(0, lam, same, same, cut) == pytest.approx(1.0)
+    assert separation_weight(0, lam, same, same) == pytest.approx(1.0)
 
 
 def _mode_field(grid, positions, values):

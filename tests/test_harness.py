@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from displab.cutoffs import make_cutoffs
-from displab.extremizers import SMOOTHING, ExtremizerSpec, make_smoothing_extremizer
+from displab.extremizers import SMOOTHING, ExtremizerSpec, smoothing_spectrum
 from displab.grid import FREQUENCY, Field, GridSpec
+from displab import harness
 from displab.harness import (
     FOCUSING_SAMPLES,
     SweepConfig,
@@ -160,18 +161,46 @@ def test_determinism():
 
 
 def test_datum_rescale_leaves_ratio_invariant():
+    """A scaled datum reads the unit profile's curve, so no second curve is filled, and the
+    ratios keep their bits: |datum_scale| multiplies numerator and denominator alike."""
     lams = (16.0, 32.0)
     base = run_sweep(SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, lams))
+    misses = harness._profile_curve.cache_info().misses
     scaled = run_sweep(SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, lams, datum_scale=7.3))
-    for rb, rs in zip(base, scaled):
-        assert rs.ratio == pytest.approx(rb.ratio, rel=1e-12)
-        assert rs.numerator == pytest.approx(7.3 * rb.numerator, rel=1e-12)
+    assert harness._profile_curve.cache_info().misses == misses
+    assert [r.ratio for r in scaled] == [r.ratio for r in base]
+    assert [r.numerator for r in scaled] == [7.3 * r.numerator for r in base]
+    assert [r.denominator for r in scaled] == [7.3 * r.denominator for r in base]
     scaled_max = run_sweep(
         SweepConfig("maximal", 3.0, 1, 6.0, 0.25, lams, norm_kind="maximal", datum_scale=3.1)
     )
     base_max = run_sweep(SweepConfig("maximal", 3.0, 1, 6.0, 0.25, lams, norm_kind="maximal"))
-    for rb, rs in zip(base_max, scaled_max):
-        assert rs.ratio == pytest.approx(rb.ratio, rel=1e-12)
+    assert [r.ratio for r in scaled_max] == [r.ratio for r in base_max]
+
+
+@pytest.mark.parametrize("scale", [0.0, np.nan, np.inf, -np.inf])
+def test_config_rejects_a_zero_or_nonfinite_datum_scale(scale):
+    with pytest.raises(ValueError, match="datum_scale"):
+        SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, (16.0,), datum_scale=scale)
+
+
+@pytest.mark.parametrize("sobolev", [False, True])
+@pytest.mark.parametrize("route", ["smoothing", "maximal", "direct"])
+def test_negative_datum_scale_scales_every_route_by_its_modulus(route, sobolev):
+    """Norms are absolutely homogeneous: scale -2 doubles numerator and denominator on every
+    route and keeps the ratio's bits."""
+    maximal = route == "maximal"
+    family, alpha, beta = ("maximal", 3.0, 0.25) if maximal else ("smoothing", 2.0, 1 / 3)
+    cfg = SweepConfig(family, alpha, 1, 6.0, beta, (16.0,), use_sobolev_denominator=sobolev)
+    negative = SweepConfig(family, alpha, 1, 6.0, beta, (16.0,), use_sobolev_denominator=sobolev,
+                           datum_scale=-2.0)
+    if route == "direct":
+        unit, scaled = direct_smoothing_record(cfg, 16.0), direct_smoothing_record(negative, 16.0)
+    else:
+        (unit,), (scaled,) = run_sweep(cfg), run_sweep(negative)
+    assert scaled.numerator == 2.0 * unit.numerator
+    assert scaled.denominator == 2.0 * unit.denominator
+    assert scaled.ratio == unit.ratio
 
 
 @pytest.mark.slow
@@ -187,7 +216,7 @@ def test_rescaled_engine_matches_direct_route():
 def physical_direct_record(cfg, lam, grid):
     """(numerator, denominator) of the direct record, evolved from the physical datum."""
     params = DispersionParams(cfg.alpha, 1)
-    datum = make_smoothing_extremizer(ExtremizerSpec(SMOOTHING, lam, params, grid))
+    datum = to_physical(smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params, grid)))
     if cfg.datum_scale != 1.0:
         datum = datum.with_samples(datum.samples * cfg.datum_scale)
     t_grid = 1.0 + focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha) / lam**cfg.alpha
@@ -383,7 +412,7 @@ def test_edge_check_evolves_each_horizon_once(monkeypatch):
     times = _count_curve_frames(monkeypatch)
     lams = (16.0, 32.0, 64.0, 128.0, 256.0)
     run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, smoothing_exponent(3, 1, 6), lams))
-    horizon = harness._profile_curve(3.0, 6.0, False, 1.0).horizon
+    horizon = harness._profile_curve(3.0, 6.0, False).horizon
     farthest = {float(focusing_s_grid(lam, 3.0, horizon)[0]) for lam in lams}
     assert len(farthest) == 1 and times.count(farthest.pop()) == 1
     assert len(times) == len(set(times)) == 189
@@ -400,7 +429,7 @@ def test_box_edge_check_fires_past_the_faithful_horizon(monkeypatch):
     try:
         with pytest.raises(SizingError, match="box edge"):
             run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 32.0)))
-        assert not harness._profile_curve(3.0, 6.0, False, 1.0)._values  # nothing kept
+        assert not harness._profile_curve(3.0, 6.0, False)._values  # nothing kept
     finally:
         harness._profile_curve.cache_clear()  # drop the curve built on the widened horizon
 

@@ -139,9 +139,11 @@ def test_every_traced_counter_name_resolves():
 
 def test_options_that_only_tests_set_stay_gone():
     """No caller set these knobs, so the library has none: `evolve`'s headroom, the chirp-z
-    route's method, the cutoffs' sharpness and smoothness scale, and the public headroom
-    check and stacked inverse that went with them."""
-    from displab import chirpquad, cutoffs, propagator, spectral
+    route's method, the cutoffs' sharpness and smoothness scale, the separation weight's
+    cutoffs, the datum amplitude of the extremizer layer (`harness._record` applies
+    `datum_scale`), and the public headroom check, stacked inverse, array-target coercion,
+    packet norm and physical smoothing datum that went with them."""
+    from displab import chirpquad, cutoffs, decomposition, extremizers, propagator, spectral
 
     knobs = [
         (propagator.evolve, "headroom"),
@@ -151,10 +153,40 @@ def test_options_that_only_tests_set_stay_gone():
         (cutoffs.make_cutoffs, "sharpness"),
         (cutoffs.CutoffSpec, "sharpness"),
         (cutoffs.smooth_step, "sharpness"),
+        (decomposition.separation_weight, "cutoffs"),
+        (extremizers.datum_lp_norm, "amplitude_scale"),
+        (extremizers.unit_annulus_field, "scale"),
     ]
     assert [(fn.__name__, knob) for fn, knob in knobs if knob in inspect.signature(fn).parameters] == []
-    names = ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place")
-    assert [name for name in names if hasattr(spectral, name) or hasattr(displab, name)] == []
+    gone = {
+        spectral: ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place"),
+        chirpquad: ("as_segments",),
+        extremizers: ("packet_lp_norm", "make_smoothing_extremizer"),
+    }
+    assert [name for module, names in gone.items() for name in names
+            if hasattr(module, name) or hasattr(displab, name)] == []
+
+
+def test_only_the_record_builder_builds_records():
+    """Every family's record goes through `harness._record`, the one place that picks the
+    denominator and applies `datum_scale`."""
+    builders = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "SweepRecord":
+                    builders.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            visit(_parse(os.path.join(SRC, name)), name[:-3])
+    assert builders == ["harness._record"]
+
 
 def test_only_grid_builds_threads():
     """One pool: no module but `grid` constructs a `ThreadPoolExecutor` or a `threading.Thread`."""
