@@ -50,6 +50,10 @@ _PEAK_SAMPLES = 512
 _FOCUS_FRAMES = 9
 # ridge_check samples along the ridge
 _RIDGE_CHECK_SAMPLES = 33
+# the fewest lattice frequencies inside the traveling bump that `maximal_spectrum` accepts.
+# At lam 16, alpha 3, the lattice datum's L^2 and L^6 norms against `maximal_datum_norm`
+# were off by 5-335% with 1 or 2 frequencies inside, 2-7% with 3 or 4, and under 1% from 6.
+_BUMP_MODES = 3
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,20 @@ def maximal_spectrum(spec: ExtremizerSpec) -> Field:
             f"grid nyquist {grid.nyquist:.4g} cannot carry the bump at frequency "
             f"-{lam:g} (need >= {1.05 * (lam + width):.4g})"
         )
+    xi = grid.axis_frequencies()
+    radius = 0.9 * width  # the bump is exactly 0 at |xi + lam| >= radius
+    inside = np.count_nonzero(np.abs(xi + lam) < radius)
+    if inside < _BUMP_MODES:
+        # an open interval of length 2 radius holds at least 2 radius / spacing - 1 lattice points
+        need_hw = np.pi * (_BUMP_MODES + 1) / (2.0 * radius)
+        raise SizingError(
+            f"grid (N={grid.points}, L={grid.half_width:.4g}) resolves the radius-{radius:.3g} "
+            f"bump at frequency -{lam:g} with {inside} lattice frequencies, fewer than "
+            f"{_BUMP_MODES}: need half width >= {need_hw:.4g}",
+            required_half_width=need_hw,
+        )
     shift = lam ** ((alpha - 2.0) / 2.0)
-    spectrum = _normalized_bump(eps)(shift * np.abs(grid.axis_frequencies() + lam))
+    spectrum = _normalized_bump(eps)(shift * np.abs(xi + lam))
     return Field(grid, FREQUENCY, spectrum)
 
 

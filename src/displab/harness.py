@@ -33,7 +33,9 @@ s -> ||W(., s)||_p^p is shared by all scales and sweeps with the same
 evolved once per process.  `run_sweep` fills the curve over the union of
 its scales' s-grids, then builds the records one scale after another.  A
 record is its rectangle-rule weights dotted with the looked-up values,
-plus its datum norm.
+plus its datum norm.  The curve and the direct route's frames are summed
+by `propagator._power_sums` in decimated slices, with no frame formed;
+the even two-sided annulus runs only its distinct half of the slices.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .norms import (
     smoothing_exponent,
     sobolev_norm,
 )
-from .propagator import DispersionParams, _frame_blocks, evolved_lp_norms
+from .propagator import DispersionParams, _power_sums, evolved_lp_norms
 from .spectral import to_physical
 
 FAMILIES = ("smoothing", "maximal", "airy")
@@ -189,8 +191,9 @@ def focusing_s_grid(lam: float, alpha: float, horizon: float) -> np.ndarray:
     ]
     if s_hor > 8.0:
         pieces.append(-np.logspace(np.log10(4.0), np.log10(s_hor), FOCUSING_SAMPLES))
-    s = np.concatenate(pieces)
-    s = np.unique(np.round(s, 10))
+    s = np.sort(np.round(np.concatenate(pieces), 10))
+    # the distinct values, as np.unique finds them, without its import of numpy.ma
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]
     return s[s >= -s_hor * (1 + 1e-12)]
 
 
@@ -200,9 +203,10 @@ def focusing_s_grid(lam: float, alpha: float, horizon: float) -> np.ndarray:
 class _ProfileCurve:
     """The profile-norm curve s -> ||W(., s)||_p^p of one unit profile.
 
-    Every distinct s is evaluated once per process, in blocks on the frame
-    engine, and shared by all scales and sweeps with the same profile; the
-    same pass raises SizingError where a frame reaches the box edges.
+    Every distinct s is evaluated once per process by `propagator._power_sums`
+    and shared by all scales and sweeps with the same profile; the same pass
+    reads the samples within N/64 of the box edges and raises SizingError
+    where they exceed 1e-6 of their frame's largest.
     """
 
     def __init__(self, alpha: float, p: float, one_sided: bool):
@@ -215,18 +219,9 @@ class _ProfileCurve:
 
     def fill(self, s) -> None:
         new = sorted(set(np.asarray(s, dtype=float).tolist()) - self._values.keys())
-        vals = np.empty(len(new))
-        edge = self.grid.points // 64
-
-        def powers_and_edges(start: int, frames: np.ndarray) -> None:
-            body = np.abs(frames, out=frames.real)  # |frame|, then |frame|^p
-            ends = np.maximum(body[:, :edge].max(axis=1), body[:, -edge:].max(axis=1))
-            if (ends > 1e-6 * body.max(axis=1)).any():
-                raise SizingError("evolved profile reached the box edge; enlarge the unit grid")
-            body **= self.p
-            vals[start : start + len(frames)] = body.sum(axis=1) * self.grid.cell_volume
-
-        _frame_blocks(self.profile, np.array(new), self.params, powers_and_edges)
+        vals, edges = _power_sums(self.profile, np.array(new), self.params, self.p)
+        if (edges > 1e-6).any():
+            raise SizingError("evolved profile reached the box edge; enlarge the unit grid")
         self._values.update(zip(new, vals.tolist()))
 
     def __call__(self, s) -> np.ndarray:  # the values at s, once `fill` has evaluated them

@@ -2,10 +2,12 @@
 
 The flow is the Fourier multiplier e^{i t phi(xi)} of a real phase phi:
 |xi|^alpha (`DispersionParams`) or an elliptic phase (`EllipticPhase`).
-`evolve` (one time) and the frame engine `_frame_blocks` (blocks of times,
-behind every other frame, the elliptic evolutions and the extension
-operator included) form it by one product, `_evolved_support`, only on the
-spectral support (`_spectral_support`), the lattice points where the
+`evolve` (one time), the frame engine `_frame_blocks` (blocks of whole
+frames, behind `evolve_trajectory` and so the elliptic evolutions and the
+extension operator) and the power sums `_power_sums` (sum_j |u_j|^p h of
+every frame in decimated slices, behind `evolved_lp_norms` and the sweep
+harness's profile curve) form it by one product, `_evolved_support`, only
+on the spectral support (`_spectral_support`), the lattice points where the
 spectrum is nonzero: band-limited data such as the unit annulus skip most
 of the lattice, and off the support the evolved spectrum is the zero it is
 allocated as.  alpha = 2 is the classical free-particle flow; alpha = 3 on
@@ -29,11 +31,15 @@ from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_freque
 
 # complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
 # 2 at 2^17; the two blocks in flight together cost no more memory than a few
-# single frames.  Also the longest slice transform of `_kernel_l1_mass`.
+# single frames.  Also the longest slice transform of `_power_sums` and
+# `_kernel_l1_mass`, and the most complex samples of one `_power_sums` block's
+# buffers: 18 times of the unit annulus at 2^15 points, 3 of the lam-32 datum at 2^17.
 _BLOCK_SAMPLES = 2**18
 # the largest `_kernel_l1_mass` grid whose slices run in the calling thread: there
 # the pool's hand-off costs more than the slices
 _SERIAL_MASS_POINTS = 2**15
+# entries of the fine twiddle table of `_twiddles`; the coarse one steps by as many
+_TWIDDLE_ROW = 512
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,13 @@ def _spectral_support(field: Field, t: np.ndarray, phase: SymbolFn):
     return spectrum[support], support, values[:-1]
 
 
-def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The flow's one product, e^{i t phase} * spectrum on the support in place, a row per time."""
-    phase = (1j * t)[:, None] * values
+def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray,
+                     out=None) -> np.ndarray:
+    """The flow's one product, e^{i t phase} * spectrum on the support, a row per time.
+
+    Written into ``out`` when it is given, a (times, support) buffer.
+    """
+    phase = np.multiply((1j * t)[:, None], values, out=out)
     np.exp(phase, out=phase)
     # a complex product is not commutative bit for bit; `spectral.apply_symbol` has this order
     return np.multiply(phase, spectrum, out=phase)
@@ -138,8 +148,9 @@ def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
 
     The frames array is a block buffer of this call, one per block thread,
     zeroed and reused by the next block once ``reduce`` returns: a reducer
-    may overwrite it, as `evolved_lp_norms` does with ``|frame|^p``, and one
-    that keeps frames copies them, as `evolve_trajectory` does.
+    may overwrite it, and one that keeps frames copies them, as
+    `evolve_trajectory`, its one caller, does.  Sums over frames go through
+    `_power_sums` instead, which forms no frame.
     The inverse transform's sign (-1)^(m_1 + ... + m_d) is folded into the
     support values once per call; a negation commutes with the product, so
     every frame keeps the bits of `evolve`.
@@ -175,23 +186,123 @@ def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
     """||e^{i t phase} field||_p^p in physical space, at every time in ``t``.
 
     Equals ``lp_norm(to_physical(evolve(field, t_i, phase)), p) ** p``
-    up to roundoff, but runs on the frame engine `_frame_blocks`, which
-    evolves the frames in blocks on up to two threads.
+    up to roundoff, but sums every frame in decimated slices
+    (`_power_sums`), in blocks of times on up to two threads.
     """
-    grid = field.grid
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.empty(t.size)
+    return _power_sums(field, np.asarray(t, dtype=float).reshape(-1), phase, p)[0]
 
-    def lp_powers(start: int, frames: np.ndarray) -> None:
-        body = np.abs(frames, out=frames.real)  # |frame|, then |frame|^p, on the frames' own buffer
-        body **= p
-        powers = body.reshape(len(frames), -1).sum(axis=1)
-        out[start : start + len(frames)] = powers * grid.cell_volume
 
-    _frame_blocks(field, t, phase, lp_powers)
-    return out
+def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
+    """(powers, edges) of each frame u = e^{i t phase} field: sum_j |u_j|^p h, max edge / max |u_j|.
+
+    The frames are summed in decimated slices, as `_kernel_l1_mass` sums
+    its kernel, and no frame is formed.  On a 1-d grid, with
+    L = min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the samples j = P a + r
+    of each r are (1/(P h)) ifft_L(F_r)[a], where F_r folds the signed
+    support entries m (after the sign (-1)^m and the flow's one product
+    `_evolved_support`) onto their residues mod L (`_fold`), twiddled by
+    e^{2 pi i m r / N} (`_twiddles`).  In d > 1, P = 1 and the one slice is
+    the lattice itself.  A spectrum is even when its support is symmetric
+    and its values and ``phase`` are bitwise equal at +-m: then every frame
+    is even, only the m >= 0 half is evolved (m < 0 takes the conjugate
+    twiddles) and only the slices r <= P / 2 run, the others having the
+    sums of their mirror slices P - r.
+
+    ``edges`` reads the first and last N / (64 P) samples of every slice
+    that runs, on a 1-d grid the samples within N / 64 of the box edges
+    (by evenness these cover the mirrored slices too).  Blocks of times run
+    through `grid._run_blocks`, each with one buffer set per thread, taken
+    and given back as in `_frame_blocks` and reused from block to block, so
+    later blocks fault in no fresh pages.  A block's buffers hold at most
+    `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or more go
+    through the transform one time at a time.  The slice sums are added in
+    slice order, so the results are bit for bit the same on one thread and
+    two, and for any block of times.  It waits on the pool, so a pool job
+    must not call it.
+    """
+    grid = field.grid
+    spectrum, support, values = _spectral_support(field, t, phase)
+    odd = np.add.reduce(np.unravel_index(support, grid.shape)) % 2 == 1
+    np.negative(spectrum, out=spectrum, where=odd)
+    n = grid.points
+    if grid.dim == 1:
+        size = min(_BLOCK_SAMPLES, n // 8)
+        m = (support + n // 2) % n - n // 2  # signed; sorted with its values below
+        order = np.argsort(m)
+        m, spectrum, values = m[order], spectrum[order], values[order]
+    else:
+        size, m = grid.size, support  # flat storage indices, one slice: no twiddle
+    slices = grid.size // size
+    even = (grid.dim == 1 and np.array_equal(m, -m[::-1])
+            and np.array_equal(spectrum, spectrum[::-1]) and np.array_equal(values, values[::-1]))
+    if even:
+        half = m >= 0
+        m, spectrum, values = m[half], spectrum[half], values[half]
+        runs = range(slices // 2 + 1)
+    else:
+        runs = range(slices)
+    first = int(m[0]) if m.size else 0
+    rows = -(-(int(m[-1]) - first + 1) // _TWIDDLE_ROW) if m.size else 0
+    # the support laid out over its span from m = first, zero between and past its entries
+    coefficients = np.zeros(rows * _TWIDDLE_ROW, dtype=np.complex128)
+    phases = np.zeros(rows * _TWIDDLE_ROW)
+    coefficients[m - first], phases[m - first] = spectrum, values
+    last = first + coefficients.size - 1
+    # the entries whose mirror -m an even spectrum folds too: all but m = 0, folded once
+    mirrored = slice(1 if first == 0 else 0, None)
+    # per slice: its twiddles, those of -m for an even spectrum, and its weight
+    plan = []
+    for r in runs:
+        twiddle = _twiddles(first, rows, r, n).reshape(-1) if r else None
+        mirror = None if twiddle is None or not even else twiddle.conj()
+        plan.append((twiddle, mirror, 2.0 if even and 0 < 2 * r < slices else 1.0))
+    edge = max(1, n // (64 * slices))
+    # two rows of the span (evolved, twiddled) and 1.5 of the slice (folded, its modulus) per time
+    block = max(1, _BLOCK_SAMPLES // (2 * (coefficients.size + size)))
+    shape = (-1, size) if grid.dim == 1 else (-1,) + grid.shape
+    axes = tuple(range(1 - len(shape), 0))
+    powers, edges = np.empty(t.size), np.empty(t.size)
+    buffers = []  # buffer sets given back by finished blocks, as in `_frame_blocks`
+
+    def run(start: int) -> None:
+        ts = t[start : start + block]
+        try:
+            buffer = buffers.pop()
+        except IndexError:
+            count = min(block, t.size)
+            buffer = (np.empty((count, coefficients.size), dtype=np.complex128),
+                      np.empty((count, coefficients.size), dtype=np.complex128),
+                      np.empty((count, size), dtype=np.complex128), np.empty((count, size)))
+        try:
+            evolved, product, folded, body = (array[: ts.size] for array in buffer)
+            _evolved_support(coefficients, phases, ts, out=evolved)
+            total, ends, peak = np.zeros(ts.size), np.zeros(ts.size), np.zeros(ts.size)
+
+            def twiddled(table):  # r = 0 has no table: its twiddles are all 1
+                return evolved if table is None else np.multiply(evolved, table, out=product)
+
+            for twiddle, mirror, weight in plan:
+                folded.fill(0.0)
+                _fold(twiddled(twiddle), first, folded)
+                if even:  # the m < 0 half, from m = -last up
+                    _fold(twiddled(mirror)[:, mirrored][:, ::-1], -last, folded)
+                np.fft.ifftn(folded.reshape(shape), axes=axes, out=folded.reshape(shape))
+                modulus = np.abs(folded, out=body)
+                np.maximum(ends, modulus[:, :edge].max(axis=1), out=ends)
+                np.maximum(ends, modulus[:, -edge:].max(axis=1), out=ends)
+                np.maximum(peak, modulus.max(axis=1), out=peak)
+                modulus **= p
+                total += weight * modulus.sum(axis=1)
+            powers[start : start + ts.size] = total
+            edges[start : start + ts.size] = ends / np.maximum(peak, np.finfo(float).tiny)
+        finally:
+            buffers.append(buffer)
+
+    _run_blocks(run, range(0, t.size, block))
+    cell = grid.cell_volume
+    return powers * (cell * (slices * cell) ** -p), edges
 
 
 @dataclass(frozen=True)
@@ -325,8 +436,6 @@ def quadratic_phase(dim: int = 1) -> EllipticPhase:
 
 # the band kernel's frequency support 1/2 < |xi| < 2, as single-signed intervals
 _BAND_INTERVALS = ((0.5, 2.0), (-2.0, -0.5))
-# entries of the fine twiddle table in `_kernel_l1_mass`; the coarse one steps by as many
-_TWIDDLE_ROW = 512
 
 
 def band_kernel(
@@ -476,13 +585,9 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     coefficients = coefficients.reshape(rows, _TWIDDLE_ROW)
     last = first + coefficients.size - 1
     size = min(_BLOCK_SAMPLES, n // 8)
-    coarse_m = first + _TWIDDLE_ROW * np.arange(rows)
-    fine_m = np.arange(_TWIDDLE_ROW)
 
     def slice_mass(r: int) -> float:
-        # e^{2 pi i m r / n} at m = coarse + fine, the angles reduced modulo n exactly
-        twiddle = np.multiply.outer(np.exp(2j * np.pi / n * (coarse_m * r % n)),
-                                    np.exp(2j * np.pi / n * (fine_m * r % n)))
+        twiddle = _twiddles(first, rows, r, n)
         folded = np.zeros(size, dtype=np.complex128)
         _fold(np.multiply(twiddle, coefficients).reshape(-1), first, folded)
         np.conjugate(twiddle, out=twiddle)  # the twiddles of -m
@@ -502,13 +607,26 @@ def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
     return (sums[0] + 2.0 * sum(sums[1:-1]) + sums[-1]) / slices
 
 
+def _twiddles(first: int, rows: int, r: int, n: int) -> np.ndarray:
+    """e^{2 pi i m r / n} at m = first + i, i < rows * `_TWIDDLE_ROW`, as a (rows, `_TWIDDLE_ROW`) table.
+
+    The outer product of a coarse and a fine exponential table, their
+    angles reduced modulo n in integers: the twiddles of the decimated
+    slices of `_power_sums` and `_kernel_l1_mass`.
+    """
+    coarse = first + _TWIDDLE_ROW * np.arange(rows)
+    fine = np.arange(_TWIDDLE_ROW)
+    return np.multiply.outer(np.exp(2j * np.pi / n * (coarse * r % n)),
+                             np.exp(2j * np.pi / n * (fine * r % n)))
+
+
 def _fold(values: np.ndarray, first: int, out: np.ndarray) -> None:
-    """out[(first + i) mod out.size] += values[i], one contiguous run of residues at a time."""
-    size = out.size
+    """out[..., (first + i) mod size] += values[..., i], one contiguous run of residues at a time."""
+    size = out.shape[-1]
     q, i = first % size, 0
-    while i < values.size:
-        run = min(size - q, values.size - i)
-        out[q : q + run] += values[i : i + run]
+    while i < values.shape[-1]:
+        run = min(size - q, values.shape[-1] - i)
+        out[..., q : q + run] += values[..., i : i + run]
         q, i = 0, i + run
 
 

@@ -29,9 +29,10 @@ _RADIUS_REL_TOL = 1e-9
 # numpy's batched transform of 2^17-point rows forms megabytes of temporaries per call that
 # the allocator returns to the system and faults in afresh: two rows took 11-13 ms and 2,000
 # page faults per call, one at a time 7-8 ms and 16 (two threads, 2-core Xeon).  Below 2^17
-# points the batch is the faster: `evolved_lp_norms` of the unit annulus at 200 times took
-# a median 134 ms batched against 150 ms row by row on 2^15 points (12 of 12 alternating
-# pairs) and 337 against 359 ms on 2^16 points (11 of 12), in one process.
+# points the batch is the faster: 200 frames of the unit annulus, reduced to their L^6 power
+# sums on the frame engine, took a median 134 ms batched against 150 ms row by row on 2^15
+# points (12 of 12 alternating pairs) and 337 against 359 ms on 2^16 points (11 of 12), in
+# one process.  Those sums now run in slices (`propagator._power_sums`), without this transform.
 _ONE_AT_A_TIME_POINTS = 2**17
 
 

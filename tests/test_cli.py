@@ -293,17 +293,29 @@ def test_evolve_nonfinite_plane_wave_frequency_is_config_error(capsys, xi0):
     assert err.startswith("error:") and "--xi0" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("datum, points, extra", [
-    ("f_lambda", 1024, ("--allow-wrapped",)),
-    ("g_lambda", 4096, ("--points", "4096")),
+@pytest.mark.parametrize("extra", [("--alpha", "3", "--lam", "20"), ()])
+def test_evolve_refuses_a_lattice_that_cannot_resolve_the_bump(capsys, extra):
+    """No lattice frequency (alpha 3, lam 20) or one (the defaults) inside the traveling bump:
+    exit 2 naming the half width that resolves it, where nine rows of a plane wave or of
+    zeros were written."""
+    code, out, err = run(capsys, "evolve", "--datum", "g_lambda", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "need half width" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("datum, points, half_width, extra", [
+    ("f_lambda", 1024, 20.0, ("--allow-wrapped",)),
+    # spacing 0.0112 against the bump radius 0.045, nyquist 23
+    ("g_lambda", 4096, 280.0, ("--points", "4096", "--half-width", "280")),
 ])
-def test_evolve_extremizers_start_from_their_exact_spectra(tmp_path, capsys, datum, points, extra):
+def test_evolve_extremizers_start_from_their_exact_spectra(tmp_path, capsys, datum, points,
+                                                           half_width, extra):
     """The dumped frames are bit for bit the frame engine's evolution of the exact spectrum, so
     the phase is formed on the datum's support alone."""
     code, _, _ = run(capsys, "evolve", "--datum", datum, *extra,
                      "--dump-fields", str(tmp_path), "--output", str(tmp_path / "t.csv"))
     assert code == 0
-    params, grid = DispersionParams(2.0, 1), GridSpec(1, points, 20.0)
+    params, grid = DispersionParams(2.0, 1), GridSpec(1, points, half_width)
     if datum == "f_lambda":
         spectrum = smoothing_spectrum(ExtremizerSpec("smoothing", 16.0, params, grid),
                                       allow_wrapped=True)

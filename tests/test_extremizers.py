@@ -481,6 +481,24 @@ def test_maximal_datum_spectrum_and_symmetry():
     assert np.abs(vals[1:][::-1] - vals[1:]).max() <= 1e-9 * vals.max()
 
 
+def test_maximal_spectrum_refuses_an_unresolved_bump():
+    """Fewer than three lattice frequencies inside |xi + lam| < 0.9 eps lam^((2 - alpha)/2)
+    raise SizingError; at its required half width the bump holds at least three."""
+    lam, params = 16.0, DispersionParams(3.0, 1)
+    radius = 0.9 * 0.05 * lam ** -0.5
+    for points, half_width in [(1024, 20.0), (4096, 150.0)]:
+        spec = ExtremizerSpec(MAXIMAL, lam, params, GridSpec(1, points, half_width))
+        with pytest.raises(SizingError, match="need half width") as info:
+            maximal_spectrum(spec)
+        need = info.value.required_half_width
+        for offset in np.linspace(0.0, 1.0, 7):  # wherever the lattice falls on the bump
+            grid = GridSpec(1, 2**16, need)
+            xi = grid.axis_frequencies() + offset * grid.frequency_spacing
+            assert np.count_nonzero(np.abs(xi + lam) < radius) >= 3
+        spectrum = maximal_spectrum(ExtremizerSpec(MAXIMAL, lam, params, GridSpec(1, 2**16, need)))
+        assert np.count_nonzero(spectrum.samples) >= 3
+
+
 @pytest.mark.slow
 def test_maximal_datum_norm_matches_direct_grid():
     alpha, p, eps = 3.0, 6.0, 0.05

@@ -129,6 +129,40 @@ def test_focusing_s_grid_profile():
     assert fine.size >= FOCUSING_SAMPLES - 1
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_focusing_s_grid_is_np_unique_of_its_pieces(alpha):
+    """The sort-and-mask dedup gives `np.unique`'s grid bit for bit at the acceptance scales,
+    on the profile curve's horizon."""
+    horizon = harness.faithful_horizon(harness.unit_profile_grid(), alpha)
+    for lam in (16.0, 32.0, 64.0, 128.0, 256.0):
+        s_hor = min(lam**alpha, horizon)
+        pieces = [np.linspace(-s_hor, 0.0, FOCUSING_SAMPLES),
+                  np.linspace(-min(4.0, s_hor), 0.0, FOCUSING_SAMPLES)]
+        if s_hor > 8.0:
+            pieces.append(-np.logspace(np.log10(4.0), np.log10(s_hor), FOCUSING_SAMPLES))
+        s = np.unique(np.round(np.concatenate(pieces), 10))
+        want = s[s >= -s_hor * (1 + 1e-12)]
+        got = focusing_s_grid(lam, alpha, horizon)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_time_grids_leave_numpy_ma_unimported():
+    """`np.unique` imports `numpy.ma` on its first call (10-15 ms on a 2-core Xeon); the
+    sweep's time grids do not."""
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import sys
+from displab.harness import focusing_s_grid
+focusing_s_grid(64.0, 2.0, 1e3)
+assert "numpy.ma" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
 def test_denominator_scaling_slope():
     beta = 0.25
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, beta, (16.0, 32.0, 64.0, 128.0))
@@ -365,21 +399,21 @@ def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
 
 
 def _count_curve_frames(monkeypatch):
-    """Record every time the harness evolves through the frame engine; fail on any `evolve` call."""
+    """Record every time the harness sums through the slice routine; fail on any `evolve` call."""
     import displab.harness as harness
     from displab import propagator
 
     times = []
-    real = harness._frame_blocks
+    real = harness._power_sums
 
-    def counting(field, t, params, reduce):
+    def counting(field, t, params, p):
         times.extend(np.asarray(t).tolist())
-        return real(field, t, params, reduce)
+        return real(field, t, params, p)
 
     def no_single_frames(*args, **kwargs):
         raise AssertionError("a sweep evolves every frame on the frame engine")
 
-    monkeypatch.setattr(harness, "_frame_blocks", counting)
+    monkeypatch.setattr(harness, "_power_sums", counting)
     monkeypatch.setattr(propagator, "evolve", no_single_frames)
     harness._profile_curve.cache_clear()
     return times
@@ -432,6 +466,33 @@ def test_box_edge_check_fires_past_the_faithful_horizon(monkeypatch):
         assert not harness._profile_curve(3.0, 6.0, False)._values  # nothing kept
     finally:
         harness._profile_curve.cache_clear()  # drop the curve built on the widened horizon
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_box_edge_check_is_the_full_frame_rule(one_sided):
+    """On a 2^12-point profile grid past its horizon, the curve raises SizingError for exactly
+    the s where the full frame's N / 64 samples at either end exceed 1e-6 of its peak."""
+    from displab.errors import SizingError
+    from displab.extremizers import unit_annulus_field, unit_profile_grid
+    from displab.propagator import evolve
+
+    curve = harness._ProfileCurve(3.0, 6.0, one_sided)  # not the cached one: its grid changes
+    curve.grid = unit_profile_grid(2**12)
+    curve.profile = unit_annulus_field(curve.grid, one_sided)
+    edge = curve.grid.points // 64
+    fired = []
+    for s in -np.linspace(0.5, 120.0, 240):  # the rule first fires near s = -55
+        frame = np.abs(to_physical(evolve(curve.profile, float(s), curve.params)).samples)
+        rule = max(frame[:edge].max(), frame[-edge:].max()) > 1e-6 * frame.max()
+        try:
+            curve.fill([s])
+        except SizingError:
+            raised = True
+        else:
+            raised = False
+        assert raised == rule, s
+        fired.append(rule)
+    assert 0 < sum(fired) < len(fired)
 
 
 @pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import EllipticityError, SizingError
-from displab.extremizers import unit_annulus_field, unit_profile_grid
+from displab.extremizers import (
+    SMOOTHING,
+    ExtremizerSpec,
+    smoothing_grid_requirements,
+    smoothing_spectrum,
+    unit_annulus_field,
+    unit_profile_grid,
+)
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab.propagator import (
@@ -26,6 +33,7 @@ from displab.propagator import (
     _kernel_grid,
     _kernel_l1_mass,
     _outside_mass_bound,
+    _power_sums,
     ball_constant,
     band_kernel,
     evolve,
@@ -312,10 +320,10 @@ def test_long_frames_are_transformed_one_at_a_time_with_the_batch_bits(monkeypat
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
-    """Over five blocks, each thread zeroes and reuses one block buffer, and the lp reducer
-    writes |frame|^p over it through one real temporary (numpy's copy for an output that
-    overlaps its input): the traced peak stays below, per thread, those two and one block
-    of support products, plus the support arrays (at most 96 bytes per support point)."""
+    """Over five blocks, each thread zeroes and reuses one block buffer; and the slice sums
+    of `evolved_lp_norms` stay within the frame engine's budget: the traced peak stays below,
+    per thread, a block buffer, one real temporary of its size and one block of support
+    products, plus the support arrays (at most 96 bytes per support point)."""
     from displab import propagator
 
     grid = unit_profile_grid()
@@ -357,9 +365,14 @@ def test_frame_block_buffers_are_never_shared_under_stress(monkeypatch):
     params = DispersionParams(2.0, 1)
     block = propagator._BLOCK_SAMPLES // grid.size
     s = np.linspace(-20.0, 0.0, 40 * block)
-    expected = evolved_lp_norms(profile, s, params, 6.0)
+    expected, out = np.empty(s.size), np.empty(s.size)
+
+    def serial(start, frames):
+        expected[start : start + len(frames)] = (np.abs(frames) ** 6.0).sum(axis=1) * grid.cell_volume
+
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 1)
+    _frame_blocks(profile, s, params, serial)
     held, built, lock = set(), set(), threading.Lock()
-    out = np.empty(s.size)
 
     def check(start, frames):
         address = frames.__array_interface__["data"][0]
@@ -385,6 +398,104 @@ def test_frame_block_buffers_are_never_shared_under_stress(monkeypatch):
     assert not held
     assert 1 <= len(built) <= 8
     assert np.array_equal(out, expected)
+
+
+def direct_spectrum(lam):
+    """The chirped annulus datum on the grid of `harness.direct_smoothing_record` at alpha 2."""
+    need_nyq, need_hw = smoothing_grid_requirements(lam, 2.0)
+    half_width = 1.1 * need_hw
+    points = int(2 ** np.ceil(np.log2(2.0 * half_width * need_nyq * 1.05 / np.pi)))
+    grid = GridSpec(1, points, half_width)
+    return smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, DispersionParams(2.0, 1), grid))
+
+
+def slice_cases():
+    """(name, field, phase, times): even and one-sided spectra, a physical input, d = 2 and 3."""
+    profile_grid = unit_profile_grid()
+    gaussian = GridSpec(1, 2**12, 20.0)  # its spectrum spans the lattice: entries share residues
+    cases = [(f"annulus alpha {alpha:g}{' one-sided' * one_sided}",
+              unit_annulus_field(profile_grid, one_sided), DispersionParams(alpha, 1),
+              np.linspace(-400.0, 0.0, 11))
+             for alpha in (2.0, 3.0) for one_sided in (False, True)]
+    cases += [(f"smoothing lam {lam:g}", direct_spectrum(lam), DispersionParams(2.0, 1),
+               1.0 + np.linspace(-1.0, 0.0, 7) * 64.0 / lam**2) for lam in (16.0, 32.0)]
+    cases.append(("physical gaussian", Field.from_function(gaussian, lambda x: np.exp(-x[0] ** 2)),
+                  DispersionParams(1.5, 1), np.linspace(-1.1, 0.9, 5)))
+    for dim, points, half_width in [(2, 64, 6.0), (3, 16, 3.0)]:
+        g = GridSpec(dim, points, half_width)
+        cases.append((f"gaussian d = {dim}",
+                      Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0))),
+                      DispersionParams(2.0, dim), np.linspace(-0.7, 0.9, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("case", slice_cases(), ids=lambda case: case[0])
+def test_slice_power_sums_match_the_per_frame_oracle(case):
+    _, field, params, t = case
+    got = evolved_lp_norms(field, t, params, 6.0)
+    oracle = [lp_norm(to_physical(evolve(field, float(v), params)), 6.0) ** 6.0 for v in t]
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("one_sided, transforms", [(False, 8 // 2 + 1), (True, 8)])
+def test_even_spectra_run_only_their_distinct_slices(monkeypatch, one_sided, transforms):
+    """P = 8 slices of L = N / 8 points: an even spectrum runs r = 0 .. P/2, a one-sided one all P."""
+    grid = unit_profile_grid()
+    profile = unit_annulus_field(grid, one_sided)
+    s = np.linspace(-50.0, 0.0, 13)
+    shapes = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: shapes.append(a.shape) or ifftn(a, **kw))
+    evolved_lp_norms(profile, s, DispersionParams(2.0, 1), 6.0)
+    assert {shape[1:] for shape in shapes} == {(grid.points // 8,)}
+    assert sum(shape[0] for shape in shapes) == transforms * s.size
+
+
+def test_slice_buffers_are_never_shared_under_stress(monkeypatch):
+    """On eight pool threads, switching every microsecond, no block starts on a buffer set that
+    another block still holds, at most one set per thread is built, and every sum keeps the
+    bits of the serial loop, though the blocks hold 2 times here against 128 there."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from displab import propagator
+
+    grid = unit_profile_grid(2**12)
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    s = np.linspace(-20.0, 0.0, 300)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 1)
+    expected = _power_sums(profile, s, params, 6.0)
+    owner, built, lock, local = {}, set(), threading.Lock(), threading.local()
+    evolved_support, fold = propagator._evolved_support, propagator._fold
+
+    def taking(spectrum, values, t, out=None):
+        local.buffer = out.__array_interface__["data"][0]  # the block's buffer set
+        with lock:
+            owner[local.buffer] = threading.get_ident()
+            built.add(local.buffer)
+        return evolved_support(spectrum, values, t, out=out)
+
+    def holding(values, first, out):
+        fold(values, first, out)
+        time.sleep(0.0005)  # the other threads take buffers meanwhile
+        with lock:
+            assert owner[local.buffer] == threading.get_ident()
+
+    monkeypatch.setattr(propagator, "_evolved_support", taking)
+    monkeypatch.setattr(propagator, "_fold", holding)
+    monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", 2**12)  # slices of N / 8 = 512 points still
+    pool = ThreadPoolExecutor(max_workers=8)
+    monkeypatch.setattr("displab.grid._block_pool", lambda pid: pool)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _power_sums(profile, s, params, 6.0)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    assert 2 <= len(built) <= 8
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

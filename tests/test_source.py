@@ -167,25 +167,37 @@ def test_options_that_only_tests_set_stay_gone():
             if hasattr(module, name) or hasattr(displab, name)] == []
 
 
-def test_only_the_record_builder_builds_records():
-    """Every family's record goes through `harness._record`, the one place that picks the
-    denominator and applies `datum_scale`."""
-    builders = []
+def _callers(function: str) -> list:
+    """The library scopes (module.function, module.Class.method) that call ``function`` by name."""
+    callers = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == "SweepRecord":
-                    builders.append(scope)
+                if called == function:
+                    callers.append(scope)
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             visit(_parse(os.path.join(SRC, name)), name[:-3])
-    assert builders == ["harness._record"]
+    return callers
+
+
+def test_only_the_record_builder_builds_records():
+    """Every family's record goes through `harness._record`, the one place that picks the
+    denominator and applies `datum_scale`."""
+    assert _callers("SweepRecord") == ["harness._record"]
+
+
+def test_one_route_per_power_sum():
+    """Every sum of |frame|^p goes through the slice routine `propagator._power_sums`; the frame
+    engine `_frame_blocks` forms whole frames only for `evolve_trajectory`, which keeps them."""
+    assert _callers("_frame_blocks") == ["propagator.evolve_trajectory"]
+    assert _callers("_power_sums") == ["harness._ProfileCurve.fill", "propagator.evolved_lp_norms"]
 
 
 def test_only_grid_builds_threads():
