@@ -181,8 +181,10 @@ def cmd_evolve(args) -> int:
     datum = _build_datum(args)
     if args.frames < 1:
         raise ConfigError(f"frames must be a positive integer, got {args.frames}")
+    if args.frames > 1 and args.t == 0.0:
+        raise ConfigError(f"--frames {args.frames} needs a nonzero --t: --t 0 gives one time")
     # increasing from min(0, t) to max(0, t); evolve_trajectory rejects inf and nan
-    ts = [args.t] if args.frames == 1 or not 0.0 < abs(args.t) < np.inf else np.linspace(
+    ts = [args.t] if args.frames == 1 or not np.isfinite(args.t) else np.linspace(
         *sorted((0.0, args.t)), args.frames)
     traj = evolve_trajectory(datum, ts, DispersionParams(args.alpha, args.d))
 
@@ -283,11 +285,9 @@ def cmd_diagnostics(args) -> int:
         rep = focusing_check(ExtremizerSpec("smoothing", args.lam, params))
         rows.append(("focusing_min_modulus_ratio", rep.min_modulus_ratio, 0.1,
                      rep.min_modulus_ratio >= 0.1))
-    elif args.which == "ridge":
+    else:  # ridge
         rep = ridge_check(ExtremizerSpec("maximal", args.lam, params, epsilon=args.epsilon))
         rows.append(("ridge_min_ratio", rep.min_ridge_ratio, 0.1, rep.min_ridge_ratio >= 0.1))
-    else:
-        raise ConfigError(f"unknown diagnostic {args.which!r}")
 
     _write_table(args, ("diagnostic", "value", "threshold", "passed"), rows)
     return EXIT_OK if all(r[3] for r in rows) else EXIT_VERDICT_FAIL
@@ -398,14 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     dg = command("diagnostics", cmd_diagnostics, "one-shot numerical checks")
     dg.add_argument("which", nargs="?", default="kernel-tail",
-                    help="kernel-tail | bilinear-reconstruction | bilinear-ratio | "
-                         "envelope | focusing | ridge")
-    dg.add_argument("--alpha", type=float, default=2.0)
-    dg.add_argument("--k", type=int, default=6)
-    dg.add_argument("--t", type=float, default=1.0)
-    dg.add_argument("--lam", type=float, default=32.0)
-    dg.add_argument("--p", type=float, default=6.0)
-    dg.add_argument("--epsilon", type=float, default=0.05)
+                    choices=("kernel-tail", "bilinear-reconstruction", "bilinear-ratio",
+                             "envelope", "focusing", "ridge"), help="the check to run")
+    dg.add_argument("--alpha", type=float, default=2.0,
+                    help="read by kernel-tail, envelope, focusing and ridge")
+    dg.add_argument("--k", type=int, default=6, help="read by kernel-tail")
+    dg.add_argument("--t", type=float, default=1.0, help="read by kernel-tail")
+    dg.add_argument("--lam", type=float, default=32.0, help="read by envelope, focusing and ridge")
+    dg.add_argument("--p", type=float, default=6.0, help="read by bilinear-ratio")
+    dg.add_argument("--epsilon", type=float, default=0.05, help="read by ridge")
 
     ex = command("exponents", cmd_exponents, "critical-exponent table")
     ex.add_argument("--alpha", type=float, default=2.0)

@@ -161,7 +161,7 @@ def bilinear_reconstruction_residual(
 def extension_trajectory(h: Field, t_samples, ep: EllipticPhase) -> Trajectory:
     """The adjoint-restriction (extension) evolution of a frequency density h.
 
-    The frame-engine evolution `evolve_trajectory` of (2 pi)^d h under the
+    The evolution `evolve_trajectory` of (2 pi)^d h under the
     elliptic phase, whose frames are the inverse transforms of (2 pi)^d h e^{i t phase}.
     """
     h.require(FREQUENCY)

@@ -302,9 +302,9 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
         u(x_j, t) = (2L)^-1 sum_m X_m e^{i t phi(xi_m)} e^{2 pi i (m j mod N) / N}.
 
     X_m are the datum's nonzero values from `propagator._chirped_box` (as
-    in `smoothing_spectrum`) and the evolved values are the frame
-    engine's one product `propagator._evolved_support`, so every term is
-    bit for bit an entry of the engine's evolved spectrum; the twiddle
+    in `smoothing_spectrum`) and the evolved values are the flow's one
+    product `propagator._evolved_support`, so every term is bit for bit
+    an entry of `evolve`'s evolved spectrum; the twiddle
     angles are reduced modulo N in integers, and one (frames x support) @
     (support x window) product sums them.  No array of the lattice's N
     points is formed.  The exact focus value at (0, 1) is

@@ -2,19 +2,19 @@
 
 The flow is the Fourier multiplier e^{i t phi(xi)} of a real phase phi:
 |xi|^alpha (`DispersionParams`) or an elliptic phase (`EllipticPhase`).
-`evolve` (one time), the frame engine `_frame_blocks` (blocks of whole
-frames, behind `evolve_trajectory` and so the elliptic evolutions and the
-extension operator) and the power sums `_power_sums` (sum_j |u_j|^p h of
-every frame in decimated slices, behind `evolved_lp_norms` and the sweep
-harness's profile curve) form it by one product, `_evolved_support`, only
-on the spectral support (`_spectral_support`), the lattice points where the
-spectrum is nonzero: band-limited data such as the unit annulus skip most
-of the lattice, and off the support the evolved spectrum is the zero it is
-allocated as.  alpha = 2 is the classical free-particle flow; alpha = 3 on
-half-line spectra is the one-sided cubic (Airy) flow, so the cubic flow
-needs no operator of its own.  The time orientation follows the multiplier
-as written: closed-form comparisons against the usual e^{i|x-y|^2/4t}
-kernel must flip the sign of t.
+`evolve` (one time), `evolve_trajectory` (whole frames, behind `displab
+evolve`, the elliptic evolutions and the extension operator) and the power
+sums `_power_sums` (sum_j |u_j|^p h of every frame in decimated slices,
+behind `evolved_lp_norms` and the sweep harness's profile curve) form it
+by one product, `_evolved_support`, only on the spectral support
+(`_spectral_support`), the lattice points where the spectrum is nonzero:
+band-limited data such as the unit annulus skip most of the lattice, and
+off the support the evolved spectrum is the zero it is allocated as.
+alpha = 2 is the classical free-particle flow; alpha = 3 on half-line
+spectra is the one-sided cubic (Airy) flow, so the cubic flow needs no
+operator of its own.  The time orientation follows the multiplier as
+written: closed-form comparisons against the usual e^{i|x-y|^2/4t} kernel
+must flip the sign of t.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from .errors import EllipticityError, GridAdequacyError, SizingError
 from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, max_grid_points
 from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_frequency
 
-# complex samples per block of frames in _frame_blocks: 8 frames at 2^15 points,
-# 2 at 2^17; the two blocks in flight together cost no more memory than a few
-# single frames.  Also the longest slice transform of `_power_sums` and
-# `_kernel_l1_mass`, and the most complex samples of one `_power_sums` block's
-# buffers: 18 times of the unit annulus at 2^15 points, 3 of the lam-32 datum at 2^17.
+# complex samples per block of frames in `evolve_trajectory` (8 frames at 2^15 points, 2 at
+# 2^17), the longest slice transform of `_power_sums` and `_kernel_l1_mass`, and the most
+# complex samples of one `_power_sums` block's buffers: 18 times of the unit annulus at 2^15
+# points, 3 of the lam-32 datum at 2^17.
 _BLOCK_SAMPLES = 2**18
 # the largest `_kernel_l1_mass` grid whose slices run in the calling thread: there
 # the pool's hand-off costs more than the slices
@@ -96,15 +95,16 @@ def evolve(field: Field, t: float, phase: SymbolFn) -> Field:
     return out if field.is_frequency else dft_inverse(out)
 
 
-def _spectral_support(field: Field, t: np.ndarray, phase: SymbolFn):
+def _spectral_support(field: Field, t: np.ndarray, phase: SymbolFn, signed: bool = False):
     """The nonzero spectrum of ``field``, its flat lattice indices and ``phase`` there.
 
-    The one place where `evolve` and `_frame_blocks` check their input
-    (finite times ``t``, a phase finite on the support and at the lattice
-    corner, index N/2 on every axis, so also on an empty support:
-    ValueError otherwise) and find the support.  The phase is evaluated
-    once, at the support's `GridSpec.axis_frequencies` plus the corner;
-    each frequency is bit for bit the lattice-wide mesh entry.
+    The one place where `evolve`, `evolve_trajectory` and `_power_sums`
+    check their input (finite times ``t``, a phase finite on the support
+    and at the lattice corner, index N/2 on every axis, so also on an empty
+    support: ValueError otherwise) and find the support.  The phase is
+    evaluated once, at the support's `GridSpec.axis_frequencies` plus the
+    corner; each frequency is bit for bit the lattice-wide mesh entry.
+    ``signed`` folds in the inverse transform's sign (-1)^(m_1 + ... + m_d).
     """
     grid = field.grid
     finite = np.isfinite(t)
@@ -119,7 +119,10 @@ def _spectral_support(field: Field, t: np.ndarray, phase: SymbolFn):
     if not finite.all():
         at = tuple(float(v) for v in xi[:, np.flatnonzero(~finite)[0]])
         raise ValueError(f"phase evaluated to a non-finite value at xi = {at}")
-    return spectrum[support], support, values[:-1]
+    spectrum = spectrum[support]
+    if signed:
+        np.negative(spectrum, out=spectrum, where=np.add.reduce(index) % 2 == 1)
+    return spectrum, support, values[:-1]
 
 
 def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray,
@@ -132,54 +135,6 @@ def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray,
     np.exp(phase, out=phase)
     # a complex product is not commutative bit for bit; `spectral.apply_symbol` has this order
     return np.multiply(phase, spectrum, out=phase)
-
-
-def _frame_blocks(field: Field, t: np.ndarray, phase: SymbolFn, reduce) -> None:
-    """Evolve ``field`` under ``phase`` to every time in the float array ``t``, in blocks of frames.
-
-    Each block forms its frames' spectra by `_evolved_support`, as `evolve`
-    does, goes through the inverse transform (in one batch, or one frame
-    at a time from 2^17 points: `spectral._inverse_signed_in_place`), and
-    is handed to ``reduce(start, frames)`` as the physical frames of the times
-    ``t[start : start + len(frames)]``.  Blocks run two at a time through
-    `grid._run_blocks`, so ``reduce`` may only call numpy and write its own
-    slice of the output; the results are then bit for bit those of the
-    serial loop.
-
-    The frames array is a block buffer of this call, one per block thread,
-    zeroed and reused by the next block once ``reduce`` returns: a reducer
-    may overwrite it, and one that keeps frames copies them, as
-    `evolve_trajectory`, its one caller, does.  Sums over frames go through
-    `_power_sums` instead, which forms no frame.
-    The inverse transform's sign (-1)^(m_1 + ... + m_d) is folded into the
-    support values once per call; a negation commutes with the product, so
-    every frame keeps the bits of `evolve`.
-    """
-    grid = field.grid
-    spectrum, support, values = _spectral_support(field, t, phase)
-    odd = np.add.reduce(np.unravel_index(support, grid.shape)) % 2 == 1
-    np.negative(spectrum, out=spectrum, where=odd)
-    block = max(1, _BLOCK_SAMPLES // grid.size)
-    buffers = []  # block buffers given back by finished blocks
-
-    def run(start: int) -> None:
-        ts = t[start : start + block]
-        # a block builds a buffer only while every earlier one is in use; taking one is the
-        # single step `list.pop` and giving it back the single step `list.append`, so no
-        # two threads hold the same buffer
-        try:
-            buffer = buffers.pop()
-        except IndexError:
-            buffer = np.empty((min(block, t.size), grid.size), dtype=np.complex128)
-        try:
-            frames = buffer[: ts.size]
-            frames.fill(0.0)
-            frames[:, support] = _evolved_support(spectrum, values, ts)
-            reduce(start, _inverse_signed_in_place(grid, frames.reshape((ts.size,) + grid.shape)))
-        finally:
-            buffers.append(buffer)
-
-    _run_blocks(run, range(0, t.size, block))
 
 
 def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
@@ -213,19 +168,17 @@ def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
     ``edges`` reads the first and last N / (64 P) samples of every slice
     that runs, on a 1-d grid the samples within N / 64 of the box edges
     (by evenness these cover the mirrored slices too).  Blocks of times run
-    through `grid._run_blocks`, each with one buffer set per thread, taken
-    and given back as in `_frame_blocks` and reused from block to block, so
-    later blocks fault in no fresh pages.  A block's buffers hold at most
-    `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or more go
-    through the transform one time at a time.  The slice sums are added in
-    slice order, so the results are bit for bit the same on one thread and
-    two, and for any block of times.  It waits on the pool, so a pool job
-    must not call it.
+    through `grid._run_blocks`, each with one buffer set per thread (taken
+    with `list.pop`, given back with `list.append`) reused from block to
+    block, so later blocks fault in no fresh pages.  A block's buffers hold
+    at most `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or
+    more go through the transform one time at a time.  The slice sums are
+    added in slice order, so the results are bit for bit the same on one
+    thread and two, and for any block of times.  It waits on the pool, so a
+    pool job must not call it.
     """
     grid = field.grid
-    spectrum, support, values = _spectral_support(field, t, phase)
-    odd = np.add.reduce(np.unravel_index(support, grid.shape)) % 2 == 1
-    np.negative(spectrum, out=spectrum, where=odd)
+    spectrum, support, values = _spectral_support(field, t, phase, signed=True)
     n = grid.points
     if grid.dim == 1:
         size = min(_BLOCK_SAMPLES, n // 8)
@@ -264,7 +217,7 @@ def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
     shape = (-1, size) if grid.dim == 1 else (-1,) + grid.shape
     axes = tuple(range(1 - len(shape), 0))
     powers, edges = np.empty(t.size), np.empty(t.size)
-    buffers = []  # buffer sets given back by finished blocks, as in `_frame_blocks`
+    buffers = []  # buffer sets given back by finished blocks
 
     def run(start: int) -> None:
         ts = t[start : start + block]
@@ -334,17 +287,29 @@ class Trajectory:
 
 
 def evolve_trajectory(field: Field, t_samples, phase: SymbolFn) -> Trajectory:
-    """Frames of ``field`` under ``phase`` at each time: read-only rows of one frame-engine array."""
+    """Frames of ``field`` under ``phase`` at each time: read-only rows of one zeroed array.
+
+    Blocks of rows run through `grid._run_blocks`; each writes its support
+    products (`_evolved_support`) into its rows and inverse-transforms them
+    in place (`spectral._inverse_signed_in_place`).  The transform's sign is
+    folded into the support values once; a negation commutes with the
+    product, so every frame keeps the bits of `evolve` on one thread or two.
+    Sums over frames go through `_power_sums`, which forms no frame.
+    """
     t = np.asarray(t_samples, dtype=float).reshape(-1)
-    spectrum = to_frequency(field)
-    frames = np.empty((t.size,) + field.grid.shape, dtype=np.complex128)
+    grid = field.grid
+    spectrum, support, values = _spectral_support(field, t, phase, signed=True)
+    frames = np.zeros((t.size,) + grid.shape, dtype=np.complex128)
+    block = max(1, _BLOCK_SAMPLES // grid.size)
 
-    def keep(start: int, block: np.ndarray) -> None:
-        frames[start : start + len(block)] = block
+    def run(start: int) -> None:
+        rows = slice(start, start + block)
+        frames.reshape(t.size, -1)[rows, support] = _evolved_support(spectrum, values, t[rows])
+        _inverse_signed_in_place(grid, frames[rows])
 
-    _frame_blocks(spectrum, t, phase, keep)
+    _run_blocks(run, range(0, t.size, block))
     frames.setflags(write=False)  # the Fields take its rows without a copy
-    return Trajectory(field.grid, t, [Field(field.grid, PHYSICAL, frame) for frame in frames])
+    return Trajectory(grid, t, [Field(grid, PHYSICAL, frame) for frame in frames])
 
 
 # -- elliptic-phase operator --------------------------------------------------

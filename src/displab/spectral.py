@@ -25,15 +25,6 @@ SymbolFn = Callable[[np.ndarray], np.ndarray]
 
 # the active spectrum of `spectral_radius`: |spectrum| above this share of its peak
 _RADIUS_REL_TOL = 1e-9
-# the fewest points per spectrum that `_inverse_signed_in_place` transforms one at a time.
-# numpy's batched transform of 2^17-point rows forms megabytes of temporaries per call that
-# the allocator returns to the system and faults in afresh: two rows took 11-13 ms and 2,000
-# page faults per call, one at a time 7-8 ms and 16 (two threads, 2-core Xeon).  Below 2^17
-# points the batch is the faster: 200 frames of the unit annulus, reduced to their L^6 power
-# sums on the frame engine, took a median 134 ms batched against 150 ms row by row on 2^15
-# points (12 of 12 alternating pairs) and 337 against 359 ms on 2^16 points (11 of 12), in
-# one process.  Those sums now run in slices (`propagator._power_sums`), without this transform.
-_ONE_AT_A_TIME_POINTS = 2**17
 
 
 def _negate_odd_indices(array: np.ndarray, dim: int) -> np.ndarray:
@@ -74,19 +65,13 @@ def _inverse_signed_in_place(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
     """The inverse quadrature of spectra that already carry the sign (-1)^(m_1 + ... + m_d),
     over the trailing grid axes of a writable array, overwritten and returned.
 
-    `dft_inverse` negates its odd indices first.  The frame engine folds
-    the sign into its support values once, and a negation commutes with
-    every IEEE product, so its frames keep the bits of `dft_inverse`
-    without a negation pass per block.  Stacked spectra of at least
-    `_ONE_AT_A_TIME_POINTS` points go through the transform one at a time,
-    with the same bits as in one batch.
+    `dft_inverse` negates its odd indices first; `propagator.evolve_trajectory`
+    folds the sign into its support values once, and a negation commutes
+    with every IEEE product, so its frames keep the bits of `dft_inverse`
+    without a negation pass per block.  Stacked spectra go through the
+    transform in one batch.
     """
-    axes = tuple(range(-grid.dim, 0))
-    if grid.size >= _ONE_AT_A_TIME_POINTS:
-        for index in np.ndindex(samples.shape[: samples.ndim - grid.dim]):
-            np.fft.ifftn(samples[index], axes=axes, out=samples[index])
-    else:
-        np.fft.ifftn(samples, axes=axes, out=samples)
+    np.fft.ifftn(samples, axes=tuple(range(-grid.dim, 0)), out=samples)
     samples /= grid.cell_volume
     return samples
 

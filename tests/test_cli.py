@@ -27,7 +27,7 @@ def test_exponents_table(capsys):
 
 def test_evolve_reproduces_datum(capsys):
     code, out, _ = run(capsys, "evolve", "--alpha", "2", "--d", "1",
-                       "--datum", "gaussian", "--t", "0")
+                       "--datum", "gaussian", "--t", "0", "--frames", "1")
     assert code == 0
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert rows[0] == "t,l2_norm,sup_norm,min_modulus"
@@ -72,11 +72,12 @@ def test_evolve_negative_time_samples_increasing_times(capsys):
     (("--t", "inf"), "evolution times must be finite"),
     (("--frames", "0"), "frames must be a positive integer"),
     (("--frames", "-3"), "frames must be a positive integer"),
+    (("--t", "0", "--frames", "5"), "--frames 5 needs a nonzero --t"),
     (("--half-width", "inf"), "half_width must be positive and finite"),
 ])
 def test_evolve_bad_times_and_frames_are_config_errors(capsys, argv, message):
-    code, _, err = run(capsys, "evolve", "--datum", "gaussian", *argv)
-    assert code == 2
+    code, out, err = run(capsys, "evolve", "--datum", "gaussian", *argv)
+    assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
 
@@ -261,7 +262,7 @@ def test_config_file_may_name_the_diagnostic(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"which": "nope", "k": 3}))
     code, out, err = run(capsys, "diagnostics", "--config", str(cfg))
-    assert code == 2 and "unknown diagnostic 'nope'" in err and out == ""
+    assert code == 2 and "invalid choice: 'nope'" in err and out == ""
     code, out, _ = run(capsys, "diagnostics", "kernel-tail", "--config", str(cfg))
     assert code == 0
     echoed = json.loads(out.splitlines()[1].removeprefix("# config: "))
@@ -310,7 +311,7 @@ def test_evolve_refuses_a_lattice_that_cannot_resolve_the_bump(capsys, extra):
 ])
 def test_evolve_extremizers_start_from_their_exact_spectra(tmp_path, capsys, datum, points,
                                                            half_width, extra):
-    """The dumped frames are bit for bit the frame engine's evolution of the exact spectrum, so
+    """The dumped frames are bit for bit `evolve_trajectory`'s evolution of the exact spectrum, so
     the phase is formed on the datum's support alone."""
     code, _, _ = run(capsys, "evolve", "--datum", datum, *extra,
                      "--dump-fields", str(tmp_path), "--output", str(tmp_path / "t.csv"))
@@ -341,9 +342,9 @@ def test_sweep_verdict_is_the_library_verdict(capsys):
 
 
 def test_unknown_diagnostic(capsys):
-    code, _, err = run(capsys, "diagnostics", "nope")
-    assert code == 2
-    assert "unknown diagnostic" in err
+    code, out, err = run(capsys, "diagnostics", "nope")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'nope'" in err
 
 
 def test_kernel_diagnostic(capsys):

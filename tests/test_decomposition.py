@@ -347,7 +347,7 @@ def test_elliptic_operator_ratio_bounded(rng):
     assert max(ratios) / min(ratios) < 2.0
 
 
-# -- the extension operator on the frame engine ---------------------------------------
+# -- the extension operator on `evolve_trajectory` ------------------------------------
 
 
 def test_every_elliptic_route_runs_the_ellipticity_check():
@@ -387,7 +387,7 @@ def test_restriction_routes_read_no_frequency_mesh(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("dim, points, half_width", [(1, 2**14, 400.0), (2, 128, 40.0)])
 def test_extension_trajectory_is_the_per_frame_route(monkeypatch, dim, points, half_width, workers):
-    """The frame engine against the former per-frame symbol route, kept here as the oracle."""
+    """`evolve_trajectory` against the former per-frame symbol route, kept here as the oracle."""
     from displab import propagator
 
     g = GridSpec(dim, points, half_width)

@@ -272,13 +272,14 @@ def test_focusing_check_peak_is_below_half_a_lattice():
 
 
 def test_focusing_check_runs_no_frame_engine_or_transform(monkeypatch):
-    """The window values are a direct sum over the annulus: no frame block, inverse FFT or
-    lattice-wide point array."""
+    """The window values are a direct sum over the annulus: no trajectory, slice power sum,
+    inverse FFT or lattice-wide point array."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the focusing check formed a lattice-wide frame")
 
-    monkeypatch.setattr(propagator, "_frame_blocks", refuse)
+    monkeypatch.setattr(propagator, "evolve_trajectory", refuse)
+    monkeypatch.setattr(propagator, "_power_sums", refuse)
     monkeypatch.setattr(np.fft, "ifft", refuse)
     monkeypatch.setattr(np.fft, "ifftn", refuse)
     monkeypatch.setattr(GridSpec, "axis_points", refuse)

@@ -411,7 +411,7 @@ def _count_curve_frames(monkeypatch):
         return real(field, t, params, p)
 
     def no_single_frames(*args, **kwargs):
-        raise AssertionError("a sweep evolves every frame on the frame engine")
+        raise AssertionError("a sweep sums every frame in `_power_sums`")
 
     monkeypatch.setattr(harness, "_power_sums", counting)
     monkeypatch.setattr(propagator, "evolve", no_single_frames)

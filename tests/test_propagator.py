@@ -29,7 +29,6 @@ from displab.propagator import (
     Trajectory,
     _chirped_box,
     _chirped_spectrum,
-    _frame_blocks,
     _kernel_grid,
     _kernel_l1_mass,
     _outside_mass_bound,
@@ -237,7 +236,7 @@ def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
 
-def test_frame_blocks_are_bitwise_those_of_single_frames(monkeypatch):
+def test_power_sum_blocks_are_bitwise_those_of_single_frames(monkeypatch):
     """Blocks on two threads, the serial loop and one frame at a time give the same bits."""
     from displab import propagator
 
@@ -262,9 +261,11 @@ def test_frame_blocks_are_bitwise_those_of_single_frames(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
-@pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 20.0), (2, 128, 8.0), (3, 32, 4.0)])
-def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, alpha, workers):
-    """The engine and `evolve` form one product: every frame has the bits of a single evolve."""
+@pytest.mark.parametrize(
+    "dim, points, half_width", [(1, 2**12, 20.0), (1, 2**17, 400.0), (2, 128, 8.0), (3, 32, 4.0)]
+)
+def test_trajectory_frames_are_bitwise_evolve(monkeypatch, dim, points, half_width, alpha, workers):
+    """The trajectory and `evolve` form one product: every frame has the bits of a single evolve."""
     from displab import propagator
 
     g = GridSpec(dim, points, half_width)
@@ -272,57 +273,46 @@ def test_frame_blocks_are_bitwise_evolve(monkeypatch, dim, points, half_width, a
     params = DispersionParams(alpha, dim)
     block = propagator._BLOCK_SAMPLES // g.size
     t = np.linspace(-1.1, 0.9, 2 * block + 3)  # two full blocks and a partial one
-    frames = np.empty((t.size,) + g.shape, dtype=np.complex128)
-
-    def keep(start, block_frames):
-        frames[start : start + len(block_frames)] = block_frames
-
     monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
-        _frame_blocks(gaussian, t, params, keep)
+        traj = evolve_trajectory(gaussian, t, params)
     finally:
         sys.setswitchinterval(interval)
-    for frame, v in zip(frames, t):
+    for frame, v in zip(traj.frames, t):
         single = to_physical(evolve(gaussian, float(v), params))
-        assert np.array_equal(frame, single.samples)
-
-
-def test_long_frames_are_transformed_one_at_a_time_with_the_batch_bits(monkeypatch):
-    """At 2^17 points a block holds two frames, which go through the inverse transform one at a
-    time; every frame is bit for bit `evolve`'s and the one-batch transform's."""
-    from displab import propagator, spectral
-
-    grid = GridSpec(1, 2**17, 400.0)
-    datum = Field.from_function(grid, lambda x: np.exp(-(np.asarray(x)[0] / 20.0) ** 2))
-    params = DispersionParams(2.0, 1)
-    t = np.linspace(-0.3, 0.5, 5)  # blocks of 2, 2 and 1 frames
-    assert propagator._BLOCK_SAMPLES // grid.size == 2
-    frames = {}
-    calls = []
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: calls.append(a.shape) or ifftn(a, **kw))
-
-    def keep(start, block):
-        frames[start] = block.copy()
-
-    _frame_blocks(datum, t, params, keep)
-    assert calls == [grid.shape] * t.size
-    one_at_a_time = np.concatenate([frames[start] for start in sorted(frames)])
-    monkeypatch.setattr(spectral, "_ONE_AT_A_TIME_POINTS", 2 * grid.size)
-    frames.clear()
-    _frame_blocks(datum, t, params, keep)
-    assert np.array_equal(np.concatenate([frames[start] for start in sorted(frames)]), one_at_a_time)
-    for frame, v in zip(one_at_a_time, t):
-        assert np.array_equal(frame, to_physical(evolve(datum, float(v), params)).samples)
+        assert np.array_equal(frame.samples, single.samples)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
-    """Over five blocks, each thread zeroes and reuses one block buffer; and the slice sums
-    of `evolved_lp_norms` stay within the frame engine's budget: the traced peak stays below,
-    per thread, a block buffer, one real temporary of its size and one block of support
+def test_trajectory_peak_is_its_frames_and_one_block(monkeypatch, workers):
+    """The frames are evolved in place in the trajectory's own array: over 200 unit-annulus
+    frames, the traced peak stays below that array plus one block buffer (16 bytes per
+    `_BLOCK_SAMPLES` sample), on one thread and two."""
+    from displab import propagator
+
+    grid = unit_profile_grid()
+    profile = unit_annulus_field(grid)
+    params = DispersionParams(2.0, 1)
+    s = np.linspace(-400.0, 0.0, 200)
+    monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
+    evolve_trajectory(profile, s[:20], params)  # three blocks: builds the pool outside the trace
+    tracemalloc.start()
+    try:
+        traj = evolve_trajectory(profile, s, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frames = 16 * s.size * grid.size
+    assert len(traj) == s.size
+    assert peak < frames + 16 * propagator._BLOCK_SAMPLES, f"{(peak - frames) / 2**20:.1f} MiB over"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slice_power_sums_stay_within_the_block_budget(monkeypatch, workers):
+    """The slice sums of `evolved_lp_norms` over five blocks: the traced peak stays below,
+    per thread, a block of frames, one real temporary of its size and one block of support
     products, plus the support arrays (at most 96 bytes per support point)."""
     from displab import propagator
 
@@ -332,14 +322,7 @@ def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
     block = propagator._BLOCK_SAMPLES // grid.size
     s = np.linspace(-400.0, 0.0, 4 * block + 3)  # four full blocks and a partial one
     support = np.count_nonzero(to_frequency(profile).samples)
-    buffers = set()
-
-    def seen(start, frames):
-        buffers.add(frames.__array_interface__["data"][0])
-
     monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
-    _frame_blocks(profile, s, params, seen)
-    assert 1 <= len(buffers) <= workers
     expected = evolved_lp_norms(profile, s, params, 6.0)  # builds the pool outside the trace
     tracemalloc.start()
     try:
@@ -350,54 +333,6 @@ def test_frame_blocks_hold_one_block_buffer_per_thread(monkeypatch, workers):
     assert np.array_equal(norms, expected)
     per_thread = (16 + 8) * block * grid.size + 16 * block * support
     assert peak < workers * per_thread + 96 * support, f"peak {peak / per_thread:.2f} blocks"
-
-
-def test_frame_block_buffers_are_never_shared_under_stress(monkeypatch):
-    """On eight pool threads, with the interpreter switching threads every microsecond, no
-    block is handed a buffer that another block still holds, every frame keeps its bits,
-    and at most one buffer per thread is built."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from displab import propagator
-
-    grid = unit_profile_grid(2**12)
-    profile = unit_annulus_field(grid)
-    params = DispersionParams(2.0, 1)
-    block = propagator._BLOCK_SAMPLES // grid.size
-    s = np.linspace(-20.0, 0.0, 40 * block)
-    expected, out = np.empty(s.size), np.empty(s.size)
-
-    def serial(start, frames):
-        expected[start : start + len(frames)] = (np.abs(frames) ** 6.0).sum(axis=1) * grid.cell_volume
-
-    monkeypatch.setattr("displab.grid._block_workers", lambda: 1)
-    _frame_blocks(profile, s, params, serial)
-    held, built, lock = set(), set(), threading.Lock()
-
-    def check(start, frames):
-        address = frames.__array_interface__["data"][0]
-        with lock:
-            assert address not in held
-            held.add(address)
-            built.add(address)
-        out[start : start + len(frames)] = (np.abs(frames) ** 6.0).sum(axis=1) * grid.cell_volume
-        time.sleep(0.001)  # the other threads take buffers meanwhile
-        with lock:
-            held.remove(address)
-
-    pool = ThreadPoolExecutor(max_workers=8)
-    monkeypatch.setattr("displab.grid._block_pool", lambda pid: pool)
-    monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _frame_blocks(profile, s, params, check)
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown(wait=True)
-    assert not held
-    assert 1 <= len(built) <= 8
-    assert np.array_equal(out, expected)
 
 
 def direct_spectrum(lam):
@@ -508,26 +443,30 @@ def test_trajectory_rejects_what_evolve_rejects(t):
             evolve_trajectory(field, [0.0, 1.0], DispersionParams(2.0, 2))
 
 
-def test_frame_blocks_reraise_an_error_of_a_block(monkeypatch):
+def test_trajectory_reraises_an_error_of_a_block(monkeypatch):
     from displab import propagator
 
     grid = unit_profile_grid(2**12)
     block = propagator._BLOCK_SAMPLES // grid.size
+    t = np.linspace(-1.0, 0.0, 3 * block)
+    evolved_support = propagator._evolved_support
 
-    def reduce(start, frames):
-        if start == block:
-            raise RuntimeError("reduce failed")
+    def failing(spectrum, values, ts, out=None):
+        if ts[0] == t[block]:
+            raise RuntimeError("block failed")
+        return evolved_support(spectrum, values, ts, out=out)
 
+    monkeypatch.setattr(propagator, "_evolved_support", failing)
     monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
-    with pytest.raises(RuntimeError, match="reduce failed"):
-        _frame_blocks(unit_annulus_field(grid), np.zeros(3 * block), DispersionParams(2.0, 1), reduce)
+    with pytest.raises(RuntimeError, match="block failed"):
+        evolve_trajectory(unit_annulus_field(grid), t, DispersionParams(2.0, 1))
 
 
 def _forked_norms(profile, s, params, expected):
     sys.exit(0 if np.array_equal(evolved_lp_norms(profile, s, params, 6.0), expected) else 1)
 
 
-def test_frame_blocks_run_in_a_forked_child(monkeypatch):
+def test_block_pool_runs_in_a_forked_child(monkeypatch):
     """A child forked after the pool was built gets threads of its own, not a dead pool."""
     import multiprocessing
 

@@ -194,10 +194,15 @@ def test_only_the_record_builder_builds_records():
 
 
 def test_one_route_per_power_sum():
-    """Every sum of |frame|^p goes through the slice routine `propagator._power_sums`; the frame
-    engine `_frame_blocks` forms whole frames only for `evolve_trajectory`, which keeps them."""
-    assert _callers("_frame_blocks") == ["propagator.evolve_trajectory"]
+    """Every sum of |frame|^p goes through the slice routine `propagator._power_sums`; whole
+    frames are evolved by `evolve_trajectory` alone, in its own array, with no block engine
+    between, and the stacked inverse transform serves its block job and `dft_inverse` only."""
+    from displab import propagator
+
     assert _callers("_power_sums") == ["harness._ProfileCurve.fill", "propagator.evolved_lp_norms"]
+    assert not hasattr(propagator, "_frame_blocks")
+    assert _callers("_inverse_signed_in_place") == [
+        "propagator.evolve_trajectory.run", "spectral.dft_inverse"]
 
 
 def test_only_grid_builds_threads():

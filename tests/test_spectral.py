@@ -44,21 +44,19 @@ def test_transform_parity_is_the_fftfreq_construction(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_signed_stacked_inverse_is_the_batched_formula(dim, monkeypatch):
-    """The frame engine's inverse of stacked spectra that carry the sign: bitwise the batched
-    ``ifftn`` over the trailing grid axes, in one batch and one spectrum at a time."""
+def test_signed_stacked_inverse_is_the_batched_formula(dim):
+    """`evolve_trajectory`'s inverse of stacked spectra that carry the sign: bitwise the batched
+    ``ifftn`` over the trailing grid axes, and each row bitwise `dft_inverse`."""
     rng = np.random.default_rng(10 + dim)
     grid = GridSpec(dim, 2 ** (12 // dim), 1.0)
     samples = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
     signed = samples * fftfreq_parity(grid)
     want = np.fft.ifftn(signed, axes=tuple(range(-dim, 0))) / grid.cell_volume
-    for one_at_a_time in (2**62, 0):
-        monkeypatch.setattr(spectral, "_ONE_AT_A_TIME_POINTS", one_at_a_time)
-        spectra = signed.copy()
-        got = spectral._inverse_signed_in_place(grid, spectra)
-        assert got is spectra  # overwritten in place and returned
-        assert np.array_equal(got, want)
-        assert np.array_equal(dft_inverse(Field(grid, FREQUENCY, samples[1])).samples, want[1])
+    spectra = signed.copy()
+    got = spectral._inverse_signed_in_place(grid, spectra)
+    assert got is spectra  # overwritten in place and returned
+    assert np.array_equal(got, want)
+    assert np.array_equal(dft_inverse(Field(grid, FREQUENCY, samples[1])).samples, want[1])
 
 def test_delta_transform():
     g = GridSpec(1, 32, 5.0)
@@ -180,7 +178,7 @@ def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
 @pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 3.0), (2, 64, 40.0), (3, 16, 0.5)])
 def test_full_lattice_spectra_stay_within_nyquist(dim, points, half_width, rng):
     """No lattice frequency exceeds nyquist, so every field's spectrum is representable:
-    `evolve` and the frame engine need no headroom scan."""
+    `evolve` and `evolve_trajectory` need no headroom scan."""
     g = GridSpec(dim, points, half_width)
     f = Field(g, FREQUENCY, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     assert spectral_radius(f) <= g.nyquist
