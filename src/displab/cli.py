@@ -11,7 +11,8 @@ Each setting is declared once, as a flag with its type, choices and
 default in `build_parser`.  A JSON `--config` file sets them by the names
 the output header echoes; its values pass through those same flags, ahead
 of the command line's, so flags override them.  Exit codes: 0 success /
-verdict pass, 1 verdict fail, 2 invalid configuration, 3 numerical failure.
+verdict pass, 1 verdict fail, 2 invalid configuration, 3 numerical failure
+(non-finite frames, or a value that overflows the float range).
 
 Environment: DISPLAB_MAX_GRID_POINTS caps automatic grid sizing.  It must
 be a positive integer when set; any other value is a configuration error
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and the library's typed input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OverflowError as exc:  # finite input whose scales overflow the float range
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ from .errors import SeparationError, TractabilityError
 from .grid import FREQUENCY, Field
 from .norms import admissibility_threshold, lp_norm, mixed_spacetime_norm
 from .propagator import EllipticPhase, Trajectory, evolve_trajectory
-from .spectral import apply_symbol, spectral_radius, to_frequency
+from .spectral import apply_symbol, to_frequency
 
 _MODE_REL_TOL = 1e-14  # the active modes of a bilinear piece's factors, relative to the peak
+_RADIUS_REL_TOL = 1e-9  # the active spectra whose largest |xi_i| (0 if none) bound the pieces
 _SUPPORT_REL_TOL = 1e-12  # the active supports of the adjoint-restriction densities
 _SEPARATION_SHARE = 0.25  # the least support separation, a share of the joint diameter
 _MIN_TIMES, _TIMES_PER_LAM = 64, 8  # bilinear_restriction_ratio's times on [-lam, lam]
@@ -68,7 +69,7 @@ def _active_support(field: Field, rel_tol: float):
     """(xi, values): the frequencies (dim, n) and spectrum where |spectrum| > rel_tol * its peak.
 
     Frequencies are `GridSpec.axis_frequencies` at the active lattice
-    indices, as in `spectral.spectral_radius`, bit for bit the mesh entries.
+    indices, bit for bit the mesh entries; a zero field has none.
     """
     spectrum = to_frequency(field).samples
     mag = np.abs(spectrum)
@@ -124,7 +125,7 @@ def bilinear_piece(f: Field, g: Field, j: int, lam: float, t_samples, ep: Ellipt
 
 def relevant_piece_indices(f: Field, g: Field, lam: float) -> range:
     """Scale indices that can carry a nonzero piece for these data supports."""
-    diam = spectral_radius(f) + spectral_radius(g)
+    diam = sum(np.abs(_active_support(h, _RADIUS_REL_TOL)[0]).max(initial=0.0) for h in (f, g))
     dim = f.grid.dim
     j_max = int(np.ceil(np.log2(max(np.sqrt(lam) * diam / (8.0 * np.sqrt(dim)), 1.0)))) + 1
     return range(0, j_max + 1)

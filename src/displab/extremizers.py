@@ -160,9 +160,9 @@ def maximal_spectrum(spec: ExtremizerSpec) -> Field:
 # -- unit-scale reductions -------------------------------------------------------
 
 
-def unit_profile_grid(points: int = 2**15, nyquist: float = 8.0) -> GridSpec:
-    """One-dimensional grid carrying the unit annulus with 4x spectral headroom."""
-    return GridSpec(1, points, np.pi * points / (2.0 * nyquist))
+def unit_profile_grid(points: int = 2**15) -> GridSpec:
+    """One-dimensional grid carrying the unit annulus with 4x spectral headroom: nyquist 8."""
+    return GridSpec(1, points, np.pi * points / 16.0)
 
 
 def unit_annulus_field(grid: GridSpec, one_sided: bool = False) -> Field:
@@ -318,11 +318,12 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     half_width = 40.0
     points = int(2 ** np.ceil(np.log2(2.0 * half_width * 40.0 * lam)))  # dx <= 1/(40 lam)
     grid = GridSpec(1, points, half_width)
+    # first, so a lam^alpha past the float range raises OverflowError before the datum overflows
+    t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**params.alpha)
     (m,), box = _chirped_box(grid, 2.0 * lam, _scaled_annulus(lam, 1), -1j, params.alpha)
     support = np.flatnonzero(box)
     m = m[support]
     j = _focus_window(grid, lam)
-    t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * lam**params.alpha)
     frames = _evolved_support(box[support], params(grid.axis_frequencies(m)[None]), t_vals)
     twiddle = 1j * (2.0 * np.pi / points) * (np.multiply.outer(m, j) % points)
     np.exp(twiddle, out=twiddle)

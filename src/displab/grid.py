@@ -195,8 +195,8 @@ class Field:
     def is_frequency(self) -> bool:
         return self.representation == FREQUENCY
 
-    def with_samples(self, samples: np.ndarray, representation: str | None = None) -> "Field":
-        return Field(self.grid, representation or self.representation, samples)
+    def with_samples(self, samples: np.ndarray) -> "Field":
+        return Field(self.grid, self.representation, samples)
 
     def require(self, representation: str) -> None:
         if self.representation != representation:

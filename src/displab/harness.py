@@ -69,7 +69,7 @@ from .norms import (
     smoothing_exponent,
     sobolev_norm,
 )
-from .propagator import DispersionParams, _power_sums, evolved_lp_norms
+from .propagator import DispersionParams, _power_sums
 from .spectral import to_physical
 
 FAMILIES = ("smoothing", "maximal", "airy")
@@ -105,6 +105,7 @@ class SweepConfig:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.dim != 1:
             raise ValueError("sweeps are implemented for dim = 1")
+        DispersionParams(self.alpha, self.dim)  # a finite, positive alpha other than 1
         kind = "maximal" if self.family == "maximal" else "mixed_spacetime"
         if self.norm_kind is None:
             object.__setattr__(self, "norm_kind", kind)
@@ -219,7 +220,7 @@ class _ProfileCurve:
 
     def fill(self, s) -> None:
         new = sorted(set(np.asarray(s, dtype=float).tolist()) - self._values.keys())
-        vals, edges = _power_sums(self.profile, np.array(new), self.params, self.p)
+        vals, edges = _power_sums(self.profile, new, self.params, self.p)
         if (edges > 1e-6).any():
             raise SizingError("evolved profile reached the box edge; enlarge the unit grid")
         self._values.update(zip(new, vals.tolist()))
@@ -359,7 +360,7 @@ def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha)
     t_grid = 1.0 + s_grid / lam**cfg.alpha
     w = _time_weights(t_grid, (0.0, 1.0))
-    vals = evolved_lp_norms(spectrum, t_grid, params, cfg.p)
+    vals = _power_sums(spectrum, t_grid, params, cfg.p)[0]
     numerator = float((vals @ w) ** (1.0 / cfg.p))
     datum = to_physical(spectrum)  # the norms measure a field in its own representation
     return _record(cfg, lam, grid, t_grid.size, numerator,
@@ -409,11 +410,17 @@ def slope_verdict(records, expected: float, tolerance: float) -> Verdict:
     The one place a slope verdict is decided, for `verify_sharpness` and
     the CLI's sweep command alike.
     """
+    _require_tolerance(tolerance)
     fit = fit_loglog(records)
     return Verdict(
         slope=fit.slope, expected_slope=expected, tolerance=tolerance,
         passed=bool(abs(fit.slope - expected) <= tolerance), fit=fit, records=tuple(records),
     )
+
+
+def _require_tolerance(tolerance: float) -> None:
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
 def _require_sweepable(cfg: SweepConfig) -> None:
@@ -438,6 +445,7 @@ def verify_maximal_necessary(cfg: SweepConfig, tolerance: float = 0.1) -> Verdic
     it; passes when the boundary slope is >= -tolerance and the shifted
     slope is > tolerance (the ratio grows when the weight is too weak).
     """
+    _require_tolerance(tolerance)
     _require_sweepable(cfg)
     if cfg.family != "maximal":
         raise ValueError("the necessary-condition sweep runs the maximal family")

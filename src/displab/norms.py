@@ -75,27 +75,29 @@ def sobolev_norm(field: Field, p: float, beta: float) -> float:
 # -- exponent formulas ---------------------------------------------------------
 
 
-def _check_exponent_p(p: float) -> None:
-    """The exponent formulas hold for a finite p >= 1 only."""
+def _check_exponent_args(alpha: float, p: float) -> None:
+    """The exponent formulas hold for a finite alpha > 0 and a finite p >= 1 only."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
 
 
 def smoothing_exponent(alpha: float, dim: int, p: float) -> float:
     """Critical regularity for the space-time estimate: alpha*(d(1/2-1/p) - 1/p)."""
-    _check_exponent_p(p)
+    _check_exponent_args(alpha, p)
     return alpha * (dim * (0.5 - 1.0 / p) - 1.0 / p)
 
 
 def maximal_exponent(alpha: float, dim: int, p: float) -> float:
     """Critical regularity for the maximal estimate: alpha*d*(1/2-1/p)."""
-    _check_exponent_p(p)
+    _check_exponent_args(alpha, p)
     return alpha * dim * (0.5 - 1.0 / p)
 
 
 def airy_exponent(p: float) -> float:
     """Endpoint regularity for the cubic one-dimensional flow: 3(p-4)/(2p)."""
-    _check_exponent_p(p)
+    _check_exponent_args(3.0, p)
     return 3.0 * (p - 4.0) / (2.0 * p)
 
 
@@ -110,5 +112,5 @@ def admissibility_threshold(dim: int) -> float:
 
 def maximal_necessary_exponent(alpha: float, p: float) -> float:
     """Lower bound on the regularity any maximal estimate needs: alpha/(2p)."""
-    _check_exponent_p(p)
+    _check_exponent_args(alpha, p)
     return alpha / (2.0 * p)

@@ -4,9 +4,9 @@ The flow is the Fourier multiplier e^{i t phi(xi)} of a real phase phi:
 |xi|^alpha (`DispersionParams`) or an elliptic phase (`EllipticPhase`).
 `evolve` (one time), `evolve_trajectory` (whole frames, behind `displab
 evolve`, the elliptic evolutions and the extension operator) and the power
-sums `_power_sums` (sum_j |u_j|^p h of every frame in decimated slices,
-behind `evolved_lp_norms` and the sweep harness's profile curve) form it
-by one product, `_evolved_support`, only on the spectral support
+sums `_power_sums` (sum_j |u_j|^p h of every 1-d frame in decimated
+slices, behind the sweep harness's profile curve and direct record) form
+it by one product, `_evolved_support`, only on the spectral support
 (`_spectral_support`), the lattice points where the spectrum is nonzero:
 band-limited data such as the unit annulus skip most of the lattice, and
 off the support the evolved spectrum is the zero it is allocated as.
@@ -49,8 +49,8 @@ class DispersionParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.alpha == 1.0:
             raise ValueError("alpha = 1 (wave propagation) is not supported")
         if self.dim not in (1, 2, 3):
@@ -137,38 +137,27 @@ def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray,
     return np.multiply(phase, spectrum, out=phase)
 
 
-def evolved_lp_norms(field: Field, t, phase: SymbolFn, p: float) -> np.ndarray:
-    """||e^{i t phase} field||_p^p in physical space, at every time in ``t``.
-
-    Equals ``lp_norm(to_physical(evolve(field, t_i, phase)), p) ** p``
-    up to roundoff, but sums every frame in decimated slices
-    (`_power_sums`), in blocks of times on up to two threads.
-    """
-    if not (np.isfinite(p) and p >= 1):
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    return _power_sums(field, np.asarray(t, dtype=float).reshape(-1), phase, p)[0]
-
-
-def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
+def _power_sums(field: Field, t, phase: SymbolFn, p: float):
     """(powers, edges) of each frame u = e^{i t phase} field: sum_j |u_j|^p h, max edge / max |u_j|.
 
-    The frames are summed in decimated slices, as `_kernel_l1_mass` sums
-    its kernel, and no frame is formed.  On a 1-d grid, with
-    L = min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the samples j = P a + r
-    of each r are (1/(P h)) ifft_L(F_r)[a], where F_r folds the signed
-    support entries m (after the sign (-1)^m and the flow's one product
-    `_evolved_support`) onto their residues mod L (`_fold`), twiddled by
-    e^{2 pi i m r / N} (`_twiddles`).  In d > 1, P = 1 and the one slice is
-    the lattice itself.  A spectrum is even when its support is symmetric
-    and its values and ``phase`` are bitwise equal at +-m: then every frame
-    is even, only the m >= 0 half is evolved (m < 0 takes the conjugate
-    twiddles) and only the slices r <= P / 2 run, the others having the
-    sums of their mirror slices P - r.
+    ``field`` lies on a 1-d grid, ``t`` is a time or a sequence of them
+    and ``p`` is finite and >= 1 (ValueError otherwise); d > 1 norms go
+    through `evolve_trajectory` and `norms.lp_norm`.  The frames are summed
+    in decimated slices, as `_kernel_l1_mass` sums its kernel, and no frame
+    is formed.  With L = min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the
+    samples j = P a + r of each r are (1/(P h)) ifft_L(F_r)[a], where F_r
+    folds the signed support entries m (after the sign (-1)^m and the
+    flow's one product `_evolved_support`) onto their residues mod L
+    (`_fold`), twiddled by e^{2 pi i m r / N} (`_twiddles`).  A spectrum is
+    even when its support is symmetric and its values and ``phase`` are
+    bitwise equal at +-m: then every frame is even, only the m >= 0 half is
+    evolved (m < 0 takes the conjugate twiddles) and only the slices
+    r <= P / 2 run, the others having the sums of their mirror slices P - r.
 
     ``edges`` reads the first and last N / (64 P) samples of every slice
-    that runs, on a 1-d grid the samples within N / 64 of the box edges
-    (by evenness these cover the mirrored slices too).  Blocks of times run
-    through `grid._run_blocks`, each with one buffer set per thread (taken
+    that runs, the samples within N / 64 of the box edges (by evenness
+    these cover the mirrored slices too).  Blocks of times run through
+    `grid._run_blocks`, each with one buffer set per thread (taken
     with `list.pop`, given back with `list.append`) reused from block to
     block, so later blocks fault in no fresh pages.  A block's buffers hold
     at most `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or
@@ -178,17 +167,19 @@ def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
     pool job must not call it.
     """
     grid = field.grid
+    if grid.dim != 1:
+        raise ValueError(f"power sums are computed on 1-d grids, got dim = {grid.dim}")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    t = np.asarray(t, dtype=float).reshape(-1)
     spectrum, support, values = _spectral_support(field, t, phase, signed=True)
     n = grid.points
-    if grid.dim == 1:
-        size = min(_BLOCK_SAMPLES, n // 8)
-        m = (support + n // 2) % n - n // 2  # signed; sorted with its values below
-        order = np.argsort(m)
-        m, spectrum, values = m[order], spectrum[order], values[order]
-    else:
-        size, m = grid.size, support  # flat storage indices, one slice: no twiddle
-    slices = grid.size // size
-    even = (grid.dim == 1 and np.array_equal(m, -m[::-1])
+    size = min(_BLOCK_SAMPLES, n // 8)
+    m = (support + n // 2) % n - n // 2  # signed; sorted with its values below
+    order = np.argsort(m)
+    m, spectrum, values = m[order], spectrum[order], values[order]
+    slices = n // size
+    even = (np.array_equal(m, -m[::-1])
             and np.array_equal(spectrum, spectrum[::-1]) and np.array_equal(values, values[::-1]))
     if even:
         half = m >= 0
@@ -214,8 +205,6 @@ def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
     edge = max(1, n // (64 * slices))
     # two rows of the span (evolved, twiddled) and 1.5 of the slice (folded, its modulus) per time
     block = max(1, _BLOCK_SAMPLES // (2 * (coefficients.size + size)))
-    shape = (-1, size) if grid.dim == 1 else (-1,) + grid.shape
-    axes = tuple(range(1 - len(shape), 0))
     powers, edges = np.empty(t.size), np.empty(t.size)
     buffers = []  # buffer sets given back by finished blocks
 
@@ -241,7 +230,7 @@ def _power_sums(field: Field, t: np.ndarray, phase: SymbolFn, p: float):
                 _fold(twiddled(twiddle), first, folded)
                 if even:  # the m < 0 half, from m = -last up
                     _fold(twiddled(mirror)[:, mirrored][:, ::-1], -last, folded)
-                np.fft.ifftn(folded.reshape(shape), axes=axes, out=folded.reshape(shape))
+                np.fft.ifft(folded, out=folded)
                 modulus = np.abs(folded, out=body)
                 np.maximum(ends, modulus[:, :edge].max(axis=1), out=ends)
                 np.maximum(ends, modulus[:, -edge:].max(axis=1), out=ends)
@@ -618,7 +607,7 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     and kappa^ peaks at max bandpass = 1.  The share is therefore an upper
     bound, and a loose one where the kernel is barely spread: alpha 1.5,
     k = 1, t = 0 reads 5.6e-2 where a grid reaching past the ball measures
-    4.4e-3.
+    4.4e-3.  A bound that is not finite raises OverflowError.
     """
     if k < 1:
         raise ValueError("band index k must be >= 1")
@@ -629,13 +618,18 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     alpha = params.alpha
     ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
     scale = 2.0 ** (alpha * k) * t
+    # |S|^(j-n) overflows at large scales, and an overflow times a zero r_{n,j} is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _outside_mass_bound(alpha, scale, ball)
+    if not np.isfinite(bound):
+        raise OverflowError(f"the tail bound of band k = {k} at t = {t}, alpha = {alpha} is not finite")
     try:
         grid = _kernel_grid(alpha, scale)
     except SizingError:  # past the grid cap: the floor every kernel's mass clears
         mass = 1.0
     else:
         mass = _kernel_l1_mass(grid, alpha, scale)
-    return _outside_mass_bound(alpha, scale, ball) / mass
+    return bound / mass
 
 
 def _outside_mass_bound(alpha: float, scale: float, ball: float) -> float:

@@ -23,9 +23,6 @@ from .grid import FREQUENCY, PHYSICAL, Field, GridSpec
 # of the trailing shape; every multiplier below follows this convention
 SymbolFn = Callable[[np.ndarray], np.ndarray]
 
-# the active spectrum of `spectral_radius`: |spectrum| above this share of its peak
-_RADIUS_REL_TOL = 1e-9
-
 
 def _negate_odd_indices(array: np.ndarray, dim: int) -> np.ndarray:
     """Multiply ``array`` in place by (-1)^(m_1 + ... + m_d) over its trailing dim axes.
@@ -109,14 +106,3 @@ def require_finite_symbol(grid: GridSpec, values: np.ndarray) -> None:
         axis = grid.axis_frequencies()
         xi = tuple(float(axis[j]) for j in np.argwhere(~finite)[0])
         raise ValueError(f"symbol evaluated to a non-finite value at xi = {xi}")
-
-
-def spectral_radius(field: Field) -> float:
-    """Largest |xi_i| (per-axis) carrying relative spectral mass above `_RADIUS_REL_TOL`."""
-    spectrum = to_frequency(field)
-    mag = np.abs(spectrum.samples)
-    peak = mag.max()
-    if peak == 0.0:
-        return 0.0
-    j = np.nonzero(mag > _RADIUS_REL_TOL * peak)  # lattice indices of the active entries, per axis
-    return float(np.abs(field.grid.axis_frequencies()[np.concatenate(j)]).max())

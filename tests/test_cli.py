@@ -181,6 +181,40 @@ def test_exponent_p_outside_its_range_is_config_error(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+ALPHA, TOLERANCE = "alpha must be finite and positive", "tolerance must be finite and >= 0"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("exponents", "--alpha", "inf"), ALPHA),
+    (("exponents", "--alpha", "nan"), ALPHA),
+    (("exponents", "--alpha", "-2"), ALPHA),
+    (("sweep", "--alpha", "inf", "--lambdas", "16,32"), ALPHA),
+    (("diagnostics", "ridge", "--alpha", "inf"), ALPHA),
+    (("diagnostics", "envelope", "--alpha", "inf"), ALPHA),
+    (("diagnostics", "kernel-tail", "--alpha", "inf"), ALPHA),
+    (("sweep", "--lambdas", "16,32", "--tolerance", "nan"), TOLERANCE),
+    (("sweep", "--lambdas", "16,32", "--tolerance", "-0.5"), TOLERANCE),
+])
+def test_alpha_or_tolerance_outside_its_range_is_config_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("diagnostics", "kernel-tail", "--k", "600"),
+    ("diagnostics", "kernel-tail", "--alpha", "1e300"),
+    ("diagnostics", "kernel-tail", "--k", "100"),  # a nan tail bound
+    ("diagnostics", "ridge", "--lam", "1e300"),
+    ("diagnostics", "focusing", "--alpha", "1e308"),
+    ("evolve", "--datum", "f_lambda", "--lam", "1e300", "--allow-wrapped"),
+])
+def test_overflow_is_numerical_failure(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: numerical overflow: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", ["DISPLAB_MAX_GRID_POINTS"])
 def test_sweep_bad_environment_is_config_error(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "abc")

@@ -32,10 +32,10 @@ from displab.grid import FREQUENCY, Field, GridSpec
 from displab.norms import lp_norm, sobolev_norm
 from displab.propagator import (
     DispersionParams,
+    _power_sums,
     band_kernel,
     evolve,
     evolve_trajectory,
-    evolved_lp_norms,
 )
 from displab.spectral import dft_forward, dft_inverse, to_physical
 from test_chirpquad import long_double_lattice_sum
@@ -306,7 +306,7 @@ def test_evolution_and_datum_paths_form_no_frequency_mesh(monkeypatch):
     params = DispersionParams(3.0, 1)
     profile = unit_annulus_field(unit_profile_grid(2**12), one_sided=True)
     evolve(to_physical(profile), 0.5, params)
-    evolved_lp_norms(profile, [0.0, 1.0], params, 6.0)
+    _power_sums(profile, [0.0, 1.0], params, 6.0)
     ridge_trace(16.0, 3.0, [0.0, 0.5], epsilon=0.07)  # an epsilon no other test caches
     focusing_check(ExtremizerSpec(SMOOTHING, 16.0, DispersionParams(2.0, 1)))
     band_kernel(2, 0.5, DispersionParams(2.0, 1))

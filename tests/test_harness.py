@@ -13,12 +13,13 @@ from displab.harness import (
     fit_loglog,
     focusing_s_grid,
     run_sweep,
+    slope_verdict,
     verify_airy,
     verify_maximal_necessary,
     verify_sharpness,
 )
 from displab.norms import _time_weights, airy_exponent, lp_norm, smoothing_exponent, sobolev_norm
-from displab.propagator import DispersionParams, evolved_lp_norms
+from displab.propagator import DispersionParams, _power_sums
 from displab.spectral import apply_symbol, to_physical
 
 
@@ -111,6 +112,27 @@ def test_norm_kind_follows_the_family():
 def test_sweep_config_rejects_nonfinite_scales_and_beta(family, alpha, lambdas, beta, match):
     with pytest.raises(ValueError, match=match):
         SweepConfig(family, alpha, 1, 6.0, beta, lambdas)
+
+
+@pytest.mark.parametrize("family", ["smoothing", "maximal"])
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, -2.0, 0.0])
+def test_sweep_config_rejects_a_nonfinite_or_nonpositive_alpha(family, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        SweepConfig(family, alpha, 1, 6.0, 0.0, (16.0, 32.0))
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, -0.5])
+def test_verdicts_reject_a_nonfinite_or_negative_tolerance(monkeypatch, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        slope_verdict(records_from([16.0, 32.0], [1.0, 2.0]), 0.0, tolerance)
+
+    def refuse(cfg):
+        raise AssertionError("a sweep ran before the tolerance was checked")
+
+    monkeypatch.setattr(harness, "run_sweep", refuse)
+    cfg = SweepConfig("maximal", 3.0, 1, 6.0, 0.25, (16.0, 32.0, 64.0, 128.0))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        verify_maximal_necessary(cfg, tolerance)
 
 
 def test_single_scale_smoke():
@@ -254,7 +276,7 @@ def physical_direct_record(cfg, lam, grid):
     if cfg.datum_scale != 1.0:
         datum = datum.with_samples(datum.samples * cfg.datum_scale)
     t_grid = 1.0 + focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha) / lam**cfg.alpha
-    vals = evolved_lp_norms(datum, t_grid, params, cfg.p)
+    vals = _power_sums(datum, t_grid, params, cfg.p)[0]
     numerator = float((vals @ _time_weights(t_grid, (0.0, 1.0))) ** (1.0 / cfg.p))
     if cfg.use_sobolev_denominator:
         return numerator, sobolev_norm(datum, cfg.p, cfg.beta)
@@ -347,7 +369,7 @@ def random_band_upper_bound_check(alpha: float, p: float, bands) -> float:
         raw = Field(grid, FREQUENCY, coef)
         f = to_physical(apply_symbol(raw, lambda xi: bandpass(2.0**-k * np.abs(xi[0]))))
         ts = np.linspace(0.0, 1.0, 65)
-        num = (evolved_lp_norms(f, ts, params, p) @ _time_weights(ts, (0.0, 1.0))) ** (1.0 / p)
+        num = (_power_sums(f, ts, params, p)[0] @ _time_weights(ts, (0.0, 1.0))) ** (1.0 / p)
         den = 2.0 ** (k * beta_p) * lp_norm(f, p)
         worst = max(worst, float(num / den))
     return worst

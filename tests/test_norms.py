@@ -180,6 +180,17 @@ def test_exponent_formulas_reject_p_outside_their_range(formula, p):
         formula(p)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -2.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("formula", [
+    lambda alpha: smoothing_exponent(alpha, 1, 6.0),
+    lambda alpha: maximal_exponent(alpha, 1, 6.0),
+    lambda alpha: maximal_necessary_exponent(alpha, 6.0),
+], ids=["smoothing", "maximal", "maximal_necessary"])
+def test_exponent_formulas_reject_alpha_outside_their_range(formula, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        formula(alpha)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=1.01, max_value=10.0),

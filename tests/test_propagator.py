@@ -37,7 +37,6 @@ from displab.propagator import (
     band_kernel,
     evolve,
     evolve_trajectory,
-    evolved_lp_norms,
     kernel_tail_mass,
     make_elliptic_phase,
     quadratic_phase,
@@ -57,8 +56,9 @@ def test_params_validation():
     DispersionParams(1.5, 1)
     with pytest.raises(ValueError):
         DispersionParams(1.0, 1)
-    with pytest.raises(ValueError):
-        DispersionParams(-2.0, 1)
+    for alpha in (-2.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            DispersionParams(alpha, 1)
 
 
 def test_ball_constant():
@@ -222,7 +222,7 @@ def test_evolve_rejects_nonfinite_times(t):
 
 @pytest.mark.parametrize("one_sided", [False, True])
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
-def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
+def test_power_sums_match_per_frame_oracle(alpha, one_sided):
     from displab.propagator import _BLOCK_SAMPLES
 
     grid = unit_profile_grid()
@@ -230,7 +230,7 @@ def test_evolved_lp_norms_match_per_frame_oracle(alpha, one_sided):
     params = DispersionParams(alpha, 1)
     block = _BLOCK_SAMPLES // grid.size
     s = np.linspace(-400.0, 0.0, 2 * block + 5)  # two full blocks and a partial one
-    got = evolved_lp_norms(profile, s, params, 6.0)
+    got = _power_sums(profile, s, params, 6.0)[0]
     oracle = [lp_norm(to_physical(evolve(profile, float(v), params)), 6.0) ** 6.0
               for v in s]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
@@ -245,16 +245,16 @@ def test_power_sum_blocks_are_bitwise_those_of_single_frames(monkeypatch):
     params = DispersionParams(2.0, 1)
     block = propagator._BLOCK_SAMPLES // grid.size
     s = np.linspace(-400.0, 0.0, 2 * block + 5)  # two full blocks and a partial one
-    single = np.array([evolved_lp_norms(profile, [v], params, 6.0)[0] for v in s])
+    single = np.array([_power_sums(profile, [v], params, 6.0)[0][0] for v in s])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
     try:
         monkeypatch.setattr("displab.grid._block_workers", lambda: 2)
-        threaded = evolved_lp_norms(profile, s, params, 6.0)
+        threaded = _power_sums(profile, s, params, 6.0)[0]
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr("displab.grid._block_workers", lambda: 1)
-    serial = evolved_lp_norms(profile, s, params, 6.0)
+    serial = _power_sums(profile, s, params, 6.0)[0]
     assert np.array_equal(threaded, single)
     assert np.array_equal(serial, single)
 
@@ -311,7 +311,7 @@ def test_trajectory_peak_is_its_frames_and_one_block(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slice_power_sums_stay_within_the_block_budget(monkeypatch, workers):
-    """The slice sums of `evolved_lp_norms` over five blocks: the traced peak stays below,
+    """The slice sums of `_power_sums` over five blocks: the traced peak stays below,
     per thread, a block of frames, one real temporary of its size and one block of support
     products, plus the support arrays (at most 96 bytes per support point)."""
     from displab import propagator
@@ -323,10 +323,10 @@ def test_slice_power_sums_stay_within_the_block_budget(monkeypatch, workers):
     s = np.linspace(-400.0, 0.0, 4 * block + 3)  # four full blocks and a partial one
     support = np.count_nonzero(to_frequency(profile).samples)
     monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
-    expected = evolved_lp_norms(profile, s, params, 6.0)  # builds the pool outside the trace
+    expected = _power_sums(profile, s, params, 6.0)[0]  # builds the pool outside the trace
     tracemalloc.start()
     try:
-        norms = evolved_lp_norms(profile, s, params, 6.0)
+        norms = _power_sums(profile, s, params, 6.0)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -345,7 +345,7 @@ def direct_spectrum(lam):
 
 
 def slice_cases():
-    """(name, field, phase, times): even and one-sided spectra, a physical input, d = 2 and 3."""
+    """(name, field, phase, times): even and one-sided spectra and a physical input."""
     profile_grid = unit_profile_grid()
     gaussian = GridSpec(1, 2**12, 20.0)  # its spectrum spans the lattice: entries share residues
     cases = [(f"annulus alpha {alpha:g}{' one-sided' * one_sided}",
@@ -356,20 +356,25 @@ def slice_cases():
                1.0 + np.linspace(-1.0, 0.0, 7) * 64.0 / lam**2) for lam in (16.0, 32.0)]
     cases.append(("physical gaussian", Field.from_function(gaussian, lambda x: np.exp(-x[0] ** 2)),
                   DispersionParams(1.5, 1), np.linspace(-1.1, 0.9, 5)))
-    for dim, points, half_width in [(2, 64, 6.0), (3, 16, 3.0)]:
-        g = GridSpec(dim, points, half_width)
-        cases.append((f"gaussian d = {dim}",
-                      Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0))),
-                      DispersionParams(2.0, dim), np.linspace(-0.7, 0.9, 5)))
     return cases
 
 
 @pytest.mark.parametrize("case", slice_cases(), ids=lambda case: case[0])
 def test_slice_power_sums_match_the_per_frame_oracle(case):
     _, field, params, t = case
-    got = evolved_lp_norms(field, t, params, 6.0)
+    got = _power_sums(field, t, params, 6.0)[0]
     oracle = [lp_norm(to_physical(evolve(field, float(v), params)), 6.0) ** 6.0 for v in t]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim, points, half_width", [(2, 64, 6.0), (3, 16, 3.0)])
+def test_power_sums_reject_a_grid_of_dim_other_than_1(dim, points, half_width):
+    """The slices are one-dimensional: d > 1 norms go through `evolve_trajectory` and `lp_norm`."""
+    g = GridSpec(dim, points, half_width)
+    gaussian = Field.from_function(g, lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=0)))
+    for field in (gaussian, to_frequency(gaussian)):
+        with pytest.raises(ValueError, match="1-d grids, got dim = "):
+            _power_sums(field, np.linspace(-0.7, 0.9, 5), DispersionParams(2.0, dim), 6.0)
 
 
 @pytest.mark.parametrize("one_sided, transforms", [(False, 8 // 2 + 1), (True, 8)])
@@ -379,9 +384,9 @@ def test_even_spectra_run_only_their_distinct_slices(monkeypatch, one_sided, tra
     profile = unit_annulus_field(grid, one_sided)
     s = np.linspace(-50.0, 0.0, 13)
     shapes = []
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda a, **kw: shapes.append(a.shape) or ifftn(a, **kw))
-    evolved_lp_norms(profile, s, DispersionParams(2.0, 1), 6.0)
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: shapes.append(a.shape) or ifft(a, **kw))
+    _power_sums(profile, s, DispersionParams(2.0, 1), 6.0)
     assert {shape[1:] for shape in shapes} == {(grid.points // 8,)}
     assert sum(shape[0] for shape in shapes) == transforms * s.size
 
@@ -463,7 +468,7 @@ def test_trajectory_reraises_an_error_of_a_block(monkeypatch):
 
 
 def _forked_norms(profile, s, params, expected):
-    sys.exit(0 if np.array_equal(evolved_lp_norms(profile, s, params, 6.0), expected) else 1)
+    sys.exit(0 if np.array_equal(_power_sums(profile, s, params, 6.0)[0], expected) else 1)
 
 
 def test_block_pool_runs_in_a_forked_child(monkeypatch):
@@ -477,7 +482,7 @@ def test_block_pool_runs_in_a_forked_child(monkeypatch):
     profile = unit_annulus_field(grid)
     params = DispersionParams(2.0, 1)
     s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
-    expected = evolved_lp_norms(profile, s, params, 6.0)  # builds this process's pool
+    expected = _power_sums(profile, s, params, 6.0)[0]  # builds this process's pool
     child = multiprocessing.get_context("fork").Process(
         target=_forked_norms, args=(profile, s, params, expected))
     child.start()
@@ -504,7 +509,7 @@ from displab import propagator
 from displab.extremizers import unit_annulus_field, unit_profile_grid
 grid = unit_profile_grid(2**12)
 s = np.linspace(-50.0, 0.0, 3 * (propagator._BLOCK_SAMPLES // grid.size))
-propagator.evolved_lp_norms(unit_annulus_field(grid), s, propagator.DispersionParams(2.0, 1), 6.0)
+propagator._power_sums(unit_annulus_field(grid), s, propagator.DispersionParams(2.0, 1), 6.0)
 assert propagator._kernel_grid(2.0, 2.0**14).points == 2**19  # slices on more than one job
 propagator.kernel_tail_mass(7, 1.0, propagator.DispersionParams(2.0, 1))
 import displab.grid
@@ -515,33 +520,24 @@ assert threading.active_count() == 1 and displab.grid._block_pool.cache_info().c
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
-def test_evolved_lp_norms_physical_input_and_validation(rng):
+def test_power_sums_physical_input_and_validation(rng):
     g = GridSpec(1, 512, 12.0)
     f = band_limited_field(g, rng)
     params = DispersionParams(1.5, 1)
     ts = [0.0, 0.3, 1.0]
-    got = evolved_lp_norms(f, ts, params, 3.0)
+    got = _power_sums(f, ts, params, 3.0)[0]
     oracle = [lp_norm(to_physical(evolve(f, t, params)), 3.0) ** 3.0 for t in ts]
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError, match="finite"):
-        evolved_lp_norms(f, [0.1, np.nan], params, 2.0)
+        _power_sums(f, [0.1, np.nan], params, 2.0)
     with pytest.raises(ValueError, match="p must"):
-        evolved_lp_norms(f, ts, params, np.inf)
+        _power_sums(f, ts, params, np.inf)
     with pytest.raises(ValueError, match="dim"):
-        evolved_lp_norms(f, ts, DispersionParams(2.0, 2), 2.0)
+        _power_sums(f, ts, DispersionParams(2.0, 2), 2.0)
     with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
         # |xi|^1000 overflows on this lattice
-        evolved_lp_norms(Field.zeros(GridSpec(1, 64, 0.01)), ts, DispersionParams(1000.0, 1), 2.0)
-
-    g2 = GridSpec(2, 64, 6.0)
-    mesh = g2.frequency_mesh()
-    coef = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    coef[np.sqrt((mesh**2).sum(axis=0)) > 0.2 * g2.nyquist] = 0.0
-    f2 = Field(g2, FREQUENCY, coef)
-    params2 = DispersionParams(2.0, 2)
-    got = evolved_lp_norms(f2, ts, params2, 4.0)
-    oracle = [lp_norm(to_physical(evolve(f2, t, params2)), 4.0) ** 4.0 for t in ts]
-    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+        _power_sums(Field.zeros(GridSpec(1, 64, 0.01)), ts, DispersionParams(1000.0, 1), 2.0)
+    assert np.array_equal(_power_sums(f, 0.3, params, 3.0)[0], got[1:2])  # a bare time
 
 
 def test_trajectory_transforms_its_datum_once(monkeypatch):
@@ -683,7 +679,7 @@ def test_a_phase_non_finite_on_the_support_raises(rng):
     for run in (
         lambda: evolve(f, 0.5, broken),
         lambda: evolve_trajectory(f, [0.0, 0.5], broken),
-        lambda: evolved_lp_norms(f, [0.0, 0.5], broken, 6.0),
+        lambda: _power_sums(f, [0.0, 0.5], broken, 6.0),
         lambda: elliptic_evolve(f, 0.5, EllipticPhase(broken, lambda xi: np.ones(xi.shape[1:]), 1.0)),
     ):
         with pytest.raises(ValueError, match="non-finite"):
@@ -916,6 +912,19 @@ def test_kernel_tail_past_the_grid_cap_runs_no_quadrature(monkeypatch):
         _kernel_grid(3.0, 2.0**18)
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "256")  # budget 16384 nodes
     assert 0.0 < kernel_tail_mass(6, 1.0, DispersionParams(3.0, 1)) < 1e-20
+
+
+def test_kernel_tail_bound_that_overflows_raises_and_a_finite_one_is_kept():
+    """From k = 57 (alpha 2, t = 1) powers of the spread in the bound overflow: k = 57 keeps its
+    finite bound over the mass floor, with no warning; at k = 100 an overflow meets a zero
+    coefficient, and the nan bound raises OverflowError instead of being returned."""
+    params = DispersionParams(2.0, 1)
+    ball, scale = _ball_and_scale(2.0, 57, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _outside_mass_bound(2.0, scale, ball)
+    assert kernel_tail_mass(57, 1.0, params) == bound > 0.0
+    with pytest.raises(OverflowError, match=r"k = 100 at t = 1.0, alpha = 2.0 is not finite"):
+        kernel_tail_mass(100, 1.0, params)
 
 
 def test_band_kernel_past_the_grid_cap_names_the_cap():

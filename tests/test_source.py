@@ -141,9 +141,11 @@ def test_options_that_only_tests_set_stay_gone():
     """No caller set these knobs, so the library has none: `evolve`'s headroom, the chirp-z
     route's method, the cutoffs' sharpness and smoothness scale, the separation weight's
     cutoffs, the datum amplitude of the extremizer layer (`harness._record` applies
-    `datum_scale`), and the public headroom check, stacked inverse, array-target coercion,
-    packet norm and physical smoothing datum that went with them."""
-    from displab import chirpquad, cutoffs, decomposition, extremizers, propagator, spectral
+    `datum_scale`), the unit profile grid's nyquist, the representation a field's copy could
+    switch to, and the public headroom check, stacked inverse, array-target coercion,
+    packet norm, physical smoothing datum, power-sum entry and spectral radius that went
+    with them."""
+    from displab import chirpquad, cutoffs, decomposition, extremizers, grid, propagator, spectral
 
     knobs = [
         (propagator.evolve, "headroom"),
@@ -156,12 +158,16 @@ def test_options_that_only_tests_set_stay_gone():
         (decomposition.separation_weight, "cutoffs"),
         (extremizers.datum_lp_norm, "amplitude_scale"),
         (extremizers.unit_annulus_field, "scale"),
+        (extremizers.unit_profile_grid, "nyquist"),
+        (grid.Field.with_samples, "representation"),
     ]
     assert [(fn.__name__, knob) for fn, knob in knobs if knob in inspect.signature(fn).parameters] == []
     gone = {
-        spectral: ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place"),
+        spectral: ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place",
+                   "spectral_radius", "_RADIUS_REL_TOL"),
         chirpquad: ("as_segments",),
         extremizers: ("packet_lp_norm", "make_smoothing_extremizer"),
+        propagator: ("evolved_lp_norms",),
     }
     assert [name for module, names in gone.items() for name in names
             if hasattr(module, name) or hasattr(displab, name)] == []
@@ -194,12 +200,13 @@ def test_only_the_record_builder_builds_records():
 
 
 def test_one_route_per_power_sum():
-    """Every sum of |frame|^p goes through the slice routine `propagator._power_sums`; whole
+    """Every sum of |frame|^p goes through the slice routine `propagator._power_sums`, called
+    by the profile curve and the direct record with no entry between; whole
     frames are evolved by `evolve_trajectory` alone, in its own array, with no block engine
     between, and the stacked inverse transform serves its block job and `dft_inverse` only."""
     from displab import propagator
 
-    assert _callers("_power_sums") == ["harness._ProfileCurve.fill", "propagator.evolved_lp_norms"]
+    assert _callers("_power_sums") == ["harness._ProfileCurve.fill", "harness.direct_smoothing_record"]
     assert not hasattr(propagator, "_frame_blocks")
     assert _callers("_inverse_signed_in_place") == [
         "propagator.evolve_trajectory.run", "spectral.dft_inverse"]

@@ -5,7 +5,13 @@ from displab.errors import RepresentationError
 from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec
 from displab.norms import lp_norm
 from displab import spectral
-from displab.spectral import apply_symbol, dft_forward, dft_inverse, spectral_radius
+from displab.decomposition import _RADIUS_REL_TOL, _active_support
+from displab.spectral import apply_symbol, dft_forward, dft_inverse
+
+
+def active_radius(field: Field) -> float:
+    """The largest active |xi_i| that `decomposition.relevant_piece_indices` reads per factor."""
+    return np.abs(_active_support(field, _RADIUS_REL_TOL)[0]).max(initial=0.0)
 
 
 def slow_dft(field: Field) -> np.ndarray:
@@ -161,7 +167,7 @@ def test_unimodular_symbol_preserves_l2(rng):
 
 
 @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64), (3, 16)])
-def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
+def test_active_radius_is_the_mesh_formula(dim, points, rng):
     g = GridSpec(dim, points, 3.0)
     mesh = g.frequency_mesh()
     for _ in range(5):
@@ -172,7 +178,8 @@ def test_spectral_radius_is_the_mesh_formula(dim, points, rng):
         mag = np.abs(coef)
         active = mag > 1e-9 * mag.max()
         oracle = max(float(np.abs(mesh[a][active]).max()) for a in range(dim))
-        assert spectral_radius(f) == oracle
+        assert active_radius(f) == oracle
+    assert active_radius(Field.zeros(g, FREQUENCY)) == 0.0
 
 
 @pytest.mark.parametrize("dim, points, half_width", [(1, 2**12, 3.0), (2, 64, 40.0), (3, 16, 0.5)])
@@ -181,11 +188,11 @@ def test_full_lattice_spectra_stay_within_nyquist(dim, points, half_width, rng):
     `evolve` and `evolve_trajectory` need no headroom scan."""
     g = GridSpec(dim, points, half_width)
     f = Field(g, FREQUENCY, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    assert spectral_radius(f) <= g.nyquist
+    assert active_radius(f) <= g.nyquist
 
 
-def test_spectral_radius_of_a_plane_wave():
+def test_active_radius_of_a_plane_wave():
     g = GridSpec(1, 64, 8.0)
     xi0 = 10 * g.frequency_spacing
     f = Field.from_function(g, lambda x: np.exp(1j * xi0 * x[0]))
-    assert spectral_radius(f) == pytest.approx(xi0)
+    assert active_radius(f) == pytest.approx(xi0)
