@@ -29,7 +29,7 @@ dense-lattice nodes and banded above it, for every caller; `_route`
 returns that choice with its node count, which is the count the budget
 check reads.  Both routes stay: the dense one is the banded one's oracle
 in tests, and the faster below the cap; tests force one by patching
-`DENSE_CAP`.  On `extremizers.datum_lp_norm`'s 8192 targets at alpha 2
+`DENSE_CAP`.  On `extremizers._datum_quadrature`'s 8192 targets at alpha 2
 (2-core Xeon, best of 3, weights on the centred phase) the dense route
 costs 0.008 s at 81,790 nodes against 0.077 s banded, 0.018 s against
 0.048 s at 162,756, 0.032 s against 0.039 s at 324,688, 0.049 s against
@@ -57,7 +57,7 @@ The chirp-z sum (Rabiner, Schafer & Rader 1969) over that lattice is then
 a plain DFT of length L: the weights fold onto their node index mod L and
 one inverse FFT returns target k at k mod L.  Where L is over twice the
 Bluestein length of the nodes and targets (few of both on a long period:
-small scales on the banded route, and two of the 14 quadratures of the
+small scales on the banded route, and two of the 11 quadratures of the
 seed-0 benchmark `sweep`), a Bluestein `CZT` plan (Bluestein 1970) at
 angle 2 pi / L runs instead, built by the job that applies it.  There
 n, m < L / 2, so the plan's largest chirp angle pi max(n, m)^2 / L stays
@@ -69,7 +69,7 @@ benchmark `sweep` builds 9 plans and `localization` none.
 Weights.  Each lattice's phase is formed about its midpoint c, as
 S (|x|^alpha - |c|^alpha) + y_0 (x - c), and the constant
 e^{i (S |c|^alpha + y_0 c)} joins the final twiddle.  On the band
-windows of `extremizers.datum_lp_norm` at alpha 3, lam 256 the phase
+windows of `extremizers._datum_quadrature` at alpha 3, lam 256 the phase
 stays within 1.1e5 rather than 2.6e8, so its cosine and sine, written
 into the real and imaginary parts of the chirp, need no slow reduction of
 large arguments.  On either form the largest phase error is the rounding

@@ -252,6 +252,14 @@ def cmd_sweep(args) -> int:
     return status
 
 
+def tolerance(text: str) -> float:
+    """A `--tolerance` value: a finite float >= 0, checked before any sweep runs."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
+
+
 def slope(text: str) -> float:
     """An `--expect` value: a slope, bare or as slope=<s> (argparse says "invalid slope value")."""
     key, _, val = text.rpartition("=")
@@ -267,7 +275,8 @@ def cmd_diagnostics(args) -> int:
     from .extremizers import ExtremizerSpec, envelope_check, focusing_check, ridge_check
     from .propagator import DispersionParams, kernel_tail_mass
 
-    params = DispersionParams(args.alpha, 1)
+    # the bilinear diagnostics ignore --alpha, so they neither read nor check it
+    params = None if args.which.startswith("bilinear") else DispersionParams(args.alpha, 1)
     rows = []
     if args.which == "kernel-tail":
         value = kernel_tail_mass(args.k, args.t, params)
@@ -391,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p", type=float, default=6.0)
     sw.add_argument("--beta", type=float, help="default: the family's critical exponent")
     sw.add_argument("--lambdas", default="16,32,64,128", help="comma-separated increasing scales")
-    sw.add_argument("--tolerance", type=float, default=0.1)
+    sw.add_argument("--tolerance", type=tolerance, default=0.1)
     sw.add_argument("--expect", type=slope, help="override the expected slope "
                                                  "(default: critical - beta), e.g. slope=0.2")
     sw.add_argument("--sobolev-denominator", action="store_true")

@@ -17,11 +17,14 @@ by |datum_scale| and the ratio is that of the unit values.
 Unit-scale reductions.  All sweep quantities are evaluated through the exact
 unit-scale reductions of the extremizer families (see `extremizers`): the
 solution norms come from the unit annulus profile W with
-||U_t f_lam||_p = lam^{d(1-1/p)} ||W(., lam^alpha (t-1))||_p, and datum
-norms from the dispersed-profile quadrature.  The time integral is
-restricted to the window |t - 1| <= horizon * lam^{-alpha} on which the
-evolved profile provably fits inside the box (`faithful_horizon`), all of
-[0, 1] for small lam.  For large lam the omitted early-time share depends
+||U_t f_lam||_p = lam^{d(1-1/p)} ||W(., lam^alpha (t-1))||_p.  Datum norms
+take one of two routes by S = lam^alpha (`extremizers.datum_lp_norm`): the
+dispersed-profile quadrature below the crossover `SP_CROSSOVER` = 2^20, and
+the leading stationary-phase term from it on, which matches the quadrature
+within 5.7e-10 relative there and needs no quadrature nodes.  The time
+integral is restricted to the window |t - 1| <= horizon * lam^{-alpha} on
+which the evolved profile provably fits inside the box (`faithful_horizon`),
+all of [0, 1] for small lam.  For large lam the omitted early-time share depends
 on p, since ||W(., s)||_p^p decays like |s|^{1-p/2}: about 5e-4 at p = 6,
 13% at p = 4.5 and 47% at p = 4.  The per-record `coverage` field
 extrapolates it.  A direct lam-scale route (`direct_smoothing_record`)
@@ -310,7 +313,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     Raises SizingError naming the smallest scale whose quadrature lattice
     would exceed the configured memory cap (DISPLAB_MAX_GRID_POINTS x 64,
-    since quadrature nodes are streamed in bounded chunks).  The smoothing
+    since quadrature nodes are streamed in bounded chunks); a scale past the
+    stationary-phase crossover runs no quadrature and needs no nodes.  The smoothing
     and airy families fill the shared profile-norm curve over the union of
     their scales' s-grids in one call.
     """

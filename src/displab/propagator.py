@@ -616,8 +616,14 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     if params.dim != 1:
         raise ValueError("kernel tail masses are computed in dimension 1")
     alpha = params.alpha
-    ball = 4.0 * ball_constant(alpha) * 2.0 ** (alpha * k)
-    scale = 2.0 ** (alpha * k) * t
+    try:
+        spread = 2.0 ** (alpha * k)
+    except OverflowError:
+        raise OverflowError(
+            f"the band spread 2^(alpha k) at k = {k}, alpha = {alpha:g} overflows the float range"
+        ) from None
+    ball = 4.0 * ball_constant(alpha) * spread
+    scale = spread * t
     # |S|^(j-n) overflows at large scales, and an overflow times a zero r_{n,j} is nan
     with np.errstate(over="ignore", invalid="ignore"):
         bound = _outside_mass_bound(alpha, scale, ball)

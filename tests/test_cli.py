@@ -181,7 +181,7 @@ def test_exponent_p_outside_its_range_is_config_error(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
-ALPHA, TOLERANCE = "alpha must be finite and positive", "tolerance must be finite and >= 0"
+ALPHA = "alpha must be finite and positive"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -192,13 +192,46 @@ ALPHA, TOLERANCE = "alpha must be finite and positive", "tolerance must be finit
     (("diagnostics", "ridge", "--alpha", "inf"), ALPHA),
     (("diagnostics", "envelope", "--alpha", "inf"), ALPHA),
     (("diagnostics", "kernel-tail", "--alpha", "inf"), ALPHA),
-    (("sweep", "--lambdas", "16,32", "--tolerance", "nan"), TOLERANCE),
-    (("sweep", "--lambdas", "16,32", "--tolerance", "-0.5"), TOLERANCE),
 ])
 def test_alpha_or_tolerance_outside_its_range_is_config_error(capsys, argv, message):
+    """A bad --tolerance is refused by its flag at parse time, so its cases sit in
+    `test_sweep_tolerance_is_checked_before_the_sweep_runs`."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_sweep_tolerance_is_checked_before_the_sweep_runs(capsys, monkeypatch, value):
+    from displab import harness
+
+    def refuse(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_sweep", refuse)
+    code, out, err = run(capsys, "sweep", "--tolerance", value, "--lambdas", "16")
+    assert code == 2 and out == ""
+    assert f"argument --tolerance: tolerance must be finite and >= 0, got {value}\n" in err
+
+
+@pytest.mark.parametrize("which", ["bilinear-reconstruction", "bilinear-ratio"])
+def test_bilinear_diagnostics_neither_read_nor_check_alpha(capsys, which):
+    code, out, err = run(capsys, "diagnostics", which, "--alpha", "1")
+    assert code == 0 and err == ""
+    _, reference, _ = run(capsys, "diagnostics", which, "--alpha", "2")
+    assert out.splitlines()[2:] == reference.splitlines()[2:]  # the rows; the headers echo alpha
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (("diagnostics", "kernel-tail", "--k", "600"), "the band spread 2^(alpha k) at k = 600, alpha = 2"),
+    (("diagnostics", "ridge", "--lam", "1e300"), "the time scale lam^alpha at lam = 1e+300, alpha = 2"),
+    (("diagnostics", "focusing", "--alpha", "1e308"),
+     "the time scale lam^alpha at lam = 32, alpha = 1e+308"),
+])
+def test_overflow_names_the_quantity_and_its_inputs(capsys, argv, quantity):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: numerical overflow: {quantity} overflows the float range\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from displab import chirpquad, propagator
+from displab import chirpquad, extremizers, propagator
 from displab.cutoffs import make_cutoffs, smooth_step
 from displab.errors import SizingError
 from displab.extremizers import (
@@ -10,7 +10,9 @@ from displab.extremizers import (
     MAXIMAL,
     PACKET_GRID,
     SMOOTHING,
+    SP_CROSSOVER,
     ExtremizerSpec,
+    _datum_quadrature,
     _focus_window,
     _normalized_bump,
     datum_lp_norm,
@@ -337,6 +339,84 @@ def test_envelope_quadrature_respects_the_node_budget(monkeypatch):
         envelope_check(spec)
 
 
+# -- the stationary-phase route of datum_lp_norm ---------------------------------------
+
+# The SP value against the quadrature at S = 2^20, over alpha 1.5-4, p 4-12, beta -0.5 to 1
+# and both sides, measured at most 5.7e-10 relative (alpha 1.5, beta -0.5, p 6); the gap
+# falls like S^-2.
+SP_GAP = 6e-10
+
+
+def sp_value(monkeypatch, lam, alpha, p, one_sided, beta):
+    """`datum_lp_norm`'s stationary-phase value at any scale: the crossover moved to 0."""
+    with monkeypatch.context() as patched:
+        patched.setattr(extremizers, "SP_CROSSOVER", 0.0)
+        return datum_lp_norm.__wrapped__(lam, alpha, p, one_sided, beta)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_stationary_phase_matches_the_quadrature_around_the_crossover(
+        monkeypatch, alpha, beta, one_sided):
+    for log2_scale in (19.5, 20.0, 20.5):
+        lam = 2.0 ** (log2_scale / alpha)
+        quadrature = _datum_quadrature(lam, alpha, 6.0, one_sided, beta)
+        assert abs(sp_value(monkeypatch, lam, alpha, 6.0, one_sided, beta) - quadrature) <= (
+            SP_GAP * quadrature)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+def test_stationary_phase_matches_the_quadrature_over_the_grid(monkeypatch, alpha):
+    """At S = 2^20, p 4, 6 and 12, beta -0.5, 0 and 1, both sides: within SP_GAP."""
+    lam = 2.0 ** (20.0 / alpha)
+    for p in (4.0, 6.0, 12.0):
+        for beta in (-0.5, 0.0, 1.0):
+            for one_sided in (False, True):
+                quadrature = _datum_quadrature(lam, alpha, p, one_sided, beta)
+                sp = sp_value(monkeypatch, lam, alpha, p, one_sided, beta)
+                assert abs(sp - quadrature) <= SP_GAP * quadrature, (p, beta, one_sided)
+
+
+@pytest.mark.slow
+def test_stationary_phase_matches_the_quadrature_at_alpha_4_lam_128():
+    """S = 2^28, where the quadrature takes seconds: measured 2.1e-10 apart."""
+    quadrature = _datum_quadrature(128.0, 4.0, 6.0, False, 0.0)
+    assert abs(datum_lp_norm.__wrapped__(128.0, 4.0, 6.0) - quadrature) <= SP_GAP * quadrature
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("lam, alpha", [(16.0, 2.0), (16.0, 3.0), (2.0**10.5, 2.0), (2.0**7, 3.0)])
+def test_stationary_phase_is_plancherel_at_p_2(monkeypatch, lam, alpha, one_sided):
+    """At p = 2 the SP formula is exact at every S: ||f_lam||_2^2 = lam (2 pi)^-1 int theta^2
+    over each side of the annulus."""
+    annulus = make_cutoffs().annulus
+    breaks = (2.0**-0.5, 2.0**0.5)
+    integral = quad(lambda r: annulus(r) ** 2, 0.5, 2.0, points=breaks, epsabs=1e-15, epsrel=1e-13)[0]
+    oracle = np.sqrt((1.0 if one_sided else 2.0) * lam * integral / (2.0 * np.pi))
+    assert abs(sp_value(monkeypatch, lam, alpha, 2.0, one_sided, 0.0) - oracle) <= 1e-12 * oracle
+
+
+def test_no_quadrature_runs_past_the_crossover(monkeypatch):
+    """From S = 2^20 on, `datum_lp_norm` is the SP value: `chirp_profile` never runs and
+    `datum_quadrature_nodes` reads 0.  Just below, both are the quadrature's."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chirp_profile ran past the crossover")
+
+    monkeypatch.setattr(extremizers, "chirp_profile", refuse)
+    for lam, alpha in [(1024.0, 2.0), (128.0, 3.0), (256.0, 3.0), (32.0, 4.0), (256.0, 4.0)]:
+        for one_sided in (False, True):
+            assert datum_quadrature_nodes(lam, alpha, one_sided) == 0
+            for beta in (0.0, -0.5):
+                assert datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided, beta) > 0
+    below = 0.999 * SP_CROSSOVER ** (1.0 / 3.0)
+    assert datum_quadrature_nodes(below, 3.0) > 0
+    with pytest.raises(AssertionError, match="crossover"):
+        datum_lp_norm.__wrapped__(below, 3.0, 6.0)
+
+
 @pytest.mark.parametrize("lam, alpha, one_sided", [(64.0, 3.0, False), (32.0, 3.0, True)])
 def test_datum_norm_budget_check_reads_datum_quadrature_nodes(monkeypatch, lam, alpha, one_sided):
     """The smallest budget holding datum_quadrature_nodes runs the norm; one node less refuses it."""
@@ -373,17 +453,17 @@ def test_banded_envelope_peak_matches_the_dense_route(monkeypatch):
 
 def test_chirp_z_plans_over_the_benchmark_scales(monkeypatch):
     """Each quadrature folds onto its own lattice period, so a `CZT` plan is built only where
-    few nodes and targets sit on a long period: the seed-0 benchmark's datum norms build at
-    most 16 and its envelope peaks none."""
+    few nodes and targets sit on a long period: the datum quadratures at the seed-0
+    benchmark's scales build at most 16 and its envelope peaks none."""
     built = []
     plan_class = chirpquad.CZT
     monkeypatch.setattr(chirpquad, "CZT", lambda n, m, w: built.append(w) or plan_class(n, m, w))
     scales = (16.0, 32.0, 64.0, 128.0, 256.0)
     for alpha in (2.0, 3.0):
         for lam in scales:
-            datum_lp_norm.__wrapped__(lam, alpha, 6.0)
+            _datum_quadrature(lam, alpha, 6.0, False, 0.0)
     for lam in scales[:4]:  # the airy sweep's one-sided norms
-        datum_lp_norm.__wrapped__(lam, 3.0, 6.0, one_sided=True)
+        _datum_quadrature(lam, 3.0, 6.0, True, 0.0)
     assert len(built) <= 16
     built.clear()
     for alpha in (2.0, 3.0):
@@ -594,23 +674,20 @@ def test_packet_field_normalization():
 @pytest.mark.slow
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is no wider than double")
 def test_weights_match_a_long_double_phase_oracle(monkeypatch):
-    """Datum norms at alpha 3, lam 256 and alpha 4, lam 64 within 5e-11 relative, and the
-    alpha 3, lam 256 envelope peak within 1e-9, of the same quadratures with every phase
+    """Datum quadratures at alpha 3, lam 256 and alpha 4, lam 64 within 5e-11 relative, and
+    the alpha 3, lam 256 envelope peak within 1e-9, of the same quadratures with every phase
     formed in long double (`long_double_lattice_sum`).  These are the scales where the
     weights sit furthest from the oracle: 1.55e-11 and 1.31e-11 on the norms, 4.9e-10 on the
     peak."""
 
     def measure():
-        datum_lp_norm.cache_clear()
-        norms = [datum_lp_norm(256.0, 3.0, 6.0), datum_lp_norm(64.0, 4.0, 6.0)]
+        norms = [_datum_quadrature(256.0, 3.0, 6.0, False, 0.0),
+                 _datum_quadrature(64.0, 4.0, 6.0, False, 0.0)]
         peak = envelope_check(ExtremizerSpec(SMOOTHING, 256.0, DispersionParams(3.0, 1))).peak_ratio
         return norms, peak
 
     norms, peak = measure()
     monkeypatch.setattr(chirpquad, "_lattice_sum", long_double_lattice_sum)
-    try:
-        oracle_norms, oracle_peak = measure()
-    finally:
-        datum_lp_norm.cache_clear()  # no oracle value outlives the test
+    oracle_norms, oracle_peak = measure()
     np.testing.assert_allclose(norms, oracle_norms, rtol=5e-11, atol=0.0)
     assert abs(peak - oracle_peak) <= 1e-9 * oracle_peak

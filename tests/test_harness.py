@@ -405,19 +405,31 @@ def test_focusing_window_lower_bound_slope():
 
 
 def test_memory_cap_names_smallest_failing_scale(monkeypatch):
+    """Budget 65,536 nodes: the datum quadratures at alpha 3, lam 16, 32, 64 and 100 (all
+    below the stationary-phase crossover) need 61,548, 10,137, 80,983 and 308,877."""
     from displab.errors import SizingError
 
-    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "4096")
-    cfg = SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 64.0, 256.0, 1024.0))
-    with pytest.raises(SizingError, match="lam = "):
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
+    cfg = SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 32.0, 64.0, 100.0))
+    with pytest.raises(SizingError, match=r"at lam = 64 \("):
         run_sweep(cfg)
 
 
 def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
-    """Budget 2^20: the banded datum norms at alpha 3, lam 64 and 128 need 80,983 and 647,743 nodes."""
+    """Budget 2^20: the banded datum norm at alpha 3, lam 64 needs 80,983 nodes, and lam 128
+    (S = 2^21) takes the stationary-phase route, which needs none."""
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "16384")
     records = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (64.0, 128.0)))
     assert [r.lam for r in records] == [64.0, 128.0]
+
+
+def test_sweep_runs_alpha_4_to_lam_256_under_the_default_budget(monkeypatch):
+    """alpha 4, lam 32 to 256 are stationary-phase scales (S = 2^20 to 2^32), so no node
+    budget refuses them; the lam 256 quadrature would need 3.5e9 nodes."""
+    monkeypatch.delenv("DISPLAB_MAX_GRID_POINTS", raising=False)
+    lams = (32.0, 64.0, 128.0, 256.0)
+    records = run_sweep(SweepConfig("smoothing", 4.0, 1, 6.0, smoothing_exponent(4.0, 1, 6.0), lams))
+    assert [r.lam for r in records] == list(lams)
 
 
 def _count_curve_frames(monkeypatch):
