@@ -57,14 +57,14 @@ The chirp-z sum (Rabiner, Schafer & Rader 1969) over that lattice is then
 a plain DFT of length L: the weights fold onto their node index mod L and
 one inverse FFT returns target k at k mod L.  Where L is over twice the
 Bluestein length of the nodes and targets (few of both on a long period:
-small scales on the banded route, and two of the 11 quadratures of the
-seed-0 benchmark `sweep`), a Bluestein `CZT` plan (Bluestein 1970) at
+small scales on the banded route, and one of the 6 quadratures of the
+seed-0 benchmark `sweep`, alpha 2 at lam 16), a Bluestein `CZT` plan (Bluestein 1970) at
 angle 2 pi / L runs instead, built by the job that applies it.  There
 n, m < L / 2, so the plan's largest chirp angle pi max(n, m)^2 / L stays
 below pi max(n, m) / 2 and no plan is chunked; it holds its lattice whole,
 while the folded route forms its weights in blocks of whole periods.
 There is no direct O(nodes x targets) sum and no plan cache: the seed-0
-benchmark `sweep` builds 9 plans and `localization` none.
+benchmark `sweep` builds 2 plans and `localization` none.
 
 Weights.  Each lattice's phase is formed about its midpoint c, as
 S (|x|^alpha - |c|^alpha) + y_0 (x - c), and the constant

@@ -27,7 +27,7 @@ from .chirpquad import UniformSegment, _route, chirp_profile, nonstationary_boun
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
-from .norms import bessel_symbol, lp_norm
+from .norms import _check_exponent_args, bessel_symbol, lp_norm
 from .propagator import (
     DispersionParams,
     _chirped_box,
@@ -42,9 +42,10 @@ MAXIMAL = "maximal"
 
 # nodes of the dispersed-profile quadrature over 0 <= u <= 1.25 C(alpha)
 _DATUM_NODES = 8192
-# S = lam^alpha from which `datum_lp_norm` is the stationary-phase value, not the quadrature
-SP_CROSSOVER = 2.0**20
-# trapezoid nodes of `J_p` over [1/2, 2]
+# S min_{[1/2, 2]} |phi''| (S = lam^alpha, phi(rho) = rho^alpha) from which `datum_lp_norm`
+# is the stationary-phase value, not the quadrature
+SP_CURVATURE = 2.0**16
+# trapezoid nodes of `J_p` and `K_p` over [1/2, 2]
 _J_NODES = 1025
 # the evolved unit profile must stay _HORIZON_WIDTH inside the box shrunk by _HORIZON_MARGIN
 _HORIZON_MARGIN, _HORIZON_WIDTH = 1.1, 60.0
@@ -210,30 +211,91 @@ def J_p(amplitude, alpha: float, p: float) -> float:
     Take V(y) = (2 pi)^-1 int a(eta) e^{i (y eta - S phi(eta))} deta with
     phi(eta) = eta^alpha and a real amplitude supported in 1/2 <= eta <= 2.
     The phase is stationary at the one eta = rho with y = S phi'(rho), where
-    its second derivative is -S phi''(rho), so
+    its second derivative is -S phi''(rho).  Hormander's expansion (The
+    Analysis of Linear Partial Differential Operators I, Theorem 7.7.5) is
 
-        |V(y)|^2 = (2 pi S |phi''(rho)|)^{-1} (a(rho)^2 + O(S^-2)).
+        V(y) = (2 pi S |phi''(rho)|)^{-1/2} e^{i theta} sum_j S^-j L_j a,
+        L_j a = i^-j sum_{nu - mu = j, 2 nu >= 3 mu} (d^2/phi''(rho))^nu (g^mu a)(rho) / (2^nu mu! nu!),
 
-    The order is S^-2, not S^-1: in the expansion of V the term of order
-    S^-1 is i times a real multiple of the leading one (Hormander, The
-    Analysis of Linear Partial Differential Operators I, Theorem 7.7.5), so
-    it enters |V|^2 only squared.  Past the group positions of the support
-    the phase is not stationary and V decays faster than any power of S.
-    The change of variables y = S phi'(rho), dy = S |phi''(rho)| drho, gives
+    with theta real and g(eta) = -sum_{k >= 3} phi^(k)(rho) (eta - rho)^k / k!
+    the phase's Taylor remainder past order 2.  Each sum is real, so L_1 a
+    and L_3 a are imaginary while L_0 a = a and L_2 a are real, and the odd
+    orders drop out of
 
-        int |V|^p dy = (2 pi)^{-p/2} S^{1-p/2} (J_p + O(S^-2)),
+        2 pi S |phi''(rho)| |V(y)|^2 = a(rho)^2 + S^-2 b(rho) + O(S^-4),
+        b = |L_1 a|^2 + 2 a L_2 a.
 
-    exact at p = 2, where it is Plancherel's identity.  The chirped annulus
-    is two such profiles, mirror images over eta > 0 and eta < 0, so its
-    mass is twice this; a one-sided datum carries one.  The amplitude must
-    vanish to all orders at 1/2 and 2, as the annulus does: then the
-    trapezoid rule on `_J_NODES` points reaches round-off (within 2.2e-16
-    of 200,001 points at alpha 1.5-4, p 4-12, beta 0 and -0.5).  The
-    absolute value keeps the formula for alpha < 1, where phi'' < 0.
+    Past the group positions of the support the phase is not stationary
+    and V decays faster than any power of S.  The change of variables
+    y = S phi'(rho), dy = S |phi''(rho)| drho, and, for p >= 2,
+    (a^2 + S^-2 b)^{p/2} = a^p + (p/2) a^{p-2} b S^-2 + O(S^-4), give
+
+        int |V|^p dy = (2 pi)^{-p/2} S^{1-p/2} (J_p + K_p S^-2 + O(S^-4)),
+
+    with K_p = (p/2) int a^{p-2} b |phi''|^{1-p/2} drho (`K_p`).  At p = 2
+    the sum is Plancherel's identity, exact at every S, so int b drho = 0
+    and K_2 = 0.  The chirped annulus is two such profiles, mirror images
+    over eta > 0 and eta < 0, so its mass is twice this; a one-sided datum
+    carries one.  The amplitude must vanish to all orders at 1/2 and 2, as
+    the annulus does: then the trapezoid rule on `_J_NODES` points reaches
+    round-off (within 2.2e-16 of 200,001 points at alpha 1.5-4, p 4-12,
+    beta 0 and -0.5).  The absolute value keeps the formula for alpha < 1,
+    where phi'' < 0.
     """
     rho = np.linspace(0.5, 2.0, _J_NODES)
     curvature = np.abs(alpha * (alpha - 1.0)) * rho ** (alpha - 2.0)
     return float(np.trapezoid(np.abs(amplitude(rho)) ** p * curvature ** (1.0 - p / 2.0), rho))
+
+
+def K_p(amplitude, alpha: float, p: float) -> float:
+    """(p/2) int_{1/2}^{2} |a|^{p-2} b |phi''|^{1-p/2} drho: `J_p`'s S^-2 companion, p >= 2.
+
+    b = |L_1 a|^2 + 2 a L_2 a (derivation in `J_p`); with c = phi''(rho),
+
+        24 c^6 b = 6 c^4 (a''^2 - a a'''')
+                 + c^3 (a^2 phi^(6) + 6 a a' phi^(5) + 12 a a'' phi^(4) + 20 a a''' phi''' - 12 a' a'' phi''')
+                 + c^2 (6 a'^2 phi'''^2 - 7 a^2 phi''' phi^(5) - 4 a^2 phi^(4)^2
+                        - 32 a a' phi''' phi^(4) - 30 a a'' phi'''^2)
+                 + 5 a c phi'''^2 (5 a phi^(4) + 6 a' phi''') - 15 a^2 phi'''^4.
+
+    The derivatives of a are taken by FFT on `J_p`'s nodes: a vanishes to
+    all orders at both ends, so its periodic extension over [1/2, 2] is
+    C-infinity and its spectrum falls to round-off.  Below p = 2 the weight
+    |a|^{p-2} would blow that round-off up near the zeros of a.
+    """
+    rho = np.linspace(0.5, 2.0, _J_NODES)
+    a, a1, a2, a3, a4 = _periodic_derivatives(amplitude(rho))
+    phase, coef = [], alpha * (alpha - 1.0)
+    for k in range(2, 7):  # phi^(k)(rho) = alpha (alpha - 1) ... (alpha - k + 1) rho^{alpha - k}
+        phase.append(coef * rho ** (alpha - k))
+        coef *= alpha - k
+    c, f3, f4, f5, f6 = phase
+    b = (6.0 * c**4 * (a2**2 - a * a4)
+         + c**3 * (a**2 * f6 + 6.0 * a * a1 * f5 + 12.0 * a * a2 * f4 + 20.0 * a * a3 * f3
+                   - 12.0 * a1 * a2 * f3)
+         + c**2 * (6.0 * a1**2 * f3**2 - 7.0 * a**2 * f3 * f5 - 4.0 * a**2 * f4**2
+                   - 32.0 * a * a1 * f3 * f4 - 30.0 * a * a2 * f3**2)
+         + 5.0 * a * c * f3**2 * (5.0 * a * f4 + 6.0 * a1 * f3)
+         - 15.0 * a**2 * f3**4) / (24.0 * c**6)
+    weight = np.abs(a) ** (p - 2.0) * np.abs(c) ** (1.0 - p / 2.0)
+    return 0.5 * p * float(np.trapezoid(weight * b, rho))
+
+
+def _periodic_derivatives(values: np.ndarray) -> list[np.ndarray]:
+    """``values`` on `_J_NODES` points of [1/2, 2] and their first four derivatives, by FFT.
+
+    The last node closes the period of length 3/2; the Nyquist mode, at
+    round-off for such an amplitude, is dropped.
+    """
+    n = _J_NODES - 1
+    spectrum = np.fft.rfft(values[:n])
+    ik = (2j * np.pi / 1.5) * np.arange(spectrum.size)
+    ik[-1] = 0.0
+    out = [values]
+    for order in range(1, 5):
+        derivative = np.fft.irfft(spectrum * ik**order, n)
+        out.append(np.append(derivative, derivative[0]))
+    return out
 
 
 def _time_scale(lam: float, alpha: float) -> float:
@@ -246,9 +308,13 @@ def _time_scale(lam: float, alpha: float) -> float:
         ) from None
 
 
-def _stationary_phase(lam: float, alpha: float) -> bool:
-    """The route rule of `datum_lp_norm`: the SP value from S = lam^alpha >= `SP_CROSSOVER`."""
-    return _time_scale(lam, alpha) >= SP_CROSSOVER
+def _stationary_phase(lam: float, alpha: float, p: float) -> bool:
+    """The route rule of `datum_lp_norm`: the SP value once p >= 2 and
+
+        S min_{[1/2, 2]} |phi''| = S |alpha (alpha - 1)| 2^{-|alpha - 2|} >= `SP_CURVATURE`.
+    """
+    curvature = abs(alpha * (alpha - 1.0)) * 2.0 ** -abs(alpha - 2.0)
+    return _time_scale(lam, alpha) * curvature >= SP_CURVATURE and p >= 2.0
 
 
 @lru_cache(maxsize=256)
@@ -262,32 +328,45 @@ def datum_lp_norm(
     lam^{d + (alpha-1) d / p} ||V||_p in the rescaled variable (d = 1 here).
     The weight `norms.bessel_symbol` is read at xi = lam eta.
 
-    Two routes, one rule (`_stationary_phase`).  From S >= `SP_CROSSOVER`
-    the norm is the leading stationary-phase term (`J_p`):
+    Two routes, one rule (`_stationary_phase`).  From S min |phi''| >=
+    `SP_CURVATURE` = 2^16 on (S >= 2^15 at alpha 2, 2^14.4 at alpha 3 and
+    4, 2^20.1 at alpha 1.1), for p >= 2, the norm is the two-term
+    stationary-phase value (`J_p`, `K_p`):
 
-        lam^{1 + (alpha-1)/p} (2 (2 pi)^{-p/2} S^{-p/2} J_p)^{1/p},
+        lam^{1 + (alpha-1)/p} (2 (2 pi)^{-p/2} S^{-p/2} (J_p + K_p S^-2))^{1/p},
 
-    with J_p halved for one-sided data; its amplitude is the annulus times
-    the Bessel weight, so the Sobolev denominator takes the same route.
-    Below it, `_datum_quadrature` runs.  At S = 2^20 the two agree within
-    5.7e-10 relative over alpha 1.5-4, p 4-12, beta -0.5 to 1 and both
-    sides (1.9e-10 at beta 0), and the gap falls like S^-2.
+    with J_p and K_p halved for one-sided data; their amplitude is the
+    annulus times the Bessel weight, so the Sobolev denominator takes the
+    same route.  Elsewhere `_datum_quadrature` runs.  At the crossover the
+    two agree within 8.4e-10 relative over alpha 1.1-4, p 4-12, beta -0.5
+    to 1 and both sides (2.1e-10 at beta 0), and the gap falls like S^-4.
+    Below p = 2 the remainder is larger (1.9e-7 at p = 1, alpha 2, at the
+    crossover), so those norms take the quadrature at every S.
+
+    Raises ValueError for a lam or alpha that is not finite and positive, a
+    p that is not finite and >= 1, or a bessel_beta that is not finite.
     """
-    if not _stationary_phase(lam, alpha):
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    _check_exponent_args(alpha, p)
+    if not np.isfinite(bessel_beta):
+        raise ValueError(f"bessel_beta must be finite, got {bessel_beta}")
+    if not _stationary_phase(lam, alpha, p):
         return _datum_quadrature(lam, alpha, p, one_sided, bessel_beta)
     annulus, weight = make_cutoffs(dim=1).annulus, bessel_symbol(bessel_beta)
-    mass = J_p(lambda rho: annulus(rho) * weight(lam * rho[None]), alpha, p)
+    amplitude = lambda rho: annulus(rho) * weight(lam * rho[None])  # noqa: E731
+    S = lam**alpha
+    mass = J_p(amplitude, alpha, p) + K_p(amplitude, alpha, p) / S / S
     if not one_sided:
         mass *= 2.0
-    # (2 pi S)^{-1/2} (2 J_p)^{1/p}, with no power of S that could leave the float range
-    spread = np.sqrt(2.0 * np.pi * lam**alpha)
-    return float(lam ** (1.0 + (alpha - 1.0) / p) * mass ** (1.0 / p) / spread)
+    # (2 pi S)^{-1/2} (2 (J_p + K_p S^-2))^{1/p}, with no power of S that could leave the float range
+    return float(lam ** (1.0 + (alpha - 1.0) / p) * mass ** (1.0 / p) / np.sqrt(2.0 * np.pi * S))
 
 
 def _datum_quadrature(lam: float, alpha: float, p: float, one_sided: bool, bessel_beta: float) -> float:
     """`datum_lp_norm` by the dispersed-profile quadrature: ||V||_p from `chirp_profile`.
 
-    The route below `SP_CROSSOVER`, and the SP route's oracle in tests.
+    The route short of the crossover (`_stationary_phase`), and the SP route's oracle in tests.
     """
     annulus = make_cutoffs(dim=1).annulus
     S = lam**alpha
@@ -307,10 +386,10 @@ def _datum_quadrature(lam: float, alpha: float, p: float, one_sided: bool, besse
     return float(lam ** (1.0 + (alpha - 1.0) / p) * total ** (1.0 / p))
 
 
-def datum_quadrature_nodes(lam: float, alpha: float, one_sided: bool = False) -> int:
-    """Node count of `datum_lp_norm`'s quadrature, the one its budget check reads: 0 from
-    `SP_CROSSOVER` on, where no quadrature runs."""
-    if _stationary_phase(lam, alpha):
+def datum_quadrature_nodes(lam: float, alpha: float, p: float, one_sided: bool = False) -> int:
+    """Node count of `datum_lp_norm`'s quadrature, the one its budget check reads: 0 past the
+    crossover (`_stationary_phase`), where no quadrature runs."""
+    if _stationary_phase(lam, alpha, p):
         return 0
     S = lam**alpha
     return _route(_annulus_intervals(one_sided), alpha, -S, _datum_segments(S, alpha, one_sided))[1]

@@ -18,10 +18,11 @@ Unit-scale reductions.  All sweep quantities are evaluated through the exact
 unit-scale reductions of the extremizer families (see `extremizers`): the
 solution norms come from the unit annulus profile W with
 ||U_t f_lam||_p = lam^{d(1-1/p)} ||W(., lam^alpha (t-1))||_p.  Datum norms
-take one of two routes by S = lam^alpha (`extremizers.datum_lp_norm`): the
-dispersed-profile quadrature below the crossover `SP_CROSSOVER` = 2^20, and
-the leading stationary-phase term from it on, which matches the quadrature
-within 5.7e-10 relative there and needs no quadrature nodes.  The time
+take one of two routes (`extremizers.datum_lp_norm`): the two-term
+stationary-phase value once S min |phi''| >= `SP_CURVATURE` = 2^16
+(S = lam^alpha; from lam 181 at alpha 2 and lam 27.9 at alpha 3) and
+p >= 2, which matches the quadrature within 8.4e-10 relative there and
+needs no quadrature nodes, and the dispersed-profile quadrature elsewhere.  The time
 integral is restricted to the window |t - 1| <= horizon * lam^{-alpha} on
 which the evolved profile provably fits inside the box (`faithful_horizon`),
 all of [0, 1] for small lam.  For large lam the omitted early-time share depends
@@ -314,7 +315,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     Raises SizingError naming the smallest scale whose quadrature lattice
     would exceed the configured memory cap (DISPLAB_MAX_GRID_POINTS x 64,
     since quadrature nodes are streamed in bounded chunks); a scale past the
-    stationary-phase crossover runs no quadrature and needs no nodes.  The smoothing
+    stationary-phase crossover (`extremizers.datum_quadrature_nodes`: S min |phi''|
+    >= 2^16, p >= 2) runs no quadrature and needs no nodes.  The smoothing
     and airy families fill the shared profile-norm curve over the union of
     their scales' s-grids in one call.
     """
@@ -322,7 +324,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         return [_maximal_record(cfg, lam) for lam in cfg.lambdas]
     budget = quadrature_node_budget()
     for lam in cfg.lambdas:
-        nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.family == "airy")
+        nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.p, cfg.family == "airy")
         if nodes > budget:
             raise SizingError(
                 f"sweep sizing exceeds the memory cap at lam = {lam:g} "

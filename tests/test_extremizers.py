@@ -10,8 +10,10 @@ from displab.extremizers import (
     MAXIMAL,
     PACKET_GRID,
     SMOOTHING,
-    SP_CROSSOVER,
+    SP_CURVATURE,
     ExtremizerSpec,
+    J_p,
+    K_p,
     _datum_quadrature,
     _focus_window,
     _normalized_bump,
@@ -341,17 +343,33 @@ def test_envelope_quadrature_respects_the_node_budget(monkeypatch):
 
 # -- the stationary-phase route of datum_lp_norm ---------------------------------------
 
-# The SP value against the quadrature at S = 2^20, over alpha 1.5-4, p 4-12, beta -0.5 to 1
-# and both sides, measured at most 5.7e-10 relative (alpha 1.5, beta -0.5, p 6); the gap
-# falls like S^-2.
+# The two-term SP value against the quadrature at S min|phi''| = 2^16 to 2^17, over alpha 2
+# and 3, p 6, beta -0.5 to 1 and both sides, measured at most 1.8e-10 relative (alpha 2,
+# beta -0.5, at the crossover), and at S = 2^20 over alpha 1.5-4 and p 4-12 at most 3.8e-12;
+# the gap falls like S^-4.
 SP_GAP = 6e-10
+# The same from the crossover to S = 2^20 over alpha 1.1-4 and p 4-12: at most 8.4e-10
+# (alpha 2, beta -0.5, p 12, at the crossover).
+SP_CROSSOVER_GAP = 1e-9
+SP_ALPHAS = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0)
 
 
 def sp_value(monkeypatch, lam, alpha, p, one_sided, beta):
     """`datum_lp_norm`'s stationary-phase value at any scale: the crossover moved to 0."""
     with monkeypatch.context() as patched:
-        patched.setattr(extremizers, "SP_CROSSOVER", 0.0)
+        patched.setattr(extremizers, "SP_CURVATURE", 0.0)
         return datum_lp_norm.__wrapped__(lam, alpha, p, one_sided, beta)
+
+
+def leading_value(lam, alpha, p):
+    """The one-term SP value of the two-sided datum, J_p alone."""
+    mass = 2.0 * J_p(make_cutoffs().annulus, alpha, p)
+    return lam ** (1.0 + (alpha - 1.0) / p) * mass ** (1.0 / p) / np.sqrt(2.0 * np.pi * lam**alpha)
+
+
+def crossover_log2_scale(alpha):
+    """log2 S at which S min_{[1/2, 2]} phi'' reaches `SP_CURVATURE`."""
+    return np.log2(SP_CURVATURE / (alpha * (alpha - 1.0) * 2.0 ** -abs(alpha - 2.0)))
 
 
 @pytest.mark.parametrize("one_sided", [False, True])
@@ -359,11 +377,29 @@ def sp_value(monkeypatch, lam, alpha, p, one_sided, beta):
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
 def test_stationary_phase_matches_the_quadrature_around_the_crossover(
         monkeypatch, alpha, beta, one_sided):
-    for log2_scale in (19.5, 20.0, 20.5):
-        lam = 2.0 ** (log2_scale / alpha)
+    for octaves in (0.0, 0.5, 1.0):
+        lam = 2.0 ** ((crossover_log2_scale(alpha) + octaves) / alpha)
         quadrature = _datum_quadrature(lam, alpha, 6.0, one_sided, beta)
         assert abs(sp_value(monkeypatch, lam, alpha, 6.0, one_sided, beta) - quadrature) <= (
             SP_GAP * quadrature)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha", SP_ALPHAS)
+def test_two_term_value_matches_the_quadrature_from_the_crossover_to_2_20(monkeypatch, alpha):
+    """Every octave of S from the crossover up to 2^20, which the grid test below covers (the
+    crossover alone at alpha 1.1, where it is 2^20.08), p 4, 6 and 12, beta -0.5, 0 and 1,
+    both sides: within SP_CROSSOVER_GAP."""
+    start = crossover_log2_scale(alpha)
+    for log2_scale in np.arange(start, max(start + 1.0, 20.0), 1.0):
+        lam = 2.0 ** (log2_scale / alpha)
+        for p in (4.0, 6.0, 12.0):
+            for beta in (-0.5, 0.0, 1.0):
+                for one_sided in (False, True):
+                    quadrature = _datum_quadrature(lam, alpha, p, one_sided, beta)
+                    sp = sp_value(monkeypatch, lam, alpha, p, one_sided, beta)
+                    assert abs(sp - quadrature) <= SP_CROSSOVER_GAP * quadrature, (
+                        log2_scale, p, beta, one_sided)
 
 
 @pytest.mark.slow
@@ -398,29 +434,87 @@ def test_stationary_phase_is_plancherel_at_p_2(monkeypatch, lam, alpha, one_side
     assert abs(sp_value(monkeypatch, lam, alpha, 2.0, one_sided, 0.0) - oracle) <= 1e-12 * oracle
 
 
+@pytest.mark.parametrize("alpha", SP_ALPHAS)
+def test_second_stationary_phase_coefficient_vanishes_at_p_2(alpha):
+    """Plancherel: int b drho = 0, so K_2 = 0.  What is left is round-off, which the c^-6 of b
+    scales up near alpha 1 (1.8e-11 at alpha 1.1, 2.9e-14 at alpha 2), so below alpha 2 it
+    is bounded against K_4."""
+    annulus = make_cutoffs().annulus
+    bound = 1e-12 if alpha >= 2.0 else 1e-15 * abs(K_p(annulus, alpha, 4.0))
+    assert abs(K_p(annulus, alpha, 2.0)) <= bound
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0])
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
+def test_second_stationary_phase_coefficient_is_the_quadrature_gap(alpha, p):
+    """-K_p / (p J_p) is the leading term's relative gap to the quadrature times S^2, at
+    S = 2^18 within 1e-3 (measured 55.31 and 51.50 at alpha 2, p 4 and 6)."""
+    annulus = make_cutoffs().annulus
+    lam = 2.0 ** (18.0 / alpha)
+    quadrature = _datum_quadrature(lam, alpha, p, False, 0.0)
+    gap = (leading_value(lam, alpha, p) / quadrature - 1.0) * lam ** (2.0 * alpha)
+    predicted = -K_p(annulus, alpha, p) / (p * J_p(annulus, alpha, p))
+    assert gap == pytest.approx(predicted, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha, p", [(2.0, 6.0), (3.0, 12.0)])
+def test_two_term_remainder_falls_like_s_minus_4(monkeypatch, alpha, p):
+    """(two-term / quadrature - 1) S^4 over S = 2^13, 2^14, 2^15, where the gap is still far
+    above the quadrature's own error: one sign, within 25% of each other (the one-term gap
+    times S^4 would grow fourfold an octave)."""
+    scaled = []
+    for log2_scale in (13.0, 14.0, 15.0):
+        lam = 2.0 ** (log2_scale / alpha)
+        quadrature = _datum_quadrature(lam, alpha, p, False, 0.0)
+        scaled.append((sp_value(monkeypatch, lam, alpha, p, False, 0.0) / quadrature - 1.0)
+                      * 2.0 ** (4.0 * log2_scale))
+    assert np.all(np.sign(scaled) == np.sign(scaled[0]))
+    assert max(np.abs(scaled)) <= 1.25 * min(np.abs(scaled))
+
+
 def test_no_quadrature_runs_past_the_crossover(monkeypatch):
-    """From S = 2^20 on, `datum_lp_norm` is the SP value: `chirp_profile` never runs and
-    `datum_quadrature_nodes` reads 0.  Just below, both are the quadrature's."""
+    """From S min|phi''| = 2^16 on, for p >= 2, `datum_lp_norm` is the SP value: `chirp_profile`
+    never runs and `datum_quadrature_nodes` reads 0.  The seed-0 benchmark's scales past
+    it (alpha 2, lam 256; alpha 3, lam 32 and 64) stay there under 3% jitter.  Just below the
+    crossover, or below p = 2, both are the quadrature's."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("chirp_profile ran past the crossover")
 
     monkeypatch.setattr(extremizers, "chirp_profile", refuse)
-    for lam, alpha in [(1024.0, 2.0), (128.0, 3.0), (256.0, 3.0), (32.0, 4.0), (256.0, 4.0)]:
+    scales = [(1024.0, 2.0), (128.0, 3.0), (32.0, 4.0), (256.0, 4.0), (2.0**18.3, 1.1)]
+    for lam, alpha in [(256.0, 2.0), (32.0, 3.0), (64.0, 3.0)]:
+        scales += [(0.97 * lam, alpha), (lam, alpha), (1.03 * lam, alpha)]
+    for lam, alpha in scales:
         for one_sided in (False, True):
-            assert datum_quadrature_nodes(lam, alpha, one_sided) == 0
+            assert datum_quadrature_nodes(lam, alpha, 6.0, one_sided) == 0
             for beta in (0.0, -0.5):
                 assert datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided, beta) > 0
-    below = 0.999 * SP_CROSSOVER ** (1.0 / 3.0)
-    assert datum_quadrature_nodes(below, 3.0) > 0
-    with pytest.raises(AssertionError, match="crossover"):
-        datum_lp_norm.__wrapped__(below, 3.0, 6.0)
+    below = 0.999 * (SP_CURVATURE / 3.0) ** (1.0 / 3.0)
+    assert datum_quadrature_nodes(below, 3.0, 6.0) > 0
+    assert datum_quadrature_nodes(1024.0, 2.0, 1.5) > 0
+    for lam, alpha, p in [(below, 3.0, 6.0), (1024.0, 2.0, 1.5)]:
+        with pytest.raises(AssertionError, match="crossover"):
+            datum_lp_norm.__wrapped__(lam, alpha, p)
 
 
-@pytest.mark.parametrize("lam, alpha, one_sided", [(64.0, 3.0, False), (32.0, 3.0, True)])
+@pytest.mark.parametrize(
+    "args, name",
+    [((16.0, 2.0, np.nan), "p"), ((16.0, 2.0, -1.0), "p"), ((16.0, 2.0, 0.0), "p"),
+     ((16.0, 2.0, np.inf), "p"), ((np.nan, 2.0, 6.0), "lam"), ((-16.0, 2.0, 6.0), "lam"),
+     ((0.0, 2.0, 6.0), "lam"), ((np.inf, 2.0, 6.0), "lam"), ((16.0, np.nan, 6.0), "alpha"),
+     ((16.0, 0.0, 6.0), "alpha"), ((16.0, 2.0, 6.0, False, np.nan), "bessel_beta"),
+     ((16.0, 2.0, 6.0, True, -np.inf), "bessel_beta")],
+)
+def test_datum_norm_rejects_arguments_outside_their_range(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        datum_lp_norm(*args)
+
+
+@pytest.mark.parametrize("lam, alpha, one_sided", [(128.0, 2.0, False), (27.0, 3.0, True)])
 def test_datum_norm_budget_check_reads_datum_quadrature_nodes(monkeypatch, lam, alpha, one_sided):
     """The smallest budget holding datum_quadrature_nodes runs the norm; one node less refuses it."""
-    nodes = datum_quadrature_nodes(lam, alpha, one_sided)
+    nodes = datum_quadrature_nodes(lam, alpha, 6.0, one_sided)
     norm = datum_lp_norm.__wrapped__  # past the cache, so every call checks its budget
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", str(-(-nodes // 64)))  # budget 64 x points
     assert norm(lam, alpha, 6.0, one_sided) > 0
@@ -435,10 +529,10 @@ def test_datum_norm_budget_check_reads_datum_quadrature_nodes(monkeypatch, lam, 
     [(32.0, 3.0, False), (32.0, 3.0, True), (64.0, 3.0, True), (256.0, 2.0, False)],
 )
 def test_banded_datum_norms_match_the_dense_route(monkeypatch, lam, alpha, one_sided):
-    """The sweep's datum norms between 2^17 and 2^21 dense nodes run banded; the dense route agrees."""
-    banded = datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided)
+    """Datum quadratures between 2^17 and 2^21 dense nodes run banded; the dense route agrees."""
+    banded = _datum_quadrature(lam, alpha, 6.0, one_sided, 0.0)
     monkeypatch.setattr(chirpquad, "DENSE_CAP", 2**40)  # every call dense
-    dense = datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided)
+    dense = _datum_quadrature(lam, alpha, 6.0, one_sided, 0.0)
     assert abs(banded - dense) <= 1e-9 * dense
 
 

@@ -405,22 +405,22 @@ def test_focusing_window_lower_bound_slope():
 
 
 def test_memory_cap_names_smallest_failing_scale(monkeypatch):
-    """Budget 65,536 nodes: the datum quadratures at alpha 3, lam 16, 32, 64 and 100 (all
-    below the stationary-phase crossover) need 61,548, 10,137, 80,983 and 308,877."""
+    """Budget 65,536 nodes: the datum quadratures at alpha 2, lam 32, 64, 128 and 160 (all
+    below the stationary-phase crossover) need 5,884, 21,066, 81,790 and 127,334."""
     from displab.errors import SizingError
 
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
-    cfg = SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 32.0, 64.0, 100.0))
-    with pytest.raises(SizingError, match=r"at lam = 64 \("):
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.5, (32.0, 64.0, 128.0, 160.0))
+    with pytest.raises(SizingError, match=r"at lam = 128 \("):
         run_sweep(cfg)
 
 
 def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
-    """Budget 2^20: the banded datum norm at alpha 3, lam 64 needs 80,983 nodes, and lam 128
+    """Budget 2^20: the datum quadrature at alpha 3, lam 16 needs 61,548 nodes, and lam 128
     (S = 2^21) takes the stationary-phase route, which needs none."""
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "16384")
-    records = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (64.0, 128.0)))
-    assert [r.lam for r in records] == [64.0, 128.0]
+    records = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, 0.5, (16.0, 128.0)))
+    assert [r.lam for r in records] == [16.0, 128.0]
 
 
 def test_sweep_runs_alpha_4_to_lam_256_under_the_default_budget(monkeypatch):
