@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chirpquad import UniformSegment, _route, chirp_profile, nonstationary_bound
+from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
 from .grid import FREQUENCY, Field, GridSpec
@@ -384,15 +384,6 @@ def _datum_quadrature(lam: float, alpha: float, p: float, one_sided: bool, besse
         mass = np.trapezoid(np.abs(vals) ** p, u)
         total += mass if one_sided else 2.0 * mass
     return float(lam ** (1.0 + (alpha - 1.0) / p) * total ** (1.0 / p))
-
-
-def datum_quadrature_nodes(lam: float, alpha: float, p: float, one_sided: bool = False) -> int:
-    """Node count of `datum_lp_norm`'s quadrature, the one its budget check reads: 0 past the
-    crossover (`_stationary_phase`), where no quadrature runs."""
-    if _stationary_phase(lam, alpha, p):
-        return 0
-    S = lam**alpha
-    return _route(_annulus_intervals(one_sided), alpha, -S, _datum_segments(S, alpha, one_sided))[1]
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,8 @@ def _block_pool(pid: int):
 def _run_blocks(job, items) -> list:
     """[job(item) for item in items], two at a time on `_block_pool` where that can help.
 
-    The one way onto the pool: `propagator`'s frame and power-sum blocks and
-    band-kernel mass slices and `chirpquad`'s band windows run through it.  With one
+    The one way onto the pool: `propagator`'s frame and power-sum blocks
+    and `chirpquad`'s band windows run through it.  With one
     CPU or one item the loop runs in the calling thread, and no pool is
     built.  Every item is queued at once; results come back in item order,
     and reading each one re-raises the error of any job.  The caller waits

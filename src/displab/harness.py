@@ -55,7 +55,6 @@ from .extremizers import (
     PACKET_GRID,
     SMOOTHING,
     datum_lp_norm,
-    datum_quadrature_nodes,
     faithful_horizon,
     maximal_datum_norm,
     ridge_trace,
@@ -312,25 +311,19 @@ def _maximal_record(cfg: SweepConfig, lam: float) -> SweepRecord:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per scale: datum, evolution, numerator / denominator / ratio.
 
-    Raises SizingError naming the smallest scale whose quadrature lattice
-    would exceed the configured memory cap (DISPLAB_MAX_GRID_POINTS x 64,
-    since quadrature nodes are streamed in bounded chunks); a scale past the
-    stationary-phase crossover (`extremizers.datum_quadrature_nodes`: S min |phi''|
-    >= 2^16, p >= 2) runs no quadrature and needs no nodes.  The smoothing
-    and airy families fill the shared profile-norm curve over the union of
-    their scales' s-grids in one call.
+    The smoothing and airy families fill the shared profile-norm curve over
+    the union of their scales' s-grids in one call, then form the records in
+    increasing lam.  A datum quadrature past the node budget
+    (`grid.quadrature_node_budget`, DISPLAB_MAX_GRID_POINTS x 64) raises
+    SizingError from `chirpquad.chirp_profile` before it allocates, naming its
+    scale -lam^alpha, so the error names the smallest failing scale.  A
+    cached norm (`datum_lp_norm` keeps its values) runs no quadrature and
+    needs no nodes; the budget is still read first, so a bad
+    DISPLAB_MAX_GRID_POINTS raises EnvironmentSettingError on every sweep.
     """
     if cfg.family == "maximal":
         return [_maximal_record(cfg, lam) for lam in cfg.lambdas]
-    budget = quadrature_node_budget()
-    for lam in cfg.lambdas:
-        nodes = datum_quadrature_nodes(lam, cfg.alpha, cfg.p, cfg.family == "airy")
-        if nodes > budget:
-            raise SizingError(
-                f"sweep sizing exceeds the memory cap at lam = {lam:g} "
-                f"(the smallest failing scale needs ~{nodes:.2e} quadrature nodes, "
-                f"cap {budget:.2e}); raise DISPLAB_MAX_GRID_POINTS or drop large scales"
-            )
+    quadrature_node_budget()  # checks DISPLAB_MAX_GRID_POINTS, even with every norm cached
     curve = _profile_curve(cfg.alpha, cfg.p, cfg.family == "airy")
     s_grids = {lam: focusing_s_grid(lam, cfg.alpha, curve.horizon) for lam in cfg.lambdas}
     curve.fill(np.concatenate(list(s_grids.values())))

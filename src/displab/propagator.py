@@ -30,13 +30,10 @@ from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, max_grid_po
 from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_frequency
 
 # complex samples per block of frames in `evolve_trajectory` (8 frames at 2^15 points, 2 at
-# 2^17), the longest slice transform of `_power_sums` and `_kernel_l1_mass`, and the most
-# complex samples of one `_power_sums` block's buffers: 18 times of the unit annulus at 2^15
-# points, 3 of the lam-32 datum at 2^17.
+# 2^17), the longest slice transform of `_power_sums`, and the most complex samples of one
+# `_power_sums` block's buffers: 18 times of the unit annulus at 2^15 points, 3 of the lam-32
+# datum at 2^17.
 _BLOCK_SAMPLES = 2**18
-# the largest `_kernel_l1_mass` grid whose slices run in the calling thread: there
-# the pool's hand-off costs more than the slices
-_SERIAL_MASS_POINTS = 2**15
 # entries of the fine twiddle table of `_twiddles`; the coarse one steps by as many
 _TWIDDLE_ROW = 512
 
@@ -143,12 +140,12 @@ def _power_sums(field: Field, t, phase: SymbolFn, p: float):
     ``field`` lies on a 1-d grid, ``t`` is a time or a sequence of them
     and ``p`` is finite and >= 1 (ValueError otherwise); d > 1 norms go
     through `evolve_trajectory` and `norms.lp_norm`.  The frames are summed
-    in decimated slices, as `_kernel_l1_mass` sums its kernel, and no frame
-    is formed.  With L = min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the
-    samples j = P a + r of each r are (1/(P h)) ifft_L(F_r)[a], where F_r
-    folds the signed support entries m (after the sign (-1)^m and the
-    flow's one product `_evolved_support`) onto their residues mod L
-    (`_fold`), twiddled by e^{2 pi i m r / N} (`_twiddles`).  A spectrum is
+    in decimated slices, and no frame is formed.  With L =
+    min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the samples j = P a + r of
+    each r are (1/(P h)) ifft_L(F_r)[a], where F_r folds the signed support
+    entries m (after the sign (-1)^m and the flow's one product
+    `_evolved_support`) onto their residues mod L (`_fold`), twiddled by
+    e^{2 pi i m r / N} (`_twiddles`).  A spectrum is
     even when its support is symmetric and its values and ``phase`` are
     bitwise equal at +-m: then every frame is even, only the m >= 0 half is
     evolved (m < 0 takes the conjugate twiddles) and only the slices
@@ -423,11 +420,9 @@ def band_kernel(
 
 
 def _kernel_grid(alpha: float, scale: float) -> GridSpec:
-    """The one sizing rule of kernel grids: half width 1.2 (C(alpha) |scale| + 120), nyquist 8 to 16.
+    """The grid of `band_kernel` without one: half width 1.2 (C(alpha) |scale| + 120), nyquist 8 to 16.
 
-    The grid of `band_kernel` without one and of `kernel_tail_mass`'s L1
-    mass.  Past `grid.max_grid_points` it raises SizingError, which
-    `kernel_tail_mass` answers with the mass floor 1.
+    Past `grid.max_grid_points` it raises SizingError.
     """
     half_width = 1.2 * (ball_constant(alpha) * abs(scale) + 120.0)
     n = _pow2_at_least(16.0 * half_width / np.pi)
@@ -496,77 +491,12 @@ def _pow2_at_least(x: float) -> int:
     return int(2 ** max(3, int(np.ceil(np.log2(max(x, 1.0))))))
 
 
-def _kernel_l1_mass(grid: GridSpec, alpha: float, scale: float) -> float:
-    """L1 mass sum_j |kappa_j| h of the band kernel of spread ``scale`` on the 1-d ``grid``.
-
-    The same lattice sum as ``np.abs(band_kernel(...).samples).sum() * h``,
-    up to round-off, without a full-lattice array.  With L = min(2^18, n / 8)
-    (`_BLOCK_SAMPLES` caps it) and P = n / L, the physical samples
-    j = P a + r form P decimated slices
-
-        kappa_{P a + r} = (1/P) ifft_L(Y_r)[a] / h,  Y_r[q] = sum_{m = q mod L} (-1)^m kappa^_m e^{2 pi i m r / n},
-
-    so the mass is the sum of |ifft_L(Y_r)| over the slices, divided by P.
-    Each entry is twiddled before it is folded onto its residue, so any L
-    dividing n is exact, even where entries share a residue.  A twiddle is
-    the outer product of two short exponential tables, their angles reduced
-    modulo n in integers.  The spectrum is even (the band lies inside
-    nyquist, 8 to 16 on kernel grids), so only its m > 0 half is built
-    (`_chirped_box` with ``one_sided``) and m < 0 takes the conjugate
-    twiddles; the kernel is even too, so slice P - r has the sum of slice r
-    and only the slices r <= P / 2 run.
-
-    They run two at a time through `grid._run_blocks` (on a grid of at
-    most `_SERIAL_MASS_POINTS` = 2^15 points, where the hand-off costs more
-    than the slices, in the calling thread), and their sums are added in
-    slice order, so the mass is bit for bit the same on one thread and two.
-    Two transforms in flight hold at most a quarter of a full-lattice array,
-    and at most 2^18 points keep each transform's own plan and scratch,
-    which tracemalloc does not see, small.
-    It waits on the pool, so a pool job must not call it.
-    """
-    n = grid.points
-    (m,), box = _chirped_box(grid, 2.0, make_cutoffs(dim=1).bandpass, 1j * scale, alpha, one_sided=True)
-    nonzero = np.flatnonzero(box)
-    first, span = int(m[nonzero[0]]), int(nonzero[-1] - nonzero[0] + 1)
-    rows = -(-span // _TWIDDLE_ROW)
-    # the entry of m = first + i is coefficients[i]; the padding past the box is zero
-    coefficients = np.zeros(rows * _TWIDDLE_ROW, dtype=np.complex128)
-    coefficients[:span] = box[nonzero[0] : nonzero[-1] + 1]
-    del m, box, nonzero
-    odd = coefficients[(first + 1) % 2 :: 2]
-    np.negative(odd, out=odd)  # (-1)^m, even in m like the spectrum: an exact negation in place
-    coefficients = coefficients.reshape(rows, _TWIDDLE_ROW)
-    last = first + coefficients.size - 1
-    size = min(_BLOCK_SAMPLES, n // 8)
-
-    def slice_mass(r: int) -> float:
-        twiddle = _twiddles(first, rows, r, n)
-        folded = np.zeros(size, dtype=np.complex128)
-        _fold(np.multiply(twiddle, coefficients).reshape(-1), first, folded)
-        np.conjugate(twiddle, out=twiddle)  # the twiddles of -m
-        twiddle *= coefficients
-        _fold(twiddle.reshape(-1)[::-1], -last, folded)
-        del twiddle
-        np.fft.ifft(folded, out=folded)
-        return float(np.abs(folded, out=folded.real).sum())
-
-    slices = n // size
-    halves = range(slices // 2 + 1)
-    if n <= _SERIAL_MASS_POINTS:
-        sums = [slice_mass(r) for r in halves]
-    else:
-        sums = _run_blocks(slice_mass, halves)
-    # the kernel is even, so |kappa_j| = |kappa_{n-j}| and slice P - r has the sum of slice r
-    return (sums[0] + 2.0 * sum(sums[1:-1]) + sums[-1]) / slices
-
-
 def _twiddles(first: int, rows: int, r: int, n: int) -> np.ndarray:
     """e^{2 pi i m r / n} at m = first + i, i < rows * `_TWIDDLE_ROW`, as a (rows, `_TWIDDLE_ROW`) table.
 
     The outer product of a coarse and a fine exponential table, their
     angles reduced modulo n in integers: the twiddles of the decimated
-    slices of `_power_sums` and `_kernel_l1_mass`.
+    slices of `_power_sums`.
     """
     coarse = first + _TWIDDLE_ROW * np.arange(rows)
     fine = np.arange(_TWIDDLE_ROW)
@@ -591,23 +521,17 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     in the rescaled kernel variable.  Requires k >= 1, t in [0, 1] and dim = 1
     (ValueError otherwise, as `band_kernel` raises for k < 1).
 
-    Numerator: `_outside_mass_bound`, the exact integral over |y| > b of
+    The share is `_outside_mass_bound`, the exact integral over |y| > b of
     the integration-by-parts bound `chirpquad.nonstationary_bound` (h_n =
     sum_j P_{n,j} s^-j, P_{n,j} = S^{j-n} R_{n,j}): twice min_{n>=2} of
     sum_j |S|^{j-n} r_{n,j} (b - g)^{1-j} / (j - 1), summed over pieces with
-    largest group position g.  No tail is measured, so the value does not
-    read round-off.
-    Denominator: the kernel's L1 mass on `_kernel_grid`, which holds the
-    spread C(alpha) 2^(alpha k) t, summed by `_kernel_l1_mass` in decimated
-    slices of min(2^18, n / 8) points, two at a time through `grid._run_blocks`
-    above 2^15 points, so no array of the grid's n points is formed.  It
-    waits on that pool, so a pool job must not call it.  Where that grid would exceed
-    `grid.max_grid_points` (DISPLAB_MAX_GRID_POINTS, default 2^22), the
-    floor 1.  The floor holds for every kernel: |kappa^(xi)| <= ||kappa||_1,
-    and kappa^ peaks at max bandpass = 1.  The share is therefore an upper
-    bound, and a loose one where the kernel is barely spread: alpha 1.5,
-    k = 1, t = 0 reads 5.6e-2 where a grid reaching past the ball measures
-    4.4e-3.  A bound that is not finite raises OverflowError.
+    largest group position g, over the floor 1 of the kernel's L1 mass:
+    |kappa^(xi)| <= ||kappa||_1, and kappa^ peaks at max bandpass = 1.  No
+    tail and no mass is measured, so the value reads no round-off, and no
+    grid is built.  The share is an upper bound, and a loose one where the
+    kernel is barely spread: alpha 1.5, k = 1, t = 0 reads 8.7e-2 where a
+    grid reaching past the ball measures 4.4e-3.  A bound that is not finite
+    raises OverflowError.
     """
     if k < 1:
         raise ValueError("band index k must be >= 1")
@@ -623,19 +547,12 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
             f"the band spread 2^(alpha k) at k = {k}, alpha = {alpha:g} overflows the float range"
         ) from None
     ball = 4.0 * ball_constant(alpha) * spread
-    scale = spread * t
     # |S|^(j-n) overflows at large scales, and an overflow times a zero r_{n,j} is nan
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = _outside_mass_bound(alpha, scale, ball)
+        bound = _outside_mass_bound(alpha, spread * t, ball)
     if not np.isfinite(bound):
         raise OverflowError(f"the tail bound of band k = {k} at t = {t}, alpha = {alpha} is not finite")
-    try:
-        grid = _kernel_grid(alpha, scale)
-    except SizingError:  # past the grid cap: the floor every kernel's mass clears
-        mass = 1.0
-    else:
-        mass = _kernel_l1_mass(grid, alpha, scale)
-    return bound / mass
+    return bound
 
 
 def _outside_mass_bound(alpha: float, scale: float, ball: float) -> float:

@@ -14,11 +14,12 @@ from displab.extremizers import (
     ExtremizerSpec,
     J_p,
     K_p,
+    _annulus_intervals,
     _datum_quadrature,
+    _datum_segments,
     _focus_window,
     _normalized_bump,
     datum_lp_norm,
-    datum_quadrature_nodes,
     envelope_check,
     focusing_check,
     maximal_datum_norm,
@@ -474,9 +475,9 @@ def test_two_term_remainder_falls_like_s_minus_4(monkeypatch, alpha, p):
 
 def test_no_quadrature_runs_past_the_crossover(monkeypatch):
     """From S min|phi''| = 2^16 on, for p >= 2, `datum_lp_norm` is the SP value: `chirp_profile`
-    never runs and `datum_quadrature_nodes` reads 0.  The seed-0 benchmark's scales past
-    it (alpha 2, lam 256; alpha 3, lam 32 and 64) stay there under 3% jitter.  Just below the
-    crossover, or below p = 2, both are the quadrature's."""
+    never runs.  The seed-0 benchmark's scales past it (alpha 2, lam 256; alpha 3, lam 32 and
+    64) stay there under 3% jitter.  Just below the crossover, or below p = 2, the norm is the
+    quadrature's."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("chirp_profile ran past the crossover")
@@ -487,12 +488,9 @@ def test_no_quadrature_runs_past_the_crossover(monkeypatch):
         scales += [(0.97 * lam, alpha), (lam, alpha), (1.03 * lam, alpha)]
     for lam, alpha in scales:
         for one_sided in (False, True):
-            assert datum_quadrature_nodes(lam, alpha, 6.0, one_sided) == 0
             for beta in (0.0, -0.5):
                 assert datum_lp_norm.__wrapped__(lam, alpha, 6.0, one_sided, beta) > 0
     below = 0.999 * (SP_CURVATURE / 3.0) ** (1.0 / 3.0)
-    assert datum_quadrature_nodes(below, 3.0, 6.0) > 0
-    assert datum_quadrature_nodes(1024.0, 2.0, 1.5) > 0
     for lam, alpha, p in [(below, 3.0, 6.0), (1024.0, 2.0, 1.5)]:
         with pytest.raises(AssertionError, match="crossover"):
             datum_lp_norm.__wrapped__(lam, alpha, p)
@@ -513,8 +511,11 @@ def test_datum_norm_rejects_arguments_outside_their_range(args, name):
 
 @pytest.mark.parametrize("lam, alpha, one_sided", [(128.0, 2.0, False), (27.0, 3.0, True)])
 def test_datum_norm_budget_check_reads_datum_quadrature_nodes(monkeypatch, lam, alpha, one_sided):
-    """The smallest budget holding datum_quadrature_nodes runs the norm; one node less refuses it."""
-    nodes = datum_quadrature_nodes(lam, alpha, 6.0, one_sided)
+    """The smallest budget holding the quadrature's route node count (`chirpquad._route` on
+    `_datum_segments`) runs the norm; one node less refuses it."""
+    S = lam**alpha
+    segments = _datum_segments(S, alpha, one_sided)
+    nodes = chirpquad._route(_annulus_intervals(one_sided), alpha, -S, segments)[1]
     norm = datum_lp_norm.__wrapped__  # past the cache, so every call checks its budget
     monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", str(-(-nodes // 64)))  # budget 64 x points
     assert norm(lam, alpha, 6.0, one_sided) > 0

@@ -406,12 +406,22 @@ def test_focusing_window_lower_bound_slope():
 
 def test_memory_cap_names_smallest_failing_scale(monkeypatch):
     """Budget 65,536 nodes: the datum quadratures at alpha 2, lam 32, 64, 128 and 160 (all
-    below the stationary-phase crossover) need 5,884, 21,066, 81,790 and 127,334."""
+    below the stationary-phase crossover) need 5,884, 21,066, 81,790 and 127,334.  The records
+    run in increasing lam, so `chirp_profile` refuses lam 128 first, at scale -128^2.  A norm
+    `datum_lp_norm` has cached runs no quadrature, so once lam 128's norms are cached under
+    the default budget the cap refuses lam 160 first."""
     from displab.errors import SizingError
+    from displab.extremizers import datum_lp_norm
 
-    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.5, (32.0, 64.0, 128.0, 160.0))
-    with pytest.raises(SizingError, match=r"at lam = 128 \("):
+    datum_lp_norm.cache_clear()
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
+    with pytest.raises(SizingError, match=r"at scale -1\.64e\+04 needs ~8\.18e\+04 nodes"):
+        run_sweep(cfg)
+    monkeypatch.delenv("DISPLAB_MAX_GRID_POINTS")
+    run_sweep(SweepConfig("smoothing", 2.0, 1, 6.0, 0.5, (128.0,)))
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
+    with pytest.raises(SizingError, match=r"at scale -2\.56e\+04 needs ~1\.27e\+05 nodes"):
         run_sweep(cfg)
 
 

@@ -144,7 +144,8 @@ def test_options_that_only_tests_set_stay_gone():
     `datum_scale`), the unit profile grid's nyquist, the representation a field's copy could
     switch to, and the public headroom check, stacked inverse, array-target coercion,
     packet norm, physical smoothing datum, power-sum entry and spectral radius that went
-    with them."""
+    with them; nor the measured kernel L1 mass, whose floor 1 the tail share divides by, and
+    the datum node count that only a sweep pre-check read."""
     from displab import chirpquad, cutoffs, decomposition, extremizers, grid, propagator, spectral
 
     knobs = [
@@ -166,8 +167,8 @@ def test_options_that_only_tests_set_stay_gone():
         spectral: ("ensure_headroom", "dft_inverse_samples", "_inverse_in_place",
                    "spectral_radius", "_RADIUS_REL_TOL"),
         chirpquad: ("as_segments",),
-        extremizers: ("packet_lp_norm", "make_smoothing_extremizer"),
-        propagator: ("evolved_lp_norms",),
+        extremizers: ("packet_lp_norm", "make_smoothing_extremizer", "datum_quadrature_nodes"),
+        propagator: ("evolved_lp_norms", "_kernel_l1_mass", "_SERIAL_MASS_POINTS"),
     }
     assert [name for module, names in gone.items() for name in names
             if hasattr(module, name) or hasattr(displab, name)] == []
@@ -239,3 +240,19 @@ def test_only_grid_names_the_block_pool():
             named = (_references(tree) | imported) & pool_names
             naming += [f"{name[:-3]}.{n}" for n in sorted(named)]
     assert naming == ["grid._block_pool", "grid._block_workers"]
+
+
+def test_readme_names_resolve():
+    """Every backticked `<module>.<name>` in README.md whose module is a displab module names
+    something that module has, so a deleted or renamed function cannot stay documented."""
+    import importlib
+    import re
+
+    modules = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py") and not name.startswith("_")}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        named = set(re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", fh.read()))
+    named = sorted((module, name) for module, name in named if module in modules)
+    assert ("propagator", "kernel_tail_mass") in named  # the walk must see the README's names
+    unresolved = [f"{module}.{name}" for module, name in named
+                  if not hasattr(importlib.import_module(f"displab.{module}"), name)]
+    assert unresolved == []
