@@ -437,6 +437,62 @@ def test_slice_buffers_are_never_shared_under_stress(monkeypatch):
     assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
 
+@given(log2_size=st.integers(0, 6), length=st.integers(0, 300), first=st.integers(-1000, 1000),
+       rows=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_fold_sums_onto_shared_residues(log2_size, length, first, rows, seed):
+    """`_fold` is np.add.at onto (first + i) mod size, bit for bit, also when a run wraps
+    the residues more than once and from a negative first index."""
+    from displab import propagator
+
+    rng = np.random.default_rng(seed)
+    size = 2**log2_size
+    values = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+    out = rng.standard_normal((rows, size)) + 1j * rng.standard_normal((rows, size))
+    expected = out.copy()
+    for row in range(rows):
+        np.add.at(expected[row], (first + np.arange(length)) % size, values[row])
+    propagator._fold(values, first, out)
+    assert np.array_equal(out, expected)
+
+
+@given(log2_points=st.integers(3, 22), data=st.data(), rows=st.integers(1, 3))
+def test_twiddles_are_the_direct_exponentials(log2_points, data, rows):
+    """`_twiddles` is e^{2 pi i ((m r) mod n) / n} at m = first + i within 1e-14, for any
+    first in [-n, n] and r < n."""
+    from displab import propagator
+
+    n = 2**log2_points
+    r = data.draw(st.integers(0, n - 1))
+    first = data.draw(st.integers(-n, n))
+    table = propagator._twiddles(first, rows, r, n)
+    assert table.shape == (rows, propagator._TWIDDLE_ROW)
+    m = first + np.arange(table.size)
+    direct = np.exp(2j * np.pi / n * ((m * r) % n))
+    assert np.abs(table.reshape(-1) - direct).max() <= 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(log2_points=st.integers(6, 12), log2_slice=st.integers(1, 5),
+       half_width=st.floats(4.0, 40.0), t=st.floats(-2.0, 2.0),
+       alpha=st.sampled_from([0.5, 1.5, 2.0, 3.0]))
+def test_power_sums_on_short_slices_match_the_per_frame_oracle(
+        log2_points, log2_slice, half_width, t, alpha):
+    """Slices far shorter than the spectrum's span (P * S > n) fold entries onto shared
+    residues; the sums still match the per-frame oracle within 1e-12 relative."""
+    from unittest import mock  # monkeypatch is per test, not per hypothesis example
+
+    from displab import propagator
+
+    grid = GridSpec(1, 2**log2_points, half_width)
+    field = to_frequency(Field.from_function(grid, lambda x: np.exp(-((x[0] - 0.3) ** 2))))
+    params = DispersionParams(alpha, 1)
+    times = [t, 0.5 * t]
+    with mock.patch.object(propagator, "_BLOCK_SAMPLES", 2**log2_slice):
+        got = _power_sums(field, times, params, 6.0)[0]
+    oracle = [lp_norm(to_physical(evolve(field, v, params)), 6.0) ** 6.0 for v in times]
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_trajectory_rejects_what_evolve_rejects(t):
     spectrum = unit_annulus_field(unit_profile_grid(2**10))
@@ -816,6 +872,42 @@ def test_band_kernel_l1_mass_stable_under_refinement():
         kappa = band_kernel(4, 0.7, params, grid=grid)
         masses.append(np.abs(kappa.samples).sum() * grid.spacing)
     assert abs(masses[1] - masses[0]) / masses[0] < 0.05
+
+
+@given(alpha=st.sampled_from([0.5, 1.5, 2.0, 3.0]), scale=st.floats(-2.0**17, 2.0**17))
+@example(alpha=2.0, scale=2.0**10)  # alpha 2, k 5, t 1: 2^15 points
+@example(alpha=2.0, scale=2.0**14)  # alpha 2, k 7, t 1: 2^19 points
+@example(alpha=3.0, scale=2.0**18)  # alpha 3, k 6, t 1: past the default cap
+def test_kernel_grid_holds_the_spread_at_nyquist_8_to_16(alpha, scale):
+    """`_kernel_grid` has half width 1.2 (C(alpha) |scale| + 120), a power of two of points
+    and nyquist in [8, 16); past the cap it raises SizingError naming the points it needs."""
+    half_width = 1.2 * (ball_constant(alpha) * abs(scale) + 120.0)
+    needed = 2 ** int(np.ceil(np.log2(16.0 * half_width / np.pi)))
+    if needed > 2**22:
+        with pytest.raises(SizingError) as refused:
+            _kernel_grid(alpha, scale)
+        assert refused.value.required_points == needed
+        return
+    grid = _kernel_grid(alpha, scale)
+    assert grid.half_width == half_width and grid.points == needed
+    assert 8.0 * (1.0 - 1e-12) <= grid.nyquist < 16.0
+    assert ball_constant(alpha) * abs(scale) < grid.half_width
+
+
+def test_band_kernel_holds_only_its_spectrum_and_samples():
+    """On a 2^19-point kernel grid the traced peak of `band_kernel` stays below 2.25 complex
+    arrays of the grid: the spectrum and the samples, the index box freed before the transform."""
+    params = DispersionParams(2.0, 1)
+    grid = _kernel_grid(2.0, 2.0**14)  # alpha 2, k 7, t 1
+    assert grid.points == 2**19
+    tracemalloc.start()
+    try:
+        kernel = band_kernel(7, 1.0, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.grid == grid
+    assert peak < 2.25 * 16 * grid.points, f"peak {peak / (16 * grid.points):.2f} of the lattice"
 
 
 # largest log2(N) per dimension in the band-spectrum property: at most 2^18 points
