@@ -18,7 +18,6 @@ from .errors import (
     EllipticityError,
     EnvironmentSettingError,
     FieldDumpError,
-    GridAdequacyError,
     RepresentationError,
     SeparationError,
     SizingError,

@@ -5,12 +5,8 @@ class RepresentationError(ValueError):
     """A field carries the wrong representation tag for the operation."""
 
 
-class GridAdequacyError(ValueError):
-    """A field's active spectrum sits too close to the grid's Nyquist frequency."""
-
-
 class SizingError(ValueError):
-    """A requested construction does not fit on the supplied grid."""
+    """A construction does not fit on the supplied grid, or its sized grid passes the cap."""
 
     def __init__(self, msg, required_points=None, required_half_width=None):
         super().__init__(msg)

@@ -26,7 +26,7 @@ import numpy as np
 from .chirpquad import UniformSegment, chirp_profile, nonstationary_bound
 from .cutoffs import make_cutoffs, smooth_step
 from .errors import SizingError
-from .grid import FREQUENCY, Field, GridSpec
+from .grid import FREQUENCY, Field, GridSpec, _pow2_points, sized_grid
 from .norms import _check_exponent_args, bessel_symbol, lp_norm
 from .propagator import (
     DispersionParams,
@@ -63,7 +63,7 @@ _BUMP_MODES = 3
 
 @dataclass(frozen=True)
 class ExtremizerSpec:
-    """One member of a test family: which family, the scale, flow, and grid."""
+    """One test-family member: family, scale, flow and grid (`smoothing_spectrum` sizes a None one)."""
 
     family: str
     lam: float
@@ -91,20 +91,27 @@ def smoothing_spectrum(spec: ExtremizerSpec, allow_wrapped: bool = False) -> Fie
     A frequency field on spec.grid, exactly zero off lam/2 < |xi| < 2 lam,
     formed on the index box that holds the annulus, so the evolutions form
     their phase on the annulus alone; its inverse transform is the physical
-    datum, whose round-off covers the whole lattice.  ``allow_wrapped`` skips the
-    spatial-extent requirement; the datum then wraps around the box and
-    only frequency-local quantities (such as the refocused values near
-    t = 1) remain faithful.
+    datum, whose round-off covers the whole lattice.  `grid.sized_grid` sizes
+    a None grid (dim 1) at 1.1x the required half width and 1.05x the
+    required nyquist.  ``allow_wrapped`` skips the spatial-extent
+    requirement; the datum then wraps around the box and only
+    frequency-local quantities (such as the refocused values near t = 1)
+    remain faithful.
     """
     if spec.family != SMOOTHING:
         raise ValueError("spec.family must be 'smoothing'")
-    grid = spec.grid
-    if grid is None:
-        raise ValueError("spec.grid is required to build a sampled datum")
     lam, alpha = spec.lam, spec.params.alpha
     need_nyq, need_hw = smoothing_grid_requirements(lam, alpha)
+    grid = spec.grid
+    if grid is None and spec.params.dim != 1:
+        raise ValueError("automatic datum grids are one-dimensional; pass a grid")
+    if grid is None:
+        grid = sized_grid(1.1 * need_hw, 1.05 * need_nyq, f"the smoothing datum at lam={lam:g}")
     if grid.nyquist < need_nyq or (not allow_wrapped and grid.half_width < need_hw):
-        n_req = int(2 ** np.ceil(np.log2(2.0 * need_hw * need_nyq / np.pi)))
+        n_req = _pow2_points(need_hw, need_nyq)
+        if n_req is None:
+            raise OverflowError(f"the datum grid's points at lam = {lam:g}, alpha = {alpha:g} "
+                                "overflow the float range")
         raise SizingError(
             f"grid (N={grid.points}, L={grid.half_width:.4g}) cannot hold the "
             f"scale-{lam:g} datum: need nyquist >= {need_nyq:.4g} and "
@@ -444,9 +451,10 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     """Refocusing lower-bound check on |x| <= 1/(10 lam), |t - 1| <= 1/(10 lam^alpha).
 
     The lattice is a small box (half width L = 40) with a mesh h fine
-    enough to resolve the 1/lam focal spot.  The datum wraps spatially, so
-    the lattice sum is the periodized field; that leaves the refocused
-    values near t = 1 untouched, because the solution there is
+    enough to resolve the 1/lam focal spot, sized by `grid.sized_grid`: past
+    the grid cap it raises SizingError before forming any array.  The datum
+    wraps spatially, so the lattice sum is the periodized field; that leaves
+    the refocused values near t = 1 untouched, because the solution there is
     concentrated at scale 1/lam.  Only the window samples x_j = j h are
     formed, each as the inverse quadrature of the exact spectrum summed
     over the annulus:
@@ -465,21 +473,19 @@ def focusing_check(spec: ExtremizerSpec) -> FocusingReport:
     if spec.family != SMOOTHING:
         raise ValueError("focusing_check applies to the smoothing family")
     lam, params = spec.lam, spec.params
-    # box wide enough that the frequency lattice resolves the annulus bump to
-    # ~1e-9 (spacing pi/L), mesh fine enough to resolve the 1/lam focal spot
-    half_width = 40.0
-    points = int(2 ** np.ceil(np.log2(2.0 * half_width * 40.0 * lam)))  # dx <= 1/(40 lam)
-    grid = GridSpec(1, points, half_width)
-    # first, so a lam^alpha past the float range raises OverflowError before the datum overflows
+    # first, so a lam^alpha past the float range raises OverflowError before the lattice is sized
     t_vals = 1.0 + np.linspace(-1.0, 1.0, _FOCUS_FRAMES) / (10.0 * _time_scale(lam, params.alpha))
+    # box wide enough that the frequency lattice resolves the annulus bump to ~1e-9 (spacing
+    # pi/L), mesh fine enough to resolve the 1/lam focal spot: dx <= 1/(40 lam), nyquist 40 pi lam
+    grid = sized_grid(40.0, 40.0 * np.pi * lam, f"the focusing lattice at lam={lam:g}")
     (m,), box = _chirped_box(grid, 2.0 * lam, _scaled_annulus(lam, 1), -1j, params.alpha)
     support = np.flatnonzero(box)
     m = m[support]
     j = _focus_window(grid, lam)
     frames = _evolved_support(box[support], params(grid.axis_frequencies(m)[None]), t_vals)
-    twiddle = 1j * (2.0 * np.pi / points) * (np.multiply.outer(m, j) % points)
+    twiddle = 1j * (2.0 * np.pi / grid.points) * (np.multiply.outer(m, j) % grid.points)
     np.exp(twiddle, out=twiddle)
-    values = frames @ twiddle / (2.0 * half_width)
+    values = frames @ twiddle / (2.0 * grid.half_width)
     predicted = lam * ANNULUS_INTEGRAL / (2.0 * np.pi)
     return FocusingReport(
         min_modulus_ratio=float(np.abs(values).min()) / lam,

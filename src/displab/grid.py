@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import EnvironmentSettingError, FieldDumpError, RepresentationError
+from .errors import EnvironmentSettingError, FieldDumpError, RepresentationError, SizingError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -43,6 +43,33 @@ def _env_int(name: str, default: int) -> int:
 def max_grid_points() -> int:
     """The memory cap of automatic grid sizing: DISPLAB_MAX_GRID_POINTS, default 2^22."""
     return _env_int("DISPLAB_MAX_GRID_POINTS", 2**22)
+
+
+def _pow2_points(half_width: float, nyquist: float) -> int | None:
+    """Fewest points, a power of two >= 8, reaching ``nyquist``; None past the float range."""
+    need = 2.0 * half_width * nyquist / np.pi
+    return 2 ** max(3, int(np.ceil(np.log2(max(need, 1.0))))) if need < np.inf else None
+
+
+def sized_grid(half_width: float, nyquist: float, what: str) -> "GridSpec":
+    """The sizing rule of every automatic grid: the 1-d grid of `_pow2_points` points.
+
+    A nan or non-positive request raises ValueError naming ``what``; past
+    `max_grid_points`, where an infinite need falls, SizingError names
+    ``what``, the points and the cap.
+    """
+    if not (half_width > 0 and nyquist > 0):
+        raise ValueError(f"{what}: half width {half_width:g} and nyquist {nyquist:g} must be positive")
+    cap = max_grid_points()
+    points = _pow2_points(half_width, nyquist)
+    if points is None or points > cap:
+        raise SizingError(
+            f"{what} needs {points or 'more than 2^1024'} points, over the cap of {cap} "
+            "(DISPLAB_MAX_GRID_POINTS); pass a grid or a smaller scale, or raise the cap",
+            required_points=points,
+            required_half_width=half_width,
+        )
+    return GridSpec(1, points, half_width)
 
 
 def quadrature_node_budget() -> int:

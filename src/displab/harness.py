@@ -58,12 +58,11 @@ from .extremizers import (
     faithful_horizon,
     maximal_datum_norm,
     ridge_trace,
-    smoothing_grid_requirements,
     smoothing_spectrum,
     unit_annulus_field,
     unit_profile_grid,
 )
-from .grid import GridSpec, max_grid_points, quadrature_node_budget
+from .grid import GridSpec, quadrature_node_budget
 from .norms import (
     _time_weights,
     admissibility_threshold,
@@ -336,33 +335,22 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 def direct_smoothing_record(cfg: SweepConfig, lam: float) -> SweepRecord:
     """Same record as the unit-scale engine, from an honest lam-scale grid.
 
-    Sizing follows the datum requirements (nyquist >= 4 lam, half width >=
-    8 C(alpha) lam^{alpha-1}); feasible only for small lam, which is the
-    point: it cross-validates the rescaled engine.  The frames are evolved
-    from the datum's exact spectrum (`smoothing_spectrum`), so the phase is
-    formed on the annulus alone; the denominator measures its inverse
-    transform.
+    `smoothing_spectrum` sizes the grid (nyquist >= 4 lam, half width >= 8
+    C(alpha) lam^{alpha-1}) and raises SizingError naming lam past the grid
+    cap: feasible only for small lam, which is the point, as it
+    cross-validates the rescaled engine.  The frames are evolved from the
+    datum's exact spectrum, so the phase is formed on the annulus alone;
+    the denominator measures its inverse transform.
     """
-    cap = max_grid_points()
-    need_nyq, need_hw = smoothing_grid_requirements(lam, cfg.alpha)
-    half_width = 1.1 * need_hw
-    points = int(2 ** np.ceil(np.log2(2.0 * half_width * need_nyq * 1.05 / np.pi)))
-    if points > cap:
-        raise SizingError(
-            f"direct route needs N={points} > cap {cap} at lam={lam:g}",
-            required_points=points, required_half_width=half_width,
-        )
-    grid = GridSpec(1, points, half_width)
     params = DispersionParams(cfg.alpha, 1)
-    spec = ExtremizerSpec(SMOOTHING, lam, params, grid)
-    spectrum = smoothing_spectrum(spec)
+    spectrum = smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params))
     s_grid = focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha)
     t_grid = 1.0 + s_grid / lam**cfg.alpha
     w = _time_weights(t_grid, (0.0, 1.0))
     vals = _power_sums(spectrum, t_grid, params, cfg.p)[0]
     numerator = float((vals @ w) ** (1.0 / cfg.p))
     datum = to_physical(spectrum)  # the norms measure a field in its own representation
-    return _record(cfg, lam, grid, t_grid.size, numerator,
+    return _record(cfg, lam, spectrum.grid, t_grid.size, numerator,
                    lambda beta: sobolev_norm(datum, cfg.p, beta))
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .chirpquad import _bound_terms
 from .cutoffs import make_cutoffs
-from .errors import EllipticityError, GridAdequacyError, SizingError
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, max_grid_points
+from .errors import EllipticityError, SizingError
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, sized_grid
 from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_frequency
 
 # complex samples per block of frames in `evolve_trajectory` (8 frames at 2^15 points, 2 at
@@ -399,12 +399,14 @@ def band_kernel(
 
     Returns kappa with kappa^(xi) = bandpass(|xi|) e^{i 2^(alpha k) t |xi|^alpha},
     so the physical kernel is K^t_k(x) = 2^(k d) kappa(2^k x).  The grid must
-    carry the unit annulus with 4x headroom and contain the kernel spread
-    C(alpha) 2^(alpha k) t; without one, `_kernel_grid` sizes it, and raises
-    SizingError past `grid.max_grid_points`.
+    carry the unit annulus with 4x headroom (nyquist >= 8, else SizingError)
+    and contain the kernel spread C(alpha) 2^(alpha k) t; without one,
+    `_kernel_grid` sizes it.  A non-finite t raises ValueError.
     """
     if k < 1:
         raise ValueError("band index k must be >= 1")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if params.dim != 1 and grid is None:
         raise ValueError("automatic kernel grids are one-dimensional; pass a grid")
     alpha = params.alpha
@@ -412,29 +414,14 @@ def band_kernel(
     if grid is None:
         grid = _kernel_grid(alpha, scale)
     if grid.nyquist < 8.0:
-        raise GridAdequacyError(
-            f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)"
-        )
+        raise SizingError(f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)")
     spectrum = _chirped_spectrum(grid, 2.0, make_cutoffs(dim=grid.dim).bandpass, 1j * scale, alpha)
     return dft_inverse(Field(grid, FREQUENCY, spectrum))
 
 
 def _kernel_grid(alpha: float, scale: float) -> GridSpec:
-    """The grid of `band_kernel` without one: half width 1.2 (C(alpha) |scale| + 120), nyquist 8 to 16.
-
-    Past `grid.max_grid_points` it raises SizingError.
-    """
-    half_width = 1.2 * (ball_constant(alpha) * abs(scale) + 120.0)
-    n = _pow2_at_least(16.0 * half_width / np.pi)
-    cap = max_grid_points()
-    if n > cap:
-        raise SizingError(
-            f"band kernel grid needs {n} points, over the cap of {cap} "
-            "(DISPLAB_MAX_GRID_POINTS); pass a grid, or raise the cap",
-            required_points=n,
-            required_half_width=half_width,
-        )
-    return GridSpec(1, n, half_width)
+    """The grid of `band_kernel` without one: half width 1.2 (C(alpha) |scale| + 120), nyquist 8 to 16."""
+    return sized_grid(1.2 * (ball_constant(alpha) * abs(scale) + 120.0), 8.0, "band kernel grid")
 
 
 def _chirped_box(
@@ -485,10 +472,6 @@ def _chirped_spectrum(
     spectrum[np.ix_(*index)] = box
     spectrum.setflags(write=False)  # fresh array: the Field takes it without a copy
     return spectrum
-
-
-def _pow2_at_least(x: float) -> int:
-    return int(2 ** max(3, int(np.ceil(np.log2(max(x, 1.0))))))
 
 
 def _twiddles(first: int, rows: int, r: int, n: int) -> np.ndarray:

@@ -463,3 +463,19 @@ def test_nonfinite_evolution_is_numerical_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "evolve", "--datum", "gaussian", "--t", "0.5")
     assert code == 3
     assert "non-finite" in err
+
+
+def test_focusing_past_the_grid_cap_is_config_error(capsys):
+    """lam 1e6 needs a 2^32-point focusing lattice, over the default cap of 2^22."""
+    code, out, err = run(capsys, "diagnostics", "focusing", "--lam", "1e6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the focusing lattice at lam=1e+06 needs 4294967296 points, "
+                          "over the cap of 4194304") and err.count("\n") == 1
+
+
+def test_focusing_time_scale_overflow_names_the_time_scale(capsys):
+    """lam 1e306 overflows lam^alpha before the lattice is sized, so the error names lam^alpha."""
+    code, out, err = run(capsys, "diagnostics", "focusing", "--lam", "1e306")
+    assert code == 3 and out == ""
+    assert err == ("error: numerical overflow: the time scale lam^alpha at lam = 1e+306, "
+                   "alpha = 2 overflows the float range\n")

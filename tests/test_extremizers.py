@@ -134,6 +134,14 @@ def test_smoothing_datum_sizing_error():
     assert err.value.required_points is not None
 
 
+def test_smoothing_datum_whose_grid_points_overflow_names_them():
+    """At lam 1e300 the points the datum would need are past the float range: OverflowError."""
+    spec = ExtremizerSpec(SMOOTHING, 1e300, DispersionParams(2.0, 1), GridSpec(1, 1024, 20.0))
+    with pytest.raises(OverflowError, match=r"^the datum grid's points at lam = 1e\+300, alpha = 2 "
+                       "overflow the float range"):
+        smoothing_spectrum(spec, allow_wrapped=True)
+
+
 def test_datum_norm_scaling_slope():
     alpha, p = 2.0, 6.0
     lams = np.array([16.0, 32.0, 64.0, 128.0, 256.0])
@@ -786,3 +794,43 @@ def test_weights_match_a_long_double_phase_oracle(monkeypatch):
     oracle_norms, oracle_peak = measure()
     np.testing.assert_allclose(norms, oracle_norms, rtol=5e-11, atol=0.0)
     assert abs(peak - oracle_peak) <= 1e-9 * oracle_peak
+
+
+def test_focusing_lattice_is_sized_under_the_grid_cap(monkeypatch):
+    """Under a cap of 65,536 points, lam 16 runs on its 2^16-point lattice, and lam 32, which
+    needs 2^17, is refused before any array is formed: the refusal's traced peak stays under
+    1 MiB."""
+    import tracemalloc
+
+    from displab import grid as grid_module
+
+    sized = []
+
+    def recording(*args):
+        sized.append(grid_module.sized_grid(*args))
+        return sized[-1]
+
+    monkeypatch.setattr(extremizers, "sized_grid", recording)
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "65536")
+    params = DispersionParams(2.0, 1)
+    assert focusing_check(ExtremizerSpec(SMOOTHING, 16.0, params)).min_modulus_ratio >= 0.1
+    assert [grid.points for grid in sized] == [2**16]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizingError, match="^the focusing lattice at lam=32 needs 131072 points, "
+                           "over the cap of 65536") as err:
+            focusing_check(ExtremizerSpec(SMOOTHING, 32.0, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.required_points == 2**17
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_smoothing_spectrum_sizes_a_one_dimensional_grid_only():
+    """A None grid is sized in dim 1 at the direct route's margins; in dim 2 it is refused."""
+    lam, alpha = 16.0, 2.0
+    spectrum = smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, DispersionParams(alpha, 1)))
+    assert spectrum.grid == smoothing_grid(lam, alpha)
+    with pytest.raises(ValueError, match="automatic datum grids are one-dimensional"):
+        smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, DispersionParams(alpha, 2)))

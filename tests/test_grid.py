@@ -1,14 +1,19 @@
 import json
+import os
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from displab import grid as grid_module
-from displab.errors import FieldDumpError, RepresentationError
-from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field
-from displab.propagator import DispersionParams, evolve
+from displab.errors import FieldDumpError, RepresentationError, SizingError
+from displab.extremizers import smoothing_grid_requirements
+from displab.grid import FREQUENCY, PHYSICAL, Field, GridSpec, load_field, save_field, sized_grid
+from displab.propagator import DispersionParams, ball_constant, evolve
 from displab.spectral import dft_forward, dft_inverse
 
 
@@ -195,3 +200,77 @@ def test_run_blocks_reraises_the_error_of_a_job(monkeypatch, workers):
     with pytest.raises(RuntimeError, match="job failed"):
         grid_module._run_blocks(job, list(range(4)))
     assert grid_module._run_blocks(job, [0, 1, 3]) == [0, 1, 3]  # the pool serves on after it
+
+
+# a cap no request in the rule's tests reaches, so they see the rule's points uncapped
+_NO_CAP = {"DISPLAB_MAX_GRID_POINTS": str(2**62)}
+
+
+@given(half_width=st.floats(1e-3, 1e6), nyquist=st.floats(1e-3, 1e6), log2_cap=st.integers(3, 30))
+@example(half_width=np.pi, nyquist=4.0, log2_cap=3)  # need exactly 8 points
+@example(half_width=np.pi, nyquist=4.0 + 1e-9, log2_cap=3)  # just past 8: refused under cap 8
+def test_sized_grid_is_the_least_power_of_two_reaching_the_nyquist(half_width, nyquist, log2_cap):
+    """A power of two >= 8 of points on the given half width; once the need passes 8 points
+    its nyquist lies in [target, 2 target), and past the cap SizingError names those points."""
+    need = 2.0 * half_width * nyquist / np.pi
+    with mock.patch.dict(os.environ, _NO_CAP):
+        points = sized_grid(half_width, nyquist, "test grid").points
+    assert points >= 8 and points & (points - 1) == 0
+    if need > 8.0:
+        grid = GridSpec(1, points, half_width)
+        assert nyquist * (1.0 - 1e-12) <= grid.nyquist < 2.0 * nyquist
+    else:
+        assert points == 8
+    with mock.patch.dict(os.environ, {"DISPLAB_MAX_GRID_POINTS": str(2**log2_cap)}):
+        if points > 2**log2_cap:
+            with pytest.raises(SizingError, match=f"test grid needs {points} points, over the cap "
+                               f"of {2**log2_cap}") as refused:
+                sized_grid(half_width, nyquist, "test grid")
+            assert refused.value.required_points == points
+            assert refused.value.required_half_width == half_width
+        else:
+            assert sized_grid(half_width, nyquist, "test grid") == GridSpec(1, points, half_width)
+
+
+@pytest.mark.parametrize("half_width, nyquist", [
+    (np.nan, 8.0), (1.0, np.nan), (0.0, 8.0), (-1.0, 8.0), (1.0, 0.0),
+])
+def test_sized_grid_refuses_a_request_that_is_not_positive(half_width, nyquist):
+    with pytest.raises(ValueError, match="^the probe grid: half width .* must be positive"):
+        sized_grid(half_width, nyquist, "the probe grid")
+
+
+@pytest.mark.parametrize("half_width, nyquist", [
+    (np.inf, 8.0), (1.0, np.inf), (1e300, 1e300),  # the last need overflows the float range
+])
+def test_sized_grid_counts_an_infinite_need_as_past_the_cap(half_width, nyquist):
+    with mock.patch.dict(os.environ, _NO_CAP):
+        with pytest.raises(SizingError, match="^the probe grid needs more than 2\\^1024 points") as err:
+            sized_grid(half_width, nyquist, "the probe grid")
+    assert err.value.required_points is None
+
+
+# the benchmark's dyadic scales and their +-3% jitter, the largest focusing scale under the
+# default cap, and scales whose focusing need 3200 lam falls on a power of two
+_WORKLOAD_SCALES = [16.0, 32.0, 64.0, 128.0, 256.0, 15.52, 16.48, 31.04, 32.96, 124.16, 131.84,
+                    248.32, 263.68, 1310.0, 10.24, 20.48, 40.96, 81.92, 163.84, 1310.72]
+
+
+@settings(max_examples=500)
+@given(lam=st.one_of(st.sampled_from(_WORKLOAD_SCALES), st.floats(8.0, 2000.0)),
+       alpha=st.sampled_from([1.5, 2.0, 3.0]), scale=st.floats(-2.0**24, 2.0**24))
+def test_sized_grid_is_the_old_formulas(lam, alpha, scale):
+    """The rule gives the points the kernel (16 hw / pi), direct (1.1 hw and 1.05 nyquist) and
+    focusing (3200 lam) grids were sized with by their own roundings."""
+    kernel_hw = 1.2 * (ball_constant(alpha) * abs(scale) + 120.0)
+    need_nyq, need_hw = smoothing_grid_requirements(lam, alpha)
+    direct_hw = 1.1 * need_hw
+    old = {
+        "kernel": (kernel_hw, 8.0, int(2 ** max(3, int(np.ceil(np.log2(16.0 * kernel_hw / np.pi)))))),
+        "direct": (direct_hw, 1.05 * need_nyq,
+                   int(2 ** np.ceil(np.log2(2.0 * direct_hw * need_nyq * 1.05 / np.pi)))),
+        "focusing": (40.0, 40.0 * np.pi * lam, int(2 ** np.ceil(np.log2(2.0 * 40.0 * 40.0 * lam)))),
+    }
+    with mock.patch.dict(os.environ, _NO_CAP):
+        for what, (half_width, nyquist, points) in old.items():
+            assert sized_grid(half_width, nyquist, what) == GridSpec(1, points, half_width), what

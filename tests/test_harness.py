@@ -549,3 +549,17 @@ def test_bad_environment_values_raise(monkeypatch, name, value):
     with pytest.raises(EnvironmentSettingError, match=name) as info:
         run_sweep(cfg)
     assert info.value.name == name
+
+
+def test_direct_record_past_the_grid_cap_names_lam(monkeypatch):
+    """Under a cap of 1024 points the lam-scale datum grid (2^15 points at alpha 2, lam 16)
+    is refused before any array of it is formed, and the error names lam."""
+    from displab.errors import SizingError
+
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, smoothing_exponent(2.0, 1, 6.0), (16.0, 32.0))
+    assert direct_smoothing_record(cfg, 16.0).points == 2**15
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
+    with pytest.raises(SizingError, match=r"^the smoothing datum at lam=16 needs 32768 points, "
+                       r"over the cap of 1024") as err:
+        direct_smoothing_record(cfg, 16.0)
+    assert err.value.required_points == 2**15

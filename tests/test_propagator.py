@@ -1094,3 +1094,16 @@ def test_grid_kernel_masses_clear_the_floor():
                 masses.append(np.abs(kernel.samples).sum() * kernel.grid.spacing)
     assert len(masses) == 66  # all but alpha 3, k 6..8, t > 0
     assert min(masses) >= 1.0
+
+
+def test_band_kernel_on_a_grid_below_nyquist_8_raises_sizing_error():
+    """A user grid whose nyquist cannot carry the unit annulus with 4x headroom is refused."""
+    grid = GridSpec(1, 64, 20.0)  # nyquist 5.03
+    with pytest.raises(SizingError, match=r"kernel grid nyquist 5\.03 < 8"):
+        band_kernel(3, 0.5, DispersionParams(2.0, 1), grid=grid)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_band_kernel_refuses_a_time_that_is_not_finite(t):
+    with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+        band_kernel(5, t, DispersionParams(2.0, 1))

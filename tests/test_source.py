@@ -145,8 +145,10 @@ def test_options_that_only_tests_set_stay_gone():
     switch to, and the public headroom check, stacked inverse, array-target coercion,
     packet norm, physical smoothing datum, power-sum entry and spectral radius that went
     with them; nor the measured kernel L1 mass, whose floor 1 the tail share divides by, and
-    the datum node count that only a sweep pre-check read."""
-    from displab import chirpquad, cutoffs, decomposition, extremizers, grid, propagator, spectral
+    the datum node count that only a sweep pre-check read; nor the grid-adequacy error and
+    the kernel grid's own power-of-two rounding, which `grid.sized_grid` replaced."""
+    from displab import (chirpquad, cutoffs, decomposition, errors, extremizers, grid, propagator,
+                         spectral)
 
     knobs = [
         (propagator.evolve, "headroom"),
@@ -168,7 +170,8 @@ def test_options_that_only_tests_set_stay_gone():
                    "spectral_radius", "_RADIUS_REL_TOL"),
         chirpquad: ("as_segments",),
         extremizers: ("packet_lp_norm", "make_smoothing_extremizer", "datum_quadrature_nodes"),
-        propagator: ("evolved_lp_norms", "_kernel_l1_mass", "_SERIAL_MASS_POINTS"),
+        propagator: ("evolved_lp_norms", "_kernel_l1_mass", "_SERIAL_MASS_POINTS", "_pow2_at_least"),
+        errors: ("GridAdequacyError",),
     }
     assert [name for module, names in gone.items() for name in names
             if hasattr(module, name) or hasattr(displab, name)] == []
@@ -256,3 +259,19 @@ def test_readme_names_resolve():
     unresolved = [f"{module}.{name}" for module, name in named
                   if not hasattr(importlib.import_module(f"displab.{module}"), name)]
     assert unresolved == []
+
+
+def test_only_grid_sizes_grids():
+    """One sizing rule: within the library only `grid` reads the cap `max_grid_points` or
+    rounds a size up to a power of two as 2 ** (... np.log2(...) ...)."""
+    rounders = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            for node in ast.walk(_parse(os.path.join(SRC, name))):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                        and isinstance(node.left, ast.Constant) and node.left.value == 2
+                        and any(isinstance(n, ast.Attribute) and n.attr == "log2"
+                                for n in ast.walk(node.right))):
+                    rounders.append(name[:-3])
+    assert rounders == ["grid"]
+    assert {scope.split(".")[0] for scope in _callers("max_grid_points")} == {"grid"}
