@@ -36,8 +36,7 @@ costs 0.008 s at 81,790 nodes against 0.077 s banded, 0.018 s against
 0.038 s at 486,620 and 0.136 s against 0.039 s at 1,296,278.  The costs
 cross between 3e5 and 5e5 nodes, yet the cap stays at 2^17: the dense
 route runs on one thread, and with the cap at 3 * 2^17 the seed-0
-benchmark `sweep` took 1.05-1.31 s against 1.04-1.24 s (four alternating
-passes each) and peaked at 77-78 MB against 61-63 MB.  No sweep scale
+benchmark `sweep` peaked at 77-78 MB against 61-63 MB.  No sweep scale
 within 3% of a dyadic one crosses 2^17 (their dense counts skip from
 81,790 to 243,310).  The switch costs no accuracy
 that shows: the dense route carries a chirp round-off floor of about 1e-8

@@ -89,7 +89,6 @@ def bilinear_piece(f: Field, g: Field, j: int, lam: float, t_samples, ep: Ellipt
     grid = f.grid
     if grid.dim != 1:
         raise TractabilityError("bilinear pieces are implemented for dim = 1")
-    ep.require_elliptic()
     xi, wf = _active_support(f, _MODE_REL_TOL)
     eta, wg = _active_support(g, _MODE_REL_TOL)
     if xi.shape[1] > _MAX_ACTIVE_MODES or eta.shape[1] > _MAX_ACTIVE_MODES:
@@ -143,7 +142,6 @@ def bilinear_reconstruction_residual(
     so the times must increase strictly.
     """
     ts = tuple(float(t) for t in t_samples)
-    ep.require_elliptic()
     sf, sg = (evolve_trajectory(apply_symbol(to_frequency(h), ep.amplitude), ts, ep.phase)
               for h in (f, g))
     product = np.array([a.samples * b.samples for a, b in zip(sf.frames, sg.frames)])
@@ -166,7 +164,6 @@ def extension_trajectory(h: Field, t_samples, ep: EllipticPhase) -> Trajectory:
     elliptic phase, whose frames are the inverse transforms of (2 pi)^d h e^{i t phase}.
     """
     h.require(FREQUENCY)
-    ep.require_elliptic()
     scaled = h.with_samples(h.samples * (2.0 * np.pi) ** h.grid.dim)
     return evolve_trajectory(scaled, t_samples, ep.phase)
 
@@ -200,7 +197,6 @@ def bilinear_restriction_ratio(h1: Field, h2: Field, p: float, lam: float, ep: E
     dim = h1.grid.dim
     if not p > admissibility_threshold(dim):
         raise ValueError(f"p must exceed 2 + 4/(d+1) = {admissibility_threshold(dim):.4g}")
-    ep.require_elliptic()
     n1, n2 = lp_norm(h1, 2.0), lp_norm(h2, 2.0)
     if n1 == 0.0 or n2 == 0.0:
         return 0.0

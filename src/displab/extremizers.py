@@ -78,6 +78,8 @@ class ExtremizerSpec:
             raise ValueError(f"lam must be finite and >= 8, got {self.lam}")
         if not 0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 1/2)")
+        if self.grid is not None and self.grid.dim != self.params.dim:
+            raise ValueError(f"grid dim {self.grid.dim} != params dim {self.params.dim}")
 
 
 def smoothing_grid_requirements(lam: float, alpha: float) -> tuple[float, float]:

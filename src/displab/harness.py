@@ -54,6 +54,7 @@ from .extremizers import (
     ExtremizerSpec,
     PACKET_GRID,
     SMOOTHING,
+    _time_scale,
     datum_lp_norm,
     faithful_horizon,
     maximal_datum_norm,
@@ -187,7 +188,7 @@ def focusing_s_grid(lam: float, alpha: float, horizon: float) -> np.ndarray:
     window is much longer, logarithmically spaced bridge samples connect the
     two scales so the rectangle rule resolves the focusing shoulder.
     """
-    s_hor = min(lam**alpha, horizon)
+    s_hor = min(_time_scale(lam, alpha), horizon)
     pieces = [
         np.linspace(-s_hor, 0.0, FOCUSING_SAMPLES),
         np.linspace(-min(4.0, s_hor), 0.0, FOCUSING_SAMPLES),

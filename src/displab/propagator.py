@@ -313,15 +313,15 @@ class EllipticPhase:
     ``phase`` maps stacked frequencies (dim, ...) -> real array; ``amplitude``
     is a symbol with compact support inside the phase's domain.
     ``hessian_probe`` is the smallest sampled eigenvalue of the Hessian over
-    the amplitude support (second differences at scattered points).
+    the amplitude support (second differences at scattered points); one that
+    is not > 0, nan included, raises EllipticityError, so no route checks it.
     """
 
     phase: SymbolFn
     amplitude: SymbolFn
     hessian_probe: float
 
-    def require_elliptic(self) -> None:
-        """EllipticityError unless the probed Hessian is positive: every elliptic route's check."""
+    def __post_init__(self):
         if not self.hessian_probe > 0:
             raise EllipticityError(
                 "phase fails the sampled ellipticity probe "
@@ -330,7 +330,7 @@ class EllipticPhase:
 
 
 def make_elliptic_phase(phase, amplitude, support_box, dim: int = 1) -> EllipticPhase:
-    """Probe the Hessian at `_PROBE_SAMPLES` points of the box where the amplitude lives."""
+    """Probe the Hessian at `_PROBE_SAMPLES` points of the box where the amplitude lives, all at once."""
     rng = np.random.default_rng(_PROBE_SEED)
     box = np.atleast_2d(np.asarray(support_box, dtype=float))
     if box.shape != (dim, 2):
@@ -341,32 +341,23 @@ def make_elliptic_phase(phase, amplitude, support_box, dim: int = 1) -> Elliptic
     pts = pts[:, keep][:, :_PROBE_SAMPLES]
     if pts.shape[1] == 0:
         raise ValueError("no probe points found inside the amplitude support")
-    step = _PROBE_STEP
+    e = _PROBE_STEP * np.eye(dim)[:, :, None]  # e[a]: the step along axis a, at every probe point
 
-    def hessian_at(p):
-        h = np.zeros((dim, dim))
+    def at(offset):
+        return np.asarray(phase(pts + offset), dtype=float).reshape(pts.shape[1])
+
+    centre = at(0.0)
+    hessian = np.empty((pts.shape[1], dim, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
         for a in range(dim):
-            for b in range(a, dim):
-                ea = np.zeros(dim); ea[a] = step
-                eb = np.zeros(dim); eb[b] = step
-                if a == b:
-                    val = (_ph(phase, p + ea) - 2 * _ph(phase, p) + _ph(phase, p - ea)) / step**2
-                else:
-                    val = (
-                        _ph(phase, p + ea + eb) - _ph(phase, p + ea - eb)
-                        - _ph(phase, p - ea + eb) + _ph(phase, p - ea - eb)
-                    ) / (4 * step**2)
-                h[a, b] = h[b, a] = val
-        return h
-
-    min_eig = min(
-        float(np.linalg.eigvalsh(hessian_at(pts[:, i])).min()) for i in range(pts.shape[1])
-    )
-    return EllipticPhase(phase=phase, amplitude=amplitude, hessian_probe=min_eig)
-
-
-def _ph(phase, point: np.ndarray) -> float:
-    return float(np.asarray(phase(point.reshape(-1, 1))).reshape(()))
+            hessian[:, a, a] = (at(e[a]) - 2 * centre + at(-e[a])) / _PROBE_STEP**2
+            for b in range(a + 1, dim):
+                hessian[:, a, b] = hessian[:, b, a] = (
+                    at(e[a] + e[b]) - at(e[a] - e[b]) - at(-e[a] + e[b]) + at(-e[a] - e[b])
+                ) / (4 * _PROBE_STEP**2)
+    # one stacked eigenvalue solve; a Hessian entry that is not finite makes the probe nan
+    probe = float(np.linalg.eigvalsh(hessian).min()) if np.isfinite(hessian).all() else np.nan
+    return EllipticPhase(phase=phase, amplitude=amplitude, hessian_probe=probe)
 
 
 def quadratic_phase(dim: int = 1) -> EllipticPhase:
@@ -409,14 +400,26 @@ def band_kernel(
         raise ValueError(f"t must be finite, got {t}")
     if params.dim != 1 and grid is None:
         raise ValueError("automatic kernel grids are one-dimensional; pass a grid")
+    if grid is not None and grid.dim != params.dim:
+        raise ValueError(f"grid dim {grid.dim} != params dim {params.dim}")
     alpha = params.alpha
-    scale = 2.0 ** (alpha * k) * t
+    scale = _band_spread(k, alpha) * t
     if grid is None:
         grid = _kernel_grid(alpha, scale)
     if grid.nyquist < 8.0:
         raise SizingError(f"kernel grid nyquist {grid.nyquist:.3g} < 8 (4x the unit-annulus radius)")
     spectrum = _chirped_spectrum(grid, 2.0, make_cutoffs(dim=grid.dim).bandpass, 1j * scale, alpha)
     return dft_inverse(Field(grid, FREQUENCY, spectrum))
+
+
+def _band_spread(k: int, alpha: float) -> float:
+    """2^(alpha k), the band-k kernel's spread factor; OverflowError naming k and alpha past the float range."""
+    try:
+        return 2.0 ** (alpha * k)
+    except OverflowError:
+        raise OverflowError(
+            f"the band spread 2^(alpha k) at k = {k}, alpha = {alpha:g} overflows the float range"
+        ) from None
 
 
 def _kernel_grid(alpha: float, scale: float) -> GridSpec:
@@ -523,12 +526,7 @@ def kernel_tail_mass(k: int, t: float, params: DispersionParams) -> float:
     if params.dim != 1:
         raise ValueError("kernel tail masses are computed in dimension 1")
     alpha = params.alpha
-    try:
-        spread = 2.0 ** (alpha * k)
-    except OverflowError:
-        raise OverflowError(
-            f"the band spread 2^(alpha k) at k = {k}, alpha = {alpha:g} overflows the float range"
-        ) from None
+    spread = _band_spread(k, alpha)
     ball = 4.0 * ball_constant(alpha) * spread
     # |S|^(j-n) overflows at large scales, and an overflow times a zero r_{n,j} is nan
     with np.errstate(over="ignore", invalid="ignore"):

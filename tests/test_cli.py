@@ -473,6 +473,14 @@ def test_focusing_past_the_grid_cap_is_config_error(capsys):
                           "over the cap of 4194304") and err.count("\n") == 1
 
 
+def test_sweep_time_scale_overflow_names_the_time_scale(capsys):
+    """The focusing samples read lam^alpha through `_time_scale`, so a huge lam names it."""
+    code, out, err = run(capsys, "sweep", "--lambdas", "16,32,64,1e200")
+    assert code == 3 and out == ""
+    assert err == ("error: numerical overflow: the time scale lam^alpha at lam = 1e+200, "
+                   "alpha = 2 overflows the float range\n")
+
+
 def test_focusing_time_scale_overflow_names_the_time_scale(capsys):
     """lam 1e306 overflows lam^alpha before the lattice is sized, so the error names lam^alpha."""
     code, out, err = run(capsys, "diagnostics", "focusing", "--lam", "1e306")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -350,23 +352,14 @@ def test_elliptic_operator_ratio_bounded(rng):
 # -- the extension operator on `evolve_trajectory` ------------------------------------
 
 
-def test_every_elliptic_route_runs_the_ellipticity_check():
-    """A phase failing the Hessian probe raises on each route, as `elliptic_evolve` does."""
-    g = GridSpec(1, 256, 50.0)
-    h1, h2 = _separated_pair(g)
+def test_a_phase_failing_the_probe_reaches_no_elliptic_route():
+    """Construction runs the Hessian probe, so the routes hold no check of their own: a flat
+    phase, or a passing one whose probe is replaced by 0, raises before any route can run."""
     amp = lambda xi: np.exp(-np.asarray(xi)[0] ** 2)  # noqa: E731
-    flat = make_elliptic_phase(lambda xi: 0.0 * np.asarray(xi)[0], amp, [(-1, 1)])
-    assert not flat.hessian_probe > 0
     with pytest.raises(EllipticityError):
-        extension_trajectory(h1, [0.0, 1.0], flat)
+        make_elliptic_phase(lambda xi: 0.0 * np.asarray(xi)[0], amp, [(-1, 1)])
     with pytest.raises(EllipticityError):
-        bilinear_piece(h1, h2, 0, 16.0, [0.0], flat)
-    with pytest.raises(EllipticityError):
-        bilinear_restriction_ratio(h1, h2, 6.0, 16.0, flat)
-    with pytest.raises(EllipticityError):  # also where zero data would return 0
-        bilinear_restriction_ratio(h1, Field.zeros(g, FREQUENCY), 6.0, 16.0, flat)
-    with pytest.raises(EllipticityError):
-        bilinear_reconstruction_residual(to_physical(h1), to_physical(h2), 16.0, [0.0], flat)
+        dataclasses.replace(quadratic_phase(), hessian_probe=0.0)
 
 
 def test_restriction_routes_read_no_frequency_mesh(monkeypatch):

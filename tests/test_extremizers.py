@@ -64,6 +64,13 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("family", [SMOOTHING, MAXIMAL])
+def test_spec_refuses_a_grid_of_another_dimension(family):
+    """Both datum builders read the spec, so neither sees a grid and a flow of different dims."""
+    with pytest.raises(ValueError, match=r"^grid dim 1 != params dim 2$"):
+        ExtremizerSpec(family, 16.0, DispersionParams(2.0, 2), GridSpec(1, 1024, 20.0))
+
+
+@pytest.mark.parametrize("family", [SMOOTHING, MAXIMAL])
 @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
 def test_spec_rejects_nonfinite_scale(family, lam):
     with pytest.raises(ValueError, match="lam must be finite"):

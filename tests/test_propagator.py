@@ -630,9 +630,8 @@ def test_trajectory_basics(rng):
 
 
 def elliptic_evolve(field, t, ep):
-    """The elliptic-phase operator amplitude * e^{i t phase} at one time: the ellipticity
-    check, the amplitude through `apply_symbol`, then `evolve`'s product on its support."""
-    ep.require_elliptic()
+    """The elliptic-phase operator amplitude * e^{i t phase} at one time: the amplitude
+    through `apply_symbol`, then `evolve`'s product on its support."""
     out = evolve(apply_symbol(to_frequency(field), ep.amplitude), t, ep.phase)
     return out if field.is_frequency else dft_inverse(out)
 
@@ -666,11 +665,90 @@ def test_elliptic_power_phase_matches_evolve(rng):
 
 
 def test_elliptic_rejects_degenerate_phase():
+    """A phase failing the Hessian probe builds no `EllipticPhase`, so no evolution can take one."""
     amp = lambda xi: np.exp(-np.asarray(xi)[0] ** 2)  # noqa: E731
-    flat = make_elliptic_phase(lambda xi: 0.0 * np.asarray(xi)[0], amp, [(-1, 1)])
-    g = GridSpec(1, 32, 4.0)
-    with pytest.raises(EllipticityError):
-        elliptic_evolve(Field.zeros(g), 0.5, flat)
+    with pytest.raises(EllipticityError, match=r"min eigenvalue 0\)"):
+        make_elliptic_phase(lambda xi: 0.0 * np.asarray(xi)[0], amp, [(-1, 1)])
+    with pytest.raises(EllipticityError, match=r"min eigenvalue 0\)"):
+        EllipticPhase(quadratic_phase().phase, amp, 0.0)
+    with pytest.raises(EllipticityError, match=r"min eigenvalue nan\)"):
+        EllipticPhase(quadratic_phase().phase, amp, np.nan)
+    with pytest.raises(EllipticityError, match=r"min eigenvalue -1\)"):
+        EllipticPhase(quadratic_phase().phase, amp, -1.0)
+
+
+def test_a_phase_not_finite_at_a_probe_point_fails_the_probe():
+    """A nan or infinite Hessian entry makes the probe nan, whatever LAPACK would make of it."""
+    amp = lambda xi: np.exp(-np.asarray(xi)[0] ** 2)  # noqa: E731
+    for hole in (np.nan, np.inf):
+        def phase(xi, hole=hole):
+            return np.where(np.asarray(xi)[0] > 0.5, hole, 0.5 * np.asarray(xi)[0] ** 2)
+
+        with pytest.raises(EllipticityError, match=r"min eigenvalue nan\)"):
+            make_elliptic_phase(phase, amp, [(-1, 1)])
+
+
+def _probe_oracle(phase, amplitude, support_box, dim):
+    """The probe as a per-point loop: one phase call per point and stencil entry, one eigenvalue
+    solve per point, and the same probe points as `make_elliptic_phase`."""
+    rng = np.random.default_rng(0)
+    box = np.atleast_2d(np.asarray(support_box, dtype=float))
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(400, dim)).T
+    amp = np.abs(np.asarray(amplitude(pts)))
+    pts = pts[:, amp > 1e-6 * max(amp.max(), 1e-300)][:, :100]
+    step = 1e-3
+
+    def ph(point):
+        return float(np.asarray(phase(point.reshape(-1, 1))).reshape(()))
+
+    def hessian_at(p):
+        h = np.zeros((dim, dim))
+        for a in range(dim):
+            for b in range(a, dim):
+                ea = np.zeros(dim); ea[a] = step
+                eb = np.zeros(dim); eb[b] = step
+                if a == b:
+                    val = (ph(p + ea) - 2 * ph(p) + ph(p - ea)) / step**2
+                else:
+                    val = (
+                        ph(p + ea + eb) - ph(p + ea - eb) - ph(p - ea + eb) + ph(p - ea - eb)
+                    ) / (4 * step**2)
+                h[a, b] = h[b, a] = val
+        return h
+
+    return min(float(np.linalg.eigvalsh(hessian_at(pts[:, i])).min()) for i in range(pts.shape[1]))
+
+
+def _coupled_phase(xi):
+    """A non-separable convex phase: cosh xi_1 + xi_1 xi_2 + xi_2^2 + e^(xi_1 - xi_2) / 10."""
+    x, y = np.asarray(xi)
+    return np.cosh(x) + x * y + y**2 + 0.1 * np.exp(x - y)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hessian_probe_is_the_per_point_loop(dim):
+    """The stacked stencil and eigenvalue solve keep each element's arithmetic, bit for bit."""
+    ep = quadratic_phase(dim)
+    box = [(-1.8, 1.8)] * dim
+    assert ep.hessian_probe.hex() == _probe_oracle(ep.phase, ep.amplitude, box, dim).hex()
+    if dim == 2:
+        coupled = make_elliptic_phase(_coupled_phase, ep.amplitude, box, dim=2)
+        oracle = _probe_oracle(_coupled_phase, ep.amplitude, box, 2)
+        assert coupled.hessian_probe.hex() == oracle.hex()
+        assert 0.3 < oracle < 0.5  # the coupling shows: the separable part alone reads >= 1
+
+
+def test_hessian_probe_calls_the_phase_once_per_stencil_point():
+    """1 + 2d + 2d(d-1) phase calls, each over every probe point at once."""
+    shapes = []
+
+    def phase(xi):
+        shapes.append(np.shape(xi))
+        return 0.5 * (np.asarray(xi) ** 2).sum(axis=0)
+
+    quadratic = quadratic_phase(3)
+    make_elliptic_phase(phase, quadratic.amplitude, [(-1.8, 1.8)] * 3, dim=3)
+    assert shapes == [(3, 100)] * (1 + 6 + 12)
 
 
 def _elliptic_datum(grid, rng):
@@ -1101,6 +1179,17 @@ def test_band_kernel_on_a_grid_below_nyquist_8_raises_sizing_error():
     grid = GridSpec(1, 64, 20.0)  # nyquist 5.03
     with pytest.raises(SizingError, match=r"kernel grid nyquist 5\.03 < 8"):
         band_kernel(3, 0.5, DispersionParams(2.0, 1), grid=grid)
+
+
+def test_band_kernel_past_the_float_range_names_the_band_spread():
+    with pytest.raises(OverflowError, match=r"^the band spread 2\^\(alpha k\) at k = 600, alpha = 2 "
+                                            "overflows the float range$"):
+        band_kernel(600, 1.0, DispersionParams(2.0, 1))
+
+
+def test_band_kernel_refuses_a_grid_of_another_dimension():
+    with pytest.raises(ValueError, match=r"^grid dim 1 != params dim 2$"):
+        band_kernel(3, 0.5, DispersionParams(2.0, 2), grid=GridSpec(1, 256, 20.0))
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

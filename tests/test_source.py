@@ -146,7 +146,9 @@ def test_options_that_only_tests_set_stay_gone():
     packet norm, physical smoothing datum, power-sum entry and spectral radius that went
     with them; nor the measured kernel L1 mass, whose floor 1 the tail share divides by, and
     the datum node count that only a sweep pre-check read; nor the grid-adequacy error and
-    the kernel grid's own power-of-two rounding, which `grid.sized_grid` replaced."""
+    the kernel grid's own power-of-two rounding, which `grid.sized_grid` replaced; nor the
+    elliptic phase's per-route check and per-point phase reader, now that construction
+    runs the one vectorized Hessian probe."""
     from displab import (chirpquad, cutoffs, decomposition, errors, extremizers, grid, propagator,
                          spectral)
 
@@ -170,7 +172,9 @@ def test_options_that_only_tests_set_stay_gone():
                    "spectral_radius", "_RADIUS_REL_TOL"),
         chirpquad: ("as_segments",),
         extremizers: ("packet_lp_norm", "make_smoothing_extremizer", "datum_quadrature_nodes"),
-        propagator: ("evolved_lp_norms", "_kernel_l1_mass", "_SERIAL_MASS_POINTS", "_pow2_at_least"),
+        propagator: ("evolved_lp_norms", "_kernel_l1_mass", "_SERIAL_MASS_POINTS", "_pow2_at_least",
+                     "_ph"),
+        propagator.EllipticPhase: ("require_elliptic",),
         errors: ("GridAdequacyError",),
     }
     assert [name for module, names in gone.items() for name in names
