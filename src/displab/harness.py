@@ -1,11 +1,11 @@
 """Scaling sweeps, log-log regression, and sharpness verdicts.
 
 A sweep builds one datum per scale lam, evolves it over the unit time
-interval with a focusing-refined time grid, and records the ratio of a
-space-time (or maximal) solution norm to the lam^beta-weighted datum norm.
-The fitted log-log slope of the ratio against lam detects the critical
-regularity: at the critical beta the slope is ~0, and shifting beta by
-delta shifts the slope by -delta.
+interval (integrated on a Gauss–Legendre time ladder), and records the
+ratio of a space-time (or maximal) solution norm to the lam^beta-weighted
+datum norm.  The fitted log-log slope of the ratio against lam detects the
+critical regularity: at the critical beta the slope is ~0, and shifting
+beta by delta shifts the slope by -delta.
 
 One record builder.  Each family hands `_record` its numerator at unit
 datum amplitude and its datum's Bessel-weighted norm as a function of the
@@ -35,17 +35,21 @@ Profile-norm curve.  Every scale reads the same unit profile, so the curve
 s -> ||W(., s)||_p^p is shared by all scales and sweeps with the same
 (alpha, p, one_sided), whatever their datum scale; each distinct s is
 evolved once per process.  `run_sweep` fills the curve over the union of
-its scales' s-grids, then builds the records one scale after another.  A
-record is its rectangle-rule weights dotted with the looked-up values,
-plus its datum norm.  The curve and the direct route's frames are summed
-by `propagator._power_sums` in decimated slices, with no frame formed;
-the even two-sided annulus runs only its distinct half of the slices.
+its scales' time ladders (`time_ladder`: 8 Gauss–Legendre nodes on each of
+the panels [-1/2, 0], [-1, -1/2] and [-2^{k+1}, -2^k] up to the window end,
+the last panel cut there), then builds the records one scale after another.
+A full panel's nodes depend on its edges alone, so scales share every node
+but those of their last panel.  A record is its ladder weights dotted with
+the looked-up values, plus its datum norm.  The curve and the direct
+route's frames are summed by `propagator._power_sums` in decimated slices,
+with no frame formed; the even two-sided annulus runs only its distinct
+half of the slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -77,9 +81,22 @@ from .spectral import to_physical
 
 FAMILIES = ("smoothing", "maximal", "airy")
 
-# samples in each piece of the focusing s-grid: the uniform window, the refined
-# window |s| <= 4 and the logarithmic bridge between them
+# samples in each piece of the direct route's focusing s-grid: the uniform window, the
+# refined window |s| <= 4 and the logarithmic bridge between them
 FOCUSING_SAMPLES = 64
+# the 8-point Gauss–Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(8) gives
+# it; written out, as importing numpy.polynomial costs about 5 ms of start-up
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
+# a dyadic edge within this fraction below the window end closes no panel: the panel before
+# it stretches to the end, where a sliver's nodes would round onto each other
+_SLIVER = 2.0**-8
 # time samples of the maximal family's ridge trace over [0, 1]
 RIDGE_SAMPLES = 256
 
@@ -181,12 +198,48 @@ def fit_loglog(records) -> FitResult:
 # -- time grids --------------------------------------------------------------------
 
 
+def _ladder_edges(S: float) -> np.ndarray:
+    """|s| at the panel edges of the time ladder on [-S, 0]: 0, 1/2, 1, 2, 4, ..., S."""
+    if not (np.isfinite(S) and S > 0):
+        raise ValueError(f"the time window end S must be finite and positive, got {S}")
+    edges = [0.0]
+    edge = 0.5
+    while edge * (1.0 + _SLIVER) < S:
+        edges.append(edge)
+        edge *= 2.0
+    return np.array(edges + [S])
+
+
+def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point Gauss–Legendre rule on each panel [-edges[i+1], -edges[i]], panel by panel.
+
+    Each panel's nodes and weights are formed from its two edges alone.
+    """
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (-(lo + half * (1.0 + _GAUSS_NODES))).ravel(), (half * _GAUSS_WEIGHTS).ravel()
+
+
+def time_ladder(S: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the sweep's time rule on [-S, 0], ordered from s = 0 outward.
+
+    Eight Gauss–Legendre nodes on each of the panels [-1/2, 0], [-1, -1/2]
+    and [-2^{k+1}, -2^k] up to S, the last cut at S; when S lies within
+    2^-8 above a dyadic edge, the panel below that edge stretches to S
+    instead.  Full panels do not depend on S, so the rule of a smaller S is
+    a bitwise prefix of a larger one's up to its last panel.
+    """
+    return _gauss_panels(_ladder_edges(S))
+
+
 def focusing_s_grid(lam: float, alpha: float, horizon: float) -> np.ndarray:
     """Rescaled time samples s = lam^alpha (t - 1), increasing, in [-s_hor, 0].
 
-    A uniform coarse grid plus a refined window |s| <= 4; when the coarse
-    window is much longer, logarithmically spaced bridge samples connect the
-    two scales so the rectangle rule resolves the focusing shoulder.
+    Only the direct route (`direct_smoothing_record`) reads it, with
+    rectangle-rule weights.  A uniform coarse grid plus a refined window
+    |s| <= 4; when the coarse window is much longer, logarithmically spaced
+    bridge samples connect the two scales so the rectangle rule resolves
+    the focusing shoulder.
     """
     s_hor = min(_time_scale(lam, alpha), horizon)
     pieces = [
@@ -236,25 +289,28 @@ class _ProfileCurve:
 _profile_curve = lru_cache(maxsize=32)(_ProfileCurve)
 
 
-def _coverage(s_grid: np.ndarray, vals: np.ndarray, integral: float, s_full: float) -> float:
+def _coverage(nodes: np.ndarray, vals: np.ndarray, integral: float, S: float,
+              s_full: float) -> float:
     """Estimated captured fraction of the full time integral over [-s_full, 0].
 
-    When the horizon truncates the window, the omitted early-time portion
-    is extrapolated from the measured decay of the curve.
+    ``integral`` covers the window [-S, 0], sampled at ``nodes`` ordered from
+    s = 0 outward.  When the horizon truncates the window, the omitted
+    early-time portion is extrapolated from the measured decay of the curve
+    over the farthest nodes, starting from its value at s = -S on that decay.
     """
-    s_hor = float(-s_grid[0])
-    if s_hor >= s_full * (1 - 1e-9):
+    if S >= s_full * (1 - 1e-9):
         return 1.0
-    k = max(2, s_grid.size // 8)
-    tail_x = np.log(-s_grid[:k])
-    tail_y = np.log(np.maximum(vals[:k], 1e-300))
+    k = max(2, nodes.size // 8)
+    tail_x = np.log(-nodes[-k:])
+    tail_y = np.log(np.maximum(vals[-k:], 1e-300))
     gamma = -np.polyfit(tail_x, tail_y, 1)[0]
+    edge = vals[-1] * (S / -nodes[-1]) ** -gamma
     if gamma > 1.05:
-        omitted = vals[0] * s_hor / (gamma - 1.0) * (1.0 - (s_hor / s_full) ** (gamma - 1.0))
+        omitted = edge * S / (gamma - 1.0) * (1.0 - (S / s_full) ** (gamma - 1.0))
     elif gamma > 0.5:
-        omitted = vals[0] * s_hor * np.log(s_full / s_hor)
+        omitted = edge * S * np.log(s_full / S)
     else:
-        omitted = vals[0] * (s_full - s_hor)
+        omitted = edge * (s_full - S)
     return integral / (integral + max(omitted, 0.0))
 
 
@@ -268,10 +324,7 @@ def _record(cfg: SweepConfig, lam: float, grid: GridSpec, t_count: int, numerato
     or lam^beta times the plain norm; |datum_scale| multiplies both, and
     the ratio is taken from the unit values.
     """
-    if cfg.use_sobolev_denominator:
-        denominator = datum_norm(cfg.beta)
-    else:
-        denominator = lam**cfg.beta * datum_norm(0.0)
+    denominator = _denominator(cfg, lam, datum_norm)
     scale = abs(cfg.datum_scale)
     return SweepRecord(
         lam=lam, points=grid.points, half_width=grid.half_width, t_count=t_count,
@@ -280,18 +333,28 @@ def _record(cfg: SweepConfig, lam: float, grid: GridSpec, t_count: int, numerato
     )
 
 
-def _smoothing_record(
-    cfg: SweepConfig, lam: float, curve: _ProfileCurve, s_grid: np.ndarray
-) -> SweepRecord:
-    """One scale: the curve's rectangle-rule integral over s_grid, and the datum norm."""
-    one_sided = cfg.family == "airy"
-    vals = curve(s_grid)
-    integral = float(vals @ _time_weights(s_grid, (float(s_grid[0]), 0.0)))
+def _denominator(cfg: SweepConfig, lam: float, datum_norm) -> float:
+    """The unit-amplitude denominator: the Sobolev norm at ``cfg.beta``, or lam^beta times
+    the plain norm."""
+    if cfg.use_sobolev_denominator:
+        return datum_norm(cfg.beta)
+    return lam**cfg.beta * datum_norm(0.0)
+
+
+def _smoothing_datum_norm(cfg: SweepConfig, lam: float):
+    """beta -> the smoothing (or airy) datum's Bessel-weighted norm, as `datum_lp_norm` caches it."""
+    return partial(datum_lp_norm, lam, cfg.alpha, cfg.p, cfg.family == "airy")
+
+
+def _smoothing_record(cfg: SweepConfig, lam: float, curve: _ProfileCurve, S: float,
+                      nodes: np.ndarray, weights: np.ndarray) -> SweepRecord:
+    """One scale: the curve's ladder integral over [-S, 0], and the datum norm."""
+    vals = curve(nodes)
+    integral = float(vals @ weights)
     numerator = lam ** (1.0 - 1.0 / cfg.p) * (lam**-cfg.alpha * integral) ** (1.0 / cfg.p)
     return _record(
-        cfg, lam, curve.grid, s_grid.size, numerator,
-        lambda beta: datum_lp_norm(lam, cfg.alpha, cfg.p, one_sided, beta),
-        _coverage(s_grid, vals, integral, lam**cfg.alpha),
+        cfg, lam, curve.grid, nodes.size, numerator, _smoothing_datum_norm(cfg, lam),
+        _coverage(nodes, vals, integral, S, lam**cfg.alpha),
     )
 
 
@@ -311,23 +374,30 @@ def _maximal_record(cfg: SweepConfig, lam: float) -> SweepRecord:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """One record per scale: datum, evolution, numerator / denominator / ratio.
 
-    The smoothing and airy families fill the shared profile-norm curve over
-    the union of their scales' s-grids in one call, then form the records in
-    increasing lam.  A datum quadrature past the node budget
-    (`grid.quadrature_node_budget`, DISPLAB_MAX_GRID_POINTS x 64) raises
-    SizingError from `chirpquad.chirp_profile` before it allocates, naming its
-    scale -lam^alpha, so the error names the smallest failing scale.  A
-    cached norm (`datum_lp_norm` keeps its values) runs no quadrature and
-    needs no nodes; the budget is still read first, so a bad
+    The smoothing and airy families first take every scale's denominator,
+    in increasing lam, then fill the shared profile-norm curve over the
+    union of their scales' time ladders on [-S, 0], S = min(lam^alpha,
+    horizon), in one call, and form the records in increasing lam.  A datum
+    quadrature past the node budget (`grid.quadrature_node_budget`,
+    DISPLAB_MAX_GRID_POINTS x 64) raises SizingError from
+    `chirpquad.chirp_profile` before it allocates, naming its scale
+    -lam^alpha, so the error names the smallest failing scale and no frame
+    has been evolved.  A cached norm (`datum_lp_norm` keeps its values) runs
+    no quadrature and needs no nodes, so the records read the denominators
+    taken first; the budget is still read first, so a bad
     DISPLAB_MAX_GRID_POINTS raises EnvironmentSettingError on every sweep.
     """
     if cfg.family == "maximal":
         return [_maximal_record(cfg, lam) for lam in cfg.lambdas]
     quadrature_node_budget()  # checks DISPLAB_MAX_GRID_POINTS, even with every norm cached
+    for lam in cfg.lambdas:  # a datum past the node budget refuses before any frame work
+        _denominator(cfg, lam, _smoothing_datum_norm(cfg, lam))
     curve = _profile_curve(cfg.alpha, cfg.p, cfg.family == "airy")
-    s_grids = {lam: focusing_s_grid(lam, cfg.alpha, curve.horizon) for lam in cfg.lambdas}
-    curve.fill(np.concatenate(list(s_grids.values())))
-    return [_smoothing_record(cfg, lam, curve, s_grids[lam]) for lam in cfg.lambdas]
+    windows = {lam: min(_time_scale(lam, cfg.alpha), curve.horizon) for lam in cfg.lambdas}
+    ladders = {lam: time_ladder(S) for lam, S in windows.items()}
+    curve.fill(np.concatenate([nodes for nodes, _ in ladders.values()]))
+    return [_smoothing_record(cfg, lam, curve, windows[lam], *ladders[lam])
+            for lam in cfg.lambdas]
 
 
 # -- direct (lam-scale) route for cross-validation -----------------------------------

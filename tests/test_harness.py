@@ -14,6 +14,7 @@ from displab.harness import (
     focusing_s_grid,
     run_sweep,
     slope_verdict,
+    time_ladder,
     verify_airy,
     verify_maximal_necessary,
     verify_sharpness,
@@ -169,20 +170,109 @@ def test_focusing_s_grid_is_np_unique_of_its_pieces(alpha):
 
 
 def test_time_grids_leave_numpy_ma_unimported():
-    """`np.unique` imports `numpy.ma` on its first call (10-15 ms on a 2-core Xeon); the
-    sweep's time grids do not."""
+    """`np.unique` imports `numpy.ma` on its first call (10-15 ms on a 2-core Xeon), and
+    `numpy.polynomial` costs about 5 ms to import; the time grids import neither."""
     import os
     import subprocess
     import sys
 
     code = """
 import sys
-from displab.harness import focusing_s_grid
+from displab.harness import focusing_s_grid, time_ladder
 focusing_s_grid(64.0, 2.0, 1e3)
+time_ladder(1e3)
 assert "numpy.ma" not in sys.modules
+assert "numpy.polynomial" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_gauss_rule_is_leggauss_within_one_ulp():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.all(np.abs(harness._GAUSS_NODES - nodes) <= np.spacing(np.abs(nodes)))
+    assert np.all(np.abs(harness._GAUSS_WEIGHTS - weights) <= np.spacing(weights))
+
+
+@pytest.mark.parametrize("S", [0.3, 1.0, 256.0, 1447.2685805799763])
+def test_every_ladder_panel_integrates_degree_15_exactly(S):
+    for nodes, weights in zip(*(v.reshape(-1, 8) for v in time_ladder(S))):
+        centre, half = 0.5 * (nodes[0] + nodes[-1]), 0.5 * weights.sum()
+        for degree in range(16):
+            exact = 2.0 * half / (degree + 1) if degree % 2 == 0 else 0.0
+            got = ((nodes - centre) / half) ** degree @ weights
+            assert got == pytest.approx(exact, rel=0, abs=1e-14 * half)
+
+
+def test_a_smaller_window_is_a_bitwise_prefix_of_a_larger_one():
+    """S = 256 ends on a dyadic edge, so all ten of its panels are panels of the alpha = 2
+    horizon's ladder (S = 1447.27), bit for bit."""
+    small, large = time_ladder(256.0), time_ladder(1447.2685805799763)
+    assert small[0].size == 80 and large[0].size == 104
+    for a, b in zip(small, large):
+        assert a.tobytes() == b[:a.size].tobytes()
+
+
+@pytest.mark.parametrize("S, panels", [
+    (256.0, 10), (np.nextafter(256.0, np.inf), 10), (256.0 * (1 + 2.0**-9), 10),
+    (256.0 * (1 + 2.0**-7), 11), (1.0, 2), (0.75, 2), (np.nextafter(0.5, np.inf), 1), (0.5, 1),
+    (0.3, 1), (1e-6, 1),
+])
+def test_ladder_has_no_empty_panel_or_repeated_node(S, panels):
+    """A window end on, just above or well above a dyadic edge, and S <= 1: the panels tile
+    [-S, 0] with positive widths, and the nodes run strictly outward inside it."""
+    nodes, weights = time_ladder(S)
+    assert nodes.size == 8 * panels
+    assert np.all(np.diff(nodes) < 0) and nodes[0] < 0 and nodes[-1] > -S
+    assert np.all(weights > 0)
+    assert weights.sum() == pytest.approx(S, rel=1e-14)
+    assert harness._ladder_edges(S)[-1] == S
+
+
+@pytest.mark.parametrize("S", [0.0, -1.0, np.inf, np.nan])
+def test_ladder_rejects_a_window_end_that_is_not_finite_and_positive(S):
+    with pytest.raises(ValueError, match="finite and positive"):
+        time_ladder(S)
+
+
+def refined_ladder(parts):
+    """The ladder with every panel cut into ``parts`` equal sub-panels of 8 nodes each."""
+
+    def rule(S):
+        edges = harness._ladder_edges(S)
+        cuts = edges[:-1, None] + (edges[1:] - edges[:-1])[:, None] * np.arange(parts) / parts
+        return harness._gauss_panels(np.append(cuts.ravel(), S))
+
+    return rule
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("p", [4.5, 6.0, 12.0])
+def test_ladder_matches_the_reference_rule(alpha, p):
+    """Eight sub-panels per panel, on the windows of the scales 16 to 256: the ladder's
+    integral of the profile-norm curve agrees within 3e-7 relative."""
+    curve = harness._profile_curve(alpha, p, False)
+    for S in sorted({min(lam**alpha, curve.horizon) for lam in (16.0, 32.0, 64.0, 128.0, 256.0)}):
+        rules = [time_ladder(S), refined_ladder(8)(S)]
+        curve.fill(np.concatenate([nodes for nodes, _ in rules]))
+        got, reference = (float(curve(nodes) @ weights) for nodes, weights in rules)
+        assert got == pytest.approx(reference, rel=3e-7), S
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, alpha, p", [
+    ("smoothing", 2.0, 4.5), ("smoothing", 2.0, 6.0), ("smoothing", 2.0, 12.0),
+    ("smoothing", 3.0, 6.0), ("airy", 3.0, 6.0),
+])
+def test_halving_every_panel_moves_no_numerator_past_1e_7(monkeypatch, family, alpha, p):
+    cfg = SweepConfig(family, alpha, 1, p, 0.0, (16.0, 32.0, 64.0, 128.0, 256.0))
+    ladder = run_sweep(cfg)
+    monkeypatch.setattr(harness, "time_ladder", refined_ladder(2))
+    halved = run_sweep(cfg)
+    assert [r.t_count for r in halved] == [2 * r.t_count for r in ladder]
+    for a, b in zip(ladder, halved):
+        assert b.numerator == pytest.approx(a.numerator, rel=1e-7), a.lam
 
 
 def test_denominator_scaling_slope():
@@ -259,25 +349,50 @@ def test_negative_datum_scale_scales_every_route_by_its_modulus(route, sobolev):
     assert scaled.ratio == unit.ratio
 
 
+def rectangle_rule(lam, alpha):
+    """The direct route's times t in [0, 1] and their rectangle-rule weights."""
+    t_grid = 1.0 + focusing_s_grid(lam, alpha, lam**alpha) / lam**alpha
+    return t_grid, _time_weights(t_grid, (0.0, 1.0))
+
+
+def ladder_rule(lam, alpha):
+    """The sweep's time ladder on the whole window [-lam^alpha, 0], mapped to t in [0, 1]."""
+    S = lam**alpha
+    nodes, weights = time_ladder(S)
+    return 1.0 + nodes / S, weights / S
+
+
 @pytest.mark.slow
 def test_rescaled_engine_matches_direct_route():
-    """The unit-profile engine and an honest lam-scale grid agree."""
+    """The unit-profile engine and an honest lam-scale grid agree on the same time nodes."""
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, smoothing_exponent(2, 1, 6), (16.0,))
+    rescaled = run_sweep(cfg)[0]
+    grid = smoothing_spectrum(ExtremizerSpec(SMOOTHING, 16.0, DispersionParams(2.0, 1))).grid
+    numerator, denominator = physical_direct_record(cfg, 16.0, grid, ladder_rule)
+    assert numerator == pytest.approx(rescaled.numerator, rel=1e-9)
+    assert denominator == pytest.approx(rescaled.denominator, rel=1e-9)
+
+
+def test_direct_route_is_within_the_rectangle_gap_of_the_sweep():
+    """The direct route keeps the rectangle rule on `focusing_s_grid`; at alpha 2, p 6,
+    lam 16 its numerator sits 5.68e-5 relative above the ladder's."""
     cfg = SweepConfig("smoothing", 2.0, 1, 6.0, smoothing_exponent(2, 1, 6), (16.0,))
     rescaled = run_sweep(cfg)[0]
     direct = direct_smoothing_record(cfg, 16.0)
-    assert direct.numerator == pytest.approx(rescaled.numerator, rel=1e-9)
+    assert direct.numerator == pytest.approx(rescaled.numerator, rel=6e-5)
     assert direct.denominator == pytest.approx(rescaled.denominator, rel=1e-9)
 
 
-def physical_direct_record(cfg, lam, grid):
-    """(numerator, denominator) of the direct record, evolved from the physical datum."""
+def physical_direct_record(cfg, lam, grid, rule):
+    """(numerator, denominator) of the direct record, evolved from the physical datum and
+    integrated in time by ``rule(lam, alpha)`` -> (t in [0, 1], weights)."""
     params = DispersionParams(cfg.alpha, 1)
     datum = to_physical(smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params, grid)))
     if cfg.datum_scale != 1.0:
         datum = datum.with_samples(datum.samples * cfg.datum_scale)
-    t_grid = 1.0 + focusing_s_grid(lam, cfg.alpha, lam**cfg.alpha) / lam**cfg.alpha
+    t_grid, weights = rule(lam, cfg.alpha)
     vals = _power_sums(datum, t_grid, params, cfg.p)[0]
-    numerator = float((vals @ _time_weights(t_grid, (0.0, 1.0))) ** (1.0 / cfg.p))
+    numerator = float((vals @ weights) ** (1.0 / cfg.p))
     if cfg.use_sobolev_denominator:
         return numerator, sobolev_norm(datum, cfg.p, cfg.beta)
     return numerator, lam**cfg.beta * lp_norm(datum, cfg.p)
@@ -289,7 +404,7 @@ def test_direct_record_from_the_spectrum_matches_the_physical_datum(datum_scale,
                       datum_scale=datum_scale, use_sobolev_denominator=sobolev)
     record = direct_smoothing_record(cfg, 16.0)
     grid = GridSpec(1, record.points, record.half_width)
-    numerator, denominator = physical_direct_record(cfg, 16.0, grid)
+    numerator, denominator = physical_direct_record(cfg, 16.0, grid, rectangle_rule)
     assert record.numerator == pytest.approx(numerator, rel=1e-12, abs=0.0)
     assert record.denominator == pytest.approx(denominator, rel=1e-12, abs=0.0)
     assert record.ratio == pytest.approx(numerator / denominator, rel=1e-12, abs=0.0)
@@ -425,6 +540,27 @@ def test_memory_cap_names_smallest_failing_scale(monkeypatch):
         run_sweep(cfg)
 
 
+def test_a_refused_sweep_evolves_no_frame(monkeypatch):
+    """The datum norms run, in increasing lam, before the curve is filled: under a budget of
+    65,536 nodes lam 128 is refused without one call of `_power_sums`."""
+    from displab.errors import SizingError
+    from displab.extremizers import datum_lp_norm
+
+    real, calls = harness._power_sums, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_power_sums", counting)
+    harness._profile_curve.cache_clear()
+    datum_lp_norm.cache_clear()
+    monkeypatch.setenv("DISPLAB_MAX_GRID_POINTS", "1024")
+    with pytest.raises(SizingError, match=r"at scale -1\.64e\+04"):
+        run_sweep(SweepConfig("smoothing", 2.0, 1, 6.0, 0.5, (32.0, 64.0, 128.0, 160.0)))
+    assert calls == []
+
+
 def test_sweep_sizing_admits_what_the_datum_quadrature_runs(monkeypatch):
     """Budget 2^20: the datum quadrature at alpha 3, lam 16 needs 61,548 nodes, and lam 128
     (S = 2^21) takes the stationary-phase route, which needs none."""
@@ -465,15 +601,15 @@ def _count_curve_frames(monkeypatch):
 
 @pytest.mark.slow
 def test_profile_curve_is_shared_across_scales_and_sweeps(monkeypatch):
-    """All five alpha = 3 scales share one 189-sample s-grid; a second beta reuses it."""
+    """All five alpha = 3 scales share one 88-node time ladder; a second beta reuses it."""
     evaluated = _count_curve_frames(monkeypatch)
     lams = (16.0, 32.0, 64.0, 128.0, 256.0)
     beta = smoothing_exponent(3, 1, 6)
     first = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta, lams))
-    assert len(evaluated) == 189
-    assert [r.t_count for r in first] == [189] * 5
+    assert len(evaluated) == 88
+    assert [r.t_count for r in first] == [88] * 5
     second = run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, beta - 0.2, lams))
-    assert len(evaluated) == 189
+    assert len(evaluated) == 88
     for a, b in zip(first, second):
         assert b.numerator == a.numerator and b.coverage == a.coverage
 
@@ -483,7 +619,7 @@ def test_edge_check_evolves_each_horizon_once(monkeypatch):
     """All five alpha = 3 scales stop at the same horizon, evolved once in the curve pass.
 
     The box-edge check reads the curve's own frames, so it adds no frame:
-    the sweep evolves the 189 distinct s of the curve and nothing else.
+    the sweep evolves the 88 distinct s of the curve and nothing else.
     """
     import displab.harness as harness
 
@@ -491,9 +627,9 @@ def test_edge_check_evolves_each_horizon_once(monkeypatch):
     lams = (16.0, 32.0, 64.0, 128.0, 256.0)
     run_sweep(SweepConfig("smoothing", 3.0, 1, 6.0, smoothing_exponent(3, 1, 6), lams))
     horizon = harness._profile_curve(3.0, 6.0, False).horizon
-    farthest = {float(focusing_s_grid(lam, 3.0, horizon)[0]) for lam in lams}
+    farthest = {float(time_ladder(min(lam**3.0, horizon))[0][-1]) for lam in lams}
     assert len(farthest) == 1 and times.count(farthest.pop()) == 1
-    assert len(times) == len(set(times)) == 189
+    assert len(times) == len(set(times)) == 88
 
 
 def test_box_edge_check_fires_past_the_faithful_horizon(monkeypatch):

@@ -220,6 +220,17 @@ def test_one_route_per_power_sum():
         "propagator.evolve_trajectory.run", "spectral.dft_inverse"]
 
 
+def test_only_the_direct_route_reads_the_rectangle_time_grid():
+    """The sweep integrates in time on `harness.time_ladder` alone: `focusing_s_grid` serves
+    only the direct route, and the rectangle-rule weights `_time_weights` serve it, the
+    maximal family's ridge trace and the mixed norm's arbitrary samples, so neither can
+    creep back into `run_sweep` or `_smoothing_record`."""
+    assert _callers("focusing_s_grid") == ["harness.direct_smoothing_record"]
+    assert _callers("_time_weights") == [
+        "harness._maximal_record", "harness.direct_smoothing_record", "norms.mixed_spacetime_norm"]
+    assert _callers("time_ladder") == ["harness.run_sweep"]
+
+
 def test_only_grid_builds_threads():
     """One pool: no module but `grid` constructs a `ThreadPoolExecutor` or a `threading.Thread`."""
     builders = []
