@@ -49,6 +49,8 @@ SP_CURVATURE = 2.0**16
 _J_NODES = 1025
 # the evolved unit profile must stay _HORIZON_WIDTH inside the box shrunk by _HORIZON_MARGIN
 _HORIZON_MARGIN, _HORIZON_WIDTH = 1.1, 60.0
+# points of the unit profile grid whose half width is the least box `frame_half_width` gives
+_FRAME_FLOOR_POINTS = 2**13
 # envelope_check samples on the group annulus
 _PEAK_SAMPLES = 512
 # focusing_check frames over |t - 1| <= 1/(10 lam^alpha); odd, so the middle one is t = 1
@@ -194,6 +196,25 @@ def unit_annulus_field(grid: GridSpec, one_sided: bool = False) -> Field:
 def faithful_horizon(grid: GridSpec, alpha: float) -> float:
     """Largest |s| for which the evolved unit profile stays inside the box."""
     return max((grid.half_width / _HORIZON_MARGIN - _HORIZON_WIDTH) / ball_constant(alpha), 0.0)
+
+
+def frame_half_width(s, alpha: float) -> np.ndarray:
+    """Half width of the smallest box that holds the evolved unit profile at each time s.
+
+    The inverse of `faithful_horizon`: a box of at least this half width
+    has a horizon of at least |s|.  It is _HORIZON_MARGIN (C(alpha) |s| +
+    _HORIZON_WIDTH), but never below the half width of the
+    `_FRAME_FLOOR_POINTS` = 2^13-point unit profile grid, which holds the
+    annulus's own tail.  Over the time ladders to the 2^15-point grid's
+    horizon (alpha 1.5, 2 and 3, both sides, p 2 to 6), a floor of 2^12
+    points let the farthest frame on it (alpha 2, s = -158) read an edge
+    ratio of 8.6e-7, just under the sweep's 1e-6 edge guard, and moved
+    frames by up to 6.0e-13 from their whole-lattice sums; at 2^13 every
+    edge ratio reads at most 4.9e-8 and frames move by at most 1.1e-15.
+    """
+    reach = _HORIZON_MARGIN * (ball_constant(alpha) * np.abs(np.asarray(s, dtype=float))
+                               + _HORIZON_WIDTH)
+    return np.maximum(reach, unit_profile_grid(_FRAME_FLOOR_POINTS).half_width)
 
 
 def _annulus_intervals(one_sided: bool) -> tuple:

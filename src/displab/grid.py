@@ -96,6 +96,11 @@ def _block_pool(pid: int):
     return ThreadPoolExecutor(max_workers=2, thread_name_prefix="displab-blocks")
 
 
+def _concurrent_blocks(count: int) -> int:
+    """How many of ``count`` items `_run_blocks` runs at once: at most two, one on one CPU."""
+    return min(count, _block_workers())
+
+
 def _run_blocks(job, items) -> list:
     """[job(item) for item in items], two at a time on `_block_pool` where that can help.
 
@@ -106,7 +111,7 @@ def _run_blocks(job, items) -> list:
     and reading each one re-raises the error of any job.  The caller waits
     on the pool, so a job must not call this.
     """
-    if len(items) <= 1 or _block_workers() == 1:
+    if _concurrent_blocks(len(items)) <= 1:
         return [job(item) for item in items]
     return list(_block_pool(os.getpid()).map(job, items))
 

@@ -5,7 +5,9 @@ The flow is the Fourier multiplier e^{i t phi(xi)} of a real phase phi:
 `evolve` (one time), `evolve_trajectory` (whole frames, behind `displab
 evolve`, the elliptic evolutions and the extension operator) and the power
 sums `_power_sums` (sum_j |u_j|^p h of every 1-d frame in decimated
-slices, behind the sweep harness's profile curve and direct record) form
+slices, each frame on the smallest power-of-two decimation of its lattice
+that holds it, behind the sweep harness's profile curve and direct
+record) form
 it by one product, `_evolved_support`, only on the spectral support
 (`_spectral_support`), the lattice points where the spectrum is nonzero:
 band-limited data such as the unit annulus skip most of the lattice, and
@@ -20,19 +22,20 @@ must flip the sign of t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .chirpquad import _bound_terms
 from .cutoffs import make_cutoffs
 from .errors import EllipticityError, SizingError
-from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _run_blocks, sized_grid
+from .grid import FREQUENCY, PHYSICAL, Field, GridSpec, _concurrent_blocks, _run_blocks, sized_grid
 from .spectral import SymbolFn, _inverse_signed_in_place, dft_inverse, to_frequency
 
 # complex samples per block of frames in `evolve_trajectory` (8 frames at 2^15 points, 2 at
 # 2^17), the longest slice transform of `_power_sums`, and the most complex samples of one
-# `_power_sums` block's buffers: 18 times of the unit annulus at 2^15 points, 3 of the lam-32
-# datum at 2^17.
+# `_power_sums` block's arrays: 18 times of the unit annulus at 2^15 points, 3 of the lam-32
+# datum on its whole 2^17-point lattice, 51 on its 2^13-point box.
 _BLOCK_SAMPLES = 2**18
 # entries of the fine twiddle table of `_twiddles`; the coarse one steps by as many
 _TWIDDLE_ROW = 512
@@ -134,34 +137,51 @@ def _evolved_support(spectrum: np.ndarray, values: np.ndarray, t: np.ndarray,
     return np.multiply(phase, spectrum, out=phase)
 
 
-def _power_sums(field: Field, t, phase: SymbolFn, p: float):
+def _power_sums(field: Field, t, phase: SymbolFn, p: float, half_widths=None):
     """(powers, edges) of each frame u = e^{i t phase} field: sum_j |u_j|^p h, max edge / max |u_j|.
 
     ``field`` lies on a 1-d grid, ``t`` is a time or a sequence of them
     and ``p`` is finite and >= 1 (ValueError otherwise); d > 1 norms go
-    through `evolve_trajectory` and `norms.lp_norm`.  The frames are summed
-    in decimated slices, and no frame is formed.  With L =
-    min(`_BLOCK_SAMPLES`, N / 8) and P = N / L, the samples j = P a + r of
-    each r are (1/(P h)) ifft_L(F_r)[a], where F_r folds the signed support
-    entries m (after the sign (-1)^m and the flow's one product
-    `_evolved_support`) onto their residues mod L (`_fold`), twiddled by
-    e^{2 pi i m r / N} (`_twiddles`).  A spectrum is
-    even when its support is symmetric and its values and ``phase`` are
-    bitwise equal at +-m: then every frame is even, only the m >= 0 half is
-    evolved (m < 0 takes the conjugate twiddles) and only the slices
-    r <= P / 2 run, the others having the sums of their mirror slices P - r.
+    through `evolve_trajectory` and `norms.lp_norm`.
 
-    ``edges`` reads the first and last N / (64 P) samples of every slice
-    that runs, the samples within N / 64 of the box edges (by evenness
+    Boxes.  ``half_widths``, one per time in the field's x units, gives
+    each frame the smallest box that holds it: the decimation of the
+    lattice by the largest power of two 2^k (`_box_shifts`) whose half
+    width L / 2^k is at least the time's, down to 8 points.  The decimated
+    lattice has the same spacing h, N / 2^k points and every 2^k-th
+    frequency of the spectrum, so its samples are the frame periodized
+    with period 2L / 2^k: the frame itself while the frame fits in the
+    box, and the edge ratios below read whether it does.  Times that share
+    a box form one group with its own coefficient layout and twiddle plan
+    (`_box_blocks`), and every group's blocks run in one `grid._run_blocks`
+    call.  Without ``half_widths`` every time runs on the whole lattice,
+    with the bits it had before boxes existed.
+
+    Slices.  On a box of n points the frames are summed in decimated
+    slices, and no frame is formed.  With L = min(`_BLOCK_SAMPLES`, n / 8)
+    and P = n / L, the samples j = P a + r of each r are (1/(P h))
+    ifft_L(F_r)[a], where F_r folds the signed support entries m (after
+    the sign (-1)^m and the flow's one product `_evolved_support`) onto
+    their residues mod L (`_fold`), twiddled by e^{2 pi i m r / n}
+    (`_twiddles`).  A spectrum is even when its support is symmetric and
+    its values and ``phase`` are bitwise equal at +-m: then every frame is
+    even, only the m >= 0 half is evolved (m < 0 takes the conjugate
+    twiddles) and only the slices r <= P / 2 run, the others having the
+    sums of their mirror slices P - r.
+
+    ``edges`` reads the first and last n / (64 P) samples of every slice
+    that runs, the samples within n / 64 of the box edges (by evenness
     these cover the mirrored slices too).  Blocks of times run through
-    `grid._run_blocks`, each with one buffer set per thread (taken
-    with `list.pop`, given back with `list.append`) reused from block to
-    block, so later blocks fault in no fresh pages.  A block's buffers hold
-    at most `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or
-    more go through the transform one time at a time.  The slice sums are
-    added in slice order, so the results are bit for bit the same on one
-    thread and two, and for any block of times.  It waits on the pool, so a
-    pool job must not call it.
+    `grid._run_blocks`, each laying its arrays over one buffer per thread,
+    sized for the largest box's blocks and shared by every box (taken with
+    `list.pop`, given back with `list.append`), reused from block to block,
+    so later blocks fault in no fresh pages.  A block's arrays hold at most
+    `_BLOCK_SAMPLES` complex samples, so slices of 2^17 points or more go
+    through the transform one time at a time.  The slice sums are
+    added in slice order, and every time's sums depend on its box alone, so
+    the results are bit for bit the same on one thread and two, for any
+    block of times and for any grouping of the times that keeps their
+    boxes.  It waits on the pool, so a pool job must not call it.
     """
     grid = field.grid
     if grid.dim != 1:
@@ -169,28 +189,83 @@ def _power_sums(field: Field, t, phase: SymbolFn, p: float):
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     t = np.asarray(t, dtype=float).reshape(-1)
-    spectrum, support, values = _spectral_support(field, t, phase, signed=True)
+    spectrum, support, values = _spectral_support(field, t, phase)
+    shifts = _box_shifts(grid, t.size, half_widths)
     n = grid.points
-    size = min(_BLOCK_SAMPLES, n // 8)
     m = (support + n // 2) % n - n // 2  # signed; sorted with its values below
     order = np.argsort(m)
     m, spectrum, values = m[order], spectrum[order], values[order]
-    slices = n // size
     even = (np.array_equal(m, -m[::-1])
             and np.array_equal(spectrum, spectrum[::-1]) and np.array_equal(values, values[::-1]))
     if even:
         half = m >= 0
         m, spectrum, values = m[half], spectrum[half], values[half]
-        runs = range(slices // 2 + 1)
-    else:
-        runs = range(slices)
+    powers, edges = np.empty(t.size), np.empty(t.size)
+    blocks, need = [], 0
+    for shift in sorted(set(shifts.tolist())):  # the whole lattice first: its blocks are the longest
+        kept = m % (1 << shift) == 0  # every 2^shift-th frequency
+        box_need, box_blocks = _box_blocks(
+            m[kept] >> shift, spectrum[kept], values[kept], n >> shift, even, grid.spacing, p, t,
+            np.flatnonzero(shifts == shift), (powers, edges))
+        need, blocks = max(need, box_need), blocks + box_blocks
+    # one buffer per block that runs at once, shared by every box and made here, in the calling
+    # thread's heap: made on a pool thread, glibc kept them in that thread's arena, which held
+    # 5 MB more at the peak of the lam-32 direct record
+    buffers = [np.empty(need, dtype=np.complex128) for _ in range(_concurrent_blocks(len(blocks)))]
+
+    def run(block) -> None:
+        try:
+            buffer = buffers.pop()
+        except IndexError:  # more threads than `grid._concurrent_blocks` counts
+            buffer = np.empty(need, dtype=np.complex128)
+        try:
+            block(buffer)
+        finally:
+            buffers.append(buffer)
+
+    _run_blocks(run, blocks)
+    return powers, edges
+
+
+def _box_shifts(grid: GridSpec, count: int, half_widths) -> np.ndarray:
+    """k per time: the largest k with half width L / 2^k >= the time's and N / 2^k >= 8.
+
+    0 for every time without ``half_widths``; ``half_widths`` must hold
+    ``count`` positive values (ValueError otherwise), +inf meaning the
+    whole lattice.
+    """
+    if half_widths is None:
+        return np.zeros(count, dtype=int)
+    want = np.asarray(half_widths, dtype=float).reshape(-1)
+    if want.size != count or not (want > 0).all():
+        raise ValueError(f"half_widths must hold {count} positive values, got {want}")
+    # L / 2^k for k = 1 .. log2(N) - 3, exact: halving a float is exact
+    boxes = np.ldexp(grid.half_width, -np.arange(1, grid.points.bit_length() - 3))
+    return (boxes >= want[:, None]).sum(axis=1)
+
+
+def _box_blocks(m, spectrum, values, n: int, even: bool, cell: float, p: float, t, times, out):
+    """(need, blocks): the blocks of `_power_sums` for the ``times`` (indices into ``t``) of one
+    box of n points, and the complex samples of the buffer each takes.
+
+    ``m`` holds the box's signed support indices, sorted (the m >= 0 half
+    of an even spectrum), and ``spectrum`` (a copy, given the sign (-1)^m
+    in place) and ``values`` the spectrum and the phase there.  Each block is called with a buffer of at least
+    ``need`` complex samples, which it lays its arrays over, and writes its
+    times' powers and edges into the arrays ``out``.
+    """
+    np.negative(spectrum, out=spectrum, where=m % 2 == 1)  # the inverse transform's sign
+    size = min(_BLOCK_SAMPLES, n // 8)
+    slices = n // size
+    runs = range(slices // 2 + 1) if even else range(slices)
     first = int(m[0]) if m.size else 0
     rows = -(-(int(m[-1]) - first + 1) // _TWIDDLE_ROW) if m.size else 0
     # the support laid out over its span from m = first, zero between and past its entries
-    coefficients = np.zeros(rows * _TWIDDLE_ROW, dtype=np.complex128)
-    phases = np.zeros(rows * _TWIDDLE_ROW)
+    span = rows * _TWIDDLE_ROW
+    coefficients = np.zeros(span, dtype=np.complex128)
+    phases = np.zeros(span)
     coefficients[m - first], phases[m - first] = spectrum, values
-    last = first + coefficients.size - 1
+    last = first + span - 1
     # the entries whose mirror -m an even spectrum folds too: all but m = 0, folded once
     mirrored = slice(1 if first == 0 else 0, None)
     # per slice: its twiddles, those of -m for an even spectrum, and its weight
@@ -201,47 +276,41 @@ def _power_sums(field: Field, t, phase: SymbolFn, p: float):
         plan.append((twiddle, mirror, 2.0 if even and 0 < 2 * r < slices else 1.0))
     edge = max(1, n // (64 * slices))
     # two rows of the span (evolved, twiddled) and 1.5 of the slice (folded, its modulus) per time
-    block = max(1, _BLOCK_SAMPLES // (2 * (coefficients.size + size)))
-    powers, edges = np.empty(t.size), np.empty(t.size)
-    buffers = []  # buffer sets given back by finished blocks
+    block = max(1, _BLOCK_SAMPLES // (2 * (span + size)))
+    scale = cell * (slices * cell) ** -p
+    powers, edges = out
 
-    def run(start: int) -> None:
-        ts = t[start : start + block]
-        try:
-            buffer = buffers.pop()
-        except IndexError:
-            count = min(block, t.size)
-            buffer = (np.empty((count, coefficients.size), dtype=np.complex128),
-                      np.empty((count, coefficients.size), dtype=np.complex128),
-                      np.empty((count, size), dtype=np.complex128), np.empty((count, size)))
-        try:
-            evolved, product, folded, body = (array[: ts.size] for array in buffer)
-            _evolved_support(coefficients, phases, ts, out=evolved)
-            total, ends, peak = np.zeros(ts.size), np.zeros(ts.size), np.zeros(ts.size)
+    def run(start: int, buffer: np.ndarray) -> None:
+        index = times[start : start + block]
+        k = index.size
+        evolved = buffer[: k * span].reshape(k, span)
+        product = buffer[k * span : 2 * k * span].reshape(k, span)
+        folded = buffer[2 * k * span : k * (2 * span + size)].reshape(k, size)
+        body = buffer[k * (2 * span + size) :].view(np.float64)[: k * size].reshape(k, size)
+        _evolved_support(coefficients, phases, t[index], out=evolved)
+        total, ends, peak = np.zeros(k), np.zeros(k), np.zeros(k)
 
-            def twiddled(table):  # r = 0 has no table: its twiddles are all 1
-                return evolved if table is None else np.multiply(evolved, table, out=product)
+        def twiddled(table):  # r = 0 has no table: its twiddles are all 1
+            return evolved if table is None else np.multiply(evolved, table, out=product)
 
-            for twiddle, mirror, weight in plan:
-                folded.fill(0.0)
-                _fold(twiddled(twiddle), first, folded)
-                if even:  # the m < 0 half, from m = -last up
-                    _fold(twiddled(mirror)[:, mirrored][:, ::-1], -last, folded)
-                np.fft.ifft(folded, out=folded)
-                modulus = np.abs(folded, out=body)
-                np.maximum(ends, modulus[:, :edge].max(axis=1), out=ends)
-                np.maximum(ends, modulus[:, -edge:].max(axis=1), out=ends)
-                np.maximum(peak, modulus.max(axis=1), out=peak)
-                modulus **= p
-                total += weight * modulus.sum(axis=1)
-            powers[start : start + ts.size] = total
-            edges[start : start + ts.size] = ends / np.maximum(peak, np.finfo(float).tiny)
-        finally:
-            buffers.append(buffer)
+        for twiddle, mirror, weight in plan:
+            folded.fill(0.0)
+            _fold(twiddled(twiddle), first, folded)
+            if even:  # the m < 0 half, from m = -last up
+                _fold(twiddled(mirror)[:, mirrored][:, ::-1], -last, folded)
+            np.fft.ifft(folded, out=folded)
+            modulus = np.abs(folded, out=body)
+            np.maximum(ends, modulus[:, :edge].max(axis=1), out=ends)
+            np.maximum(ends, modulus[:, -edge:].max(axis=1), out=ends)
+            np.maximum(peak, modulus.max(axis=1), out=peak)
+            modulus **= p
+            total += weight * modulus.sum(axis=1)
+        powers[index] = total * scale
+        edges[index] = ends / np.maximum(peak, np.finfo(float).tiny)
 
-    _run_blocks(run, range(0, t.size, block))
-    cell = grid.cell_volume
-    return powers * (cell * (slices * cell) ** -p), edges
+    count = min(block, times.size)
+    need = count * (2 * span + size) + -(-count * size // 2)  # the modulus takes half a sample
+    return need, [partial(run, start) for start in range(0, times.size, block)]
 
 
 @dataclass(frozen=True)

@@ -586,9 +586,9 @@ def _count_curve_frames(monkeypatch):
     times = []
     real = harness._power_sums
 
-    def counting(field, t, params, p):
+    def counting(field, t, params, p, half_widths=None):
         times.extend(np.asarray(t).tolist())
-        return real(field, t, params, p)
+        return real(field, t, params, p, half_widths)
 
     def no_single_frames(*args, **kwargs):
         raise AssertionError("a sweep sums every frame in `_power_sums`")
@@ -699,3 +699,111 @@ def test_direct_record_past_the_grid_cap_names_lam(monkeypatch):
                        r"over the cap of 1024") as err:
         direct_smoothing_record(cfg, 16.0)
     assert err.value.required_points == 2**15
+
+
+# -- per-frame boxes ------------------------------------------------------------------
+
+
+def whole_and_boxed(field, t, s, alpha, p, scale=1.0):
+    """(whole, boxed, edges): the sums of `_power_sums` on the whole lattice and on the boxes
+    `frame_half_width` (s) / ``scale`` gives, and the boxed edge ratios."""
+    from displab.extremizers import frame_half_width
+
+    params = DispersionParams(alpha, 1)
+    whole = _power_sums(field, t, params, p)[0]
+    boxed, edges = _power_sums(field, t, params, p, frame_half_width(s, alpha) / scale)
+    return whole, boxed, edges
+
+
+@pytest.mark.parametrize("p", [2.0, 4.5, 6.0])
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_boxed_curve_frames_match_the_whole_lattice(alpha, one_sided, p):
+    """Every node of the ladder to the unit grid's horizon, and s = 0: each boxed frame is
+    within 1e-13 of its whole-lattice sum, and the ladder integral within 1e-14."""
+    from displab.extremizers import faithful_horizon, unit_annulus_field, unit_profile_grid
+
+    grid = unit_profile_grid()
+    nodes, weights = time_ladder(faithful_horizon(grid, alpha))
+    s = np.append(nodes, 0.0)
+    whole, boxed, edges = whole_and_boxed(unit_annulus_field(grid, one_sided), s, s, alpha, p)
+    np.testing.assert_allclose(boxed, whole, rtol=1e-13, atol=0.0)
+    assert boxed[:-1] @ weights == pytest.approx(whole[:-1] @ weights, rel=1e-14, abs=0.0)
+    assert edges.max() <= 1e-7
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha, lam", [(2.0, 16.0), (2.0, 32.0), (3.0, 8.0)])
+def test_boxed_direct_frames_match_the_whole_lattice(alpha, lam):
+    """The direct record's frames on their boxes, at p 2 and 6: within 1e-13 of the
+    whole-lattice sums, and the record's numerator is the boxed one."""
+    params = DispersionParams(alpha, 1)
+    spectrum = smoothing_spectrum(ExtremizerSpec(SMOOTHING, lam, params))
+    s = focusing_s_grid(lam, alpha, lam**alpha)
+    t = 1.0 + s / lam**alpha
+    for p in (2.0, 6.0):
+        whole, boxed, edges = whole_and_boxed(spectrum, t, s, alpha, p, scale=lam)
+        np.testing.assert_allclose(boxed, whole, rtol=1e-13, atol=0.0)
+        assert edges.max() <= 1e-7
+    cfg = SweepConfig("smoothing", alpha, 1, 6.0, 0.0, (lam,))
+    w = _time_weights(t, (0.0, 1.0))
+    assert direct_smoothing_record(cfg, lam).numerator == float((boxed @ w) ** (1.0 / 6.0))
+
+
+def test_frames_past_a_lowered_box_floor_raise_on_both_routes(monkeypatch):
+    """With the box floor lowered to 2^9 unit-grid points the frames leak out of their boxes
+    (curve edge ratios of 3.8e-4 to 1.5e-3 for |s| < 7.6): the curve and the direct route
+    both refuse them, the direct error naming lam and the time."""
+    from displab import extremizers
+    from displab.errors import SizingError
+
+    monkeypatch.setattr(extremizers, "_FRAME_FLOOR_POINTS", 2**9)
+    curve = harness._ProfileCurve(2.0, 6.0, False)  # not the cached one: no value is kept
+    with pytest.raises(SizingError, match=r"^the evolved unit profile at s = .* reached its box "
+                       r"edge \(edge ratio .* > 1e-06\)"):
+        curve.fill(time_ladder(64.0)[0])
+    assert not curve._values
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 0.0, (16.0,))
+    with pytest.raises(SizingError, match=r"^the lam = 16 frame at t = [\d.]+ reached its box edge "
+                       r"\(edge ratio .* > 1e-06\)"):
+        direct_smoothing_record(cfg, 16.0)
+
+
+def test_a_repeated_sweep_runs_no_power_sum(monkeypatch):
+    """A sweep whose ladder nodes are all in the curve takes no slice pass."""
+    cfg = SweepConfig("smoothing", 2.0, 1, 6.0, 1 / 3, (16.0, 32.0))
+    first = run_sweep(cfg)
+    real, calls = harness._power_sums, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_power_sums", counting)
+    assert run_sweep(cfg) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_frame_half_width_inverts_the_faithful_horizon(alpha):
+    """At every node of the ladder to the unit grid's horizon, the box `_power_sums` picks
+    for `frame_half_width` has a horizon of at least |s|, and the next smaller box a horizon
+    below |s| unless the picked box is the 2^13-point floor."""
+    from displab.extremizers import faithful_horizon, frame_half_width, unit_profile_grid
+    from displab.propagator import _box_shifts
+
+    grid = unit_profile_grid()
+    nodes = time_ladder(faithful_horizon(grid, alpha))[0]
+    shifts = _box_shifts(grid, nodes.size, frame_half_width(nodes, alpha))
+
+    def box(shift):
+        return GridSpec(1, grid.points >> shift, grid.half_width / 2**shift)
+
+    floor = 0
+    for s, shift in zip(nodes, shifts.tolist()):
+        assert faithful_horizon(box(shift), alpha) >= abs(s), s
+        if box(shift).points == 2**13:
+            floor += 1
+        else:
+            assert faithful_horizon(box(shift + 1), alpha) < abs(s), s
+    assert box(shifts.max()).points == 2**13 and 0 < floor < nodes.size

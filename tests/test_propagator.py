@@ -258,6 +258,76 @@ def test_power_sum_blocks_are_bitwise_those_of_single_frames(monkeypatch):
     assert np.array_equal(serial, single)
 
 
+def mixed_boxes():
+    """The unit annulus at alpha 2 and times whose `frame_half_width` boxes hold 2^13, 2^14 and
+    2^15 of the lattice's 2^15 points, with those half widths."""
+    from displab.extremizers import frame_half_width
+
+    s = -np.linspace(0.0, 1400.0, 41)
+    return unit_annulus_field(unit_profile_grid()), s, frame_half_width(s, 2.0)
+
+
+def test_mixed_boxes_are_bitwise_those_of_single_frames(monkeypatch):
+    """A call whose times fall on three boxes gives every time the bits of a call with that
+    time alone, on two threads and one, and for any `_BLOCK_SAMPLES` that keeps the slices'
+    lengths (at least the 2^15-point box's 2^12), though the blocks of times change."""
+    from displab import propagator
+
+    profile, s, half_widths = mixed_boxes()
+    params = DispersionParams(2.0, 1)
+    shifts = propagator._box_shifts(profile.grid, s.size, half_widths)
+    assert sorted(set(shifts.tolist())) == [0, 1, 2]
+    single = np.array([_power_sums(profile, [v], params, 6.0, [w]) for v, w in zip(s, half_widths)])
+    interval = sys.getswitchinterval()
+    for workers in (2, 1):
+        for samples in (2**12, 2**14, 2**18):
+            monkeypatch.setattr("displab.grid._block_workers", lambda: workers)
+            monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", samples)
+            sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+            try:
+                got = _power_sums(profile, s, params, 6.0, half_widths)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(got[0], single[:, 0, 0]), (workers, samples)
+            assert np.array_equal(got[1], single[:, 1, 0]), (workers, samples)
+
+
+def test_power_sums_without_half_widths_run_the_whole_lattice():
+    """No half widths, half widths past the box and the whole-lattice times of a mixed call
+    give the same bits, and the sums keep the values they had before boxes existed (pinned
+    to 1e-14 relative, so another FFT build's round-off passes)."""
+    from displab import propagator
+
+    profile, s, half_widths = mixed_boxes()
+    params = DispersionParams(2.0, 1)
+    whole = _power_sums(profile, s, params, 6.0)
+    for wide in (np.full(s.size, np.inf), np.full(s.size, profile.grid.half_width)):
+        got = _power_sums(profile, s, params, 6.0, wide)
+        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+    on_lattice = propagator._box_shifts(profile.grid, s.size, half_widths) == 0
+    mixed = _power_sums(profile, s, params, 6.0, half_widths)
+    assert on_lattice.sum() > 0
+    assert np.array_equal(mixed[0][on_lattice], whole[0][on_lattice])
+    pinned = {False: ["0x1.2622805066591p-19", "0x1.21465da0b717ep-13", "0x1.df6b6442e6889p-10"],
+              True: ["0x1.262085b0d30c7p-20", "0x1.0d0647dec53f3p-14", "0x1.78e896e949531p-14"]}
+    for one_sided, values in pinned.items():
+        small = unit_annulus_field(unit_profile_grid(2**12), one_sided)
+        got = _power_sums(small, [-30.0, -3.5, 0.0], params, 6.0)[0]
+        np.testing.assert_allclose(got, [float.fromhex(v) for v in values], rtol=1e-14, atol=0.0)
+
+
+def test_box_shifts_pick_the_smallest_power_of_two_box():
+    from displab.propagator import _box_shifts
+
+    grid = GridSpec(1, 2**10, 80.0)  # boxes of half width 80, 40, 20, ..., 0.625 (8 points)
+    want = [80.0, 40.0 + 1e-9, 40.0, 20.0, 1.3, 1.25, 0.625, 1e-300, np.inf]
+    assert _box_shifts(grid, len(want), want).tolist() == [0, 0, 1, 2, 5, 6, 7, 7, 0]
+    assert _box_shifts(grid, 3, None).tolist() == [0, 0, 0]
+    for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, np.nan], [1.0]):
+        with pytest.raises(ValueError, match="half_widths must hold 2 positive values"):
+            _box_shifts(grid, 2, bad)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
 @pytest.mark.parametrize(

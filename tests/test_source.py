@@ -290,3 +290,41 @@ def test_only_grid_sizes_grids():
                     rounders.append(name[:-3])
     assert rounders == ["grid"]
     assert {scope.split(".")[0] for scope in _callers("max_grid_points")} == {"grid"}
+
+
+def _readers(name: str) -> list:
+    """The library scopes (module.function, module.Class.method) that load ``name``."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                readers.append(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for module in sorted(os.listdir(SRC)):
+        if module.endswith(".py"):
+            visit(_parse(os.path.join(SRC, module)), module[:-3])
+    return readers
+
+
+def test_only_the_horizon_and_its_inverse_read_the_horizon_rule():
+    """One box rule: the unit profile's reach C(alpha)|s| + `_HORIZON_WIDTH`, widened by
+    `_HORIZON_MARGIN`, is read by `faithful_horizon` and its inverse `frame_half_width` alone."""
+    for name in ("_HORIZON_MARGIN", "_HORIZON_WIDTH"):
+        assert _readers(name) == ["extremizers.faithful_horizon", "extremizers.frame_half_width"]
+
+
+def test_only_propagator_decimates_a_lattice():
+    """Every 2^k-th frequency of a lattice, on a box of N / 2^k points, is taken in
+    `propagator._power_sums` alone: no other module right-shifts a lattice index or size."""
+    shifters = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            for node in ast.walk(_parse(os.path.join(SRC, name))):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+                    shifters.append(name[:-3])
+    assert shifters and set(shifters) == {"propagator"}
+    assert _callers("_box_shifts") == ["propagator._power_sums"]
+    assert _callers("_box_blocks") == ["propagator._power_sums"]
